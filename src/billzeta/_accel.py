@@ -1,18 +1,16 @@
-"""JIT toggle shared by the numeric kernels.
+"""JIT toggle for the scalar loops in :mod:`billzeta._kernels`.
 
-Hot loops are written once, nopython-compatible, and decorated with
+Those loops are written once, nopython-compatible, and decorated with
 :func:`njit` from this module.  When numba is importable and the
 environment variable ``BILLZETA_NUMBA`` is not set to ``0``/``false``/
 ``off``, :func:`njit` is the real compiler (with on-disk caching so
 repeated runs skip compilation).  Otherwise it is a no-op decorator and
 the same source runs as plain Python over numpy arrays.
-
-``bench/bench_kernels.py`` times the two paths against each other.
 """
 
 import os
 
-__all__ = ["NUMBA_ENABLED", "njit", "prange"]
+__all__ = ["NUMBA_ENABLED", "njit"]
 
 
 def _env_wants_jit() -> bool:
@@ -38,8 +36,6 @@ if NUMBA_ENABLED:
             return _numba.njit(cache=True)(args[0])
         return _numba.njit(*args, **kwargs)
 
-    prange = _numba.prange
-
 else:
 
     def njit(*args, **kwargs):
@@ -51,5 +47,3 @@ else:
             return func
 
         return wrap
-
-    prange = range

@@ -1,8 +1,12 @@
-"""Numeric hot loops, written once and compiled when the JIT is enabled.
+"""Scalar numeric loops, written once and compiled when the JIT is enabled.
 
-Everything here is nopython-compatible: plain loops over float64/int64
-arrays, no Python objects.  Under ``BILLZETA_NUMBA=0`` the same source
-runs as ordinary Python (see :mod:`billzeta._accel`).
+Two loops live here: the depth-first enumeration of canonical cyclic
+words and the curvature fixpoint sweep around one cycle.  Both are
+nopython-compatible (plain loops over float64/int64 arrays, no Python
+objects); under ``BILLZETA_NUMBA=0`` the same source runs as ordinary
+Python (see :mod:`billzeta._accel`).  The atom sum over a grid of points
+is plain numpy.  The orbit Newton solver is numpy over whole batches of
+cycles and lives in :mod:`billzeta.orbits`.
 """
 
 import numpy as np
@@ -71,190 +75,6 @@ def enum_canonical_words(r, n, s0, out, start):
 
 
 # ---------------------------------------------------------------------------
-# orbit solving
-
-
-@njit(cache=True, nogil=True)
-def orbit_length(cx, cy, rad, theta):
-    n = theta.shape[0]
-    total = 0.0
-    for i in range(n):
-        j = (i + 1) % n
-        dx = cx[j] + rad[j] * np.cos(theta[j]) - cx[i] - rad[i] * np.cos(theta[i])
-        dy = cy[j] + rad[j] * np.sin(theta[j]) - cy[i] - rad[i] * np.sin(theta[i])
-        total += np.sqrt(dx * dx + dy * dy)
-    return total
-
-
-@njit(cache=True, nogil=True)
-def orbit_gradient(cx, cy, rad, theta, g):
-    """Gradient of the total length in the boundary angles; returns sup norm."""
-    n = theta.shape[0]
-    px = np.empty(n)
-    py = np.empty(n)
-    tx = np.empty(n)
-    ty = np.empty(n)
-    for i in range(n):
-        ct = np.cos(theta[i])
-        st = np.sin(theta[i])
-        px[i] = cx[i] + rad[i] * ct
-        py[i] = cy[i] + rad[i] * st
-        tx[i] = -rad[i] * st
-        ty[i] = rad[i] * ct
-    for i in range(n):
-        g[i] = 0.0
-    for i in range(n):
-        j = (i + 1) % n
-        ex = px[j] - px[i]
-        ey = py[j] - py[i]
-        f = np.sqrt(ex * ex + ey * ey)
-        ux = ex / f
-        uy = ey / f
-        # segment i -> i+1 contributes -<u, t_i> and +<u, t_{i+1}>
-        g[i] -= ux * tx[i] + uy * ty[i]
-        g[j] += ux * tx[j] + uy * ty[j]
-    gnorm = 0.0
-    for i in range(n):
-        if np.abs(g[i]) > gnorm:
-            gnorm = np.abs(g[i])
-    return gnorm
-
-
-@njit(cache=True, nogil=True)
-def _orbit_hessian(cx, cy, rad, theta, H):
-    n = theta.shape[0]
-    px = np.empty(n)
-    py = np.empty(n)
-    tx = np.empty(n)
-    ty = np.empty(n)
-    for i in range(n):
-        ct = np.cos(theta[i])
-        st = np.sin(theta[i])
-        px[i] = cx[i] + rad[i] * ct
-        py[i] = cy[i] + rad[i] * st
-        tx[i] = -rad[i] * st
-        ty[i] = rad[i] * ct
-    for i in range(n):
-        for j in range(n):
-            H[i, j] = 0.0
-    for i in range(n):
-        j = (i + 1) % n
-        ex = px[j] - px[i]
-        ey = py[j] - py[i]
-        f = np.sqrt(ex * ex + ey * ey)
-        ux = ex / f
-        uy = ey / f
-        # second derivative of the acceleration term: p'' = -(p - c)
-        ddxi = -(px[i] - cx[i])
-        ddyi = -(py[i] - cy[i])
-        ddxj = -(px[j] - cx[j])
-        ddyj = -(py[j] - cy[j])
-        # projections (I - u u^T) t
-        di = ux * tx[i] + uy * ty[i]
-        qxi = tx[i] - ux * di
-        qyi = ty[i] - uy * di
-        dj = ux * tx[j] + uy * ty[j]
-        qxj = tx[j] - ux * dj
-        qyj = ty[j] - uy * dj
-        H[i, i] += (qxi * tx[i] + qyi * ty[i]) / f - (ux * ddxi + uy * ddyi)
-        H[j, j] += (qxj * tx[j] + qyj * ty[j]) / f + (ux * ddxj + uy * ddyj)
-        cross = -(qxj * tx[i] + qyj * ty[i]) / f
-        H[i, j] += cross
-        H[j, i] += cross
-
-
-@njit(cache=True, nogil=True)
-def _cholesky_solve(H, g, delta):
-    """delta <- -H^{-1} g via LL^T; returns False when H is not positive definite."""
-    n = g.shape[0]
-    C = np.zeros((n, n))
-    for j in range(n):
-        s = H[j, j]
-        for k in range(j):
-            s -= C[j, k] * C[j, k]
-        if s <= 0.0:
-            return False
-        C[j, j] = np.sqrt(s)
-        for i in range(j + 1, n):
-            t = H[i, j]
-            for k in range(j):
-                t -= C[i, k] * C[j, k]
-            C[i, j] = t / C[j, j]
-    # forward substitution C y = -g
-    y = np.empty(n)
-    for i in range(n):
-        t = -g[i]
-        for k in range(i):
-            t -= C[i, k] * y[k]
-        y[i] = t / C[i, i]
-    # back substitution C^T delta = y
-    for i in range(n - 1, -1, -1):
-        t = y[i]
-        for k in range(i + 1, n):
-            t -= C[k, i] * delta[k]
-        delta[i] = t / C[i, i]
-    return True
-
-
-@njit(cache=True, nogil=True)
-def newton_orbit(cx, cy, rad, theta, tol, max_iter, max_halvings):
-    """Damped Newton iteration on the cyclic length functional.
-
-    ``theta`` is updated in place.  Newton steps are taken whenever the
-    Hessian is positive definite, with step halving until the length
-    decreases; otherwise the iteration falls back to a backtracking
-    gradient step.  Once the gradient is small the full Newton step is
-    accepted unconditionally (the decrease test is below float
-    resolution there).  Returns (sup-norm of gradient, iterations, ok).
-    """
-    n = theta.shape[0]
-    g = np.empty(n)
-    delta = np.empty(n)
-    H = np.empty((n, n))
-    trial = np.empty(n)
-    gnorm = orbit_gradient(cx, cy, rad, theta, g)
-    it = 0
-    while gnorm > tol and it < max_iter:
-        it += 1
-        _orbit_hessian(cx, cy, rad, theta, H)
-        newton_ok = _cholesky_solve(H, g, delta)
-        if not newton_ok:
-            for i in range(n):
-                delta[i] = -g[i]
-        if newton_ok and gnorm < 1e-6:
-            for i in range(n):
-                theta[i] += delta[i]
-            gnorm = orbit_gradient(cx, cy, rad, theta, g)
-            continue
-        L0 = orbit_length(cx, cy, rad, theta)
-        lam = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            for i in range(n):
-                trial[i] = theta[i] + lam * delta[i]
-            if orbit_length(cx, cy, rad, trial) < L0:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted and newton_ok:
-            # retry along the raw descent direction
-            lam = 1.0
-            for _ in range(max_halvings + 1):
-                for i in range(n):
-                    trial[i] = theta[i] - lam * g[i]
-                if orbit_length(cx, cy, rad, trial) < L0:
-                    accepted = True
-                    break
-                lam *= 0.5
-        if not accepted:
-            break
-        for i in range(n):
-            theta[i] = trial[i]
-        gnorm = orbit_gradient(cx, cy, rad, theta, g)
-    return gnorm, it, gnorm <= tol
-
-
-# ---------------------------------------------------------------------------
 # wavefront curvature
 
 
@@ -291,38 +111,10 @@ def curvature_fixpoint(flights, kicks, kappa0, tol, max_cycles):
 # exponential atom sums
 
 
-@njit(cache=True, nogil=True)
-def exp_atom_sum(coeff, tau, s):
-    """Sum of ``coeff[k] * exp(-s * tau[k])`` at one complex point, in
-    fixed (canonical) atom order."""
-    acc = 0.0 + 0.0j
-    for k in range(coeff.shape[0]):
-        acc += coeff[k] * np.exp(-s * tau[k])
-    return acc
-
-
-@njit(cache=True, nogil=True)
-def exp_atom_sum_many(coeff, tau, points, out):
-    for m in range(points.shape[0]):
-        out[m] = exp_atom_sum(coeff, tau, points[m])
-
-
-@njit(cache=True, nogil=True)
-def gauss_pair_sum(tau, wr, inv_two_sigma):
-    """Double sum of ``wr_i wr_j exp(-(tau_i - tau_j)^2 / (2 sigma))``."""
-    total = 0.0
-    for i in range(tau.shape[0]):
-        for j in range(tau.shape[0]):
-            d = tau[i] - tau[j]
-            total += wr[i] * wr[j] * np.exp(-d * d * inv_two_sigma)
-    return total
-
-
 def exp_atom_sum_grid(coeff, tau, points):
     """Vectorized numpy evaluation of the atom sum over many points.
 
-    Used by the pure-numpy path and anywhere a whole grid is needed at
-    once; summation order over atoms is fixed by the dot product, so the
+    Summation order over atoms is fixed by the dot product, so the
     result does not depend on how callers chunk the points.
     """
     points = np.asarray(points, dtype=complex)

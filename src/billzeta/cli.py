@@ -3,8 +3,8 @@
 Every subcommand that writes files drops a run manifest next to them
 listing the configuration hash, resolved parameters, tool version,
 timestamp, and every output file.  CSV output is UTF-8 with LF line
-endings and shortest round-trip float formatting, so repeated runs (and
-runs with different --jobs values) are byte-identical.
+endings and shortest round-trip float formatting, so repeated runs are
+byte-identical.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 domain violation
 (eclipse, stale cache, data horizon), 3 numerical failure.
@@ -37,7 +37,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="disk configuration JSON")
     p.add_argument("--cache", metavar="PATH", help="orbit cache file (JSONL)")
     p.add_argument("--nmax", type=int, metavar="INT", help="maximum cycle length")
-    p.add_argument("--jobs", type=int, default=1, metavar="INT", help="solver thread count")
     p.add_argument("--out", metavar="DIR", help="directory for CSV output")
 
 
@@ -175,7 +174,7 @@ def _load_db(args, default_nmax: int = 10) -> OrbitDatabase:
             "no orbit data: provide --cache with an existing cache file, or "
             "--config to solve the orbits in memory"
         )
-    return build_database(config, args.nmax or default_nmax, jobs=args.jobs)
+    return build_database(config, args.nmax or default_nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +225,11 @@ def cmd_orbits(args) -> None:
             db = _restrict(cached, n_max)
         else:
             print(f"cache stops at n_max={cached.n_max}; re-solving to n_max={n_max}")
-            db = build_database(cached.config, n_max, jobs=args.jobs)
+            db = build_database(cached.config, n_max)
             save_database(db, cache)
             print(f"wrote {cache}")
     elif config is not None:
-        db = build_database(config, n_max, jobs=args.jobs)
+        db = build_database(config, n_max)
         if cache is not None:
             save_database(db, cache)
             print(f"wrote {cache}")
@@ -264,7 +263,7 @@ def cmd_orbits(args) -> None:
             out,
             args,
             db.config_hash,
-            {"nmax": n_max, "jobs": args.jobs, "cache": args.cache},
+            {"nmax": n_max, "cache": args.cache},
             [path.name],
         )
 

@@ -2,21 +2,23 @@
 and equipped with stability data, plus the JSON-lines cache format.
 
 The cache is keyed by a content hash of the configuration so stale data
-is refused rather than silently reused.  Records are kept sorted by
+is refused rather than silently reused, and a cache that lacks a cycle
+or holds a damaged line is refused too.  Records are kept sorted by
 (length, word); every consumer iterates in that order, which is what
-makes downstream output byte-reproducible regardless of worker count.
+makes downstream output byte-reproducible.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, orbits, stability, symbolic
-from .errors import DomainError, MalformedInputError, StaleCacheError
+from .errors import DomainError, EclipseError, MalformedInputError, StaleCacheError
 
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 CACHE_FORMAT = "billzeta-orbit-cache/1"
 
 
@@ -65,10 +67,6 @@ class OrbitDatabase:
     def __len__(self):
         return len(self.records)
 
-    @property
-    def max_primitive_period(self) -> float:
-        return max(rec.T for rec in self.records)
-
     def record_for(self, word) -> OrbitRecord:
         word = tuple(word)
         rec = self.by_word.get(word)
@@ -77,8 +75,8 @@ class OrbitDatabase:
         return rec
 
 
-def _solve_one(config, word):
-    orbit = orbits.solve_orbit(config, word)
+def _record(config, word, theta0) -> OrbitRecord:
+    orbit = orbits.solve_orbit(config, word, theta0=theta0)
     stab = stability.stability_record(config, orbit)
     return OrbitRecord(
         word=orbit.word,
@@ -93,22 +91,27 @@ def _solve_one(config, word):
     )
 
 
-def build_database(config, n_max: int, jobs: int = 1) -> OrbitDatabase:
+def build_database(config, n_max: int) -> OrbitDatabase:
     """Solve every primitive cycle of length 2..n_max.
 
-    The configuration is validated first; a failing configuration is a
-    domain error.  ``jobs`` sizes a thread pool; results are re-sorted
-    afterwards, so the worker count cannot affect the content.
+    The configuration is validated first: a disk blocking a line of
+    sight raises :class:`EclipseError`, any other failure a domain
+    error.  All cycles of one length are solved in one Newton batch;
+    each row is then certified by :func:`orbits.solve_orbit` (which
+    takes no further step from a converged row) and by the stability
+    cross-check, so every record equals the lone solve of its word.
     """
     report = geometry.validate(config)
+    if report.bad_triples:
+        raise EclipseError(f"configuration rejected: {report.summary()}")
     if not report.ok:
         raise DomainError(f"configuration rejected: {report.summary()}")
     words = symbolic.enumerate_cycles(config.r, n_max)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda w: _solve_one(config, w), words))
-    else:
-        records = [_solve_one(config, w) for w in words]
+    records = []
+    for n in range(2, n_max + 1):
+        group = [w for w in words if len(w) == n]
+        angles = orbits.solve_angles(config, group)
+        records += [_record(config, w, theta) for w, theta in zip(group, angles)]
     return OrbitDatabase(config, n_max, records)
 
 
@@ -147,17 +150,25 @@ def _record_from_json(obj) -> OrbitRecord:
 
 
 def save_database(db: OrbitDatabase, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = {
-            "format": CACHE_FORMAT,
-            "config": db.config.to_dict(),
-            "config_hash": db.config_hash,
-            "n_max": db.n_max,
-            "solver_version": SOLVER_VERSION,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in db.records:
-            fh.write(json.dumps(_record_to_json(rec), sort_keys=True) + "\n")
+    """Write the cache to a temporary file next to ``path``, then move it
+    into place, so an interrupted write never leaves a partial cache."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            header = {
+                "format": CACHE_FORMAT,
+                "config": db.config.to_dict(),
+                "config_hash": db.config_hash,
+                "n_max": db.n_max,
+                "solver_version": SOLVER_VERSION,
+            }
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for rec in db.records:
+                fh.write(json.dumps(_record_to_json(rec), sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_database(path, config=None) -> OrbitDatabase:
@@ -170,7 +181,7 @@ def load_database(path, config=None) -> OrbitDatabase:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read orbit cache {path}: {exc}") from exc
     if not lines:
         raise MalformedInputError(f"orbit cache {path} is empty")
@@ -178,10 +189,9 @@ def load_database(path, config=None) -> OrbitDatabase:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"orbit cache {path} has a bad header") from exc
-    if header.get("format") != CACHE_FORMAT:
-        raise MalformedInputError(
-            f"orbit cache {path}: unknown format {header.get('format')!r}"
-        )
+    if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
+        fmt = header.get("format") if isinstance(header, dict) else header
+        raise MalformedInputError(f"orbit cache {path}: unknown format {fmt!r}")
     if header.get("solver_version") != SOLVER_VERSION:
         raise StaleCacheError(
             f"orbit cache {path} was written by solver version "
@@ -205,8 +215,23 @@ def load_database(path, config=None) -> OrbitDatabase:
                 f"{path}` to rebuild it"
             )
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        records.append(_record_from_json(json.loads(line)))
-    return OrbitDatabase(cached, int(header.get("n_max", 0)), records)
+        try:
+            records.append(_record_from_json(json.loads(line)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise MalformedInputError(
+                f"orbit cache {path}: line {lineno} is not a valid record "
+                f"({type(exc).__name__}: {exc}); re-run `billzeta orbits` to rebuild it"
+            ) from exc
+    n_max = int(header.get("n_max", 0))
+    counts = Counter(rec.n for rec in records)
+    for n in sorted(set(counts) | set(range(2, n_max + 1))):
+        want = symbolic.primitive_class_count(cached.r, n) if 2 <= n <= n_max else 0
+        if counts[n] != want:
+            raise MalformedInputError(
+                f"orbit cache {path} holds {counts[n]} cycles of length {n}, "
+                f"expected {want}; re-run `billzeta orbits` to rebuild it"
+            )
+    return OrbitDatabase(cached, n_max, records)

@@ -127,10 +127,6 @@ def outward_normal(theta):
     return np.array([np.cos(theta), np.sin(theta)])
 
 
-def inward_normal(theta):
-    return -outward_normal(theta)
-
-
 def reflect(v, n):
     """Reflect velocity ``v`` in the line with unit normal ``n``."""
     v = np.asarray(v, dtype=float)
@@ -181,19 +177,6 @@ def hull_gap(p, c1, a1, c2, a2) -> float:
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = gap(x2)
     return float(min(f1, f2))
-
-
-def segment_point_distance(p, q, x) -> float:
-    """Distance from point ``x`` to the closed segment ``[p, q]``."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = q - p
-    denom = float(np.dot(d, d))
-    if denom == 0.0:
-        return float(np.linalg.norm(x - p))
-    t = float(np.clip(np.dot(x - p, d) / denom, 0.0, 1.0))
-    return float(np.linalg.norm(x - (p + t * d)))
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,6 @@ MAX_SWEEPS = 500
 CROSS_CHECK_RTOL = 1e-8
 
 
-def propagate_flight(kappa: float, ell: float) -> float:
-    """Wavefront curvature after a free flight of length ``ell``."""
-    return kappa / (1.0 + ell * kappa)
-
-
-def reflect_curvature(kappa: float, kappa_b: float, cos_phi: float) -> float:
-    """Curvature gained at a reflection: boundary curvature ``kappa_b``,
-    incidence cosine ``cos_phi``."""
-    return kappa + 2.0 * kappa_b / cos_phi
-
-
 def wavefront_green(kappa: float, y: float) -> float:
     """Integrand whose doubled flight integral gives -log(1 + f*kappa)."""
     return -0.5 * kappa / (1.0 + kappa * y)

@@ -271,23 +271,19 @@ def sign_check_b1(pot: CylinderPotential, dead_band: float = 1e-6):
 
 
 def twisted_spectral_test(pot: CylinderPotential, s: float, beta: float = 1.0):
-    """Leading modulus of the transfer matrix and of its half-period
-    parity twist at (s, beta).
+    """Leading eigenvalue of the transfer matrix and spectral radius of
+    its half-period parity twist at (s, beta).
 
     One reflection advances the boundary phase by half a period, so the
-    twist multiplies every transition weight by exp(i pi) = -1.  The
-    twisted matrix is exactly -B: its spectrum is the negation of the
-    untwisted one and the two moduli coincide identically.  The modulus
-    is still computed as specified (power iteration on the square of the
-    twisted matrix, then a square root) so the coincidence is measured,
-    not assumed; a strict-contraction certificate has to come from
+    twist multiplies every transition weight by exp(i pi) = -1 and the
+    twisted matrix is -B.  Its spectral radius is taken from the full
+    spectrum, max |eigvals(-B)|, so it is measured, not assumed; a
+    strict-contraction certificate has to come from
     :func:`twisted_unit_gap` instead.
     """
     B = pot.matrix(s, beta)
     lam = leading_eigenvalue(B)
-    twisted = -B
-    lam_sq = leading_eigenvalue(twisted @ twisted)
-    return lam, float(np.sqrt(lam_sq))
+    return lam, float(np.max(np.abs(np.linalg.eigvals(-B))))
 
 
 def twisted_unit_gap(pot: CylinderPotential, s: float, beta: float = 1.0) -> float:

@@ -35,7 +35,7 @@ def config():
 
 @pytest.fixture(scope="session")
 def db12(config):
-    return build_database(config, 12, jobs=4)
+    return build_database(config, 12)
 
 
 @pytest.fixture(scope="session")

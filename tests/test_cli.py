@@ -94,6 +94,27 @@ def test_orbits_extends_shallow_cache(cli_env, tmp_path):
     assert "re-solving" in out.stdout
 
 
+def test_jobs_flag_is_a_usage_error(cli_env):
+    out = run_cli("orbits", "--config", cli_env["config"], "--nmax", 4, "--jobs", 2)
+    assert out.returncode == 1
+    assert "--jobs" in out.stderr
+
+
+def test_damaged_cache_is_malformed_input(cli_env, tmp_path):
+    lines = cli_env["cache"].read_text(encoding="utf-8").splitlines(keepends=True)
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_text("".join(lines)[:-40], encoding="utf-8")
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(ln for ln in lines if '"word": [1, 2, 3]' not in ln),
+                     encoding="utf-8")
+    for cache, message in ((truncated, "not a valid record"), (short, "length 3")):
+        for sub in ("orbits", "zeta"):
+            out = run_cli(sub, "--cache", cache)
+            assert out.returncode == 1, (sub, out.stderr)
+            assert message in out.stderr
+            assert "Traceback" not in out.stderr
+
+
 def test_orbits_stale_cache_refused(cli_env):
     out = run_cli(
         "orbits", "--config", cli_env["other"], "--cache", cli_env["cache"], "--nmax", 6

@@ -3,11 +3,25 @@ import json
 import numpy as np
 import pytest
 
+from billzeta import database
 from billzeta.database import build_database, load_database, save_database
-from billzeta.errors import DomainError, MalformedInputError, StaleCacheError
-from billzeta.stability import det_one_minus_poincare
+from billzeta.errors import (
+    DomainError,
+    EclipseError,
+    MalformedInputError,
+    StaleCacheError,
+)
+from billzeta.geometry import Configuration, Disk, validate
+from billzeta.orbits import solve_orbit
+from billzeta.stability import det_one_minus_poincare, stability_record
 from billzeta.symbolic import primitive_class_count
 from tests.conftest import equilateral_config
+
+
+def unequal_four_disks():
+    centers = [(0.0, 0.0), (7.0, 0.0), (7.5, 6.5), (0.5, 7.0)]
+    radii = [1.0, 1.3, 0.8, 1.1]
+    return Configuration(tuple(Disk(c, a) for c, a in zip(centers, radii)))
 
 
 def test_counts_per_length_match_class_counts(db12):
@@ -65,6 +79,12 @@ def test_corrupt_cache_refused(tmp_path, db8):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(MalformedInputError):
         load_database(path)
+    path.write_text("[1]\n", encoding="utf-8")
+    with pytest.raises(MalformedInputError):
+        load_database(path)
+    path.write_bytes(b"\xff\xfe\x00\n")
+    with pytest.raises(MalformedInputError):
+        load_database(path)
     with pytest.raises(MalformedInputError):
         load_database(tmp_path / "missing.jsonl")
 
@@ -81,21 +101,87 @@ def test_solver_version_mismatch_refused(tmp_path, db8):
         load_database(path)
 
 
-def test_worker_count_does_not_change_content(config):
-    serial = build_database(config, 6, jobs=1)
-    threaded = build_database(config, 6, jobs=4)
-    assert [r.word for r in serial.records] == [r.word for r in threaded.records]
-    for a, b in zip(serial.records, threaded.records):
-        assert a.T == b.T
-        assert a.lam == b.lam
-        assert np.array_equal(a.angles, b.angles)
+def assert_records_match_lone_solves(db):
+    """Every record of a batched build equals the lone solve of its word,
+    bit for bit, and every length holds its full class count."""
+    config = db.config
+    for n in range(2, db.n_max + 1):
+        got = sum(1 for rec in db.records if rec.n == n)
+        assert got == primitive_class_count(config.r, n)
+    for rec in db.records:
+        orbit = solve_orbit(config, rec.word)
+        assert orbit.word == rec.word
+        assert orbit.T == rec.T
+        assert orbit.residual == rec.residual
+        assert orbit.shadow_margin == rec.shadow_margin
+        assert np.array_equal(orbit.angles, rec.angles)
+        assert np.array_equal(orbit.flights, rec.flights)
+        assert np.array_equal(orbit.cos_incidence, rec.cos_incidence)
+        stab = stability_record(config, orbit)
+        assert stab.lam == rec.lam
+        assert np.array_equal(stab.kappa, rec.kappa)
+
+
+def test_batched_build_equals_lone_solves_on_fixture(db12):
+    assert_records_match_lone_solves(db12)
+
+
+def test_batched_build_equals_lone_solves_on_unequal_disks():
+    config = unequal_four_disks()
+    assert validate(config).ok
+    db = build_database(config, 7)
+    assert len(db) == 508
+    assert max(rec.residual for rec in db.records) < 1e-12
+    assert_records_match_lone_solves(db)
 
 
 def test_eclipsing_configuration_rejected():
-    from billzeta.geometry import Configuration, Disk
-
     cfg = Configuration(
         (Disk((0.0, 0.0), 1.0), Disk((8.0, 0.0), 1.0), Disk((4.0, 0.5), 1.0))
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(EclipseError, match="blocks the line of sight"):
         build_database(cfg, 4)
+
+
+def test_two_disk_configuration_is_domain_error_not_eclipse():
+    cfg = Configuration((Disk((0.0, 0.0), 1.0), Disk((8.0, 0.0), 1.0)))
+    assert not validate(cfg).bad_triples
+    with pytest.raises(DomainError) as info:
+        build_database(cfg, 4)
+    assert not isinstance(info.value, EclipseError)
+
+
+def test_truncated_cache_line_is_malformed(tmp_path, db8):
+    path = tmp_path / "cache.jsonl"
+    save_database(db8, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) - 40], encoding="utf-8")
+    with pytest.raises(MalformedInputError, match=f"line {len(db8) + 1}"):
+        load_database(path)
+
+
+def test_cache_missing_a_record_is_refused(tmp_path, db8):
+    path = tmp_path / "cache.jsonl"
+    save_database(db8, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    dropped = [ln for ln in lines[1:] if '"word": [1, 2, 3]' in ln]
+    assert len(dropped) == 1
+    lines.remove(dropped[0])
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedInputError, match="1 cycles of length 3, expected 2"):
+        load_database(path)
+
+
+def test_failed_save_keeps_the_previous_cache(tmp_path, db8, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    save_database(db8, path)
+    before = path.read_bytes()
+
+    def broken(rec):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(database, "_record_to_json", broken)
+    with pytest.raises(RuntimeError):
+        save_database(db8, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]

@@ -65,3 +65,41 @@ def test_default_angles_point_toward_next_disk(config):
     theta = default_angles(config, word)
     assert theta.shape == (3,)
     assert np.all(np.isfinite(theta))
+
+
+def test_newton_rows_do_not_depend_on_their_batch(config):
+    from billzeta.orbits import SOLVER_TOL, _disks, _gradient, _hessian, _length, _newton
+    from billzeta.symbolic import enumerate_cycles
+
+    words = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
+    cx, cy, rad = _disks(config, words)
+    start = np.array([default_angles(config, w) for w in words])
+    solved, _ = _newton(cx, cy, rad, start)
+    near = solved + 1e-7
+    far = start + 2.0
+
+    def min_eig(theta):
+        return np.linalg.eigvalsh(_hessian(cx, cy, rad, theta))[:, 0]
+
+    def residual(theta):
+        return np.abs(_gradient(cx, cy, rad, theta)).max(axis=1)
+
+    # three branches: near rows take the full Newton step, default starts
+    # the halved Newton step, far starts (indefinite Hessian) the halved -g
+    assert np.all(min_eig(near) > 0.0) and np.all(residual(near) < 1e-6)
+    assert np.all(min_eig(start) > 0.0) and np.all(residual(start) > 1e-6)
+    assert np.all(min_eig(far) <= 0.0)
+
+    groups = (far, near, start)
+    theta0 = np.stack(groups, axis=1).reshape(-1, 6)
+    bx, by, brad = (np.repeat(a, len(groups), axis=0) for a in (cx, cy, rad))
+    theta, res = _newton(bx, by, brad, theta0)
+    for i in range(len(theta0)):
+        alone, alone_res = _newton(bx[i : i + 1], by[i : i + 1], brad[i : i + 1],
+                                   theta0[i : i + 1])
+        assert np.array_equal(theta[i], alone[0])
+        assert res[i] == alone_res[0]
+    assert res.max() <= SOLVER_TOL
+    # every start reaches the same orbit
+    lengths = _length(bx, by, brad, theta).reshape(-1, len(groups))
+    assert np.ptp(lengths, axis=1).max() < 1e-12
