@@ -4,9 +4,8 @@ Two loops live here: the depth-first enumeration of canonical cyclic
 words and the curvature fixpoint sweep around one cycle.  Both are
 nopython-compatible (plain loops over float64/int64 arrays, no Python
 objects); under ``BILLZETA_NUMBA=0`` the same source runs as ordinary
-Python (see :mod:`billzeta._accel`).  The atom sum over a grid of points
-is plain numpy.  The orbit Newton solver is numpy over whole batches of
-cycles and lives in :mod:`billzeta.orbits`.
+Python (see :mod:`billzeta._accel`).  The orbit Newton solver is numpy
+over whole batches of cycles and lives in :mod:`billzeta.orbits`.
 """
 
 import numpy as np
@@ -105,18 +104,3 @@ def curvature_fixpoint(flights, kicks, kappa0, tol, max_cycles):
         if diff < tol:
             return kappa, sweeps, True
     return kappa, sweeps, False
-
-
-# ---------------------------------------------------------------------------
-# exponential atom sums
-
-
-def exp_atom_sum_grid(coeff, tau, points):
-    """Vectorized numpy evaluation of the atom sum over many points.
-
-    Summation order over atoms is fixed by the dot product, so the
-    result does not depend on how callers chunk the points.
-    """
-    points = np.asarray(points, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(-np.outer(points, tau)) @ coeff

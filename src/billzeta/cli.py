@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, thermo, trace, zeta
-from .database import OrbitDatabase, build_database, load_database, save_database
+from .database import (
+    OrbitDatabase,
+    build_database,
+    extend_database,
+    load_database,
+    save_database,
+)
 from .errors import BilliardError, IncompleteDataError, MalformedInputError
 from .geometry import config_digest, load_config, validate
 
@@ -224,8 +230,11 @@ def cmd_orbits(args) -> None:
             )
             db = _restrict(cached, n_max)
         else:
-            print(f"cache stops at n_max={cached.n_max}; re-solving to n_max={n_max}")
-            db = build_database(cached.config, n_max)
+            print(
+                f"cache stops at n_max={cached.n_max}; solving lengths "
+                f"{cached.n_max + 1}..{n_max}"
+            )
+            db = extend_database(cached, n_max)
             save_database(db, cache)
             print(f"wrote {cache}")
     elif config is not None:

@@ -101,14 +101,27 @@ def build_database(config, n_max: int) -> OrbitDatabase:
     takes no further step from a converged row) and by the stability
     cross-check, so every record equals the lone solve of its word.
     """
+    # no cycle is shorter than 2, so an empty database stops at n_max = 1
+    return extend_database(OrbitDatabase(config, 1, []), n_max)
+
+
+def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
+    """``db`` plus every primitive cycle of length db.n_max+1..n_max.
+
+    The records of ``db`` are kept as they are and only the new lengths
+    are solved, each in one batch as in :func:`build_database`.  A row's
+    result does not depend on its batch, so the extended database equals
+    a fresh build to the bit.
+    """
+    config = db.config
     report = geometry.validate(config)
     if report.bad_triples:
         raise EclipseError(f"configuration rejected: {report.summary()}")
     if not report.ok:
         raise DomainError(f"configuration rejected: {report.summary()}")
     words = symbolic.enumerate_cycles(config.r, n_max)
-    records = []
-    for n in range(2, n_max + 1):
+    records = list(db.records)
+    for n in range(db.n_max + 1, n_max + 1):
         group = [w for w in words if len(w) == n]
         angles = orbits.solve_angles(config, group)
         records += [_record(config, w, theta) for w, theta in zip(group, angles)]

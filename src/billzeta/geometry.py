@@ -97,7 +97,7 @@ def load_config(path) -> Configuration:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read configuration {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"configuration {path} is not valid JSON: {exc}") from exc

@@ -9,20 +9,21 @@ variant).  The determinant D(s) is handled in two equivalent layers:
   (1/r) sgn(Lambda_p)^{kr} |Lambda_p|^{-r(k+1/2)} exp(-s r T_p),
   so (log D)'(s) reproduces the half-weight series truncated at
   (N, k_max) term by term;
-* expansion atoms: the product over (p, k) of (1 - t_{p,k}) expanded
-  into square-free monomials and truncated at total symbol length N.
-  This finite exponential sum is what actually vanishes at the series'
-  poles, so pole location runs on it.
+* expansion atoms: the product over (p, k) of (1 - t_{p,k}), expanded
+  exactly up to total symbol length N (no term is pruned) by one
+  product over the factors grouped by (length, period).  This finite
+  exponential sum is what actually vanishes at the series' poles, so
+  pole location runs on it.
 
 Atoms are always generated and summed in canonical (word, repetition)
 order, which keeps every downstream output byte-reproducible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from ._kernels import exp_atom_sum_grid
 from .errors import IncompleteDataError, TrustRegionError
 
 # ---------------------------------------------------------------------------
@@ -189,9 +190,24 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
 # truncated determinant
 
 
+TRUST_THRESHOLD = 3e-5  # last-shell level that bounds the trusted region
+PROBE_IM = np.linspace(0.0, 1.2, 7)  # imaginary parts of the trust-floor probe
+WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
+
+
+def _atom_sum(coeff, tau, s):
+    """sum_i coeff_i exp(-s tau_i): a complex for scalar ``s``, else an
+    array over the points.  The dot product fixes the summation order
+    over atoms, so a value does not depend on how the points are chunked."""
+    points = np.atleast_1d(np.asarray(s, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(-np.outer(points, tau)) @ coeff
+    return complex(values[0]) if np.isscalar(s) else values
+
+
 @dataclass
 class DeterminantExpansion:
-    """Truncated determinant: log atoms plus expanded monomial atoms."""
+    """Truncated determinant: log atoms plus expanded product atoms."""
 
     N: int
     k_max: int
@@ -201,106 +217,75 @@ class DeterminantExpansion:
     poly_coeff: np.ndarray
     poly_tau: np.ndarray
     poly_shell: np.ndarray
-    trust_floor: float = field(default=np.nan)
-    trust_threshold: float = field(default=3e-5)
+    trust_floor: float = np.nan
 
     def log_derivative_series(self, s):
         """(log D)'(s) from the log atoms; term-for-term it is the
         half-weight series truncated at (N, k_max)."""
-        values = exp_atom_sum_grid(
-            self.log_coeff * self.log_tau, self.log_tau, np.atleast_1d(s)
-        )
-        return complex(values[0]) if np.isscalar(s) else values
+        return _atom_sum(self.log_coeff * self.log_tau, self.log_tau, s)
 
     def value(self, s):
         """D(s) from the expanded atoms (finite exponential sum)."""
-        values = exp_atom_sum_grid(self.poly_coeff, self.poly_tau, np.atleast_1d(s))
-        return complex(values[0]) if np.isscalar(s) else values
+        return _atom_sum(self.poly_coeff, self.poly_tau, s)
 
     def derivative(self, s):
-        values = exp_atom_sum_grid(
-            -self.poly_coeff * self.poly_tau, self.poly_tau, np.atleast_1d(s)
-        )
-        return complex(values[0]) if np.isscalar(s) else values
+        return _atom_sum(-self.poly_coeff * self.poly_tau, self.poly_tau, s)
 
     def log_value(self, s):
         """log D(s) = -(sum of log atoms); valid right of the series abscissa."""
-        values = exp_atom_sum_grid(-self.log_coeff, self.log_tau, np.atleast_1d(s))
-        return complex(values[0]) if np.isscalar(s) else values
+        return _atom_sum(-self.log_coeff, self.log_tau, s)
 
     def last_shell_value(self, s):
         sel = self.poly_shell == self.N
-        values = exp_atom_sum_grid(
-            self.poly_coeff[sel], self.poly_tau[sel], np.atleast_1d(s)
-        )
-        return complex(values[0]) if np.isscalar(s) else values
+        return _atom_sum(self.poly_coeff[sel], self.poly_tau[sel], s)
 
 
-def _expansion_monomials(items, N, x_ref, prune):
-    """Square-free monomials of prod (1 - t_i) with total length <= N.
+def _expansion_atoms(items, N):
+    """Atoms of prod (1 - w x^n e^{-sT}) over ``items``, exact up to shell N.
 
-    ``items`` is the (length, T, base weight) pool sorted by length.
-    The running coefficient magnitude at depth Re s = x_ref is tracked;
-    a subtree is abandoned when even maximal further growth (bounded by
-    the largest per-bounce effective factor) cannot lift it back above
-    ``prune``.
+    ``items`` is the (n, T, w) pool sorted by (n, T).  Items sharing
+    (n, T) form one group (a cycle's transverse factors and any cycle of
+    bitwise-equal period); the group's factor is expanded into the
+    coefficients f_0..f_J of prod_j (1 - w_j y), J = N // n, and
+    multiplied into one tau -> coefficient map per shell.  Each tau is
+    built by adding T one period at a time in item order, so equal sums
+    of equal periods are bitwise equal and merge into one atom.
     """
-    n_arr = np.array([it[0] for it in items], dtype=np.int64)
-    T_arr = np.array([it[1] for it in items])
-    w_arr = np.array([it[2] for it in items])
-    eff = np.abs(w_arr) * np.exp(-x_ref * T_arr)
-    growth = max(1.0, float(np.max(eff ** (1.0 / n_arr)))) if len(items) else 1.0
-    out = {}
-
-    def emit(tau, coeff, length):
-        key = (length, tau)
-        out[key] = out.get(key, 0.0) + coeff
-
-    def walk(start, length, tau, coeff, coeff_eff):
-        for i in range(start, len(items)):
-            n_i = int(n_arr[i])
-            if length + n_i > N:
-                break  # items are sorted by length
-            new_len = length + n_i
-            new_tau = tau + T_arr[i]
-            new_coeff = -coeff * w_arr[i]
-            new_eff = coeff_eff * eff[i]
-            if new_eff * growth ** (N - new_len) < prune:
-                continue
-            emit(new_tau, new_coeff, new_len)
-            walk(i + 1, new_len, new_tau, new_coeff, new_eff)
-
-    emit(0.0, 1.0, 0)
-    walk(0, 0, 0.0, 1.0, 1.0)
-    keys = sorted(out.keys())
-    shell = np.array([k[0] for k in keys], dtype=np.int64)
-    tau = np.array([k[1] for k in keys])
-    coeff = np.array([out[k] for k in keys])
+    shells = [{} for _ in range(N + 1)]
+    shells[0][0.0] = 1.0
+    for (n, T), group in groupby(items, key=lambda it: it[:2]):
+        f = [1.0]
+        for _, _, w in group:
+            f = [a - w * b for a, b in zip(f + [0.0], [0.0] + f)][: N // n + 1]
+        # f_0 = 1 keeps every atom; descending shells read each map
+        # before any new term lands in it
+        for shell in range(N - n, -1, -1):
+            for tau, c in shells[shell].items():
+                t = tau
+                for j in range(1, min(len(f), (N - shell) // n + 1)):
+                    t = t + T
+                    row = shells[shell + j * n]
+                    row[t] = row.get(t, 0.0) + c * f[j]
+    keys = [(m, t) for m, row in enumerate(shells) for t in sorted(row)]
+    shell = np.array([m for m, _ in keys], dtype=np.int64)
+    tau = np.array([t for _, t in keys])
+    coeff = np.array([shells[m][t] for m, t in keys])
     return coeff, tau, shell
 
 
-def build_determinant(
-    db,
-    N: int,
-    k_max: int = 5,
-    x_ref: float = -0.75,
-    prune: float = 1e-16,
-    trust_threshold: float = 3e-5,
-    probe_im=None,
-) -> DeterminantExpansion:
+def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
     """Assemble the truncated determinant from the orbit database.
 
     ``N`` caps the total symbol length, ``k_max`` the number of
-    transverse factors.  ``x_ref``/``prune`` control magnitude pruning
-    of expansion monomials (calibrated for rectangles with
-    Re s >= x_ref).  The trust floor is the leftmost Re s at which the
-    length-N shell of the expansion (the signed last-shell sum, whose
-    internal cancellation tracks how shadowing actually limits the
-    truncation error) stays below ``trust_threshold`` on a probe strip
-    near the real axis.  The default threshold is calibrated so that
-    zeros inside the trusted region shift by less than about 1e-4 when
-    N changes; left of the floor they drift by an order of magnitude
-    more and the search refuses to report them.
+    transverse factors.  The expansion is the exact product truncated at
+    shell N; no term is pruned.  The trust floor is the leftmost Re s at
+    which the length-N shell of the expansion (the signed last-shell
+    sum, whose internal cancellation tracks how shadowing actually
+    limits the truncation error) stays below ``TRUST_THRESHOLD`` on the
+    ``PROBE_IM`` strip near the real axis.  The threshold is calibrated
+    so that zeros inside the trusted region shift by less than about
+    1e-4 when N changes; left of the floor they drift by an order of
+    magnitude more and the search refuses to report them.
     """
     if N > db.n_max:
         raise IncompleteDataError(f"N={N} exceeds database n_max={db.n_max}")
@@ -328,7 +313,7 @@ def build_determinant(
     log_coeff = np.array([row[2] for row in log_rows])
 
     items.sort(key=lambda it: (it[0], it[1], it[2]))
-    poly_coeff, poly_tau, poly_shell = _expansion_monomials(items, N, x_ref, prune)
+    poly_coeff, poly_tau, poly_shell = _expansion_atoms(items, N)
 
     exp = DeterminantExpansion(
         N=N,
@@ -339,32 +324,29 @@ def build_determinant(
         poly_coeff=poly_coeff,
         poly_tau=poly_tau,
         poly_shell=poly_shell,
-        trust_threshold=trust_threshold,
     )
-    exp.trust_floor = _trust_floor(exp, trust_threshold, probe_im, x_ref)
+    exp.trust_floor = _trust_floor(exp)
     return exp
 
 
-def _trust_floor(exp: DeterminantExpansion, threshold, probe_im, x_min):
-    """Leftmost Re s where the last shell stays below ``threshold``.
+def _trust_floor(exp: DeterminantExpansion):
+    """Leftmost Re s in [-0.75, 0.5] where the last shell stays below
+    ``TRUST_THRESHOLD``.
 
     Scans from the right; the floor is the last x before the first
-    probe-line violation (max over a grid of imaginary parts).
+    probe-line violation (max over ``PROBE_IM``).
     """
-    if probe_im is None:
-        probe_im = np.linspace(0.0, 1.2, 7)
     floor = None
     x = 0.5
-    while x >= x_min - 1e-12:
-        pts = x + 1j * np.asarray(probe_im)
-        worst = float(np.max(np.abs(exp.last_shell_value(pts))))
-        if worst > threshold:
+    while x >= -0.75 - 1e-12:
+        worst = float(np.max(np.abs(exp.last_shell_value(x + 1j * PROBE_IM))))
+        if worst > TRUST_THRESHOLD:
             break
         floor = x
         x -= 0.02
     if floor is None:
         raise TrustRegionError(
-            f"last-shell contribution already exceeds {threshold} at Re s = 0.5"
+            f"last-shell contribution already exceeds {TRUST_THRESHOLD} at Re s = 0.5"
         )
     return float(floor)
 
@@ -533,16 +515,16 @@ def _locate_in_cell(exp, re0, re1, im0, im1, w_int, depth=0):
     return complex(cx, cy)
 
 
-def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8), winding_tol=0.05):
+def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
     """Zeros of the truncated determinant inside a rectangle.
 
     The rectangle must lie in the trusted region: its left edge right
     of the trust floor, and the sampled last-shell contribution below
-    the expansion's threshold across the whole rectangle (truncation
+    ``TRUST_THRESHOLD`` across the whole rectangle (truncation
     noise grows upward as well as leftward, and phase slips in noisy
     territory can fake integer windings).  The rectangle is subdivided
     into grid cells; the winding number of D around each cell must come
-    out integer to ``winding_tol``, with every contour sample keeping
+    out integer to ``WINDING_TOL``, with every contour sample keeping
     |D| above the local noise.  Simple zeros are polished by Newton
     iteration; multiple zeros (symmetry-doubled pairs, whose polished
     position is only conditioned to the noise-splitting scale) are
@@ -558,10 +540,10 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8), winding_tol=0.05):
             f"{exp.trust_floor:.4f} for N={exp.N}"
         )
     noise = _rect_noise(exp, re0, re1, im0, im1)
-    if noise > exp.trust_threshold:
+    if noise > TRUST_THRESHOLD:
         raise TrustRegionError(
             f"last-shell contribution reaches {noise:.2e} on the rectangle, "
-            f"above the trusted level {exp.trust_threshold:.2e}; "
+            f"above the trusted level {TRUST_THRESHOLD:.2e}; "
             "rectangle too deep for this truncation order"
         )
     nx, ny = grid
@@ -572,7 +554,7 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8), winding_tol=0.05):
         for j in range(ny):
             w = _cell_winding(exp, xs[i], xs[i + 1], ys[j], ys[j + 1])
             w_int = int(round(w))
-            if abs(w - w_int) > winding_tol:
+            if abs(w - w_int) > WINDING_TOL:
                 raise TrustRegionError(
                     f"non-integer winding {w:.3f} in cell "
                     f"[{xs[i]:.4f},{xs[i+1]:.4f}]x[{ys[j]:.4f},{ys[j+1]:.4f}]; "
@@ -621,7 +603,7 @@ def track_zero(exp: DeterminantExpansion, s0, multiplicity: int, radius: float =
     im0, im1 = s0.imag - radius, s0.imag + radius
     w = _cell_winding(exp, re0, re1, im0, im1)
     w_int = int(round(w))
-    if abs(w - w_int) > 0.05 or w_int < 1:
+    if abs(w - w_int) > WINDING_TOL or w_int < 1:
         raise TrustRegionError(
             f"tracking box at {s0:.4f} sees winding {w:.3f}, "
             f"expected about {multiplicity}"

@@ -24,6 +24,13 @@ def equilateral_config(side: float = 6.0, radius: float = 1.0) -> Configuration:
     return Configuration(disks)
 
 
+def unequal_four_disks() -> Configuration:
+    """Four disks of unequal radii with no symmetry between them."""
+    centers = [(0.0, 0.0), (7.0, 0.0), (7.5, 6.5), (0.5, 7.0)]
+    radii = [1.0, 1.3, 0.8, 1.1]
+    return Configuration(tuple(Disk(c, a) for c, a in zip(centers, radii)))
+
+
 def restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     return OrbitDatabase(db.config, n_max, [r for r in db.records if r.n <= n_max])
 
@@ -36,6 +43,11 @@ def config():
 @pytest.fixture(scope="session")
 def db12(config):
     return build_database(config, 12)
+
+
+@pytest.fixture(scope="session")
+def db_four7():
+    return build_database(unequal_four_disks(), 7)
 
 
 @pytest.fixture(scope="session")

@@ -91,7 +91,27 @@ def test_orbits_extends_shallow_cache(cli_env, tmp_path):
     run_cli("orbits", "--config", cli_env["config"], "--cache", cache, "--nmax", 4)
     out = run_cli("orbits", "--cache", cache, "--nmax", 6)
     assert out.returncode == 0
-    assert "re-solving" in out.stdout
+    assert "solving lengths 5..6" in out.stdout
+
+
+def test_extended_cache_equals_fresh_build(cli_env, tmp_path, monkeypatch):
+    from billzeta import cli, orbits
+
+    config = str(cli_env["config"])
+    fresh, extended = tmp_path / "fresh.jsonl", tmp_path / "extended.jsonl"
+    assert cli.main(["orbits", "--config", config, "--cache", str(fresh), "--nmax", "7"]) == 0
+    assert cli.main(["orbits", "--config", config, "--cache", str(extended), "--nmax", "5"]) == 0
+    solve_angles = orbits.solve_angles
+    lengths = []
+
+    def spy(config, words):
+        lengths.append(len(words[0]))
+        return solve_angles(config, words)
+
+    monkeypatch.setattr(orbits, "solve_angles", spy)
+    assert cli.main(["orbits", "--cache", str(extended), "--nmax", "7"]) == 0
+    assert lengths == [6, 7]
+    assert extended.read_bytes() == fresh.read_bytes()
 
 
 def test_jobs_flag_is_a_usage_error(cli_env):

@@ -18,12 +18,6 @@ from billzeta.symbolic import primitive_class_count
 from tests.conftest import equilateral_config
 
 
-def unequal_four_disks():
-    centers = [(0.0, 0.0), (7.0, 0.0), (7.5, 6.5), (0.5, 7.0)]
-    radii = [1.0, 1.3, 0.8, 1.1]
-    return Configuration(tuple(Disk(c, a) for c, a in zip(centers, radii)))
-
-
 def test_counts_per_length_match_class_counts(db12):
     for n in range(2, 13):
         got = sum(1 for rec in db12.records if rec.n == n)
@@ -126,13 +120,11 @@ def test_batched_build_equals_lone_solves_on_fixture(db12):
     assert_records_match_lone_solves(db12)
 
 
-def test_batched_build_equals_lone_solves_on_unequal_disks():
-    config = unequal_four_disks()
-    assert validate(config).ok
-    db = build_database(config, 7)
-    assert len(db) == 508
-    assert max(rec.residual for rec in db.records) < 1e-12
-    assert_records_match_lone_solves(db)
+def test_batched_build_equals_lone_solves_on_unequal_disks(db_four7):
+    assert validate(db_four7.config).ok
+    assert len(db_four7) == 508
+    assert max(rec.residual for rec in db_four7.records) < 1e-12
+    assert_records_match_lone_solves(db_four7)
 
 
 def test_eclipsing_configuration_rejected():

@@ -98,9 +98,10 @@ def test_config_from_dict_rejects_bad_input():
 
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(MalformedInputError):
-        load_config(path)
+    for content in (b"{not json", b"\xff\xfe\x00"):
+        path.write_bytes(content)
+        with pytest.raises(MalformedInputError):
+            load_config(path)
 
 
 def test_boundary_point_and_normal(config):

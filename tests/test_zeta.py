@@ -21,6 +21,18 @@ from billzeta.zeta import (
 from tests.conftest import restrict
 
 
+def cycle_expansion_value(exp, s):
+    """D(s) by the cycle expansion (Newton identities) from the log atoms
+    alone: with c_k the shell-k sum of the log atoms, d_0 = 1 and
+    d_n = -(1/n) sum_k k c_k d_{n-k}; D = d_0 + ... + d_N."""
+    terms = exp.log_coeff * np.exp(-s * exp.log_tau)
+    c = [np.sum(terms[exp.log_shell == k]) for k in range(exp.N + 1)]
+    d = [1.0 + 0.0j]
+    for n in range(1, exp.N + 1):
+        d.append(-sum(k * c[k] * d[n - k] for k in range(1, n + 1)) / n)
+    return sum(d)
+
+
 def test_atoms_require_exactly_one_cutoff(db10):
     with pytest.raises(ValueError):
         orbit_atoms(db10)
@@ -113,6 +125,14 @@ def test_determinant_layers_agree(exp12):
         direct = exp12.value(s)
         via_log = np.exp(exp12.log_value(s))
         assert abs(direct - via_log) < 1e-8 * abs(direct)
+
+
+def test_expansion_matches_cycle_expansion_oracle(exp12, db_four7):
+    rng = np.random.default_rng(20261018)
+    points = rng.uniform(-0.3, 0.5, 400) + 1j * rng.uniform(-2.0, 2.0, 400)
+    for exp in (exp12, build_determinant(db_four7, 7)):
+        for s, value in zip(points, exp.value(points)):
+            assert abs(value - cycle_expansion_value(exp, s)) < 1e-10, (exp.N, s)
 
 
 def test_determinant_derivative_matches_difference(exp12):
