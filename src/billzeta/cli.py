@@ -39,10 +39,23 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
+def _int_at_least(low: int):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="disk configuration JSON")
     p.add_argument("--cache", metavar="PATH", help="orbit cache file (JSONL)")
-    p.add_argument("--nmax", type=int, metavar="INT", help="maximum cycle length")
+    p.add_argument("--nmax", type=_int_at_least(2), metavar="INT", help="maximum cycle length")
     p.add_argument("--out", metavar="DIR", help="directory for CSV output")
 
 
@@ -72,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poles", help="determinant zeros in a rectangle")
     _common_flags(p)
-    p.add_argument("--det-n", type=int, metavar="INT", help="determinant truncation order")
+    p.add_argument(
+        "--det-n", type=_int_at_least(2), metavar="INT", help="determinant truncation order"
+    )
     p.add_argument("--det-kmax", type=int, default=5, metavar="INT", help="repetition cutoff")
     p.add_argument(
         "--rect",
@@ -82,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search rectangle (default: leading strip plus a real-axis box)",
     )
     p.add_argument(
-        "--grid", type=int, nargs=2, default=None, metavar=("NX", "NY"), help="cell grid"
+        "--grid", type=_int_at_least(1), nargs=2, metavar=("NX", "NY"), help="cell grid"
     )
     p.set_defaults(func=cmd_poles)
 
@@ -180,7 +195,7 @@ def _load_db(args, default_nmax: int = 10) -> OrbitDatabase:
             "no orbit data: provide --cache with an existing cache file, or "
             "--config to solve the orbits in memory"
         )
-    return build_database(config, args.nmax or default_nmax)
+    return build_database(config, default_nmax if args.nmax is None else args.nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +232,7 @@ def cmd_validate(args) -> None:
 
 
 def cmd_orbits(args) -> None:
-    n_max = args.nmax or 10
+    n_max = 10 if args.nmax is None else args.nmax
     config = load_config(args.config) if args.config else None
     db = None
     cache = Path(args.cache) if args.cache else None

@@ -1,6 +1,10 @@
 """Orbit database: every primitive cycle up to a length cutoff, solved
 and equipped with stability data, plus the JSON-lines cache format.
 
+Each length is one batch: :func:`orbits.solve_orbits` solves and
+certifies its cycles, :func:`stability.stability_records` cross-checks
+their stability, and nothing is solved twice.
+
 The cache is keyed by a content hash of the configuration so stale data
 is refused rather than silently reused, and a cache that lacks a cycle
 or holds a damaged line is refused too.  Records are kept sorted by
@@ -75,31 +79,16 @@ class OrbitDatabase:
         return rec
 
 
-def _record(config, word, theta0) -> OrbitRecord:
-    orbit = orbits.solve_orbit(config, word, theta0=theta0)
-    stab = stability.stability_record(config, orbit)
-    return OrbitRecord(
-        word=orbit.word,
-        T=orbit.T,
-        angles=orbit.angles,
-        flights=orbit.flights,
-        cos_incidence=orbit.cos_incidence,
-        residual=orbit.residual,
-        kappa=stab.kappa,
-        lam=stab.lam,
-        shadow_margin=orbit.shadow_margin,
-    )
-
-
 def build_database(config, n_max: int) -> OrbitDatabase:
     """Solve every primitive cycle of length 2..n_max.
 
     The configuration is validated first: a disk blocking a line of
     sight raises :class:`EclipseError`, any other failure a domain
-    error.  All cycles of one length are solved in one Newton batch;
-    each row is then certified by :func:`orbits.solve_orbit` (which
-    takes no further step from a converged row) and by the stability
-    cross-check, so every record equals the lone solve of its word.
+    error.  All cycles of one length are solved and certified in one
+    :func:`orbits.solve_orbits` batch and cross-checked in one
+    :func:`stability.stability_records` batch; a row's result does not
+    depend on its batch, so every record equals the lone solve of its
+    word.
     """
     # no cycle is shorter than 2, so an empty database stops at n_max = 1
     return extend_database(OrbitDatabase(config, 1, []), n_max)
@@ -122,9 +111,21 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     words = symbolic.enumerate_cycles(config.r, n_max)
     records = list(db.records)
     for n in range(db.n_max + 1, n_max + 1):
-        group = [w for w in words if len(w) == n]
-        angles = orbits.solve_angles(config, group)
-        records += [_record(config, w, theta) for w, theta in zip(group, angles)]
+        solved = orbits.solve_orbits(config, [w for w in words if len(w) == n])
+        records += [
+            OrbitRecord(
+                word=orbit.word,
+                T=orbit.T,
+                angles=orbit.angles,
+                flights=orbit.flights,
+                cos_incidence=orbit.cos_incidence,
+                residual=orbit.residual,
+                kappa=stab.kappa,
+                lam=stab.lam,
+                shadow_margin=orbit.shadow_margin,
+            )
+            for orbit, stab in zip(solved, stability.stability_records(config, solved))
+        ]
     return OrbitDatabase(config, n_max, records)
 
 

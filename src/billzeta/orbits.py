@@ -3,11 +3,13 @@
 The reflection points on disk boundaries are parameterized by polar
 angles; the periodic orbit is the critical point of the cyclic length
 functional, found by damped Newton iteration with analytic gradient and
-Hessian.  The iteration runs on an ``(M, n)`` array of angles, one row
-per cycle of length ``n``, and every row follows exactly the steps it
-would take alone, so a whole length is solved in one batch.  The solved
-orbit is checked against the reflection law and against every obstacle
-it must clear.
+Hessian.  :func:`solve_orbits` runs the iteration on an ``(M, n)`` array
+of angles, one row per cycle of length ``n``, then certifies every row:
+the residual, the incidence angles and the reflection law over
+``(M, n)`` arrays, and the clearance of each flight from every disk over
+``(M, n, r)``.  Every row follows exactly the steps it would take alone,
+so a whole length is solved and certified in one batch, and
+:func:`solve_orbit` is the one-row batch.
 """
 
 from dataclasses import dataclass
@@ -70,13 +72,17 @@ def _prev(a):
     return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
 
 
+def _default_angles(cx, cy):
+    mx = 0.5 * (_prev(cx) + _next(cx))
+    my = 0.5 * (_prev(cy) + _next(cy))
+    return np.arctan2(my - cy, mx - cx)
+
+
 def default_angles(config, word) -> np.ndarray:
     """Initial boundary angles: each point faces the midpoint of the
     previous and next disk centers."""
     cx, cy, _ = _disks(config, [tuple(word)])
-    mx = 0.5 * (_prev(cx) + _next(cx))
-    my = 0.5 * (_prev(cy) + _next(cy))
-    return np.arctan2(my - cy, mx - cx)[0]
+    return _default_angles(cx, cy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +204,121 @@ def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER):
     return theta, gnorm
 
 
-def solve_angles(config, words):
-    """Newton-solved boundary angles of equal-length words, one row per
-    word, each started from :func:`default_angles`.
+def solve_orbits(
+    config,
+    words,
+    theta0=None,
+    tol: float = SOLVER_TOL,
+    max_iter: int = MAX_ITER,
+) -> list:
+    """Solve the periodic orbits of equal-length cyclic itineraries in one
+    batch, one row per word.
 
-    Rows that miss the tolerance are returned where they stopped;
-    :func:`solve_orbit` re-certifies every row.
+    Parameters
+    ----------
+    config : Configuration
+        Must pass :func:`billzeta.geometry.validate`.
+    words : sequence of sequences of int
+        Cyclic itineraries of one length, 1-based disk labels, no
+        immediate repeats.
+    theta0 : array, optional
+        Starting boundary angles, shape ``(len(words), n)``; defaults to
+        :func:`default_angles` of each word.
+    tol : float
+        Convergence target for the sup norm of the length gradient.
+
+    Every row goes through the same Newton steps and checks as it would
+    alone, so the orbits do not depend on which words share the batch.
+
+    Raises
+    ------
+    SolverError
+        For the first row that misses ``tol`` (carries its residual) or
+        fails the independent reflection-law check.
+    DomainError
+        If the batch is empty or mixes lengths, an itinerary is
+        inadmissible, or a segment crosses an obstacle.
     """
-    theta0 = np.array([default_angles(config, w) for w in words])
-    return _newton(*_disks(config, words), theta0)[0]
+    words = [_check_word(config, w) for w in words]
+    if not words or len({len(w) for w in words}) != 1:
+        raise DomainError("an orbit batch needs at least one word and a single length")
+    m, n = len(words), len(words[0])
+    cx, cy, rad = _disks(config, words)
+    if theta0 is None:
+        theta0 = _default_angles(cx, cy)
+    theta = np.array(theta0, dtype=float)
+    if theta.shape != (m, n):
+        raise DomainError(f"theta0 must have shape ({m}, {n})")
+
+    theta, gnorm = _newton(cx, cy, rad, theta, tol, max_iter)
+    stalled = np.flatnonzero(~(gnorm <= tol))
+    if stalled.size:
+        i = stalled[0]
+        raise SolverError(
+            f"orbit solve for {words[i]} stalled at residual {gnorm[i]:.3e}",
+            residual=float(gnorm[i]),
+        )
+    theta = np.mod(theta, 2.0 * np.pi)
+    px, py, _, _, ux, uy, flights = _frame(cx, cy, rad, theta)
+    nx, ny = np.cos(theta), np.sin(theta)
+
+    # outgoing direction must leave the disk; its normal component is
+    # the cosine of the incidence angle
+    cos_inc = ux * nx + uy * ny
+    bad = np.argwhere(cos_inc <= 0.0)
+    if bad.size:
+        i = bad[0, 0]
+        raise SolverError(
+            f"orbit for {words[i]} is tangential or enters its own disk",
+            residual=float(gnorm[i]),
+        )
+
+    # the incoming direction reflected in the normal must be the outgoing one
+    vx, vy = _prev(ux), _prev(uy)
+    twice = 2.0 * (vx * nx + vy * ny)
+    miss = np.hypot(vx - twice * nx - ux, vy - twice * ny - uy)
+    bad = np.argwhere(miss > REFLECTION_TOL)
+    if bad.size:
+        i, j = bad[0]
+        raise SolverError(
+            f"reflection law violated at bounce {j} of {words[i]}",
+            residual=float(gnorm[i]),
+        )
+
+    # clearance of every flight from every disk it does not touch:
+    # distance from each center to each segment, minus the radius,
+    # over (M, n, r)
+    ex, ey = (_next(px) - px)[..., None], (_next(py) - py)[..., None]
+    xk = config.centers[:, 0] - px[..., None]
+    yk = config.centers[:, 1] - py[..., None]
+    along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    gx, gy = xk - along * ex, yk - along * ey
+    margin = np.sqrt(gx * gx + gy * gy) - config.radii
+    idx = np.asarray(words) - 1
+    disk = np.arange(config.r)
+    own = (disk == idx[..., None]) | (disk == _next(idx)[..., None])
+    margin[own] = np.inf
+    crossing = np.argwhere(margin <= 0.0)
+    if crossing.size:
+        i, j, k = crossing[0]
+        raise DomainError(f"segment {j} of orbit {words[i]} crosses disk {k + 1}")
+
+    points = np.stack((px, py), axis=-1)
+    period = flights.sum(axis=1)
+    shadow = margin.min(axis=(1, 2))
+    return [
+        PeriodicOrbit(
+            word=word,
+            angles=theta[i],
+            points=points[i],
+            flights=flights[i],
+            T=float(period[i]),
+            cos_incidence=cos_inc[i],
+            residual=float(gnorm[i]),
+            shadow_margin=float(shadow[i]),
+        )
+        for i, word in enumerate(words)
+    ]
 
 
 def solve_orbit(
@@ -216,99 +328,11 @@ def solve_orbit(
     tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITER,
 ) -> PeriodicOrbit:
-    """Solve for the periodic orbit with the given cyclic itinerary.
-
-    Parameters
-    ----------
-    config : Configuration
-        Must pass :func:`billzeta.geometry.validate`.
-    word : sequence of int
-        Cyclic itinerary, 1-based disk labels, no immediate repeats.
-    theta0 : array, optional
-        Starting boundary angles; defaults to :func:`default_angles`.
-    tol : float
-        Convergence target for the sup norm of the length gradient.
-
-    Raises
-    ------
-    SolverError
-        If the iteration misses ``tol`` (carries the best residual) or
-        the reflection law fails its independent check.
-    DomainError
-        If the itinerary is inadmissible or a segment crosses an
-        obstacle.
-    """
-    word = _check_word(config, word)
-    n = len(word)
-    theta = np.array(
-        default_angles(config, word) if theta0 is None else theta0, dtype=float
-    )
-    if theta.shape != (n,):
-        raise DomainError(f"theta0 must have shape ({n},)")
-
-    cx, cy, rad = _disks(config, [word])
-    theta, gnorm = _newton(cx, cy, rad, theta[None], tol, max_iter)
-    residual = float(gnorm[0])
-    if not residual <= tol:
-        raise SolverError(
-            f"orbit solve for {word} stalled at residual {residual:.3e}",
-            residual=residual,
-        )
-    theta = np.mod(theta[0], 2.0 * np.pi)
-    bounce = np.arange(n)
-    nxt = (bounce + 1) % n
-
-    normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    points = np.stack([cx[0], cy[0]], axis=1) + rad[0][:, None] * normals
-    diffs = points[nxt] - points
-    flights = np.linalg.norm(diffs, axis=1)
-    u = diffs / flights[:, None]
-
-    # outgoing direction must leave the disk; its normal component is
-    # the cosine of the incidence angle
-    cos_inc = np.einsum("ij,ij->i", u, normals)
-    if np.any(cos_inc <= 0.0):
-        raise SolverError(
-            f"orbit for {word} is tangential or enters its own disk",
-            residual=residual,
-        )
-
-    # the incoming direction reflected in the normal must be the outgoing one
-    v_in = u[bounce - 1]
-    v_out = v_in - 2.0 * np.einsum("ij,ij->i", v_in, normals)[:, None] * normals
-    bad = np.flatnonzero(np.linalg.norm(v_out - u, axis=1) > REFLECTION_TOL)
-    if bad.size:
-        raise SolverError(
-            f"reflection law violated at bounce {bad[0]} of {word}",
-            residual=residual,
-        )
-
-    # clearance of every flight from every disk it does not touch:
-    # distance from each center to each segment, minus the radius
-    idx = np.array(word) - 1
-    x = config.centers[None, :, :] - points[:, None, :]
-    along = np.einsum("ikj,ij->ik", x, diffs) / np.einsum("ij,ij->i", diffs, diffs)[
-        :, None
-    ]
-    gap = x - np.clip(along, 0.0, 1.0)[:, :, None] * diffs[:, None, :]
-    margin = np.sqrt(np.einsum("ikj,ikj->ik", gap, gap)) - config.radii[None, :]
-    margin[bounce, idx] = np.inf
-    margin[bounce, idx[nxt]] = np.inf
-    crossing = np.argwhere(margin <= 0.0)
-    if crossing.size:
-        i, k = crossing[0]
-        raise DomainError(f"segment {i} of orbit {word} crosses disk {k + 1}")
-
-    return PeriodicOrbit(
-        word=word,
-        angles=theta,
-        points=points,
-        flights=flights,
-        T=float(flights.sum()),
-        cos_incidence=cos_inc,
-        residual=residual,
-        shadow_margin=float(margin.min()),
-    )
+    """Solve for the periodic orbit with the given cyclic itinerary: the
+    one-row batch of :func:`solve_orbits`, which gives the parameters and
+    the errors raised."""
+    start = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
+    return solve_orbits(config, [word], start, tol, max_iter)[0]
 
 
 def orbit_with_repetition(orbit: PeriodicOrbit, r: int):

@@ -9,8 +9,6 @@ Symbols are 1-based everywhere in the public API.
 
 import numpy as np
 
-from ._kernels import enum_canonical_words
-
 
 def transition_matrix(r: int) -> np.ndarray:
     """0/1 transition matrix: ones off the diagonal."""
@@ -103,32 +101,49 @@ def reverse_class(word):
     return canonical_rotation(rev)[0]
 
 
+def _admissible_codes(r: int, n: int):
+    """Every cyclically admissible word of length ``n`` as a base-``r``
+    integer (0-based symbols, first symbol most significant)."""
+    first = np.arange(r, dtype=np.int64)
+    step = np.arange(1, r, dtype=np.int64)
+    code, last = first, first
+    for _ in range(n - 1):
+        nxt = (last[:, None] + step) % r
+        code = (code[:, None] * r + nxt).ravel()
+        last = nxt.ravel()
+        first = np.repeat(first, r - 1)
+    return code[last != first]
+
+
 def enumerate_cycles(r: int, n_max: int):
     """All primitive cyclic classes of length 2..n_max, canonical words.
 
-    Depth-first generation per length restricted to the alphabet above
-    the leading symbol, keeping exactly the words that are strictly
-    minimal among their rotations.  The row count is cross-checked
-    against the Moebius count, so enumeration and the closed-form trace
-    can never drift apart silently.  Returns a list of 1-based tuples
-    sorted by (length, word).
+    Every cyclically admissible word of a length is coded as a base-r
+    integer, so that integer order is lexicographic order, and kept
+    exactly when its code is strictly below the codes of all its
+    nontrivial rotations: that makes it the canonical rotation and rules
+    out words that repeat a shorter block.  The count per length is
+    cross-checked against the Moebius count, so enumeration and the
+    closed-form trace can never drift apart silently.  Returns a list of
+    1-based tuples sorted by (length, word).
     """
     if r < 3:
         raise ValueError("need at least 3 symbols")
     cycles = []
     for n in range(2, n_max + 1):
+        code = _admissible_codes(r, n)
+        keep = np.ones(code.size, dtype=bool)
+        for k in range(1, n):
+            low = r ** (n - k)
+            keep &= code < (code % low) * r**k + code // low
+        code = np.sort(code[keep])
         cap = primitive_class_count(r, n)
-        out = np.empty((cap, n), dtype=np.int64)
-        end = 0
-        for s0 in range(r):
-            end = enum_canonical_words(r, n, s0, out, end)
-        if end != cap:
+        if code.size != cap:
             raise AssertionError(
-                f"enumeration found {end} classes of length {n}, expected {cap}"
+                f"enumeration found {code.size} classes of length {n}, expected {cap}"
             )
-        rows = out[np.lexsort(out.T[::-1])]
-        for row in rows:
-            cycles.append(tuple(int(v) + 1 for v in row))
+        digits = code[:, None] // r ** np.arange(n - 1, -1, -1, dtype=np.int64) % r + 1
+        cycles += [tuple(row) for row in digits.tolist()]
     return cycles
 
 

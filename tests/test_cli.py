@@ -101,17 +101,38 @@ def test_extended_cache_equals_fresh_build(cli_env, tmp_path, monkeypatch):
     fresh, extended = tmp_path / "fresh.jsonl", tmp_path / "extended.jsonl"
     assert cli.main(["orbits", "--config", config, "--cache", str(fresh), "--nmax", "7"]) == 0
     assert cli.main(["orbits", "--config", config, "--cache", str(extended), "--nmax", "5"]) == 0
-    solve_angles = orbits.solve_angles
+    solve_orbits = orbits.solve_orbits
     lengths = []
 
-    def spy(config, words):
+    def spy(config, words, *args, **kwargs):
         lengths.append(len(words[0]))
-        return solve_angles(config, words)
+        return solve_orbits(config, words, *args, **kwargs)
 
-    monkeypatch.setattr(orbits, "solve_angles", spy)
+    monkeypatch.setattr(orbits, "solve_orbits", spy)
     assert cli.main(["orbits", "--cache", str(extended), "--nmax", "7"]) == 0
     assert lengths == [6, 7]
     assert extended.read_bytes() == fresh.read_bytes()
+
+
+def test_out_of_range_integer_flags_are_usage_errors(cli_env, tmp_path):
+    cfg, cache = cli_env["config"], cli_env["cache"]
+    new_cache, out = tmp_path / "new.jsonl", tmp_path / "out"
+    cases = [
+        (("orbits", "--config", cfg, "--cache", new_cache, "--nmax", n), "--nmax")
+        for n in (1, 0, -2)
+    ]
+    cases += [
+        (("abscissas", "--cache", cache, "--nmax", 1), "--nmax"),
+        (("poles", "--cache", cache, "--det-n", -1), "--det-n"),
+        (("poles", "--cache", cache, "--det-n", 1), "--det-n"),
+        (("poles", "--cache", cache, "--rect", -0.2, 0, 0, 1, "--grid", 0, 0), "--grid"),
+        (("poles", "--cache", cache, "--rect", -0.2, 0, 0, 1, "--grid", 4, 0), "--grid"),
+    ]
+    for argv, flag in cases:
+        res = run_cli(*argv, "--out", out)
+        assert res.returncode == 1, argv
+        assert flag in res.stderr and "Traceback" not in res.stderr, argv
+        assert not new_cache.exists() and not out.exists(), argv
 
 
 def test_jobs_flag_is_a_usage_error(cli_env):

@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from billzeta.errors import BilliardError
-from billzeta.orbits import default_angles, orbit_with_repetition, solve_orbit
+from billzeta.errors import BilliardError, DomainError, SolverError
+from billzeta.orbits import (
+    SOLVER_TOL,
+    default_angles,
+    orbit_with_repetition,
+    solve_orbit,
+    solve_orbits,
+)
+from billzeta.symbolic import enumerate_cycles
 
 
 def test_two_cycle_closed_form(config):
@@ -57,7 +66,6 @@ def test_solver_is_deterministic(config):
     a = solve_orbit(config, (1, 2, 1, 3, 2, 3))
     b = solve_orbit(config, (1, 2, 1, 3, 2, 3))
     assert np.array_equal(a.angles, b.angles)
-    assert a.T == b.T
 
 
 def test_default_angles_point_toward_next_disk(config):
@@ -68,8 +76,7 @@ def test_default_angles_point_toward_next_disk(config):
 
 
 def test_newton_rows_do_not_depend_on_their_batch(config):
-    from billzeta.orbits import SOLVER_TOL, _disks, _gradient, _hessian, _length, _newton
-    from billzeta.symbolic import enumerate_cycles
+    from billzeta.orbits import _disks, _gradient, _hessian, _length, _newton
 
     words = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
     cx, cy, rad = _disks(config, words)
@@ -103,3 +110,25 @@ def test_newton_rows_do_not_depend_on_their_batch(config):
     # every start reaches the same orbit
     lengths = _length(bx, by, brad, theta).reshape(-1, len(groups))
     assert np.ptp(lengths, axis=1).max() < 1e-12
+
+
+def test_batch_raises_for_the_first_row_left_above_tolerance(config):
+    words = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
+    with pytest.raises(SolverError) as info:
+        solve_orbits(config, words, max_iter=1)
+    assert str(words[0]) in str(info.value)
+    assert info.value.residual > SOLVER_TOL
+    # a start that is already solved passes; only the stalled row is named
+    solved = solve_orbits(config, words)
+    start = np.array([orbit.angles for orbit in solved])
+    start[3] = default_angles(config, words[3])
+    with pytest.raises(SolverError, match=re.escape(str(words[3]))):
+        solve_orbits(config, words, theta0=start, max_iter=1)
+
+
+def test_batch_of_mixed_lengths_or_no_words_is_domain_error(config):
+    for words in ([(1, 2), (1, 2, 3)], []):
+        with pytest.raises(DomainError):
+            solve_orbits(config, words)
+    with pytest.raises(DomainError):
+        solve_orbits(config, [(1, 2), (1, 3)], theta0=np.zeros((1, 2)))

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from billzeta.errors import HyperbolicityError
-from billzeta.orbits import solve_orbit
+from billzeta.errors import DomainError, HyperbolicityError
+from billzeta.orbits import solve_orbit, solve_orbits
 from billzeta.stability import (
+    _batch,
+    _curvature_sweeps,
     det_one_minus_poincare,
     expanding_eigenvalue,
     expansion_factor,
     monodromy,
     stability_record,
+    stability_records,
     unstable_curvatures,
     wavefront_green,
     weight_tables,
@@ -93,3 +96,39 @@ def test_green_integral_reproduces_log_factor(config):
     for k, f in zip(kappa, orbit.flights):
         integral, _ = quad(lambda y: wavefront_green(k, y), 0.0, f, epsabs=1e-14, epsrel=1e-13)
         assert abs(2.0 * integral + np.log1p(f * k)) < 1e-12
+
+
+def test_curvature_rows_do_not_depend_on_their_batch(config):
+    from billzeta.symbolic import enumerate_cycles
+
+    orbits = solve_orbits(config, [w for w in enumerate_cycles(3, 7) if len(w) == 7])
+    flights, kicks, kb = _batch(config, orbits)
+    settled, _, _ = _curvature_sweeps(flights, kicks, kb)
+    # rows from the boundary curvatures, from just off the periodic state
+    # and from the periodic state itself settle after 3, 2 and 1 sweeps
+    starts = (kb, settled + 1e-12, settled)
+    kappa0 = np.stack(starts, axis=1).reshape(-1, kb.shape[1])
+    f, k = (np.repeat(a, len(starts), axis=0) for a in (flights, kicks))
+    kappa, sweeps, ok = _curvature_sweeps(f, k, kappa0)
+    assert ok.all() and set(sweeps.tolist()) == {1, 2, 3}
+    for i in range(len(kappa0)):
+        alone, alone_sweeps, _ = _curvature_sweeps(f[i : i + 1], k[i : i + 1], kappa0[i : i + 1])
+        assert np.array_equal(kappa[i], alone[0])
+        assert sweeps[i] == alone_sweeps[0]
+    # every start reaches the same periodic state
+    spread = np.ptp(kappa.reshape(len(orbits), len(starts), -1), axis=1)
+    assert spread.max() < 1e-12
+
+    batch = stability_records(config, orbits)
+    for orbit, rec in zip(orbits, batch):
+        alone = stability_record(config, orbit)
+        assert np.array_equal(rec.kappa, alone.kappa)
+        assert np.array_equal(rec.factors, alone.factors)
+        assert (rec.lam_abs, rec.sign, rec.trace) == (alone.lam_abs, alone.sign, alone.trace)
+
+
+def test_stability_batch_of_mixed_lengths_or_no_orbits_is_domain_error(config):
+    mixed = [solve_orbit(config, (1, 2)), solve_orbit(config, (1, 2, 3))]
+    for orbits in (mixed, []):
+        with pytest.raises(DomainError):
+            stability_records(config, orbits)

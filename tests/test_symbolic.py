@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,26 @@ def test_primitive_class_counts_for_three_symbols():
     assert [primitive_class_count(3, n) for n in (1, 2, 3, 6)] == [0, 3, 2, 9]
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_enumeration_matches_moebius_count(n):
-    words = [w for w in enumerate_cycles(3, 8) if len(w) == n]
-    assert len(words) == primitive_class_count(3, n)
+def brute_force_cycles(r, n):
+    """Strictly minimal rotations of all cyclically admissible words."""
+    return [
+        w
+        for w in itertools.product(range(1, r + 1), repeat=n)
+        if is_cyclically_admissible(w) and all(w < rotate(w, s) for s in range(1, n))
+    ]
+
+
+# r = 3 keeps the bare length as its id
+@pytest.mark.parametrize(
+    "r, n",
+    [pytest.param(r, n, id=str(n) if r == 3 else f"{n}-r{r}")
+     for r in (3, 4, 5) for n in range(2, 9)],
+)
+def test_enumeration_matches_moebius_count(r, n):
+    words = [w for w in enumerate_cycles(r, 8) if len(w) == n]
+    assert len(words) == primitive_class_count(r, n)
+    if n <= 7:
+        assert words == brute_force_cycles(r, n)
 
 
 def test_enumerated_words_are_canonical_admissible_primitive():
