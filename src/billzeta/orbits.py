@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symbolic
 from .errors import DomainError, SolverError
 
 SOLVER_TOL = 1e-12
@@ -44,15 +43,29 @@ class PeriodicOrbit:
         return len(self.word)
 
 
-def _check_word(config, word):
-    word = tuple(int(s) for s in word)
-    if len(word) < 2:
-        raise DomainError(f"itinerary {word} is too short")
-    if any(s < 1 or s > config.r for s in word):
-        raise DomainError(f"itinerary {word} uses labels outside 1..{config.r}")
-    if not symbolic.is_cyclically_admissible(word):
+def _check_words(config, words):
+    """Labels of equal-length itineraries as an ``(M, n)`` array, after
+    the length, label-range and consecutive-repeat checks on all rows at
+    once.  The first bad word raises, and in a batch of mixed lengths it
+    does so before the batch is refused."""
+    if len({len(w) for w in words}) != 1:
+        for word in words:
+            _check_words(config, [word])
+        raise DomainError("an orbit batch needs at least one word and a single length")
+    labels = np.array(words, dtype=np.int64)
+    short = np.full(len(labels), labels.shape[1] < 2)
+    outside = np.any((labels < 1) | (labels > config.r), axis=1)
+    repeat = np.any(labels == np.roll(labels, -1, axis=1), axis=1)
+    bad = np.flatnonzero(short | outside | repeat)
+    if bad.size:
+        i = bad[0]
+        word = tuple(labels[i].tolist())
+        if short[i]:
+            raise DomainError(f"itinerary {word} is too short")
+        if outside[i]:
+            raise DomainError(f"itinerary {word} uses labels outside 1..{config.r}")
         raise DomainError(f"itinerary {word} repeats a label consecutively")
-    return word
+    return labels
 
 
 def _disks(config, words):
@@ -239,11 +252,10 @@ def solve_orbits(
         If the batch is empty or mixes lengths, an itinerary is
         inadmissible, or a segment crosses an obstacle.
     """
-    words = [_check_word(config, w) for w in words]
-    if not words or len({len(w) for w in words}) != 1:
-        raise DomainError("an orbit batch needs at least one word and a single length")
-    m, n = len(words), len(words[0])
-    cx, cy, rad = _disks(config, words)
+    labels = _check_words(config, words)
+    words = [tuple(w) for w in labels.tolist()]
+    m, n = labels.shape
+    cx, cy, rad = _disks(config, labels)
     if theta0 is None:
         theta0 = _default_angles(cx, cy)
     theta = np.array(theta0, dtype=float)
@@ -294,7 +306,7 @@ def solve_orbits(
     along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey), 0.0, 1.0)
     gx, gy = xk - along * ex, yk - along * ey
     margin = np.sqrt(gx * gx + gy * gy) - config.radii
-    idx = np.asarray(words) - 1
+    idx = labels - 1
     disk = np.arange(config.r)
     own = (disk == idx[..., None]) | (disk == _next(idx)[..., None])
     margin[own] = np.inf

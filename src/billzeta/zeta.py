@@ -16,7 +16,16 @@ variant).  The determinant D(s) is handled in two equivalent layers:
   pole location runs on it.
 
 Atoms are always generated and summed in canonical (word, repetition)
-order, which keeps every downstream output byte-reproducible.
+order, and each point's sum is reduced on its own, so a value does not
+depend on which points share an evaluation and every downstream output
+is byte-reproducible.
+
+The contour search evaluates D in batches.  A grid's cell sides are cut
+into segments, every distinct sample on the grid lines is evaluated once
+(a side shared by two cells is walked once), and the truncation-noise
+guard is applied to the whole array.  Segments whose phase step exceeds
+the limit are halved level by level, one batch per level, and the steps
+are summed per cell into winding numbers and argument-principle moments.
 """
 
 from dataclasses import dataclass
@@ -193,15 +202,29 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
 TRUST_THRESHOLD = 3e-5  # last-shell level that bounds the trusted region
 PROBE_IM = np.linspace(0.0, 1.2, 7)  # imaginary parts of the trust-floor probe
 WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
+ATOM_BLOCK = 64  # points per exponential block (about 1 MB of terms at N = 13)
 
 
 def _atom_sum(coeff, tau, s):
     """sum_i coeff_i exp(-s tau_i): a complex for scalar ``s``, else an
-    array over the points.  The dot product fixes the summation order
-    over atoms, so a value does not depend on how the points are chunked."""
-    points = np.atleast_1d(np.asarray(s, dtype=complex))
+    array over the points.  Each point's row of terms is reduced on its
+    own, in a fixed order over the atoms, so a value does not depend on
+    which points share the call; rows go ``ATOM_BLOCK`` at a time to
+    bound the temporary."""
+    points = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    values = np.empty(points.size, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.exp(-np.outer(points, tau)) @ coeff
+        for start in range(0, points.size, ATOM_BLOCK):
+            block = points[start : start + ATOM_BLOCK]
+            # -s tau and the products with the real coefficients in real
+            # arithmetic: the bits of the complex forms, in fewer passes
+            terms = np.empty((block.size, tau.size), dtype=complex)
+            np.multiply.outer(-block.real, tau, out=terms.real)
+            np.multiply.outer(-block.imag, tau, out=terms.imag)
+            np.exp(terms, out=terms)
+            terms.real *= coeff
+            terms.imag *= coeff
+            values[start : start + ATOM_BLOCK] = terms.sum(axis=1)
     return complex(values[0]) if np.isscalar(s) else values
 
 
@@ -333,22 +356,23 @@ def _trust_floor(exp: DeterminantExpansion):
     """Leftmost Re s in [-0.75, 0.5] where the last shell stays below
     ``TRUST_THRESHOLD``.
 
-    Scans from the right; the floor is the last x before the first
-    probe-line violation (max over ``PROBE_IM``).
+    The probe lines x + i ``PROBE_IM`` step left from 0.5 by 0.02 and
+    are evaluated in one batch; the floor is the last x before the
+    first line, counted from the right, whose maximum exceeds the
+    threshold.
     """
-    floor = None
-    x = 0.5
-    while x >= -0.75 - 1e-12:
-        worst = float(np.max(np.abs(exp.last_shell_value(x + 1j * PROBE_IM))))
-        if worst > TRUST_THRESHOLD:
-            break
-        floor = x
-        x -= 0.02
-    if floor is None:
+    xs = [0.5]
+    while xs[-1] - 0.02 >= -0.75 - 1e-12:
+        xs.append(xs[-1] - 0.02)
+    probe = (np.array(xs)[:, None] + 1j * PROBE_IM).ravel()
+    worst = np.max(np.abs(exp.last_shell_value(probe)).reshape(len(xs), -1), axis=1)
+    over = np.flatnonzero(worst > TRUST_THRESHOLD)
+    stop = over[0] if over.size else len(xs)
+    if stop == 0:
         raise TrustRegionError(
             f"last-shell contribution already exceeds {TRUST_THRESHOLD} at Re s = 0.5"
         )
-    return float(floor)
+    return float(xs[stop - 1])
 
 
 def eta_tail_bound(db, exp: DeterminantExpansion, s_re: float) -> float:
@@ -380,83 +404,120 @@ class Pole:
 
 
 NOISE_SAFETY = 3.0
+MAX_HALVINGS = 44  # refinement depth cap of a contour segment
 
 
-def _guarded_value(exp: DeterminantExpansion, z):
-    """D(z), raising when the value is indistinguishable from the
-    truncation noise (last-shell magnitude) at that point.  A contour
-    through such a region can wind around noise artifacts instead of
-    genuine zeros, so the search refuses to continue."""
+def _guarded_values(exp: DeterminantExpansion, z):
+    """D at the points ``z``, raising at the first one where the value is
+    indistinguishable from the truncation noise (last-shell magnitude).
+    A contour through such a region can wind around noise artifacts
+    instead of genuine zeros, so the search refuses to continue."""
     f = exp.value(z)
-    noise = abs(exp.last_shell_value(z))
-    if abs(f) < NOISE_SAFETY * noise:
+    noise = np.abs(exp.last_shell_value(z))
+    bad = np.flatnonzero(np.abs(f) < NOISE_SAFETY * noise)
+    if bad.size:
+        k = bad[0]
         raise TrustRegionError(
-            f"|D| = {abs(f):.2e} at s = {z:.4f} is below {NOISE_SAFETY} x the "
-            f"truncation noise {noise:.2e}; shift the grid or reduce the depth"
+            f"|D| = {abs(f[k]):.2e} at s = {complex(z[k]):.4f} is below {NOISE_SAFETY} x "
+            f"the truncation noise {noise[k]:.2e}; shift the grid or reduce the depth"
         )
     return f
 
 
-def _winding_on_path(exp: DeterminantExpansion, za, zb, depth=0):
-    """Total phase change of D along the segment [za, zb] / (2 pi)."""
-    fa = _guarded_value(exp, za)
-    fb = _guarded_value(exp, zb)
-    d = np.angle(fb / fa)
-    if abs(d) <= 0.5 * np.pi or depth >= 44:
-        return d / (2.0 * np.pi)
+def _refine(exp: DeterminantExpansion, za, zb, fa, fb, max_step):
+    """Halve the segments [za, zb] level by level until the phase of D
+    changes by at most ``max_step`` along every piece, or the piece is
+    ``MAX_HALVINGS`` levels deep.  Each level's midpoints are one guarded
+    evaluation.  Returns the finished pieces as arrays (segment index,
+    za, zb, fa, fb, phase step)."""
+    seg = np.arange(za.size)
+    pieces = []
+    for depth in range(MAX_HALVINGS + 1):
+        step = np.angle(fb / fa)
+        done = (np.abs(step) <= max_step) | (depth == MAX_HALVINGS)
+        pieces.append((seg[done], za[done], zb[done], fa[done], fb[done], step[done]))
+        if done.all():
+            break
+        seg, za, zb, fa, fb = (a[~done] for a in (seg, za, zb, fa, fb))
+        mid = 0.5 * (za + zb)
+        fm = _guarded_values(exp, mid)
+        seg = np.concatenate((seg, seg))
+        za, zb = np.concatenate((za, mid)), np.concatenate((mid, zb))
+        fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+    return [np.concatenate(column) for column in zip(*pieces)]
+
+
+def _phase_sum(exp, za, zb, fa, fb, step):
+    return step
+
+
+def _simpson_sum(exp, za, zb, fa, fb, step):
+    """Simpson rule for int s D'/D ds on each piece.  D' at the piece
+    ends (each shared end once) and at the midpoints is one batch, D at
+    the midpoints another."""
     mid = 0.5 * (za + zb)
-    return _winding_on_path(exp, za, mid, depth + 1) + _winding_on_path(
-        exp, mid, zb, depth + 1
-    )
+    ends, where = np.unique(np.concatenate((za, zb)), return_inverse=True)
+    d = exp.derivative(np.concatenate((ends, mid)))
+    d_end = d[: ends.size][where]
+    ga = za * d_end[: za.size] / fa
+    gb = zb * d_end[za.size :] / fb
+    gm = mid * d[ends.size :] / exp.value(mid)
+    return (zb - za) * (ga + 4.0 * gm + gb) / 6.0
 
 
-def _cell_edges(re0, re1, im0, im1, samples):
-    edges = []
-    for za, zb in (
-        (complex(re0, im0), complex(re1, im0)),
-        (complex(re1, im0), complex(re1, im1)),
-        (complex(re1, im1), complex(re0, im1)),
-        (complex(re0, im1), complex(re0, im0)),
-    ):
-        ts = np.linspace(0.0, 1.0, samples + 1)
-        pts = za + (zb - za) * ts
-        for k in range(samples):
-            edges.append((pts[k], pts[k + 1]))
-    return edges
+def _grid_contours(exp, xs, ys, samples, max_step, piece_sum):
+    """Counterclockwise contour sums of ``piece_sum`` around every cell
+    of the grid with lines ``xs`` x ``ys``, as an ``(nx, ny)`` array.
+
+    Each cell side is cut into ``samples`` segments.  A side shared by
+    two cells is one run of segments, added to one cell and subtracted
+    from the other, and D is evaluated once (with the noise guard) at
+    every distinct sample on the grid lines.  Segments are then refined
+    by :func:`_refine` and each finished piece contributes
+    ``piece_sum``, in the +x or +y direction of its grid line.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    nx, ny = xs.size - 1, ys.size - 1
+    t = np.linspace(0.0, 1.0, samples + 1)[:-1]
+    fine_x = np.append((xs[:-1, None] + np.diff(xs)[:, None] * t).ravel(), xs[-1])
+    fine_y = np.append((ys[:-1, None] + np.diff(ys)[:, None] * t).ravel(), ys[-1])
+    col = np.arange(fine_x.size) % samples == 0  # fine x on a vertical grid line
+    row = np.arange(fine_y.size) % samples == 0  # fine y on a horizontal grid line
+    z = fine_x[:, None] + 1j * fine_y[None, :]
+    f = np.zeros_like(z)
+    on_line = col[:, None] | row[None, :]
+    f[on_line] = _guarded_values(exp, z[on_line])
+    # segments along x on the horizontal lines, then along y on the vertical ones
+    za = np.concatenate((z[:-1, row].ravel(), z[col, :-1].ravel()))
+    zb = np.concatenate((z[1:, row].ravel(), z[col, 1:].ravel()))
+    fa = np.concatenate((f[:-1, row].ravel(), f[col, :-1].ravel()))
+    fb = np.concatenate((f[1:, row].ravel(), f[col, 1:].ravel()))
+    seg, *piece = _refine(exp, za, zb, fa, fb, max_step)
+    contrib = piece_sum(exp, *piece)
+    total = np.zeros(za.size, dtype=contrib.dtype)
+    np.add.at(total, seg, contrib)
+    n_h = nx * samples * (ny + 1)
+    h = total[:n_h].reshape(nx, samples, ny + 1).sum(axis=1)
+    v = total[n_h:].reshape(nx + 1, ny, samples).sum(axis=2)
+    return h[:, :-1] + v[1:, :] - h[:, 1:] - v[:-1, :]
+
+
+def _cell_windings(exp, xs, ys, samples=12):
+    """Winding numbers of D around the cells of a grid, ``(nx, ny)``;
+    phase steps are refined down to pi/2."""
+    return _grid_contours(exp, xs, ys, samples, 0.5 * np.pi, _phase_sum) / (2.0 * np.pi)
 
 
 def _cell_winding(exp, re0, re1, im0, im1, samples=12):
-    total = 0.0
-    for za, zb in _cell_edges(re0, re1, im0, im1, samples):
-        total += _winding_on_path(exp, za, zb)
-    return total
-
-
-def _moment_on_path(exp: DeterminantExpansion, za, zb, depth=0):
-    """Simpson approximation of (1/2 pi i) int s D'/D ds on a segment,
-    refined until the phase change per piece is small."""
-    fa = _guarded_value(exp, za)
-    fb = _guarded_value(exp, zb)
-    if abs(np.angle(fb / fa)) > 0.1 and depth < 44:
-        mid = 0.5 * (za + zb)
-        return _moment_on_path(exp, za, mid, depth + 1) + _moment_on_path(
-            exp, mid, zb, depth + 1
-        )
-    mid = 0.5 * (za + zb)
-    ga = za * exp.derivative(za) / fa
-    gm = mid * exp.derivative(mid) / exp.value(mid)
-    gb = zb * exp.derivative(zb) / fb
-    integral = (zb - za) * (ga + 4.0 * gm + gb) / 6.0
-    return integral / (2.0j * np.pi)
+    return float(_cell_windings(exp, (re0, re1), (im0, im1), samples)[0, 0])
 
 
 def _cell_moment(exp, re0, re1, im0, im1, samples=12):
     """Sum of the zeros inside the cell, counted with multiplicity
-    (first moment by the argument principle)."""
-    total = 0.0 + 0.0j
-    for za, zb in _cell_edges(re0, re1, im0, im1, samples):
-        total += _moment_on_path(exp, za, zb)
-    return total
+    (first moment by the argument principle, Simpson pieces refined
+    down to a phase step of 0.1)."""
+    total = _grid_contours(exp, (re0, re1), (im0, im1), samples, 0.1, _simpson_sum)
+    return complex(total[0, 0] / (2.0j * np.pi))
 
 
 def _polish_zero(exp: DeterminantExpansion, s0, multiplicity: int = 1, steps=80, tol=1e-14):
@@ -507,11 +568,15 @@ def _locate_in_cell(exp, re0, re1, im0, im1, w_int, depth=0):
     t = 0.51379
     xm = re0 + t * (re1 - re0)
     ym = im0 + t * (im1 - im0)
-    for a0, a1 in ((re0, xm), (xm, re1)):
-        for b0, b1 in ((im0, ym), (ym, im1)):
-            w = _cell_winding(exp, a0, a1, b0, b1)
-            if int(round(w)) >= 1:
-                return _locate_in_cell(exp, a0, a1, b0, b1, int(round(w)), depth + 1)
+    xs, ys = (re0, xm, re1), (im0, ym, im1)
+    windings = _cell_windings(exp, xs, ys)
+    for a in range(2):
+        for b in range(2):
+            w_int = int(round(windings[a, b]))
+            if w_int >= 1:
+                return _locate_in_cell(
+                    exp, xs[a], xs[a + 1], ys[b], ys[b + 1], w_int, depth + 1
+                )
     return complex(cx, cy)
 
 
@@ -549,10 +614,11 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
     nx, ny = grid
     xs = np.linspace(re0, re1, nx + 1)
     ys = np.linspace(im0, im1, ny + 1)
+    windings = _cell_windings(exp, xs, ys)
     poles = []
     for i in range(nx):
         for j in range(ny):
-            w = _cell_winding(exp, xs[i], xs[i + 1], ys[j], ys[j + 1])
+            w = windings[i, j]
             w_int = int(round(w))
             if abs(w - w_int) > WINDING_TOL:
                 raise TrustRegionError(

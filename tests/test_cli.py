@@ -7,6 +7,7 @@ import pytest
 
 from billzeta.database import save_database
 from billzeta.geometry import config_digest, save_config
+from billzeta.zeta import real_zero
 from tests.conftest import equilateral_config
 
 
@@ -232,6 +233,18 @@ def test_poles_explicit_rect_past_floor_is_numerical_error(cli_env):
     )
     assert out.returncode == 3
     assert "trust floor" in out.stderr
+
+
+def test_poles_contour_through_a_zero_is_numerical_error(tmp_path, db12, exp12):
+    cache = tmp_path / "orbits12.jsonl"
+    save_database(db12, cache)
+    z0 = real_zero(exp12, -0.2, -0.05)
+    out = run_cli(
+        "poles", "--cache", cache, "--rect", repr(z0), -0.05, 0.0, 0.1, "--grid", 1, 1
+    )
+    assert out.returncode == 3
+    assert "below 3.0 x the truncation noise" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_counting_outputs(cli_env, tmp_path):

@@ -11,7 +11,21 @@ from billzeta.orbits import (
     solve_orbit,
     solve_orbits,
 )
-from billzeta.symbolic import enumerate_cycles
+from billzeta.symbolic import enumerate_cycles, is_cyclically_admissible
+
+
+def first_bad_word_message(config, words):
+    """Message of the word-at-a-time check: the first word that is too
+    short, uses a label outside 1..r, or repeats a label cyclically."""
+    for word in words:
+        word = tuple(int(s) for s in word)
+        if len(word) < 2:
+            return f"itinerary {word} is too short"
+        if any(s < 1 or s > config.r for s in word):
+            return f"itinerary {word} uses labels outside 1..{config.r}"
+        if not is_cyclically_admissible(word):
+            return f"itinerary {word} repeats a label consecutively"
+    return None
 
 
 def test_two_cycle_closed_form(config):
@@ -124,6 +138,21 @@ def test_batch_raises_for_the_first_row_left_above_tolerance(config):
     start[3] = default_angles(config, words[3])
     with pytest.raises(SolverError, match=re.escape(str(words[3]))):
         solve_orbits(config, words, theta0=start, max_iter=1)
+
+
+def test_batch_names_the_first_bad_word(config):
+    good = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
+    batches = [
+        good[:5] + [(1, 2, 3, 1, 2, 4)] + good[5:] + [(1, 1, 2, 3, 1, 2)],
+        good[:3] + [(1, 2, 3, 1, 2, 1), (0, 2, 3, 1, 2, 3)],
+        [(1, 2), (1,), (1, 2, 3)],
+        [(1, 2, 3), (1, 2), (3, 3)],
+        [np.array([2, 3, 1, 2, 3, 3])],
+    ]
+    for words in batches:
+        message = first_bad_word_message(config, words)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            solve_orbits(config, words)
 
 
 def test_batch_of_mixed_lengths_or_no_words_is_domain_error(config):

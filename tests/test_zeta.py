@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from billzeta.database import build_database
 from billzeta.errors import IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
+    ATOM_BLOCK,
+    _cell_winding,
+    _cell_windings,
     abscissa_estimate,
     build_determinant,
     counting_check,
@@ -31,6 +35,21 @@ def cycle_expansion_value(exp, s):
     for n in range(1, exp.N + 1):
         d.append(-sum(k * c[k] * d[n - k] for k in range(1, n + 1)) / n)
     return sum(d)
+
+
+def brute_force_winding(exp, re0, re1, im0, im1, samples=160):
+    """Winding of D around the cell from a dense uniform walk along its
+    edges: the sum of the phases of successive ratios over 2 pi."""
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    t = np.linspace(0.0, 1.0, samples, endpoint=False)
+    path = np.concatenate(
+        [a + (b - a) * t for a, b in zip(corners, corners[1:] + corners[:1])]
+    )
+    f = exp.value(np.append(path, path[0]))
+    steps = np.angle(f[1:] / f[:-1])
+    # fine enough that no turn of the phase fits between two samples
+    assert np.max(np.abs(steps)) < 0.5
+    return np.sum(steps) / (2.0 * np.pi)
 
 
 def test_atoms_require_exactly_one_cutoff(db10):
@@ -135,6 +154,57 @@ def test_expansion_matches_cycle_expansion_oracle(exp12, db_four7):
             assert abs(value - cycle_expansion_value(exp, s)) < 1e-10, (exp.N, s)
 
 
+def test_value_does_not_depend_on_the_batch(exp12):
+    rng = np.random.default_rng(65)
+    points = rng.uniform(-0.3, 0.5, 65) + 1j * rng.uniform(-2.0, 2.0, 65)
+    assert points.size > ATOM_BLOCK  # the batch crosses a block boundary
+    for method in (exp12.value, exp12.derivative, exp12.last_shell_value):
+        batch = method(points)
+        assert all(batch[k] == method(complex(p)) for k, p in enumerate(points))
+
+
+def test_trust_floors_match_the_scan_by_probe_line(config, db_four7):
+    # exact bits: the scan steps left from 0.5 by repeated subtraction of 0.02
+    db13 = build_database(config, 13)
+    pinned = {
+        8: -0.12000000000000019,
+        9: -0.24000000000000013,
+        10: -0.24000000000000013,
+        11: -0.30000000000000016,
+        12: -0.3200000000000002,
+        13: -0.3600000000000002,
+    }
+    for N, floor in pinned.items():
+        assert build_determinant(restrict(db13, N), N).trust_floor == floor
+    assert build_determinant(db_four7, 7).trust_floor == 0.07999999999999984
+
+
+def test_cell_windings_match_dense_walk(exp12, db_four7):
+    exp4 = build_determinant(db_four7, 7)
+    cases = [
+        # the criterion 11 rectangles
+        (exp12, (-0.20, -0.05, -0.10, 0.10), (3, 3)),
+        (exp12, (-0.31, -0.02, 0.20, 1.30), (5, 6)),
+        (exp12, (-0.31, -0.02, 0.20, 2.40), (5, 11)),
+        # right of the unequal 4-disk floor, N = 7
+        (exp4, (exp4.trust_floor + 0.02, 0.6, -0.5, 1.5), (3, 6)),
+    ]
+    for exp, (re0, re1, im0, im1), (nx, ny) in cases:
+        xs = np.linspace(re0, re1, nx + 1)
+        ys = np.linspace(im0, im1, ny + 1)
+        grid = _cell_windings(exp, xs, ys)
+        for i in range(nx):
+            for j in range(ny):
+                cell = (xs[i], xs[i + 1], ys[j], ys[j + 1])
+                oracle = brute_force_winding(exp, *cell)
+                assert abs(grid[i, j] - oracle) < 1e-9, (exp.N, cell)
+                # at 4 segments per side, phase steps beyond pi/2 are left
+                # to the refinement
+                for samples in (12, 4):
+                    w = _cell_winding(exp, *cell, samples=samples)
+                    assert abs(w - oracle) < 1e-9, (exp.N, cell, samples)
+
+
 def test_determinant_derivative_matches_difference(exp12):
     s, h = 0.25, 1e-5
     fd = (exp12.value(s + h) - exp12.value(s - h)) / (2.0 * h)
@@ -196,6 +266,12 @@ def test_trust_floor_blocks_deep_rectangles(exp10):
 def test_noise_gate_blocks_high_windows(exp10):
     with pytest.raises(TrustRegionError):
         find_poles(exp10, (exp10.trust_floor + 0.01, -0.02, 3.5, 5.0), grid=(3, 3))
+
+
+def test_noise_guard_fires_on_a_contour_through_a_zero(exp12):
+    z0 = real_zero(exp12, -0.2, -0.05)
+    with pytest.raises(TrustRegionError, match="truncation noise"):
+        find_poles(exp12, (z0, -0.05, 0.0, 0.1), grid=(1, 1))
 
 
 def test_tracked_leading_pair_stable_under_truncation(exp10, exp12):
