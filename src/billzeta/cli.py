@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,6 +53,16 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Rect(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        re0, re1, im0, im1 = values
+        if not (np.isfinite(values).all() and re0 < re1 and im0 < im1):
+            raise argparse.ArgumentError(
+                self, f"needs finite RE0 < RE1 and IM0 < IM1, got {values}"
+            )
+        setattr(namespace, self.dest, values)
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="disk configuration JSON")
     p.add_argument("--cache", metavar="PATH", help="orbit cache file (JSONL)")
@@ -75,12 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abscissas", help="pressure abscissas h, a1, b1 by two methods")
     _common_flags(p)
     p.add_argument("--k", type=int, metavar="INT", help="cylinder memory (transfer method)")
-    p.add_argument("--n", type=int, metavar="INT", help="period for the periodic-point method")
+    p.add_argument(
+        "--n", type=_int_at_least(2), metavar="INT", help="period for the periodic-point method"
+    )
     p.set_defaults(func=cmd_abscissas)
 
     p = sub.add_parser("zeta", help="orbit series growth estimates and shell scans")
     _common_flags(p)
-    p.add_argument("--window", type=int, default=4, metavar="INT", help="regression window")
+    p.add_argument(
+        "--window", type=_int_at_least(1), default=4, metavar="INT", help="regression window"
+    )
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("poles", help="determinant zeros in a rectangle")
@@ -88,11 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--det-n", type=_int_at_least(2), metavar="INT", help="determinant truncation order"
     )
-    p.add_argument("--det-kmax", type=int, default=5, metavar="INT", help="repetition cutoff")
+    p.add_argument(
+        "--det-kmax", type=_int_at_least(0), default=5, metavar="INT", help="repetition cutoff"
+    )
     p.add_argument(
         "--rect",
         type=float,
         nargs=4,
+        action=_Rect,
         metavar=("RE0", "RE1", "IM0", "IM1"),
         help="search rectangle (default: leading strip plus a real-axis box)",
     )
@@ -359,24 +377,11 @@ def cmd_zeta(args) -> None:
 
 
 def _conjugate_closed(poles) -> list:
-    full = [
-        zeta.Pole(p.s.real + 0.0j, p.multiplicity, p.residual, p.trust_margin)
-        if abs(p.s.imag) < 1e-13
-        else p
-        for p in poles
-    ]
-    poles = full
-    for p in poles:
-        if p.s.imag > 1e-12:
-            full.append(
-                zeta.Pole(
-                    s=p.s.conjugate(),
-                    multiplicity=p.multiplicity,
-                    residual=p.residual,
-                    trust_margin=p.trust_margin,
-                )
-            )
-    return sorted(full, key=lambda p: (p.s.imag, p.s.real))
+    """The zeros with near-real ones put on the axis, plus the mirror image
+    of each zero above it, sorted by (Im s, Re s)."""
+    full = [replace(p, s=p.s.real + 0.0j) if abs(p.s.imag) < 1e-13 else p for p in poles]
+    mirrored = [replace(p, s=p.s.conjugate()) for p in full if p.s.imag > 1e-12]
+    return sorted(full + mirrored, key=lambda p: (p.s.imag, p.s.real))
 
 
 def _default_pole_search(exp):

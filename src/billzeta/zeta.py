@@ -26,6 +26,13 @@ into segments, every distinct sample on the grid lines is evaluated once
 guard is applied to the whole array.  Segments whose phase step exceeds
 the limit are halved level by level, one batch per level, and the steps
 are summed per cell into winding numbers and argument-principle moments.
+
+Every zero is placed by one rule (Delves and Lyness): a cell of winding
+w >= 1 reports the first argument-principle moment divided by w, the
+centroid of its zeros, Newton-polished when w = 1.  That point must lie
+in the closed cell; a point outside means the winding or the moment is
+wrong, and the search raises ``TrustRegionError`` (exit 3) rather than
+report it.
 """
 
 from dataclasses import dataclass
@@ -33,7 +40,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import IncompleteDataError, TrustRegionError
+from .errors import DomainError, IncompleteDataError, TrustRegionError
 
 # ---------------------------------------------------------------------------
 # atoms over (primitive cycle, repetition)
@@ -520,19 +527,36 @@ def _cell_moment(exp, re0, re1, im0, im1, samples=12):
     return complex(total[0, 0] / (2.0j * np.pi))
 
 
-def _polish_zero(exp: DeterminantExpansion, s0, multiplicity: int = 1, steps=80, tol=1e-14):
-    """Newton polish; the step is scaled by the multiplicity so that
-    degenerate zeros (symmetry-doubled pairs) converge quadratically."""
+def _polish_zero(exp: DeterminantExpansion, s0, steps=80, tol=1e-14):
+    """Newton polish of a simple zero."""
     s = complex(s0)
     for _ in range(steps):
         f = exp.value(s)
         df = exp.derivative(s)
         if df == 0:
             break
-        step = multiplicity * f / df
+        step = f / df
         s = s - step
         if abs(step) < tol:
             break
+    return s
+
+
+def _cell_zero(exp: DeterminantExpansion, re0, re1, im0, im1, w: int):
+    """Position of the ``w`` zeros inside a cell: their centroid, the
+    first argument-principle moment over w (Delves and Lyness),
+    Newton-polished when w = 1.  A centroid of zeros in a rectangle lies
+    in that rectangle, so a point outside the closed cell means the
+    winding or the moment is wrong and raises ``TrustRegionError``."""
+    s = _cell_moment(exp, re0, re1, im0, im1) / w
+    if w == 1:
+        s = _polish_zero(exp, s)
+    if not (re0 <= s.real <= re1 and im0 <= s.imag <= im1):
+        raise TrustRegionError(
+            f"the {w} zero(s) of cell [{re0:.4f},{re1:.4f}]x[{im0:.4f},{im1:.4f}] "
+            f"place at {s:.4f}, outside the cell; the winding or the moment is "
+            "wrong, use a finer grid"
+        )
     return s
 
 
@@ -544,61 +568,25 @@ def _rect_noise(exp: DeterminantExpansion, re0, re1, im0, im1, samples=13):
     return float(np.max(np.abs(exp.last_shell_value(pts))))
 
 
-def _locate_in_cell(exp, re0, re1, im0, im1, w_int, depth=0):
-    """Pin down the zero(s) announced by a cell's winding number.
-
-    Newton polish from the cell center is accepted only if it stays
-    near the cell; otherwise the cell is subdivided (at a slightly
-    off-center fraction so symmetric zeros cannot sit on the cut) and
-    the subcell carrying the winding is recursed into.
-    """
-    cx = 0.5 * (re0 + re1)
-    cy = 0.5 * (im0 + im1)
-    diag = np.hypot(re1 - re0, im1 - im0)
-    s_star = _polish_zero(exp, complex(cx, cy), multiplicity=w_int)
-    if (
-        np.isfinite(s_star.real)
-        and np.isfinite(s_star.imag)
-        and re0 - diag <= s_star.real <= re1 + diag
-        and im0 - diag <= s_star.imag <= im1 + diag
-    ):
-        return s_star
-    if depth >= 24:
-        return complex(cx, cy)
-    t = 0.51379
-    xm = re0 + t * (re1 - re0)
-    ym = im0 + t * (im1 - im0)
-    xs, ys = (re0, xm, re1), (im0, ym, im1)
-    windings = _cell_windings(exp, xs, ys)
-    for a in range(2):
-        for b in range(2):
-            w_int = int(round(windings[a, b]))
-            if w_int >= 1:
-                return _locate_in_cell(
-                    exp, xs[a], xs[a + 1], ys[b], ys[b + 1], w_int, depth + 1
-                )
-    return complex(cx, cy)
-
-
 def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
     """Zeros of the truncated determinant inside a rectangle.
 
-    The rectangle must lie in the trusted region: its left edge right
-    of the trust floor, and the sampled last-shell contribution below
+    The rectangle must be finite and non-empty (else ``DomainError``)
+    and lie in the trusted region: its left edge right of the trust
+    floor, and the sampled last-shell contribution below
     ``TRUST_THRESHOLD`` across the whole rectangle (truncation
     noise grows upward as well as leftward, and phase slips in noisy
     territory can fake integer windings).  The rectangle is subdivided
     into grid cells; the winding number of D around each cell must come
     out integer to ``WINDING_TOL``, with every contour sample keeping
-    |D| above the local noise.  Simple zeros are polished by Newton
-    iteration; multiple zeros (symmetry-doubled pairs, whose polished
-    position is only conditioned to the noise-splitting scale) are
-    reported as the contour centroid, the first argument-principle
-    moment divided by the winding.
+    |D| above the local noise.  Each cell of winding w >= 1 reports one
+    zero of multiplicity w at :func:`_cell_zero`'s point, which must lie
+    in the closed cell (else ``TrustRegionError``).  The zeros are
+    sorted by (Im s, Re s).
     """
     re0, re1, im0, im1 = map(float, rect)
-    if re0 >= re1 or im0 >= im1:
-        raise ValueError("empty rectangle")
+    if not (np.isfinite([re0, re1, im0, im1]).all() and re0 < re1 and im0 < im1):
+        raise DomainError(f"rectangle {[re0, re1, im0, im1]} is not finite and non-empty")
     if np.isnan(exp.trust_floor) or re0 < exp.trust_floor - 1e-12:
         raise TrustRegionError(
             f"rectangle reaches Re s = {re0}, left of the trust floor "
@@ -628,11 +616,7 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
                 )
             if w_int < 1:
                 continue
-            if w_int == 1:
-                s_star = _locate_in_cell(exp, xs[i], xs[i + 1], ys[j], ys[j + 1], 1)
-            else:
-                mu = _cell_moment(exp, xs[i], xs[i + 1], ys[j], ys[j + 1])
-                s_star = mu / w_int
+            s_star = _cell_zero(exp, xs[i], xs[i + 1], ys[j], ys[j + 1], w_int)
             poles.append(
                 Pole(
                     s=s_star,
@@ -641,29 +625,20 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
                     trust_margin=float(s_star.real - exp.trust_floor),
                 )
             )
-    merged = []
-    for pole in sorted(poles, key=lambda p: (p.s.imag, p.s.real)):
-        if merged and abs(pole.s - merged[-1].s) < 1e-8 * (1.0 + abs(pole.s)):
-            prev = merged.pop()
-            pole = Pole(
-                s=prev.s,
-                multiplicity=prev.multiplicity + pole.multiplicity,
-                residual=min(prev.residual, pole.residual),
-                trust_margin=prev.trust_margin,
-            )
-        merged.append(pole)
-    return merged
+    return sorted(poles, key=lambda p: (p.s.imag, p.s.real))
 
 
 def track_zero(exp: DeterminantExpansion, s0, multiplicity: int, radius: float = 0.1):
     """Re-locate a known zero cluster on another truncation.
 
-    Computes the winding and centroid of D over a box of the given
-    radius centered at ``s0``.  Unlike :func:`find_poles` this skips the
+    Computes the winding of D over a box of the given radius centered
+    at ``s0`` and places its zeros by :func:`_cell_zero`, the rule
+    :func:`find_poles` uses: the centroid for multiple zeros, a
+    Newton-polished point for simple ones, refused (``TrustRegionError``)
+    outside the box.  Unlike :func:`find_poles` this skips the
     rectangle-level gate: it is meant for comparing one established
     zero across truncation orders, and the contour noise guard still
-    protects every sample.  Returns (winding, position): the centroid
-    for multiple zeros, a Newton-polished point for simple ones.
+    protects every sample.  Returns (winding, position).
     """
     re0, re1 = s0.real - radius, s0.real + radius
     im0, im1 = s0.imag - radius, s0.imag + radius
@@ -674,10 +649,7 @@ def track_zero(exp: DeterminantExpansion, s0, multiplicity: int, radius: float =
             f"tracking box at {s0:.4f} sees winding {w:.3f}, "
             f"expected about {multiplicity}"
         )
-    if w_int == 1:
-        return w_int, _polish_zero(exp, s0, multiplicity=1)
-    mu = _cell_moment(exp, re0, re1, im0, im1)
-    return w_int, mu / w_int
+    return w_int, _cell_zero(exp, re0, re1, im0, im1, w_int)
 
 
 def real_zero(exp: DeterminantExpansion, lo: float, hi: float, tol=1e-13) -> float:

@@ -128,6 +128,14 @@ def test_out_of_range_integer_flags_are_usage_errors(cli_env, tmp_path):
         (("poles", "--cache", cache, "--det-n", 1), "--det-n"),
         (("poles", "--cache", cache, "--rect", -0.2, 0, 0, 1, "--grid", 0, 0), "--grid"),
         (("poles", "--cache", cache, "--rect", -0.2, 0, 0, 1, "--grid", 4, 0), "--grid"),
+        (("poles", "--cache", cache, "--rect", "nan", 0, 0, 1), "--rect"),
+        (("poles", "--cache", cache, "--rect", -0.1, -0.2, 0, 1), "--rect"),
+        (("poles", "--cache", cache, "--rect", -0.2, 0, 1, "inf"), "--rect"),
+        (("poles", "--cache", cache, "--det-kmax", -1), "--det-kmax"),
+        (("zeta", "--cache", cache, "--window", 0), "--window"),
+        (("zeta", "--cache", cache, "--window", -2), "--window"),
+        (("abscissas", "--cache", cache, "--n", 0), "argument --n:"),
+        (("abscissas", "--cache", cache, "--n", 1), "argument --n:"),
     ]
     for argv, flag in cases:
         res = run_cli(*argv, "--out", out)
@@ -244,6 +252,15 @@ def test_poles_contour_through_a_zero_is_numerical_error(tmp_path, db12, exp12):
     )
     assert out.returncode == 3
     assert "below 3.0 x the truncation noise" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_poles_zero_outside_its_cell_is_numerical_error(tmp_path, db12):
+    cache = tmp_path / "orbits12.jsonl"
+    save_database(db12, cache)
+    out = run_cli("poles", "--cache", cache, "--rect", -0.31, -0.02, 0.2, 2.4, "--grid", 1, 1)
+    assert out.returncode == 3
+    assert "outside the cell" in out.stderr
     assert "Traceback" not in out.stderr
 
 

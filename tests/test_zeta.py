@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from billzeta.database import build_database
-from billzeta.errors import IncompleteDataError, TrustRegionError
+from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
     ATOM_BLOCK,
     _cell_winding,
@@ -272,6 +272,39 @@ def test_noise_guard_fires_on_a_contour_through_a_zero(exp12):
     z0 = real_zero(exp12, -0.2, -0.05)
     with pytest.raises(TrustRegionError, match="truncation noise"):
         find_poles(exp12, (z0, -0.05, 0.0, 0.1), grid=(1, 1))
+
+
+def test_rectangle_must_be_finite_and_non_empty(exp12):
+    for rect in (
+        (np.nan, 0.0, 0.0, 1.0),
+        (-0.1, -0.2, 0.0, 1.0),
+        (-0.1, -0.1, 0.0, 1.0),
+        (-0.1, 0.0, 1.0, np.inf),
+    ):
+        with pytest.raises(DomainError, match="finite and non-empty"):
+            find_poles(exp12, rect, grid=(1, 1))
+
+
+TALL = (-0.31, -0.02, 0.20, 2.40)
+
+
+def test_zeros_lie_in_their_cells_on_coarse_grids(exp12):
+    # on the 2 x 2 grid this simple zero lies far from its cell's centre
+    simple = [p for p in find_poles(exp12, TALL, grid=(2, 2)) if p.multiplicity == 1]
+    assert len(simple) == 1
+    assert abs(simple[0].s - complex(-0.1266, 1.5165)) < 1e-4
+    for grid in ((2, 2), (4, 4), (8, 8)):
+        for p in find_poles(exp12, TALL, grid=grid):
+            assert TALL[0] <= p.s.real <= TALL[1], (grid, p)
+            assert TALL[2] <= p.s.imag <= TALL[3], (grid, p)
+            assert p.trust_margin > 0.0, (grid, p)
+
+
+def test_centroid_outside_its_cell_is_refused(exp12):
+    # one cell: 12 samples per side see winding 3 where five zeros lie, so
+    # moment / 3 lands outside the rectangle
+    with pytest.raises(TrustRegionError, match="outside the cell"):
+        find_poles(exp12, TALL, grid=(1, 1))
 
 
 def test_tracked_leading_pair_stable_under_truncation(exp10, exp12):
