@@ -65,7 +65,7 @@ class _Rect(argparse.Action):
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="disk configuration JSON")
-    p.add_argument("--cache", metavar="PATH", help="orbit cache file (JSONL)")
+    p.add_argument("--cache", metavar="PATH", help="orbit cache file")
     p.add_argument("--nmax", type=_int_at_least(2), metavar="INT", help="maximum cycle length")
     p.add_argument("--out", metavar="DIR", help="directory for CSV output")
 
@@ -188,9 +188,9 @@ def _write_manifest(out: Path, args, config_hash: str, params: dict, outputs) ->
 def _restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     if n_max == db.n_max:
         return db
-    return OrbitDatabase(
-        db.config, n_max, [rec for rec in db.records if rec.n <= n_max]
-    )
+    # records are sorted by length, so the kept ones are a prefix
+    keep = int(np.searchsorted(db.n, n_max, side="right"))
+    return OrbitDatabase(db.config, n_max, db.records[:keep])
 
 
 def _load_db(args, default_nmax: int = 10) -> OrbitDatabase:
@@ -278,10 +278,8 @@ def cmd_orbits(args) -> None:
     else:
         raise MalformedInputError("orbits requires --config (or an existing --cache)")
 
-    counts = {}
-    for rec in db.records:
-        counts[rec.n] = counts.get(rec.n, 0) + 1
-    per_length = ", ".join(f"{n}:{counts[n]}" for n in sorted(counts))
+    lengths, counts = np.unique(db.n, return_counts=True)
+    per_length = ", ".join(f"{n}:{c}" for n, c in zip(lengths.tolist(), counts.tolist()))
     residuals = [rec.residual for rec in db.records]
     print(f"orbits: {len(db)} primitive cycles (length:count {per_length})")
     print(f"residuals: min {min(residuals):.3e}, max {max(residuals):.3e}")

@@ -156,6 +156,17 @@ def _hessian(cx, cy, rad, theta):
     return H
 
 
+def _positive_definite(H):
+    """Which matrices of the stack ``H`` are positive definite: all of
+    them when one stacked Cholesky succeeds, else those whose smallest
+    eigenvalue is positive."""
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(H)[:, 0] > 0.0
+    return np.ones(len(H), dtype=bool)
+
+
 def _damped_step(cx, cy, rad, theta, g, gnorm):
     """One damped Newton step per row: returns the new angles and which
     rows moved.
@@ -167,7 +178,7 @@ def _damped_step(cx, cy, rad, theta, g, gnorm):
     decrease either way does not move.
     """
     H = _hessian(cx, cy, rad, theta)
-    newton = np.linalg.eigvalsh(H)[:, 0] > 0.0
+    newton = _positive_definite(H)
     delta = -g
     if newton.any():
         delta[newton] = np.linalg.solve(H[newton], -g[newton][..., None])[..., 0]

@@ -184,12 +184,12 @@ def pressure_periodic(db, s: float, beta: float, n: int) -> float:
     exp(-s S_n f + beta S_n g), assembled from primitive orbit data."""
     if n > db.n_max:
         raise DomainError(f"period {n} beyond database n_max={db.n_max}")
-    total = 0.0
-    for rec in db.records:
-        if n % rec.n != 0:
-            continue
-        reps = n // rec.n
-        total += rec.n * np.exp(-s * reps * rec.T - beta * reps * rec.d_gamma)
+    sel = n % db.n == 0
+    length, reps = db.n[sel], n // db.n[sel]
+    d_gamma = np.log(np.abs(db.lam[sel]))
+    terms = length * np.exp(-s * reps * db.T[sel] - beta * reps * d_gamma)
+    # a running sum adds the terms in record order, as a loop would
+    total = np.add.accumulate(terms)[-1] if terms.size else 0.0
     if total <= 0.0:
         raise NumericalError("empty periodic-point sum")
     return float(np.log(total) / n)

@@ -41,6 +41,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DomainError, IncompleteDataError, TrustRegionError
+from .stability import det_one_minus_poincare
 
 # ---------------------------------------------------------------------------
 # atoms over (primitive cycle, repetition)
@@ -63,45 +64,60 @@ def orbit_atoms(db, T_max=None, m_max=None):
                 f"cutoff T_max={T_max} exceeds the database horizon {horizon:.6g} "
                 f"(n_max={db.n_max}, d0={db.config.d0:.6g})"
             )
-    rows = []
-    for p_idx, rec in enumerate(db.records):
-        r = 1
-        while True:
-            if T_max is not None and r * rec.T > T_max:
-                break
-            if m_max is not None and r * rec.n > m_max:
-                break
-            det = rec.det_one_minus_p(r)
-            rows.append(
-                (
-                    p_idx,
-                    r,
-                    r * rec.T,
-                    rec.T,
-                    r * rec.n,
-                    det,
-                    rec.lam_abs,
-                    rec.sign,
-                )
-            )
-            r += 1
-    if not rows:
+    key = ("orbit_atoms", T_max, m_max)
+    if key not in db.derived:
+        db.derived[key] = _atoms(db, T_max, m_max)
+    return dict(db.derived[key])
+
+
+def _atoms(db, T_max, m_max):
+    """The atoms of :func:`orbit_atoms` as read-only arrays.
+
+    Record p contributes repetitions r = 1, 2, ... while r * n_p <= m_max,
+    or while r * T_p <= T_max for a length cutoff; r * T_p grows with r,
+    so that float test keeps a prefix of the candidates
+    1..floor(T_max / T_p) + 2.
+    """
+    if m_max is not None:
+        reps = m_max // db.n
+    else:
+        reps = np.floor(T_max / db.T).astype(np.int64) + 2
+    reps = np.maximum(reps, 0)
+    p_idx = np.repeat(np.arange(len(db.n)), reps)
+    starts = np.cumsum(reps) - reps
+    rep = np.arange(len(p_idx)) - np.repeat(starts, reps) + 1
+    tsharp = db.T[p_idx]
+    tau = rep * tsharp
+    if T_max is not None:
+        keep = tau <= T_max
+        p_idx, rep, tsharp, tau = p_idx[keep], rep[keep], tsharp[keep], tau[keep]
+    if not len(p_idx):
         raise IncompleteDataError("no atoms below the requested cutoff")
-    p_idx, rep, tau, tsharp, m, det, lam_abs, sign = map(np.array, zip(*rows))
-    return {
-        "p_idx": p_idx.astype(np.int64),
-        "r": rep.astype(np.int64),
-        "tau": tau.astype(float),
-        "tsharp": tsharp.astype(float),
-        "m": m.astype(np.int64),
-        "det": det.astype(float),
-        "lam_abs": lam_abs.astype(float),
-        "sign": sign.astype(np.int64),
+    lam = db.lam[p_idx]
+    # C pow per atom: numpy's SIMD power can differ from it in the last bit
+    det = np.array(
+        [det_one_minus_poincare(x, r) for x, r in zip(lam.tolist(), rep.tolist())],
+        dtype=float,
+    )
+    lam_abs = np.abs(lam)
+    m = rep * db.n[p_idx]
+    atoms = {
+        "p_idx": p_idx,
+        "r": rep,
+        "tau": tau,
+        "tsharp": tsharp,
+        "m": m,
+        "det": det,
+        "lam_abs": lam_abs,
+        "sign": np.where(lam < 0, -1, 1),
         "w_half": tsharp / np.sqrt(det),
         "w_full": tsharp / det,
         "w_unstable": tsharp * lam_abs ** (-rep.astype(float)),
-        "parity": np.where(m.astype(np.int64) % 2 == 0, 1.0, -1.0),
+        "parity": np.where(m % 2 == 0, 1.0, -1.0),
     }
+    for values in atoms.values():
+        values.flags.writeable = False
+    return atoms
 
 
 def eta_direct(db, s, q: int = 1, dirichlet: bool = False, T_max=None, m_max=None):
@@ -684,7 +700,7 @@ def counting_check(db, h: float, x_values=None):
     Returns rows (x, N(x), e^{hx}/(hx), ratio); ratio is 0 where no
     orbit is short enough.
     """
-    lengths = np.sort(np.array([rec.T for rec in db.records]))
+    lengths = np.sort(db.T)
     if x_values is None:
         x_values = np.linspace(lengths[0] * 0.95, lengths[-1], 25)
     rows = []

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from billzeta.database import save_database
+from billzeta.database import OrbitDatabase, save_database
 from billzeta.geometry import config_digest, save_config
 from billzeta.zeta import real_zero
 from tests.conftest import equilateral_config
@@ -150,19 +150,45 @@ def test_jobs_flag_is_a_usage_error(cli_env):
     assert "--jobs" in out.stderr
 
 
-def test_damaged_cache_is_malformed_input(cli_env, tmp_path):
-    lines = cli_env["cache"].read_text(encoding="utf-8").splitlines(keepends=True)
+def test_damaged_cache_is_malformed_input(cli_env, db10, tmp_path):
+    blob = cli_env["cache"].read_bytes()
     truncated = tmp_path / "truncated.jsonl"
-    truncated.write_text("".join(lines)[:-40], encoding="utf-8")
+    truncated.write_bytes(blob[:-40])
     short = tmp_path / "short.jsonl"
-    short.write_text("".join(ln for ln in lines if '"word": [1, 2, 3]' not in ln),
-                     encoding="utf-8")
-    for cache, message in ((truncated, "not a valid record"), (short, "length 3")):
+    save_database(
+        OrbitDatabase(db10.config, db10.n_max, [r for r in db10.records if r.word != (1, 2, 3)]),
+        short,
+    )
+    appended = tmp_path / "appended.jsonl"
+    appended.write_bytes(blob + b"\n")
+    for cache, message in (
+        (truncated, "section kappa is cut short"),
+        (short, "length 3"),
+        (appended, "1 bytes after its last section"),
+    ):
         for sub in ("orbits", "zeta"):
             out = run_cli(sub, "--cache", cache)
             assert out.returncode == 1, (sub, out.stderr)
             assert message in out.stderr
             assert "Traceback" not in out.stderr
+
+
+def test_format_1_cache_is_stale(cli_env, db10, tmp_path):
+    old = tmp_path / "old.jsonl"
+    header = {
+        "format": "billzeta-orbit-cache/1",
+        "config": db10.config.to_dict(),
+        "config_hash": db10.config_hash,
+        "n_max": db10.n_max,
+        "solver_version": 3,
+    }
+    old.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
+    for sub in ("orbits", "abscissas"):
+        out = run_cli(sub, "--cache", old)
+        assert out.returncode == 2, (sub, out.stderr)
+        assert "re-run" in out.stderr
+        assert f"billzeta orbits --config <file> --cache {old} --nmax <n>" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 def test_orbits_stale_cache_refused(cli_env):

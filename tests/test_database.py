@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from billzeta import database
-from billzeta.database import build_database, load_database, save_database
+from billzeta.database import OrbitDatabase, build_database, load_database, save_database
 from billzeta.errors import (
     DomainError,
     EclipseError,
@@ -39,20 +39,63 @@ def test_record_repetition_determinant(db12):
         assert rec.det_one_minus_p(r) == det_one_minus_poincare(rec.lam, r)
 
 
-def test_round_trip_preserves_everything(tmp_path, db8):
-    path = tmp_path / "cache.jsonl"
+def assert_same_records(a, b):
+    """Every field of two record sequences is equal to the bit."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.word == y.word
+        for name in database.SCALARS:
+            assert np.float64(getattr(x, name)).tobytes() == np.float64(getattr(y, name)).tobytes()
+        for name in database.PER_BOUNCE:
+            assert len(getattr(y, name)) == x.n
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+
+
+def test_round_trip_preserves_everything(tmp_path, db8, db_four7):
+    for db in (db8, db_four7):
+        path = tmp_path / "cache"
+        save_database(db, path)
+        back = load_database(path)
+        assert back.config_hash == db.config_hash
+        assert back.n_max == db.n_max
+        assert_same_records(db.records, back.records)
+        for column in ("n", "T", "lam"):
+            assert getattr(back, column).tobytes() == getattr(db, column).tobytes()
+        # the same database saves to the same bytes
+        first = path.read_bytes()
+        save_database(back, path)
+        assert path.read_bytes() == first
+
+
+def section_offsets(path):
+    """(name, start, end) of every section of a saved cache."""
+    blob = path.read_bytes()
+    header_line = blob.split(b"\n", 1)[0]
+    header = json.loads(header_line)
+    start, spans = len(header_line) + 1, []
+    for entry in header["sections"]:
+        end = start + entry["count"] * np.dtype(entry["dtype"]).itemsize
+        spans.append((entry["name"], start, end))
+        start = end
+    assert start == len(blob)
+    return spans
+
+
+def test_damaged_section_is_named(tmp_path, db8):
+    path = tmp_path / "cache"
     save_database(db8, path)
-    back = load_database(path)
-    assert back.config_hash == db8.config_hash
-    assert back.n_max == db8.n_max
-    assert len(back) == len(db8)
-    for a, b in zip(db8.records, back.records):
-        assert a.word == b.word
-        assert a.T == b.T
-        assert a.lam == b.lam
-        assert np.array_equal(a.angles, b.angles)
-        assert np.array_equal(a.flights, b.flights)
-        assert np.array_equal(a.kappa, b.kappa)
+    good = path.read_bytes()
+    spans = section_offsets(path)
+    assert [name for name, _, _ in spans] == [name for name, _ in database.SECTIONS]
+    for name, start, end in spans:
+        damaged = bytearray(good)
+        damaged[(start + end) // 2] ^= 0x01
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(MalformedInputError, match=f"section {name} fails its sha256"):
+            load_database(path)
+    path.write_bytes(good + b"\x00")
+    with pytest.raises(MalformedInputError, match="1 bytes after its last section"):
+        load_database(path)
 
 
 def test_stale_cache_refused(tmp_path, db8):
@@ -86,11 +129,10 @@ def test_corrupt_cache_refused(tmp_path, db8):
 def test_solver_version_mismatch_refused(tmp_path, db8):
     path = tmp_path / "cache.jsonl"
     save_database(db8, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    header = json.loads(lines[0])
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
     header["solver_version"] = 9999
-    lines[0] = json.dumps(header, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
     with pytest.raises(StaleCacheError):
         load_database(path)
 
@@ -146,20 +188,17 @@ def test_two_disk_configuration_is_domain_error_not_eclipse():
 def test_truncated_cache_line_is_malformed(tmp_path, db8):
     path = tmp_path / "cache.jsonl"
     save_database(db8, path)
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text[: len(text) - 40], encoding="utf-8")
-    with pytest.raises(MalformedInputError, match=f"line {len(db8) + 1}"):
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) - 40])
+    with pytest.raises(MalformedInputError, match="section kappa is cut short"):
         load_database(path)
 
 
 def test_cache_missing_a_record_is_refused(tmp_path, db8):
     path = tmp_path / "cache.jsonl"
-    save_database(db8, path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    dropped = [ln for ln in lines[1:] if '"word": [1, 2, 3]' in ln]
-    assert len(dropped) == 1
-    lines.remove(dropped[0])
-    path.write_text("".join(lines), encoding="utf-8")
+    kept = [rec for rec in db8.records if rec.word != (1, 2, 3)]
+    assert len(kept) == len(db8) - 1
+    save_database(OrbitDatabase(db8.config, db8.n_max, kept), path)
     with pytest.raises(MalformedInputError, match="1 cycles of length 3, expected 2"):
         load_database(path)
 
@@ -169,10 +208,10 @@ def test_failed_save_keeps_the_previous_cache(tmp_path, db8, monkeypatch):
     save_database(db8, path)
     before = path.read_bytes()
 
-    def broken(rec):
+    def broken(db):
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(database, "_record_to_json", broken)
+    monkeypatch.setattr(database, "_encode", broken)
     with pytest.raises(RuntimeError):
         save_database(db8, path)
     assert path.read_bytes() == before

@@ -6,6 +6,7 @@ import pytest
 from billzeta.errors import BilliardError, DomainError, SolverError
 from billzeta.orbits import (
     SOLVER_TOL,
+    _positive_definite,
     default_angles,
     orbit_with_repetition,
     solve_orbit,
@@ -161,3 +162,18 @@ def test_batch_of_mixed_lengths_or_no_words_is_domain_error(config):
             solve_orbits(config, words)
     with pytest.raises(DomainError):
         solve_orbits(config, [(1, 2), (1, 3)], theta0=np.zeros((1, 2)))
+
+
+def test_positive_definite_mask_matches_eigvalsh():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(40, 5, 5)))
+    eigs = rng.uniform(0.01, 2.0, size=(40, 5))
+    eigs[::3, 0] = -0.5  # indefinite
+    H = q @ (eigs[..., None] * np.swapaxes(q, 1, 2))
+    H = 0.5 * (H + np.swapaxes(H, 1, 2))
+    mixed = _positive_definite(H)
+    assert mixed.dtype == bool and 0 < mixed.sum() < len(H)
+    assert np.array_equal(mixed, np.linalg.eigvalsh(H)[:, 0] > 0.0)
+    definite = H[mixed]
+    assert _positive_definite(definite).all()
+    assert (np.linalg.eigvalsh(definite)[:, 0] > 0.0).all()

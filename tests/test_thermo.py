@@ -104,3 +104,21 @@ def test_leading_eigenvalue_known_matrix():
 def test_pressure_decreases_in_s(pot6):
     values = [pressure(pot6, s, 0.5) for s in (-0.2, 0.0, 0.2)]
     assert values[0] > values[1] > values[2]
+
+
+def reference_pressure_periodic(db, s, beta, n):
+    """The periodic-point sum added record by record."""
+    total = 0.0
+    for rec in db.records:
+        if n % rec.n == 0:
+            reps = n // rec.n
+            total += rec.n * np.exp(-s * reps * rec.T - beta * reps * rec.d_gamma)
+    return float(np.log(total) / n)
+
+
+@pytest.mark.parametrize("name", ["db12", "db_four7"])
+def test_pressure_periodic_equals_the_record_loop(request, name):
+    db = request.getfixturevalue(name)
+    for s, beta in ((0.0, 0.0), (0.3, 0.5), (-0.2, 1.0), (0.11, -0.4)):
+        for n in range(2, db.n_max + 1):
+            assert pressure_periodic(db, s, beta, n) == reference_pressure_periodic(db, s, beta, n)

@@ -78,6 +78,62 @@ def test_atom_bookkeeping(db8):
     assert sorted(atoms["r"][sel]) == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
 
+def reference_atoms(db, T_max=None, m_max=None):
+    """The atoms built record by record, repetition by repetition."""
+    rows = []
+    for p_idx, rec in enumerate(db.records):
+        r = 1
+        while (T_max is None or r * rec.T <= T_max) and (m_max is None or r * rec.n <= m_max):
+            rows.append(
+                (p_idx, r, r * rec.T, rec.T, r * rec.n, rec.det_one_minus_p(r), rec.lam_abs,
+                 rec.sign)
+            )
+            r += 1
+    p_idx, rep, tau, tsharp, m, det, lam_abs, sign = map(np.array, zip(*rows))
+    return {
+        "p_idx": p_idx,
+        "r": rep,
+        "tau": tau,
+        "tsharp": tsharp,
+        "m": m,
+        "det": det,
+        "lam_abs": lam_abs,
+        "sign": sign,
+        "w_half": tsharp / np.sqrt(det),
+        "w_full": tsharp / det,
+        "w_unstable": tsharp * lam_abs ** (-rep.astype(float)),
+        "parity": np.where(m % 2 == 0, 1.0, -1.0),
+    }
+
+
+@pytest.mark.parametrize("name", ["db12", "db_four7"])
+def test_atoms_equal_the_record_loop(request, name):
+    db = request.getfixturevalue(name)
+    horizon = (db.n_max + 1) * db.config.d0
+    exact = 3 * db.records[0].T
+    assert exact <= horizon
+    cutoffs = [{"m_max": db.n_max}, {"m_max": 5}, {"T_max": horizon}, {"T_max": exact}]
+    for cutoff in cutoffs:
+        got, want = orbit_atoms(db, **cutoff), reference_atoms(db, **cutoff)
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype, (cutoff, key)
+            assert got[key].tobytes() == want[key].tobytes(), (cutoff, key)
+    # the cutoff r * T itself is an atom
+    assert exact in orbit_atoms(db, T_max=exact)["tau"]
+
+
+def test_atoms_are_memoised_read_only(db10):
+    first, second = orbit_atoms(db10, m_max=7), orbit_atoms(db10, m_max=7)
+    assert first is not second
+    first["extra"] = None
+    assert "extra" not in orbit_atoms(db10, m_max=7)
+    for key, values in second.items():
+        assert values is first[key]
+        with pytest.raises(ValueError):
+            values[0] = values[0]
+
+
 def test_alternating_identity_at_random_points(db10):
     rng = np.random.default_rng(20240817)
     for _ in range(20):
