@@ -20,6 +20,15 @@ order, and each point's sum is reduced on its own, so a value does not
 depend on which points share an evaluation and every downstream output
 is byte-reproducible.
 
+Every sum over atoms goes through one kernel, built on the factorisation
+exp(-s tau) = exp(-x tau) exp(-i y tau) for s = x + iy.  Contour samples
+lie on grid lines, so each shares its real or its imaginary part with
+many others; the kernel computes the first factor once per distinct real
+part and the second once per distinct imaginary part of a block of
+points, and forms the terms from them bitwise as the complex exp would.
+One pass returns several sums over the same terms: D with its last
+shell (the truncation noise), or D with D'.
+
 The contour search evaluates D in batches.  A grid's cell sides are cut
 into segments, every distinct sample on the grid lines is evaluated once
 (a side shared by two cells is walked once), and the truncation-noise
@@ -30,9 +39,10 @@ are summed per cell into winding numbers and argument-principle moments.
 Every zero is placed by one rule (Delves and Lyness): a cell of winding
 w >= 1 reports the first argument-principle moment divided by w, the
 centroid of its zeros, Newton-polished when w = 1.  That point must lie
-in the closed cell; a point outside means the winding or the moment is
-wrong, and the search raises ``TrustRegionError`` (exit 3) rather than
-report it.
+in the closed cell, and for w >= 2 the second moment must show one
+cluster rather than separate zeros; otherwise the winding or the moment
+is wrong, and the search raises ``TrustRegionError`` (exit 3) rather
+than report it.
 """
 
 from dataclasses import dataclass
@@ -206,7 +216,16 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
         mean_tau = float(np.sum(w[sel] * atoms["tau"][sel]) / total)
         shells.append((m_val, total, mean_tau))
     if len(shells) < window + 1:
-        raise IncompleteDataError("not enough shells for a growth-rate fit")
+        # every bounce count (every even one for parity="even") has cycles
+        step = 2 if parity == "even" else 1
+        last = shells[-1][0] if shells else 2 - step
+        label = weight if parity is None else f"{weight}/{parity}"
+        raise IncompleteDataError(
+            f"not enough shells for a growth-rate fit of the {label} series: "
+            f"it has {len(shells)} shells up to nmax {db.n_max}, a window of "
+            f"{window} needs {window + 1}; --nmax "
+            f"{last + step * (window + 1 - len(shells))} would be enough"
+        )
     xs = np.array([t for _, _, t in shells])
     ys = np.log(np.array([a for _, a, _ in shells]))
     slopes = []
@@ -225,30 +244,77 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
 TRUST_THRESHOLD = 3e-5  # last-shell level that bounds the trusted region
 PROBE_IM = np.linspace(0.0, 1.2, 7)  # imaginary parts of the trust-floor probe
 WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
-ATOM_BLOCK = 64  # points per exponential block (about 1 MB of terms at N = 13)
+ATOM_BLOCK = 16  # points per exponential block (about 0.3 MB of terms at N = 13)
+SPREAD_TOL = 0.04  # allowed |sum (z - centroid)^2| of a cell's zeros / diagonal^2
 
 
-def _atom_sum(coeff, tau, s):
-    """sum_i coeff_i exp(-s tau_i): a complex for scalar ``s``, else an
-    array over the points.  Each point's row of terms is reduced on its
-    own, in a fixed order over the atoms, so a value does not depend on
-    which points share the call; rows go ``ATOM_BLOCK`` at a time to
-    bound the temporary."""
+def _bit_groups(parts):
+    """The distinct bit patterns of the float array ``parts`` (as floats)
+    and, per element, the index of its pattern (``np.unique`` does the
+    same at about three times the cost on a block of 16)."""
+    bits = parts.view(np.int64)
+    order = bits.argsort(kind="stable")
+    ordered = bits[order]
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new].view(float), inverse
+
+
+def _exp_table(parts, tau, imag):
+    """exp(-p tau) (``imag`` false) or exp(-i p tau) (``imag`` true) for
+    each part p, one row per part, through the complex exp."""
+    arg = np.zeros((parts.size, tau.size), dtype=complex)
+    np.multiply.outer(-parts, tau, out=arg.imag if imag else arg.real)
+    return np.exp(arg, out=arg)
+
+
+def _atom_sums(tau, s, *sums):
+    """For each ``(coeff, start)`` of ``sums``, the sum over the atoms
+    i >= start of coeff_i exp(-s tau_i): a tuple of complexes for scalar
+    ``s``, else of arrays over the points.
+
+    The exponential factors as exp(-x tau) exp(-i y tau), s = x + iy.
+    The points are ordered by (Im s, Re s) and taken ``ATOM_BLOCK`` at a
+    time; within a block the first factor is computed once per distinct
+    real part and the second once per distinct imaginary part (parts are
+    grouped by their bits, so -0.0 and +0.0 stay apart).  Both go through
+    the complex exp, which forms exp(x + iy) as exp(x) cos y + i exp(x)
+    sin y from the same exp and sincos: wherever exp(-x tau) does not
+    overflow, each term and its product with the real coefficient is
+    bitwise that of the unfactored exp.  Sums over one coefficient array
+    share its terms.  Each point's row of terms is reduced on its own, in
+    a fixed order over the atoms, so a value does not depend on which
+    points share the call.
+    """
     points = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    values = np.empty(points.size, dtype=complex)
+    lo = min(start for _, start in sums)
+    tau = tau[lo:]
+    coeffs = {id(coeff): coeff[lo:] for coeff, _ in sums}
+    values = np.empty((len(sums), points.size), dtype=complex)
+    order = np.lexsort((points.real, points.imag))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, points.size, ATOM_BLOCK):
-            block = points[start : start + ATOM_BLOCK]
-            # -s tau and the products with the real coefficients in real
-            # arithmetic: the bits of the complex forms, in fewer passes
-            terms = np.empty((block.size, tau.size), dtype=complex)
-            np.multiply.outer(-block.real, tau, out=terms.real)
-            np.multiply.outer(-block.imag, tau, out=terms.imag)
-            np.exp(terms, out=terms)
-            terms.real *= coeff
-            terms.imag *= coeff
-            values[start : start + ATOM_BLOCK] = terms.sum(axis=1)
-    return complex(values[0]) if np.isscalar(s) else values
+        for first in range(0, points.size, ATOM_BLOCK):
+            idx = order[first : first + ATOM_BLOCK]
+            x, ix = _bit_groups(points.real[idx])
+            y, iy = _bit_groups(points.imag[idx])
+            turn = _exp_table(y, tau, True)
+            cos, sin = turn.real[iy], turn.imag[iy]
+            grow = _exp_table(x, tau, False).real[ix]
+            cos *= grow
+            sin *= grow
+            terms = {}
+            for key, coeff in coeffs.items():
+                terms[key] = np.empty(cos.shape, dtype=complex)
+                np.multiply(cos, coeff, out=terms[key].real)
+                np.multiply(sin, coeff, out=terms[key].imag)
+            for k, (coeff, start) in enumerate(sums):
+                values[k, idx] = terms[id(coeff)][:, start - lo :].sum(axis=1)
+    if np.isscalar(s):
+        return tuple(complex(v[0]) for v in values)
+    return tuple(values)
 
 
 @dataclass
@@ -268,22 +334,38 @@ class DeterminantExpansion:
     def log_derivative_series(self, s):
         """(log D)'(s) from the log atoms; term-for-term it is the
         half-weight series truncated at (N, k_max)."""
-        return _atom_sum(self.log_coeff * self.log_tau, self.log_tau, s)
+        return _atom_sums(self.log_tau, s, (self.log_coeff * self.log_tau, 0))[0]
 
     def value(self, s):
         """D(s) from the expanded atoms (finite exponential sum)."""
-        return _atom_sum(self.poly_coeff, self.poly_tau, s)
+        return _atom_sums(self.poly_tau, s, (self.poly_coeff, 0))[0]
 
     def derivative(self, s):
-        return _atom_sum(-self.poly_coeff * self.poly_tau, self.poly_tau, s)
+        return _atom_sums(self.poly_tau, s, (-self.poly_coeff * self.poly_tau, 0))[0]
 
     def log_value(self, s):
         """log D(s) = -(sum of log atoms); valid right of the series abscissa."""
-        return _atom_sum(-self.log_coeff, self.log_tau, s)
+        return _atom_sums(self.log_tau, s, (-self.log_coeff, 0))[0]
 
     def last_shell_value(self, s):
-        sel = self.poly_shell == self.N
-        return _atom_sum(self.poly_coeff[sel], self.poly_tau[sel], s)
+        return _atom_sums(self.poly_tau, s, (self.poly_coeff, self._last_shell))[0]
+
+    def value_and_last_shell(self, s):
+        """(D(s), last-shell sum) from one pass over the terms."""
+        return _atom_sums(
+            self.poly_tau, s, (self.poly_coeff, 0), (self.poly_coeff, self._last_shell)
+        )
+
+    def value_and_derivative(self, s):
+        """(D(s), D'(s)) from one pass over the exponentials."""
+        return _atom_sums(
+            self.poly_tau, s, (self.poly_coeff, 0), (-self.poly_coeff * self.poly_tau, 0)
+        )
+
+    @property
+    def _last_shell(self):
+        # atoms are sorted by shell, so shell N is a contiguous tail
+        return int(np.searchsorted(self.poly_shell, self.N))
 
 
 def _expansion_atoms(items, N):
@@ -319,6 +401,13 @@ def _expansion_atoms(items, N):
     return coeff, tau, shell
 
 
+def _signed_power(lam, j, e):
+    """sgn(lam)^j |lam|^e per row, with one C pow per row: numpy's SIMD
+    power can differ from it in the last bit."""
+    mag = np.array([a**b for a, b in zip(np.abs(lam).tolist(), e.tolist())], dtype=float)
+    return np.where((lam < 0) & (j % 2 == 1), -mag, mag)
+
+
 def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
     """Assemble the truncated determinant from the orbit database.
 
@@ -335,30 +424,23 @@ def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
     """
     if N > db.n_max:
         raise IncompleteDataError(f"N={N} exceeds database n_max={db.n_max}")
-    log_rows = []
-    items = []
-    for rec in db.records:
-        if rec.n > N:
-            continue
-        for k in range(k_max + 1):
-            t0 = rec.sign**k * rec.lam_abs ** (-(k + 0.5))
-            items.append((rec.n, rec.T, t0))
-            r = 1
-            while r * rec.n <= N:
-                log_rows.append(
-                    (
-                        r * rec.n,
-                        r * rec.T,
-                        rec.sign ** (k * r) * rec.lam_abs ** (-r * (k + 0.5)) / r,
-                    )
-                )
-                r += 1
-    log_rows.sort(key=lambda row: (row[0], row[1], row[2]))
-    log_shell = np.array([row[0] for row in log_rows], dtype=np.int64)
-    log_tau = np.array([row[1] for row in log_rows])
-    log_coeff = np.array([row[2] for row in log_rows])
+    keep = db.n <= N
+    n, T, lam = db.n[keep], db.T[keep], db.lam[keep]
+    # one factor (p, k) per cycle and k <= k_max, in record order, and its
+    # log atoms (p, k, r) for r n_p <= N
+    p = np.repeat(np.arange(n.size), k_max + 1)
+    k = np.tile(np.arange(k_max + 1), n.size)
+    reps = N // n[p]
+    lp, lk = np.repeat(p, reps), np.repeat(k, reps)
+    r = np.arange(lp.size) - np.repeat(np.cumsum(reps) - reps, reps) + 1
+    log_shell, log_tau = r * n[lp], r * T[lp]
+    log_coeff = _signed_power(lam[lp], lk * r, -r * (lk + 0.5)) / r
+    order = np.lexsort((log_coeff, log_tau, log_shell))
+    log_shell, log_tau, log_coeff = log_shell[order], log_tau[order], log_coeff[order]
 
-    items.sort(key=lambda it: (it[0], it[1], it[2]))
+    w = _signed_power(lam[p], k, -(k + 0.5))
+    order = np.lexsort((w, T[p], n[p]))
+    items = zip(n[p][order].tolist(), T[p][order].tolist(), w[order].tolist())
     poly_coeff, poly_tau, poly_shell = _expansion_atoms(items, N)
 
     exp = DeterminantExpansion(
@@ -435,8 +517,8 @@ def _guarded_values(exp: DeterminantExpansion, z):
     indistinguishable from the truncation noise (last-shell magnitude).
     A contour through such a region can wind around noise artifacts
     instead of genuine zeros, so the search refuses to continue."""
-    f = exp.value(z)
-    noise = np.abs(exp.last_shell_value(z))
+    f, shell = exp.value_and_last_shell(z)
+    noise = np.abs(shell)
     bad = np.flatnonzero(np.abs(f) < NOISE_SAFETY * noise)
     if bad.size:
         k = bad[0]
@@ -471,26 +553,29 @@ def _refine(exp: DeterminantExpansion, za, zb, fa, fb, max_step):
 
 
 def _phase_sum(exp, za, zb, fa, fb, step):
-    return step
+    return (step,)
 
 
 def _simpson_sum(exp, za, zb, fa, fb, step):
-    """Simpson rule for int s D'/D ds on each piece.  D' at the piece
-    ends (each shared end once) and at the midpoints is one batch, D at
-    the midpoints another."""
+    """Simpson rule for int s D'/D ds and int s^2 D'/D ds on each piece.
+    D' at the piece ends (each shared end once) is one batch, D and D' at
+    the midpoints one fused batch; both moments weight the same D'/D."""
     mid = 0.5 * (za + zb)
     ends, where = np.unique(np.concatenate((za, zb)), return_inverse=True)
-    d = exp.derivative(np.concatenate((ends, mid)))
-    d_end = d[: ends.size][where]
+    d_end = exp.derivative(ends)[where]
+    f_mid, d_mid = exp.value_and_derivative(mid)
     ga = za * d_end[: za.size] / fa
     gb = zb * d_end[za.size :] / fb
-    gm = mid * d[ends.size :] / exp.value(mid)
-    return (zb - za) * (ga + 4.0 * gm + gb) / 6.0
+    gm = mid * d_mid / f_mid
+    first = (zb - za) * (ga + 4.0 * gm + gb) / 6.0
+    second = (zb - za) * (za * ga + 4.0 * mid * gm + zb * gb) / 6.0
+    return first, second
 
 
 def _grid_contours(exp, xs, ys, samples, max_step, piece_sum):
-    """Counterclockwise contour sums of ``piece_sum`` around every cell
-    of the grid with lines ``xs`` x ``ys``, as an ``(nx, ny)`` array.
+    """Counterclockwise contour sums of each quantity ``piece_sum``
+    returns around every cell of the grid with lines ``xs`` x ``ys``, as a
+    list of ``(nx, ny)`` arrays.
 
     Each cell side is cut into ``samples`` segments.  A side shared by
     two cells is one run of segments, added to one cell and subtracted
@@ -516,39 +601,41 @@ def _grid_contours(exp, xs, ys, samples, max_step, piece_sum):
     fa = np.concatenate((f[:-1, row].ravel(), f[col, :-1].ravel()))
     fb = np.concatenate((f[1:, row].ravel(), f[col, 1:].ravel()))
     seg, *piece = _refine(exp, za, zb, fa, fb, max_step)
-    contrib = piece_sum(exp, *piece)
-    total = np.zeros(za.size, dtype=contrib.dtype)
-    np.add.at(total, seg, contrib)
     n_h = nx * samples * (ny + 1)
-    h = total[:n_h].reshape(nx, samples, ny + 1).sum(axis=1)
-    v = total[n_h:].reshape(nx + 1, ny, samples).sum(axis=2)
-    return h[:, :-1] + v[1:, :] - h[:, 1:] - v[:-1, :]
+    sums = []
+    for contrib in piece_sum(exp, *piece):
+        total = np.zeros(za.size, dtype=contrib.dtype)
+        np.add.at(total, seg, contrib)
+        h = total[:n_h].reshape(nx, samples, ny + 1).sum(axis=1)
+        v = total[n_h:].reshape(nx + 1, ny, samples).sum(axis=2)
+        sums.append(h[:, :-1] + v[1:, :] - h[:, 1:] - v[:-1, :])
+    return sums
 
 
 def _cell_windings(exp, xs, ys, samples=12):
     """Winding numbers of D around the cells of a grid, ``(nx, ny)``;
     phase steps are refined down to pi/2."""
-    return _grid_contours(exp, xs, ys, samples, 0.5 * np.pi, _phase_sum) / (2.0 * np.pi)
+    (phase,) = _grid_contours(exp, xs, ys, samples, 0.5 * np.pi, _phase_sum)
+    return phase / (2.0 * np.pi)
 
 
 def _cell_winding(exp, re0, re1, im0, im1, samples=12):
     return float(_cell_windings(exp, (re0, re1), (im0, im1), samples)[0, 0])
 
 
-def _cell_moment(exp, re0, re1, im0, im1, samples=12):
-    """Sum of the zeros inside the cell, counted with multiplicity
-    (first moment by the argument principle, Simpson pieces refined
-    down to a phase step of 0.1)."""
-    total = _grid_contours(exp, (re0, re1), (im0, im1), samples, 0.1, _simpson_sum)
-    return complex(total[0, 0] / (2.0j * np.pi))
+def _cell_moments(exp, re0, re1, im0, im1, samples=12):
+    """Sums of the zeros inside the cell and of their squares, counted
+    with multiplicity (first and second moments by the argument
+    principle, Simpson pieces refined down to a phase step of 0.1)."""
+    sums = _grid_contours(exp, (re0, re1), (im0, im1), samples, 0.1, _simpson_sum)
+    return tuple(complex(total[0, 0] / (2.0j * np.pi)) for total in sums)
 
 
 def _polish_zero(exp: DeterminantExpansion, s0, steps=80, tol=1e-14):
     """Newton polish of a simple zero."""
     s = complex(s0)
     for _ in range(steps):
-        f = exp.value(s)
-        df = exp.derivative(s)
+        f, df = exp.value_and_derivative(s)
         if df == 0:
             break
         step = f / df
@@ -563,8 +650,14 @@ def _cell_zero(exp: DeterminantExpansion, re0, re1, im0, im1, w: int):
     first argument-principle moment over w (Delves and Lyness),
     Newton-polished when w = 1.  A centroid of zeros in a rectangle lies
     in that rectangle, so a point outside the closed cell means the
-    winding or the moment is wrong and raises ``TrustRegionError``."""
-    s = _cell_moment(exp, re0, re1, im0, im1) / w
+    winding or the moment is wrong and raises ``TrustRegionError``.
+
+    For w >= 2 the zeros are reported as one multiple zero, so they must
+    form one cluster: the second moment less w times the squared
+    centroid, sum (z - centroid)^2, must stay below ``SPREAD_TOL`` times
+    the squared cell diagonal, else ``TrustRegionError``."""
+    first, second = _cell_moments(exp, re0, re1, im0, im1)
+    s = first / w
     if w == 1:
         s = _polish_zero(exp, s)
     if not (re0 <= s.real <= re1 and im0 <= s.imag <= im1):
@@ -573,6 +666,14 @@ def _cell_zero(exp: DeterminantExpansion, re0, re1, im0, im1, w: int):
             f"place at {s:.4f}, outside the cell; the winding or the moment is "
             "wrong, use a finer grid"
         )
+    if w > 1:
+        spread = abs(second - w * s * s) / ((re1 - re0) ** 2 + (im1 - im0) ** 2)
+        if not spread <= SPREAD_TOL:
+            raise TrustRegionError(
+                f"the {w} zeros of cell [{re0:.4f},{re1:.4f}]x[{im0:.4f},{im1:.4f}] "
+                f"spread over {spread:.2e} of its squared diagonal (limit "
+                f"{SPREAD_TOL}); they are not one multiple zero, use a finer grid"
+            )
     return s
 
 
@@ -597,8 +698,8 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
     out integer to ``WINDING_TOL``, with every contour sample keeping
     |D| above the local noise.  Each cell of winding w >= 1 reports one
     zero of multiplicity w at :func:`_cell_zero`'s point, which must lie
-    in the closed cell (else ``TrustRegionError``).  The zeros are
-    sorted by (Im s, Re s).
+    in the closed cell and, for w >= 2, stand for one cluster of zeros
+    (else ``TrustRegionError``).  The zeros are sorted by (Im s, Re s).
     """
     re0, re1, im0, im1 = map(float, rect)
     if not (np.isfinite([re0, re1, im0, im1]).all() and re0 < re1 and im0 < im1):

@@ -46,6 +46,11 @@ def db12(config):
 
 
 @pytest.fixture(scope="session")
+def db13(config):
+    return build_database(config, 13)
+
+
+@pytest.fixture(scope="session")
 def db_four7():
     return build_database(unequal_four_disks(), 7)
 

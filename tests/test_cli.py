@@ -248,6 +248,16 @@ def test_zeta_outputs(cli_env, tmp_path):
     assert (out_dir / "zeta_shells.csv").exists()
 
 
+def test_zeta_names_the_short_series(tmp_path, db8):
+    cache = tmp_path / "orbits8.jsonl"
+    save_database(db8, cache)
+    out = run_cli("zeta", "--cache", cache)
+    assert out.returncode == 2
+    assert "half/even series: it has 4 shells" in out.stderr
+    assert "needs 5; --nmax 10 would be enough" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_poles_outputs(cli_env, tmp_path):
     out_dir = tmp_path / "out"
     out = run_cli("poles", "--cache", cli_env["cache"], "--out", out_dir)
@@ -287,6 +297,15 @@ def test_poles_zero_outside_its_cell_is_numerical_error(tmp_path, db12):
     out = run_cli("poles", "--cache", cache, "--rect", -0.31, -0.02, 0.2, 2.4, "--grid", 1, 1)
     assert out.returncode == 3
     assert "outside the cell" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_poles_merged_cluster_is_numerical_error(tmp_path, db12):
+    cache = tmp_path / "orbits12.jsonl"
+    save_database(db12, cache)
+    out = run_cli("poles", "--cache", cache, "--rect", -0.31, -0.02, 0.2, 2.4, "--grid", 1, 2)
+    assert out.returncode == 3
+    assert "not one multiple zero" in out.stderr
     assert "Traceback" not in out.stderr
 
 

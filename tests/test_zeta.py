@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from billzeta.database import build_database
+from billzeta import zeta
 from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
     ATOM_BLOCK,
+    PROBE_IM,
+    TRUST_THRESHOLD,
     _cell_winding,
     _cell_windings,
     abscissa_estimate,
@@ -13,6 +17,7 @@ from billzeta.zeta import (
     eta_direct,
     eta_tail_bound,
     eta_via_roots_of_unity,
+    _guarded_values,
     find_poles,
     orbit_atoms,
     real_zero,
@@ -217,11 +222,167 @@ def test_value_does_not_depend_on_the_batch(exp12):
     for method in (exp12.value, exp12.derivative, exp12.last_shell_value):
         batch = method(points)
         assert all(batch[k] == method(complex(p)) for k, p in enumerate(points))
+    for method in (exp12.value_and_last_shell, exp12.value_and_derivative):
+        first, second = method(points)
+        assert all(
+            (first[k], second[k]) == method(complex(p)) for k, p in enumerate(points)
+        )
 
 
-def test_trust_floors_match_the_scan_by_probe_line(config, db_four7):
+def oracle_atom_sum(coeff, tau, s, block=64):
+    """sum_i coeff_i exp(-s tau_i) through one complex exp per term: the
+    reference for the factored kernel."""
+    points = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    values = np.empty(points.size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, points.size, block):
+            chunk = points[start : start + block]
+            terms = np.empty((chunk.size, tau.size), dtype=complex)
+            np.multiply.outer(-chunk.real, tau, out=terms.real)
+            np.multiply.outer(-chunk.imag, tau, out=terms.imag)
+            np.exp(terms, out=terms)
+            terms.real *= coeff
+            terms.imag *= coeff
+            values[start : start + block] = terms.sum(axis=1)
+    return complex(values[0]) if np.isscalar(s) else values
+
+
+def oracle_sums(exp, s):
+    """Every determinant sum by the oracle kernel, keyed by method."""
+    last = exp.poly_shell == exp.N
+    value = oracle_atom_sum(exp.poly_coeff, exp.poly_tau, s)
+    derivative = oracle_atom_sum(-exp.poly_coeff * exp.poly_tau, exp.poly_tau, s)
+    shell = oracle_atom_sum(exp.poly_coeff[last], exp.poly_tau[last], s)
+    return {
+        "value": value,
+        "derivative": derivative,
+        "last_shell_value": shell,
+        "log_value": oracle_atom_sum(-exp.log_coeff, exp.log_tau, s),
+        "log_derivative_series": oracle_atom_sum(
+            exp.log_coeff * exp.log_tau, exp.log_tau, s
+        ),
+        "value_and_last_shell": (value, shell),
+        "value_and_derivative": (value, derivative),
+    }
+
+
+def test_factored_kernel_equals_the_complex_exp_bitwise(exp12, db_four7):
+    rng = np.random.default_rng(400)
+    random = rng.uniform(-0.8, 1.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400)
+    # grid lines share real or imaginary parts; axis points carry +0.0 and -0.0
+    lines = (np.linspace(-0.31, -0.02, 7)[:, None] + 1j * np.linspace(0.2, 1.4, 13)).ravel()
+    axis = np.array([complex(x, y) for x in (-0.12, 0.0, -0.0, 0.3) for y in (0.0, -0.0)])
+    points = np.concatenate((random, lines, axis, lines[::-1]))
+    scalars = [0.3, -0.12, complex(-0.12, -0.0), complex(0.25, 1.7), points[17]]
+    for exp in (exp12, build_determinant(db_four7, 7)):
+        want = oracle_sums(exp, points)
+        for name, values in want.items():
+            got = getattr(exp, name)(points)
+            pairs = zip(got, values) if isinstance(values, tuple) else [(got, values)]
+            for g, w in pairs:
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (exp.N, name)
+        for s in scalars:
+            for name, value in oracle_sums(exp, s).items():
+                got = getattr(exp, name)(s)
+                assert type(got) is type(value), (name, s)
+                assert np.array(got).tobytes() == np.array(value).tobytes(), (name, s)
+
+
+def record_loop_determinant(db, N, k_max=5):
+    """Log atoms and sorted factor pool built record by record, then the
+    expansion, as arrays: the reference for the columnar build."""
+    log_rows, items = [], []
+    for rec in db.records:
+        if rec.n > N:
+            continue
+        for k in range(k_max + 1):
+            items.append((rec.n, rec.T, rec.sign**k * rec.lam_abs ** (-(k + 0.5))))
+            r = 1
+            while r * rec.n <= N:
+                log_rows.append(
+                    (r * rec.n, r * rec.T,
+                     rec.sign ** (k * r) * rec.lam_abs ** (-r * (k + 0.5)) / r)
+                )
+                r += 1
+    log_rows.sort()
+    items.sort()
+    poly_coeff, poly_tau, poly_shell = zeta._expansion_atoms(items, N)
+    return {
+        "log_shell": np.array([row[0] for row in log_rows], dtype=np.int64),
+        "log_tau": np.array([row[1] for row in log_rows]),
+        "log_coeff": np.array([row[2] for row in log_rows]),
+        "poly_coeff": poly_coeff,
+        "poly_tau": poly_tau,
+        "poly_shell": poly_shell,
+    }
+
+
+def oracle_trust_floor(arrays, N):
+    """The probe scan of ``_trust_floor`` with the oracle kernel."""
+    last = arrays["poly_shell"] == N
+    xs = [0.5]
+    while xs[-1] - 0.02 >= -0.75 - 1e-12:
+        xs.append(xs[-1] - 0.02)
+    for i, x in enumerate(xs):
+        shell = oracle_atom_sum(
+            arrays["poly_coeff"][last], arrays["poly_tau"][last], x + 1j * PROBE_IM
+        )
+        if np.max(np.abs(shell)) > TRUST_THRESHOLD:
+            assert i > 0
+            return xs[i - 1]
+    return xs[-1]
+
+
+def test_columnar_build_equals_the_record_loop(db13, db_four7):
+    cases = [(restrict(db13, N), N, 5) for N in range(9, 14)]
+    cases += [(db13, 11, 2), (db_four7, 7, 5)]
+    for db, N, k_max in cases:
+        exp = build_determinant(db, N, k_max=k_max)
+        want = record_loop_determinant(db, N, k_max)
+        for key, values in want.items():
+            got = getattr(exp, key)
+            assert got.dtype == values.dtype, (N, key)
+            assert got.tobytes() == values.tobytes(), (N, key)
+        assert exp.trust_floor == oracle_trust_floor(want, N), N
+
+
+def default_grid_samples(exp):
+    """The on-line samples of the default leading-strip search, (5, 6)
+    cells of 12 segments a side, as ``_grid_contours`` lays them out."""
+    re0 = max(-0.45, exp.trust_floor + 0.01)
+    xs, ys = np.linspace(re0, -0.02, 6), np.linspace(0.20, 1.40, 7)
+    t = np.linspace(0.0, 1.0, 13)[:-1]
+    fine_x = np.append((xs[:-1, None] + np.diff(xs)[:, None] * t).ravel(), xs[-1])
+    fine_y = np.append((ys[:-1, None] + np.diff(ys)[:, None] * t).ravel(), ys[-1])
+    on_line = (np.arange(fine_x.size) % 12 == 0)[:, None] | (np.arange(fine_y.size) % 12 == 0)
+    return (fine_x[:, None] + 1j * fine_y[None, :])[on_line]
+
+
+def peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_guarded_values_need_no_more_memory_than_the_oracle(db13):
+    exp = build_determinant(db13, 13)
+    z = default_grid_samples(exp)
+    assert z.size == 823
+
+    def oracle_guard(exp, z):
+        last = exp.poly_shell == exp.N
+        oracle_atom_sum(exp.poly_coeff, exp.poly_tau, z)
+        oracle_atom_sum(exp.poly_coeff[last], exp.poly_tau[last], z)
+
+    peak_bytes(_guarded_values, exp, z)  # first call: warm any caches
+    assert peak_bytes(_guarded_values, exp, z) <= peak_bytes(oracle_guard, exp, z)
+
+
+def test_trust_floors_match_the_scan_by_probe_line(db13, db_four7):
     # exact bits: the scan steps left from 0.5 by repeated subtraction of 0.02
-    db13 = build_database(config, 13)
     pinned = {
         8: -0.12000000000000019,
         9: -0.24000000000000013,
@@ -361,6 +522,19 @@ def test_centroid_outside_its_cell_is_refused(exp12):
     # moment / 3 lands outside the rectangle
     with pytest.raises(TrustRegionError, match="outside the cell"):
         find_poles(exp12, TALL, grid=(1, 1))
+
+
+def test_merged_cluster_is_refused(exp12, monkeypatch):
+    # grid (1, 2): the upper cell holds the simple zero -0.1266+1.5165i and
+    # the doubled pair near -0.2194+2.3665i, winding 3, centroid inside it
+    with pytest.raises(TrustRegionError, match="not one multiple zero"):
+        find_poles(exp12, TALL, grid=(1, 2))
+    grids = ((2, 2), (4, 4), (8, 8), (5, 11))
+    found = {grid: find_poles(exp12, TALL, grid=grid) for grid in grids}
+    monkeypatch.setattr(zeta, "SPREAD_TOL", np.inf)
+    for grid in grids:
+        assert found[grid] == find_poles(exp12, TALL, grid=grid), grid
+        assert sum(p.multiplicity for p in found[grid]) == 5, grid
 
 
 def test_tracked_leading_pair_stable_under_truncation(exp10, exp12):
