@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__, thermo, trace, zeta
 from .database import (
+    PER_CYCLE,
+    SECTIONS,
     OrbitDatabase,
     build_database,
     extend_database,
@@ -161,11 +163,35 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
+    """``orbits.csv`` written row by row from the columns; the bytes are
+    those of :func:`_write_csv`, whose ``_fmt`` is ``str`` of an int and
+    ``repr`` of a float."""
+    word, bounds = db.word.tolist(), db.bounds.tolist()
+    rows = zip(
+        bounds,
+        bounds[1:],
+        db.n.tolist(),
+        db.T.tolist(),
+        db.lam.tolist(),
+        db.residual.tolist(),
+        db.shadow_margin.tolist(),
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("word,length,period,lam,residual,shadow_margin\n")
+        for a, b, n, T, lam, residual, margin in rows:
+            symbols = "-".join(map(str, word[a:b]))
+            fh.write(f"{symbols},{n},{T!r},{lam!r},{residual!r},{margin!r}\n")
+
+
 def _out_dir(args) -> Path | None:
     if args.out is None:
         return None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise MalformedInputError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -188,9 +214,13 @@ def _write_manifest(out: Path, args, config_hash: str, params: dict, outputs) ->
 def _restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     if n_max == db.n_max:
         return db
-    # records are sorted by length, so the kept ones are a prefix
+    # rows are sorted by length, so the kept ones are a prefix
     keep = int(np.searchsorted(db.n, n_max, side="right"))
-    return OrbitDatabase(db.config, n_max, db.records[:keep])
+    flat = int(db.bounds[keep])
+    columns = {
+        name: getattr(db, name)[: keep if name in PER_CYCLE else flat] for name, _ in SECTIONS
+    }
+    return OrbitDatabase.from_columns(db.config, n_max, columns)
 
 
 def _load_db(args, default_nmax: int = 10) -> OrbitDatabase:
@@ -280,25 +310,13 @@ def cmd_orbits(args) -> None:
 
     lengths, counts = np.unique(db.n, return_counts=True)
     per_length = ", ".join(f"{n}:{c}" for n, c in zip(lengths.tolist(), counts.tolist()))
-    residuals = [rec.residual for rec in db.records]
     print(f"orbits: {len(db)} primitive cycles (length:count {per_length})")
-    print(f"residuals: min {min(residuals):.3e}, max {max(residuals):.3e}")
+    print(f"residuals: min {db.residual.min():.3e}, max {db.residual.max():.3e}")
 
     out = _out_dir(args)
     if out is not None:
-        rows = [
-            (
-                "-".join(str(s) for s in rec.word),
-                rec.n,
-                rec.T,
-                rec.lam,
-                rec.residual,
-                rec.shadow_margin,
-            )
-            for rec in db.records
-        ]
         path = out / "orbits.csv"
-        _write_csv(path, ["word", "length", "period", "lam", "residual", "shadow_margin"], rows)
+        _write_orbits_csv(path, db)
         _write_manifest(
             out,
             args,

@@ -5,21 +5,26 @@ Each length is one batch: :func:`orbits.solve_orbits` solves and
 certifies its cycles, :func:`stability.stability_records` cross-checks
 their stability, and nothing is solved twice.
 
-Records are kept sorted by (length, word); every consumer iterates in
-that order, which is what makes downstream output byte-reproducible.
-The database also holds the ``n``, ``T`` and ``lam`` columns of its
-records, and ``derived`` memoises arrays that consumers build from
-them.
+The columns are the database.  An :class:`OrbitDatabase` holds one
+read-only array per cache section, in the order of :data:`SECTIONS`:
+``n`` and the scalars ``T``, ``residual``, ``lam`` and ``shadow_margin``
+hold one value per cycle, while ``word`` and the per-bounce arrays
+``angles``, ``flights``, ``cos_incidence`` and ``kappa`` are flat, with
+cycle ``i`` at ``bounds[i]:bounds[i + 1]``.  Rows are sorted by
+(length, word); every consumer reads them in that order, which is what
+makes downstream output byte-reproducible.  ``derived`` memoises arrays
+that consumers build from the columns.  :class:`OrbitRecord` objects
+are a view built on demand: ``records`` builds all of them on first
+access, ``record_for`` one.
 
 The cache (``billzeta-orbit-cache/2``) is one JSON header line followed
-by raw little-endian sections, one column each, in the order of
-:data:`SECTIONS`: the cycle lengths, the flat word symbols, four scalars
-per cycle, and four per-bounce arrays flattened in record order and
-split again by length.  The header holds the configuration, its content
-hash, ``n_max``, the solver version, and each section's name, dtype,
-count and sha256 digest.  A stale cache (another configuration, solver
-version or format) is refused rather than silently reused, and so is a
-cache that lacks a cycle, holds a damaged byte, or runs short or long.
+by the raw little-endian bytes of every column.  The header holds the
+configuration, its content hash, ``n_max``, the solver version, and each
+section's name, dtype, count and sha256 digest.  A stale cache (another
+configuration, solver version or format) is refused rather than
+silently reused, and so is a cache that lacks a cycle, repeats one or
+holds them out of order, holds a damaged byte, or runs short or long.
+A load checks every section and then uses its bytes as the column.
 Stored values are the solver's doubles to the bit, as JSON ``repr``
 kept them in format ``/1``.
 """
@@ -39,6 +44,8 @@ CACHE_FORMAT = "billzeta-orbit-cache/2"
 OLD_CACHE_FORMAT = "billzeta-orbit-cache/1"
 SCALARS = ("T", "residual", "lam", "shadow_margin")
 PER_BOUNCE = ("angles", "flights", "cos_incidence", "kappa")
+# sections with one value per cycle; ``word`` and PER_BOUNCE hold one per bounce
+PER_CYCLE = ("n", *SCALARS)
 # (name, dtype) of every cache section, in file order
 SECTIONS = (
     ("n", "<i8"),
@@ -82,34 +89,108 @@ class OrbitRecord:
         return stability.det_one_minus_poincare(self.lam, r)
 
 
-def _column(values, dtype) -> np.ndarray:
-    column = np.array(values, dtype=dtype)
-    column.flags.writeable = False
-    return column
+def _record_columns(records) -> dict:
+    """The section columns of ``records``, sorted by (length, word)."""
+    records = sorted(records, key=lambda rec: (rec.n, rec.word))
+    return {
+        "n": [rec.n for rec in records],
+        "word": [s for rec in records for s in rec.word],
+        **{name: [getattr(rec, name) for rec in records] for name in SCALARS},
+        **{
+            name: np.concatenate([getattr(rec, name) for rec in records] or [np.empty(0)])
+            for name in PER_BOUNCE
+        },
+    }
 
 
 class OrbitDatabase:
+    """Solved cycles as read-only columns, one per cache section.
+
+    ``OrbitDatabase(config, n_max, records)`` sorts the records and
+    converts them to columns; :meth:`from_columns` takes the columns as
+    they are.
+    """
+
     def __init__(self, config, n_max: int, records):
+        self._set(config, n_max, _record_columns(records))
+
+    @classmethod
+    def from_columns(cls, config, n_max: int, columns: dict) -> "OrbitDatabase":
+        """The database over ``columns`` (section name to values, rows
+        sorted by (length, word)); arrays of the section's dtype are kept
+        without a copy and made read-only."""
+        db = cls.__new__(cls)
+        db._set(config, n_max, columns)
+        return db
+
+    def _set(self, config, n_max, columns):
         self.config = config
         self.config_hash = geometry.config_digest(config)
         self.n_max = int(n_max)
-        self.records = tuple(sorted(records, key=lambda rec: (rec.n, rec.word)))
-        self.by_word = {rec.word: rec for rec in self.records}
-        self.n = _column([rec.n for rec in self.records], np.int64)
-        self.T = _column([rec.T for rec in self.records], float)
-        self.lam = _column([rec.lam for rec in self.records], float)
+        for name, dtype in SECTIONS:
+            column = np.asarray(columns[name], dtype=dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self.bounds = np.concatenate(([0], np.cumsum(self.n)))
+        self.bounds.flags.writeable = False
+        self._records = None
+        self._rows = {}  # length -> {word: row}, filled by row()
         # arrays built from the columns, keyed by their builder and arguments
         self.derived = {}
 
     def __len__(self):
-        return len(self.records)
+        return len(self.n)
+
+    def _records_at(self, start: int, stop: int) -> list:
+        """Rows ``start..stop-1`` as records; the per-bounce arrays are
+        views of the columns."""
+        a, b = int(self.bounds[start]), int(self.bounds[stop])
+        spans = (self.bounds[start : stop + 1] - a).tolist()
+        word = self.word[a:b].tolist()
+        T, residual, lam, margin = (getattr(self, name)[start:stop].tolist() for name in SCALARS)
+        angles, flights, cos_incidence, kappa = (getattr(self, name)[a:b] for name in PER_BOUNCE)
+        return [
+            OrbitRecord(
+                word=tuple(word[lo:hi]),
+                T=T[i],
+                angles=angles[lo:hi],
+                flights=flights[lo:hi],
+                cos_incidence=cos_incidence[lo:hi],
+                residual=residual[i],
+                kappa=kappa[lo:hi],
+                lam=lam[i],
+                shadow_margin=margin[i],
+            )
+            for i, (lo, hi) in enumerate(zip(spans, spans[1:]))
+        ]
+
+    @property
+    def records(self) -> tuple:
+        """Every cycle as an :class:`OrbitRecord`, in row order; built on
+        first access."""
+        if self._records is None:
+            self._records = tuple(self._records_at(0, len(self)))
+        return self._records
+
+    def row(self, word) -> int:
+        """Row of the cycle ``word``.  The word index of a length is built
+        on the first call for that length."""
+        word = tuple(word)
+        length = len(word)
+        if length not in self._rows:
+            # the rows of one length are contiguous, one word of ``length`` symbols each
+            start = int(np.searchsorted(self.n, length, side="left"))
+            stop = int(np.searchsorted(self.n, length, side="right"))
+            block = self.word[self.bounds[start] : self.bounds[stop]].reshape(stop - start, length)
+            self._rows[length] = {tuple(w): start + i for i, w in enumerate(block.tolist())}
+        row = self._rows[length].get(word)
+        if row is None:
+            raise DomainError(f"orbit database has no cycle {word}")
+        return row
 
     def record_for(self, word) -> OrbitRecord:
-        word = tuple(word)
-        rec = self.by_word.get(word)
-        if rec is None:
-            raise DomainError(f"orbit database has no cycle {word}")
-        return rec
+        row = self.row(word)
+        return self._records_at(row, row + 1)[0]
 
 
 def build_database(config, n_max: int) -> OrbitDatabase:
@@ -130,10 +211,10 @@ def build_database(config, n_max: int) -> OrbitDatabase:
 def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     """``db`` plus every primitive cycle of length db.n_max+1..n_max.
 
-    The records of ``db`` are kept as they are and only the new lengths
-    are solved, each in one batch as in :func:`build_database`.  A row's
-    result does not depend on its batch, so the extended database equals
-    a fresh build to the bit.
+    The rows of ``db`` are kept as they are and only the new lengths are
+    solved, each in one batch as in :func:`build_database`; each column
+    is concatenated once at the end.  A row's result does not depend on
+    its batch, so the extended database equals a fresh build to the bit.
     """
     config = db.config
     report = geometry.validate(config)
@@ -142,41 +223,34 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     if not report.ok:
         raise DomainError(f"configuration rejected: {report.summary()}")
     words = symbolic.enumerate_cycles(config.r, n_max)
-    records = list(db.records)
+    parts = {name: [getattr(db, name)] for name, _ in SECTIONS}
     for n in range(db.n_max + 1, n_max + 1):
         solved = orbits.solve_orbits(config, [w for w in words if len(w) == n])
-        records += [
-            OrbitRecord(
-                word=orbit.word,
-                T=orbit.T,
-                angles=orbit.angles,
-                flights=orbit.flights,
-                cos_incidence=orbit.cos_incidence,
-                residual=orbit.residual,
-                kappa=stab.kappa,
-                lam=stab.lam,
-                shadow_margin=orbit.shadow_margin,
-            )
-            for orbit, stab in zip(solved, stability.stability_records(config, solved))
-        ]
-    return OrbitDatabase(config, n_max, records)
+        stable = stability.stability_records(config, solved)
+        # one (rows,) or (rows, n) array per section; rows are in word order
+        batch = {
+            "n": [n] * len(solved),
+            "word": [orbit.word for orbit in solved],
+            "T": [orbit.T for orbit in solved],
+            "residual": [orbit.residual for orbit in solved],
+            "lam": [stab.lam for stab in stable],
+            "shadow_margin": [orbit.shadow_margin for orbit in solved],
+            "angles": [orbit.angles for orbit in solved],
+            "flights": [orbit.flights for orbit in solved],
+            "cos_incidence": [orbit.cos_incidence for orbit in solved],
+            "kappa": [stab.kappa for stab in stable],
+        }
+        for name, dtype in SECTIONS:
+            parts[name].append(np.asarray(batch[name], dtype=dtype).ravel())
+    columns = {name: np.concatenate(parts[name]) for name in parts}
+    return OrbitDatabase.from_columns(config, n_max, columns)
 
 
 def _encode(db: OrbitDatabase) -> bytes:
     """The cache file of ``db``: header line, then every section's bytes."""
-    records = db.records
-    columns = {
-        "n": db.n,
-        "word": [s for rec in records for s in rec.word],
-        **{name: [getattr(rec, name) for rec in records] for name in SCALARS},
-        **{
-            name: np.concatenate([getattr(rec, name) for rec in records] or [np.empty(0)])
-            for name in PER_BOUNCE
-        },
-    }
     entries, payload = [], []
     for name, dtype in SECTIONS:
-        data = np.asarray(columns[name], dtype=dtype).tobytes()
+        data = getattr(db, name).tobytes()
         entries.append(
             {
                 "name": name,
@@ -205,6 +279,8 @@ def save_database(db: OrbitDatabase, path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_encode(db))
         os.replace(tmp, path)
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write orbit cache {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -276,6 +352,38 @@ def _read_sections(path, header: dict, blob: bytes, offset: int) -> dict:
     return columns
 
 
+def _check_order(path, n, word, counts: dict) -> None:
+    """Refuse rows whose (length, word) does not increase strictly from
+    one row to the next: a repeated cycle or two cycles out of order.
+    ``counts`` maps each length of ``n`` to its number of rows."""
+    down = np.flatnonzero(np.diff(n) < 0)
+    if down.size:
+        row = int(down[0])
+        raise MalformedInputError(
+            f"orbit cache {path}: rows {row} and {row + 1} are out of (length, word) "
+            f"order; re-run `billzeta orbits` to rebuild it"
+        )
+    row = start = 0
+    for length, count in sorted(counts.items()):
+        block = word[start : start + count * length].reshape(count, length)
+        prev, this = block[:-1], block[1:]
+        differ = prev != this
+        # first symbol where each row differs from the one before it
+        at = differ.argmax(axis=1)
+        idx = np.arange(count - 1)
+        repeated = ~differ.any(axis=1)
+        bad = np.flatnonzero(repeated | (this[idx, at] < prev[idx, at]))
+        if bad.size:
+            i = int(bad[0])
+            what = "repeat one cycle" if repeated[i] else "are out of (length, word) order"
+            raise MalformedInputError(
+                f"orbit cache {path}: rows {row + i} and {row + i + 1} {what}; "
+                f"re-run `billzeta orbits` to rebuild it"
+            )
+        row += count
+        start += count * length
+
+
 def load_database(path, config=None) -> OrbitDatabase:
     """Read a cache written by :func:`save_database`, refusing hash or
     schema mismatches.
@@ -314,23 +422,5 @@ def load_database(path, config=None) -> OrbitDatabase:
                 f"orbit cache {path} holds {counts.get(length, 0)} cycles of length "
                 f"{length}, expected {want}; re-run `billzeta orbits` to rebuild it"
             )
-    bounds = np.concatenate(([0], np.cumsum(n))).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    word = columns["word"].tolist()
-    T, residual, lam, margin = (columns[name].tolist() for name in SCALARS)
-    angles, flights, cos_incidence, kappa = (columns[name] for name in PER_BOUNCE)
-    records = [
-        OrbitRecord(
-            word=tuple(word[a:b]),
-            T=T[i],
-            angles=angles[a:b],
-            flights=flights[a:b],
-            cos_incidence=cos_incidence[a:b],
-            residual=residual[i],
-            kappa=kappa[a:b],
-            lam=lam[i],
-            shadow_margin=margin[i],
-        )
-        for i, (a, b) in enumerate(spans)
-    ]
-    return OrbitDatabase(cached, n_max, records)
+    _check_order(path, n, columns["word"], counts)
+    return OrbitDatabase.from_columns(cached, n_max, columns)

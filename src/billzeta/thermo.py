@@ -34,17 +34,16 @@ def cylinder_values(db, word):
 
     The word is closed, reduced to its primitive root, and looked up in
     the database; the center position is mapped through the canonical
-    rotation to index the stored per-bounce arrays.
+    rotation to index the cycle's row of the flat per-bounce columns.
     """
     k = len(word) - 1
     closed = closing_word(word)
     root, _ = primitive_root(closed)
     canon, shift = canonical_rotation(root)
-    rec = db.record_for(canon)
     m = (k // 2) % len(root)
-    idx = (m - shift) % len(root)
-    f = float(rec.flights[idx])
-    kappa = float(rec.kappa[idx])
+    at = db.bounds[db.row(canon)] + (m - shift) % len(root)
+    f = float(db.flights[at])
+    kappa = float(db.kappa[at])
     g = -np.log1p(f * kappa)
     return f, kappa, g
 

@@ -484,14 +484,16 @@ def eta_tail_bound(db, exp: DeterminantExpansion, s_re: float) -> float:
     """Bound on the k > k_max remainder when comparing (log D)' with the
     half-weight series on the same (p, r) atoms."""
     total = 0.0
-    for rec in db.records:
-        if rec.n > exp.N:
-            continue
+    # rows are sorted by length, so the cycles of length <= N are a prefix
+    keep = int(np.searchsorted(db.n, exp.N, side="right"))
+    for n, T, lam_abs in zip(
+        db.n[:keep].tolist(), db.T[:keep].tolist(), np.abs(db.lam[:keep]).tolist()
+    ):
         r = 1
-        while r * rec.n <= exp.N:
-            lam_r = rec.lam_abs ** (-float(r))
+        while r * n <= exp.N:
+            lam_r = lam_abs ** (-float(r))
             tail = lam_r ** (exp.k_max + 1) / (1.0 - lam_r)
-            total += rec.T * np.exp(-s_re * r * rec.T) * rec.lam_abs ** (-r / 2.0) * tail
+            total += T * np.exp(-s_re * r * T) * lam_abs ** (-r / 2.0) * tail
             r += 1
     return float(total)
 

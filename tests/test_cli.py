@@ -354,3 +354,55 @@ def test_csv_lf_line_endings(cli_env, tmp_path):
     raw = (out_dir / "counting.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def test_unwritable_output_paths_are_malformed_input(cli_env, tmp_path):
+    cfg = cli_env["config"]
+    cache = tmp_path / "no-such-dir" / "c.bin"
+    out = run_cli("orbits", "--config", cfg, "--cache", cache, "--nmax", 4)
+    assert out.returncode == 1, out.stderr
+    assert f"cannot write orbit cache {cache}" in out.stderr
+    assert "Traceback" not in out.stderr
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    out = run_cli("abscissas", "--config", cfg, "--nmax", 6, "--out", taken)
+    assert out.returncode == 1, out.stderr
+    assert f"cannot create output directory {taken}" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_orbits_csv_equals_the_row_writer(tmp_path, db12, db_four7):
+    from billzeta import cli
+
+    header = ["word", "length", "period", "lam", "residual", "shadow_margin"]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    for db in (db12, db_four7):
+        rows = [
+            ("-".join(str(s) for s in rec.word), rec.n, rec.T, rec.lam, rec.residual,
+             rec.shadow_margin)
+            for rec in db.records
+        ]
+        cli._write_csv(want, header, rows)
+        cli._write_orbits_csv(got, db)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_consumers_of_a_cache_build_no_records(cli_env, tmp_path, monkeypatch):
+    from billzeta import cli, database
+
+    made = []
+    record = database.OrbitRecord
+
+    def counting(*args, **kwargs):
+        made.append(kwargs.get("word"))
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(database, "OrbitRecord", counting)
+    cache = str(cli_env["cache"])
+    for argv in (
+        ["orbits", "--cache", cache, "--nmax", "8"],
+        ["abscissas", "--cache", cache],
+        ["poles", "--cache", cache],
+    ):
+        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv
+    assert made == []

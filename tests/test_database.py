@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from billzeta import database
-from billzeta.database import OrbitDatabase, build_database, load_database, save_database
+from billzeta import cli, database
+from billzeta.database import (
+    OrbitDatabase,
+    OrbitRecord,
+    build_database,
+    extend_database,
+    load_database,
+    save_database,
+)
 from billzeta.errors import (
     DomainError,
     EclipseError,
@@ -12,10 +19,15 @@ from billzeta.errors import (
     StaleCacheError,
 )
 from billzeta.geometry import Configuration, Disk, validate
-from billzeta.orbits import solve_orbit
-from billzeta.stability import det_one_minus_poincare, stability_record
-from billzeta.symbolic import primitive_class_count
+from billzeta.orbits import solve_orbit, solve_orbits
+from billzeta.stability import det_one_minus_poincare, stability_record, stability_records
+from billzeta.symbolic import enumerate_cycles, primitive_class_count
 from tests.conftest import equilateral_config
+
+
+@pytest.fixture(scope="module")
+def db14(config):
+    return build_database(config, 14)
 
 
 def test_counts_per_length_match_class_counts(db12):
@@ -29,8 +41,10 @@ def test_records_sorted_and_indexed(db12):
     assert keys == sorted(keys)
     rec = db12.record_for((1, 2))
     assert rec.word == (1, 2)
-    with pytest.raises(DomainError):
-        db12.record_for((1, 2, 1, 2))
+    # a repeated block, a non-canonical rotation, lengths past n_max and below 2
+    for word in ((1, 2, 1, 2), (2, 1), (1, 2) * 6 + (3,), (1,), ()):
+        with pytest.raises(DomainError, match="has no cycle"):
+            db12.record_for(word)
 
 
 def test_record_repetition_determinant(db12):
@@ -44,7 +58,9 @@ def assert_same_records(a, b):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert x.word == y.word
+        assert type(y.word) is tuple and all(type(s) is int for s in y.word)
         for name in database.SCALARS:
+            assert type(getattr(y, name)) is float
             assert np.float64(getattr(x, name)).tobytes() == np.float64(getattr(y, name)).tobytes()
         for name in database.PER_BOUNCE:
             assert len(getattr(y, name)) == x.n
@@ -216,3 +232,99 @@ def test_failed_save_keeps_the_previous_cache(tmp_path, db8, monkeypatch):
         save_database(db8, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.jsonl"]
+
+
+def assert_same_columns(a, b):
+    """Every column and ``bounds`` of two databases are equal to the bit."""
+    assert (a.config_hash, a.n_max, len(a)) == (b.config_hash, b.n_max, len(b))
+    for name in (*(name for name, _ in database.SECTIONS), "bounds"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+        assert not y.flags.writeable, name
+
+
+def test_columns_agree_across_build_paths(tmp_path, config, db12, db14, db_four7):
+    path = tmp_path / "cache"
+    save_database(db14, path)
+    assert_same_columns(db14, extend_database(db12, 14))
+    assert_same_columns(db14, load_database(path))
+    assert_same_columns(build_database(config, 10), cli._restrict(db14, 10))
+    assert cli._restrict(db14, 14) is db14
+    # the records constructor sorts its input
+    assert_same_columns(db12, OrbitDatabase(config, 12, reversed(db12.records)))
+    four5 = build_database(db_four7.config, 5)
+    assert_same_columns(db_four7, extend_database(four5, 7))
+    assert_same_columns(four5, cli._restrict(db_four7, 5))
+    save_database(db_four7, path)
+    assert_same_columns(db_four7, load_database(path))
+    assert db14.bounds.tolist() == [0, *np.cumsum(db14.n).tolist()]
+
+
+def solved_records(db):
+    """Records of every length's solve and stability batch, one object per
+    cycle: how the database was built before it was columnar."""
+    config, records = db.config, []
+    words = enumerate_cycles(config.r, db.n_max)
+    for n in range(2, db.n_max + 1):
+        solved = solve_orbits(config, [w for w in words if len(w) == n])
+        records += [
+            OrbitRecord(
+                word=orbit.word,
+                T=orbit.T,
+                angles=orbit.angles,
+                flights=orbit.flights,
+                cos_incidence=orbit.cos_incidence,
+                residual=orbit.residual,
+                kappa=stab.kappa,
+                lam=stab.lam,
+                shadow_margin=orbit.shadow_margin,
+            )
+            for orbit, stab in zip(solved, stability_records(config, solved))
+        ]
+    return records
+
+
+def test_records_view_equals_the_solved_records(tmp_path, db12, db_four7):
+    path = tmp_path / "cache"
+    for db in (db12, db_four7):
+        save_database(db, path)
+        want = solved_records(db)
+        for view in (db, load_database(path)):
+            assert_same_records(want, view.records)
+            assert view.records is view.records
+            for row in range(0, len(want), 5):
+                word = want[row].word
+                assert_same_records([want[row]], [view.record_for(word)])
+                assert view.row(word) == row
+
+
+def reordered(db, rows):
+    """``db`` with its rows taken in the order ``rows``."""
+    flat = np.concatenate([np.arange(db.bounds[i], db.bounds[i + 1]) for i in rows])
+    columns = {
+        name: getattr(db, name)[rows if name in database.PER_CYCLE else flat]
+        for name, _ in database.SECTIONS
+    }
+    return OrbitDatabase.from_columns(db.config, db.n_max, columns)
+
+
+def test_cache_out_of_order_or_repeating_a_cycle_is_refused(tmp_path, db8):
+    path = tmp_path / "cache"
+    first5 = int(np.searchsorted(db8.n, 5))
+    rows = np.arange(len(db8))
+    swapped, across, repeated = rows.copy(), rows.copy(), rows.copy()
+    swapped[[first5 + 1, first5 + 2]] = [first5 + 2, first5 + 1]
+    across[[first5 - 1, first5]] = [first5, first5 - 1]
+    repeated[first5 + 2] = first5 + 1
+    for order, message in (
+        (swapped, f"rows {first5 + 1} and {first5 + 2} are out of \\(length, word\\) order"),
+        (across, f"rows {first5 - 1} and {first5} are out of \\(length, word\\) order"),
+        (repeated, f"rows {first5 + 1} and {first5 + 2} repeat one cycle"),
+    ):
+        # sections and digests are written afresh: only the order is wrong
+        save_database(reordered(db8, order), path)
+        with pytest.raises(MalformedInputError, match=message):
+            load_database(path)
+    save_database(reordered(db8, rows), path)
+    assert_same_columns(db8, load_database(path))

@@ -440,6 +440,30 @@ def test_tail_bound_positive_and_decreasing(db10, exp10):
     assert b_lo > b_hi > 0.0
 
 
+def record_loop_tail_bound(db, exp, s_re):
+    """The tail bound summed record by record: the reference for the
+    columnar loop."""
+    total = 0.0
+    for rec in db.records:
+        if rec.n > exp.N:
+            continue
+        r = 1
+        while r * rec.n <= exp.N:
+            lam_r = rec.lam_abs ** (-float(r))
+            tail = lam_r ** (exp.k_max + 1) / (1.0 - lam_r)
+            total += rec.T * np.exp(-s_re * r * rec.T) * rec.lam_abs ** (-r / 2.0) * tail
+            r += 1
+    return float(total)
+
+
+def test_tail_bound_equals_the_record_loop(db10, exp10, db12, exp12, db_four7):
+    exp_four = build_determinant(db_four7, 6, k_max=2)
+    for db, exp in ((db10, exp10), (db12, exp10), (db12, exp12), (db_four7, exp_four)):
+        for s_re in (0.0, 0.5):
+            got, want = eta_tail_bound(db, exp, s_re), record_loop_tail_bound(db, exp, s_re)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (exp.N, s_re)
+
+
 def test_conjugate_symmetry_of_determinant(exp12):
     for s in (-0.2 + 0.9j, -0.1 + 1.6j, 0.3 + 2.2j):
         assert abs(exp12.value(np.conj(s)) - np.conj(exp12.value(s))) < 1e-13
