@@ -220,30 +220,37 @@ def _restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     columns = {
         name: getattr(db, name)[: keep if name in PER_CYCLE else flat] for name, _ in SECTIONS
     }
-    return OrbitDatabase.from_columns(db.config, n_max, columns)
+    return OrbitDatabase(db.config, n_max, columns)
 
 
-def _load_db(args, default_nmax: int = 10) -> OrbitDatabase:
-    """Load the cache (cross-checked against --config when both are
-    given) or build in memory from --config; honors --nmax."""
+def _load_db(args, default_nmax: int = 10):
+    """The orbit database and the --out directory (None without --out).
+
+    The database is the cache (cross-checked against --config when both
+    are given) or an in-memory build from --config, honoring --nmax.
+    The arguments and the output directory are checked before any cycle
+    is loaded or solved.
+    """
     config = load_config(args.config) if args.config else None
-    if args.cache and Path(args.cache).exists():
-        db = load_database(args.cache, config)
-        if args.nmax is not None:
-            if args.nmax > db.n_max:
-                raise IncompleteDataError(
-                    f"cache {args.cache} stops at n_max={db.n_max}, requested "
-                    f"{args.nmax}; re-run `billzeta orbits --cache {args.cache} "
-                    f"--nmax {args.nmax}` to extend it"
-                )
-            db = _restrict(db, args.nmax)
-        return db
-    if config is None:
+    cached = bool(args.cache) and Path(args.cache).exists()
+    if not cached and config is None:
         raise MalformedInputError(
             "no orbit data: provide --cache with an existing cache file, or "
             "--config to solve the orbits in memory"
         )
-    return build_database(config, default_nmax if args.nmax is None else args.nmax)
+    out = _out_dir(args)
+    if not cached:
+        return build_database(config, default_nmax if args.nmax is None else args.nmax), out
+    db = load_database(args.cache, config)
+    if args.nmax is not None:
+        if args.nmax > db.n_max:
+            raise IncompleteDataError(
+                f"cache {args.cache} stops at n_max={db.n_max}, requested "
+                f"{args.nmax}; re-run `billzeta orbits --cache {args.cache} "
+                f"--nmax {args.nmax}` to extend it"
+            )
+        db = _restrict(db, args.nmax)
+    return db, out
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +260,11 @@ def _load_db(args, default_nmax: int = 10) -> OrbitDatabase:
 def cmd_validate(args) -> None:
     if not args.config:
         raise MalformedInputError("validate requires --config")
+    out = _out_dir(args)
     config = load_config(args.config)
     report = validate(config)
     print(f"configuration: {config.r} disks, hash {config_digest(config)[:12]}")
     print(report.summary())
-    out = _out_dir(args)
     if out is not None:
         path = out / "validate_report.json"
         payload = {
@@ -280,10 +287,12 @@ def cmd_validate(args) -> None:
 
 
 def cmd_orbits(args) -> None:
+    cache = Path(args.cache) if args.cache else None
+    if not args.config and (cache is None or not cache.exists()):
+        raise MalformedInputError("orbits requires --config (or an existing --cache)")
+    out = _out_dir(args)
     n_max = 10 if args.nmax is None else args.nmax
     config = load_config(args.config) if args.config else None
-    db = None
-    cache = Path(args.cache) if args.cache else None
     if cache is not None and cache.exists():
         cached = load_database(cache, config)
         if cached.n_max >= n_max:
@@ -300,20 +309,17 @@ def cmd_orbits(args) -> None:
             db = extend_database(cached, n_max)
             save_database(db, cache)
             print(f"wrote {cache}")
-    elif config is not None:
+    else:
         db = build_database(config, n_max)
         if cache is not None:
             save_database(db, cache)
             print(f"wrote {cache}")
-    else:
-        raise MalformedInputError("orbits requires --config (or an existing --cache)")
 
     lengths, counts = np.unique(db.n, return_counts=True)
     per_length = ", ".join(f"{n}:{c}" for n, c in zip(lengths.tolist(), counts.tolist()))
     print(f"orbits: {len(db)} primitive cycles (length:count {per_length})")
     print(f"residuals: min {db.residual.min():.3e}, max {db.residual.max():.3e}")
 
-    out = _out_dir(args)
     if out is not None:
         path = out / "orbits.csv"
         _write_orbits_csv(path, db)
@@ -327,7 +333,7 @@ def cmd_orbits(args) -> None:
 
 
 def cmd_abscissas(args) -> None:
-    db = _load_db(args)
+    db, out = _load_db(args)
     k = args.k if args.k is not None else min(6, db.n_max - 1)
     n = args.n if args.n is not None else min(10, db.n_max)
     pot = thermo.build_potentials(db, k)
@@ -349,7 +355,6 @@ def cmd_abscissas(args) -> None:
     print(f"ordering b1 < a1 < h: {'ok' if order_ok else 'VIOLATED'}")
     print(f"sign of P(g) at s=0: {sign:+d} (value {pg:.3e})")
     print(f"twisted spectrum distance from +1 at s=b1: {gap:.6f}")
-    out = _out_dir(args)
     if out is not None:
         path = out / "abscissas.csv"
         _write_csv(path, ["quantity", "method", "order", "value"], rows)
@@ -359,7 +364,7 @@ def cmd_abscissas(args) -> None:
 
 
 def cmd_zeta(args) -> None:
-    db = _load_db(args)
+    db, out = _load_db(args)
     est_rows = []
     shell_rows = []
     for weight, parity in (
@@ -377,7 +382,6 @@ def cmd_zeta(args) -> None:
         for m, total, mean_tau in shells:
             shell_rows.append((label, m, total, mean_tau))
         print(f"growth of {label:<12s} series: {est:+.6f} (spread {err:.1e})")
-    out = _out_dir(args)
     if out is not None:
         p1 = out / "zeta_estimates.csv"
         _write_csv(p1, ["series", "estimate", "spread"], est_rows)
@@ -412,7 +416,7 @@ def _default_pole_search(exp):
 
 
 def cmd_poles(args) -> None:
-    db = _load_db(args)
+    db, out = _load_db(args)
     det_n = args.det_n if args.det_n is not None else min(12, db.n_max)
     exp = zeta.build_determinant(db, det_n, k_max=args.det_kmax)
     print(f"determinant truncation N={det_n}, repetitions k<={args.det_kmax}, "
@@ -430,7 +434,6 @@ def cmd_poles(args) -> None:
     for p in poles:
         print(f"  {p.s.real:+.10f} {p.s.imag:+.10f}i  m={p.multiplicity}  "
               f"|D|={p.residual:.1e}  margin {p.trust_margin:.1f}")
-    out = _out_dir(args)
     if out is not None:
         path = out / "poles.csv"
         _write_csv(path, ["re", "im", "multiplicity", "residual", "trust_margin"], rows)
@@ -449,14 +452,13 @@ def cmd_poles(args) -> None:
 
 
 def cmd_counting(args) -> None:
-    db = _load_db(args)
+    db, out = _load_db(args)
     k = args.k if args.k is not None else min(6, db.n_max - 1)
     h = thermo.solve_abscissa(db, 0.0, "transfer", k=k)
     rows = zeta.counting_check(db, h)
     print(f"h = {h:.10f} (transfer, k={k})")
     x, count, model, ratio = rows[-1]
     print(f"at x={x:.2f}: N(x)={count}, e^(hx)/(hx)={model:.1f}, ratio {ratio:.3f}")
-    out = _out_dir(args)
     if out is not None:
         path = out / "counting.csv"
         _write_csv(path, ["x", "count", "model", "ratio"], rows)
@@ -466,11 +468,11 @@ def cmd_counting(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    db = _load_db(args)
+    db, out = _load_db(args)
     bump = trace.BumpFunction()
     measure = trace.build_measure(db, "dirichlet")
     gamma0 = (1, 2)
-    t0 = db.record_for(gamma0).T
+    t0 = float(db.T[db.row(gamma0)])
     j_max = max(2, min(6, int((measure.cutoff - 1.0) // t0)))
     scan = trace.ikawa_scan(db, args.beta, args.alpha0, j_max, gamma0=gamma0, bump=bump)
     n_pass = sum(1 for r in scan.rows if r[4])
@@ -515,7 +517,6 @@ def cmd_trace(args) -> None:
             print(f"  ell={ell:6.2f}  orbit {orbit:+.3e}  resonance {res:+.3e}  "
                   f"ratio {ratio:+.3f}")
 
-    out = _out_dir(args)
     if out is not None:
         outputs = []
         p = out / "trace_windows.csv"

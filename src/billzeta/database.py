@@ -3,7 +3,9 @@ and equipped with stability data, plus the binary cache format.
 
 Each length is one batch: :func:`orbits.solve_orbits` solves and
 certifies its cycles, :func:`stability.stability_records` cross-checks
-their stability, and nothing is solved twice.
+their stability, and nothing is solved twice.  Both return columns, one
+row per cycle, which are concatenated into the database's columns; no
+object is built per cycle on the way from the Newton batch to the cache.
 
 The columns are the database.  An :class:`OrbitDatabase` holds one
 read-only array per cache section, in the order of :data:`SECTIONS`:
@@ -13,9 +15,7 @@ hold one value per cycle, while ``word`` and the per-bounce arrays
 cycle ``i`` at ``bounds[i]:bounds[i + 1]``.  Rows are sorted by
 (length, word); every consumer reads them in that order, which is what
 makes downstream output byte-reproducible.  ``derived`` memoises arrays
-that consumers build from the columns.  :class:`OrbitRecord` objects
-are a view built on demand: ``records`` builds all of them on first
-access, ``record_for`` one.
+that consumers build from the columns, and ``row`` finds a cycle's row.
 
 The cache (``billzeta-orbit-cache/2``) is one JSON header line followed
 by the raw little-endian bytes of every column.  The header holds the
@@ -32,7 +32,6 @@ kept them in format ``/1``.
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,75 +54,15 @@ SECTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """Solved primitive cycle with stability attached."""
-
-    word: tuple
-    T: float
-    angles: np.ndarray
-    flights: np.ndarray
-    cos_incidence: np.ndarray
-    residual: float
-    kappa: np.ndarray
-    lam: float  # signed expanding eigenvalue per primitive period
-    shadow_margin: float
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    @property
-    def lam_abs(self) -> float:
-        return abs(self.lam)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.lam < 0 else 1
-
-    @property
-    def d_gamma(self) -> float:
-        return float(np.log(abs(self.lam)))
-
-    def det_one_minus_p(self, r: int = 1) -> float:
-        return stability.det_one_minus_poincare(self.lam, r)
-
-
-def _record_columns(records) -> dict:
-    """The section columns of ``records``, sorted by (length, word)."""
-    records = sorted(records, key=lambda rec: (rec.n, rec.word))
-    return {
-        "n": [rec.n for rec in records],
-        "word": [s for rec in records for s in rec.word],
-        **{name: [getattr(rec, name) for rec in records] for name in SCALARS},
-        **{
-            name: np.concatenate([getattr(rec, name) for rec in records] or [np.empty(0)])
-            for name in PER_BOUNCE
-        },
-    }
-
-
 class OrbitDatabase:
     """Solved cycles as read-only columns, one per cache section.
 
-    ``OrbitDatabase(config, n_max, records)`` sorts the records and
-    converts them to columns; :meth:`from_columns` takes the columns as
-    they are.
+    ``columns`` maps each section name to its values, rows sorted by
+    (length, word); arrays of the section's dtype are kept without a
+    copy and made read-only.
     """
 
-    def __init__(self, config, n_max: int, records):
-        self._set(config, n_max, _record_columns(records))
-
-    @classmethod
-    def from_columns(cls, config, n_max: int, columns: dict) -> "OrbitDatabase":
-        """The database over ``columns`` (section name to values, rows
-        sorted by (length, word)); arrays of the section's dtype are kept
-        without a copy and made read-only."""
-        db = cls.__new__(cls)
-        db._set(config, n_max, columns)
-        return db
-
-    def _set(self, config, n_max, columns):
+    def __init__(self, config, n_max: int, columns: dict):
         self.config = config
         self.config_hash = geometry.config_digest(config)
         self.n_max = int(n_max)
@@ -133,44 +72,12 @@ class OrbitDatabase:
             setattr(self, name, column)
         self.bounds = np.concatenate(([0], np.cumsum(self.n)))
         self.bounds.flags.writeable = False
-        self._records = None
         self._rows = {}  # length -> {word: row}, filled by row()
         # arrays built from the columns, keyed by their builder and arguments
         self.derived = {}
 
     def __len__(self):
         return len(self.n)
-
-    def _records_at(self, start: int, stop: int) -> list:
-        """Rows ``start..stop-1`` as records; the per-bounce arrays are
-        views of the columns."""
-        a, b = int(self.bounds[start]), int(self.bounds[stop])
-        spans = (self.bounds[start : stop + 1] - a).tolist()
-        word = self.word[a:b].tolist()
-        T, residual, lam, margin = (getattr(self, name)[start:stop].tolist() for name in SCALARS)
-        angles, flights, cos_incidence, kappa = (getattr(self, name)[a:b] for name in PER_BOUNCE)
-        return [
-            OrbitRecord(
-                word=tuple(word[lo:hi]),
-                T=T[i],
-                angles=angles[lo:hi],
-                flights=flights[lo:hi],
-                cos_incidence=cos_incidence[lo:hi],
-                residual=residual[i],
-                kappa=kappa[lo:hi],
-                lam=lam[i],
-                shadow_margin=margin[i],
-            )
-            for i, (lo, hi) in enumerate(zip(spans, spans[1:]))
-        ]
-
-    @property
-    def records(self) -> tuple:
-        """Every cycle as an :class:`OrbitRecord`, in row order; built on
-        first access."""
-        if self._records is None:
-            self._records = tuple(self._records_at(0, len(self)))
-        return self._records
 
     def row(self, word) -> int:
         """Row of the cycle ``word``.  The word index of a length is built
@@ -188,10 +95,6 @@ class OrbitDatabase:
             raise DomainError(f"orbit database has no cycle {word}")
         return row
 
-    def record_for(self, word) -> OrbitRecord:
-        row = self.row(word)
-        return self._records_at(row, row + 1)[0]
-
 
 def build_database(config, n_max: int) -> OrbitDatabase:
     """Solve every primitive cycle of length 2..n_max.
@@ -201,11 +104,10 @@ def build_database(config, n_max: int) -> OrbitDatabase:
     error.  All cycles of one length are solved and certified in one
     :func:`orbits.solve_orbits` batch and cross-checked in one
     :func:`stability.stability_records` batch; a row's result does not
-    depend on its batch, so every record equals the lone solve of its
-    word.
+    depend on its batch, so every row equals the lone solve of its word.
     """
     # no cycle is shorter than 2, so an empty database stops at n_max = 1
-    return extend_database(OrbitDatabase(config, 1, []), n_max)
+    return extend_database(OrbitDatabase(config, 1, {name: () for name, _ in SECTIONS}), n_max)
 
 
 def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
@@ -226,24 +128,16 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     parts = {name: [getattr(db, name)] for name, _ in SECTIONS}
     for n in range(db.n_max + 1, n_max + 1):
         solved = orbits.solve_orbits(config, [w for w in words if len(w) == n])
-        stable = stability.stability_records(config, solved)
+        labels = solved["labels"]
+        kappa, lam = stability.stability_records(
+            config, labels, solved["flights"], solved["cos_incidence"]
+        )
         # one (rows,) or (rows, n) array per section; rows are in word order
-        batch = {
-            "n": [n] * len(solved),
-            "word": [orbit.word for orbit in solved],
-            "T": [orbit.T for orbit in solved],
-            "residual": [orbit.residual for orbit in solved],
-            "lam": [stab.lam for stab in stable],
-            "shadow_margin": [orbit.shadow_margin for orbit in solved],
-            "angles": [orbit.angles for orbit in solved],
-            "flights": [orbit.flights for orbit in solved],
-            "cos_incidence": [orbit.cos_incidence for orbit in solved],
-            "kappa": [stab.kappa for stab in stable],
-        }
+        batch = dict(solved, n=np.full(len(labels), n), word=labels, kappa=kappa, lam=lam)
         for name, dtype in SECTIONS:
             parts[name].append(np.asarray(batch[name], dtype=dtype).ravel())
     columns = {name: np.concatenate(parts[name]) for name in parts}
-    return OrbitDatabase.from_columns(config, n_max, columns)
+    return OrbitDatabase(config, n_max, columns)
 
 
 def _encode(db: OrbitDatabase) -> bytes:
@@ -423,4 +317,4 @@ def load_database(path, config=None) -> OrbitDatabase:
                 f"{length}, expected {want}; re-run `billzeta orbits` to rebuild it"
             )
     _check_order(path, n, columns["word"], counts)
-    return OrbitDatabase.from_columns(cached, n_max, columns)
+    return OrbitDatabase(cached, n_max, columns)

@@ -7,9 +7,11 @@ Hessian.  :func:`solve_orbits` runs the iteration on an ``(M, n)`` array
 of angles, one row per cycle of length ``n``, then certifies every row:
 the residual, the incidence angles and the reflection law over
 ``(M, n)`` arrays, and the clearance of each flight from every disk over
-``(M, n, r)``.  Every row follows exactly the steps it would take alone,
-so a whole length is solved and certified in one batch, and
-:func:`solve_orbit` is the one-row batch.
+``(M, n, r)``.  It returns those arrays as columns, one row per cycle,
+and builds no object per cycle.  Every row follows exactly the steps it
+would take alone, so a whole length is solved and certified in one
+batch, and :func:`solve_orbit` is the one-row batch, returned as a
+:class:`PeriodicOrbit`.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,6 @@ FULL_STEP_RESIDUAL = 1e-6
 class PeriodicOrbit:
     word: tuple
     angles: np.ndarray
-    points: np.ndarray
     flights: np.ndarray
     T: float
     cos_incidence: np.ndarray
@@ -41,6 +42,11 @@ class PeriodicOrbit:
     @property
     def n(self) -> int:
         return len(self.word)
+
+
+def _word(labels, i):
+    """Row ``i`` of ``labels`` as a word, for messages."""
+    return tuple(labels[i].tolist())
 
 
 def _check_words(config, words):
@@ -59,7 +65,7 @@ def _check_words(config, words):
     bad = np.flatnonzero(short | outside | repeat)
     if bad.size:
         i = bad[0]
-        word = tuple(labels[i].tolist())
+        word = _word(labels, i)
         if short[i]:
             raise DomainError(f"itinerary {word} is too short")
         if outside[i]:
@@ -234,7 +240,7 @@ def solve_orbits(
     theta0=None,
     tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITER,
-) -> list:
+) -> dict:
     """Solve the periodic orbits of equal-length cyclic itineraries in one
     batch, one row per word.
 
@@ -254,6 +260,15 @@ def solve_orbits(
     Every row goes through the same Newton steps and checks as it would
     alone, so the orbits do not depend on which words share the batch.
 
+    Returns
+    -------
+    dict
+        ``labels`` (the words), ``angles``, ``flights`` and
+        ``cos_incidence`` as ``(M, n)`` arrays; ``T``, ``residual`` (sup
+        norm of the length gradient) and ``shadow_margin`` (least
+        clearance of a flight from a disk it does not touch) as ``(M,)``
+        arrays.  Row ``i`` is ``words[i]``.
+
     Raises
     ------
     SolverError
@@ -264,7 +279,6 @@ def solve_orbits(
         inadmissible, or a segment crosses an obstacle.
     """
     labels = _check_words(config, words)
-    words = [tuple(w) for w in labels.tolist()]
     m, n = labels.shape
     cx, cy, rad = _disks(config, labels)
     if theta0 is None:
@@ -278,7 +292,7 @@ def solve_orbits(
     if stalled.size:
         i = stalled[0]
         raise SolverError(
-            f"orbit solve for {words[i]} stalled at residual {gnorm[i]:.3e}",
+            f"orbit solve for {_word(labels, i)} stalled at residual {gnorm[i]:.3e}",
             residual=float(gnorm[i]),
         )
     theta = np.mod(theta, 2.0 * np.pi)
@@ -292,7 +306,7 @@ def solve_orbits(
     if bad.size:
         i = bad[0, 0]
         raise SolverError(
-            f"orbit for {words[i]} is tangential or enters its own disk",
+            f"orbit for {_word(labels, i)} is tangential or enters its own disk",
             residual=float(gnorm[i]),
         )
 
@@ -304,7 +318,7 @@ def solve_orbits(
     if bad.size:
         i, j = bad[0]
         raise SolverError(
-            f"reflection law violated at bounce {j} of {words[i]}",
+            f"reflection law violated at bounce {j} of {_word(labels, i)}",
             residual=float(gnorm[i]),
         )
 
@@ -324,24 +338,17 @@ def solve_orbits(
     crossing = np.argwhere(margin <= 0.0)
     if crossing.size:
         i, j, k = crossing[0]
-        raise DomainError(f"segment {j} of orbit {words[i]} crosses disk {k + 1}")
+        raise DomainError(f"segment {j} of orbit {_word(labels, i)} crosses disk {k + 1}")
 
-    points = np.stack((px, py), axis=-1)
-    period = flights.sum(axis=1)
-    shadow = margin.min(axis=(1, 2))
-    return [
-        PeriodicOrbit(
-            word=word,
-            angles=theta[i],
-            points=points[i],
-            flights=flights[i],
-            T=float(period[i]),
-            cos_incidence=cos_inc[i],
-            residual=float(gnorm[i]),
-            shadow_margin=float(shadow[i]),
-        )
-        for i, word in enumerate(words)
-    ]
+    return {
+        "labels": labels,
+        "angles": theta,
+        "flights": flights,
+        "cos_incidence": cos_inc,
+        "T": flights.sum(axis=1),
+        "residual": gnorm,
+        "shadow_margin": margin.min(axis=(1, 2)),
+    }
 
 
 def solve_orbit(
@@ -355,7 +362,16 @@ def solve_orbit(
     one-row batch of :func:`solve_orbits`, which gives the parameters and
     the errors raised."""
     start = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
-    return solve_orbits(config, [word], start, tol, max_iter)[0]
+    rows = solve_orbits(config, [word], start, tol, max_iter)
+    return PeriodicOrbit(
+        word=_word(rows["labels"], 0),
+        angles=rows["angles"][0],
+        flights=rows["flights"][0],
+        T=float(rows["T"][0]),
+        cos_incidence=rows["cos_incidence"][0],
+        residual=float(rows["residual"][0]),
+        shadow_margin=float(rows["shadow_margin"][0]),
+    )
 
 
 def orbit_with_repetition(orbit: PeriodicOrbit, r: int):

@@ -8,10 +8,12 @@ raises.  Each reflection flips orientation, so the signed eigenvalue
 carries a factor (-1) per bounce.
 
 Both routes run over ``(M, n)`` arrays, one row per orbit of length
-``n``: :func:`stability_records` certifies a whole length in one batch,
-and :func:`stability_record`, :func:`unstable_curvatures` and
-:func:`monodromy` are its one-row calls.  Nothing mixes rows, so a row's
-result does not depend on its batch.
+``n``: :func:`stability_records` certifies a whole length in one batch
+from the columns :func:`orbits.solve_orbits` returns and gives back the
+curvatures and signed eigenvalues as columns, with no object per cycle.
+:func:`stability_record` (a :class:`StabilityRecord`),
+:func:`unstable_curvatures` and :func:`monodromy` are its one-row calls.
+Nothing mixes rows, so a row's result does not depend on its batch.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HyperbolicityError, NumericalError
-from .orbits import PeriodicOrbit
+from .orbits import PeriodicOrbit, _word
 
 CURVATURE_TOL = 1e-13
 MAX_SWEEPS = 500
@@ -31,16 +33,18 @@ def wavefront_green(kappa: float, y: float) -> float:
     return -0.5 * kappa / (1.0 + kappa * y)
 
 
-def _batch(config, orbits):
-    """Flight lengths, reflection kicks ``2 k_B / cos(phi)`` and boundary
-    curvatures ``k_B`` of equal-length orbits, ``(M, n)`` each."""
-    if not orbits or len({orbit.n for orbit in orbits}) != 1:
-        raise DomainError("a stability batch needs at least one orbit and a single length")
-    idx = np.array([orbit.word for orbit in orbits], dtype=np.int64) - 1
-    kb = 1.0 / config.radii[idx]
-    flights = np.array([orbit.flights for orbit in orbits])
-    kicks = 2.0 * kb / np.array([orbit.cos_incidence for orbit in orbits])
-    return flights, kicks, kb
+def _kicks(config, labels, cos_incidence):
+    """Reflection kicks ``2 k_B / cos(phi)`` and boundary curvatures
+    ``k_B`` along equal-length words, ``(M, n)`` each."""
+    kb = 1.0 / config.radii[labels - 1]
+    return 2.0 * kb / cos_incidence, kb
+
+
+def _one_row(config, orbit: PeriodicOrbit):
+    """Labels, flights, kicks and boundary curvatures of one orbit, as
+    one-row arrays."""
+    labels = np.array([orbit.word], dtype=np.int64)
+    return (labels, orbit.flights[None], *_kicks(config, labels, orbit.cos_incidence[None]))
 
 
 def _curvature_sweeps(flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_SWEEPS):
@@ -75,10 +79,10 @@ def _curvature_sweeps(flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_
     return kappa, sweeps, ~live
 
 
-def _curvatures(orbits, flights, kicks, kb):
+def _curvatures(labels, flights, kicks, kb):
     kappa, _, settled = _curvature_sweeps(flights, kicks, kb)
     if not settled.all():
-        word = orbits[np.flatnonzero(~settled)[0]].word
+        word = _word(labels, np.flatnonzero(~settled)[0])
         raise NumericalError(
             f"curvature transport for {word} did not settle in {MAX_SWEEPS} sweeps"
         )
@@ -103,7 +107,7 @@ def unstable_curvatures(config, orbit: PeriodicOrbit) -> np.ndarray:
     Starts from the boundary curvatures and sweeps the cycle map until
     the sup-norm change per sweep is below 1e-13.
     """
-    return _curvatures([orbit], *_batch(config, [orbit]))[0]
+    return _curvatures(*_one_row(config, orbit))[0]
 
 
 def expansion_factor(orbit: PeriodicOrbit, kappa: np.ndarray):
@@ -115,7 +119,7 @@ def expansion_factor(orbit: PeriodicOrbit, kappa: np.ndarray):
 def monodromy(config, orbit: PeriodicOrbit) -> np.ndarray:
     """Signed 2x2 monodromy: flight blocks [[1, f], [0, 1]], reflection
     blocks [[1, 0], [2 k_B / cos phi, 1]], and a factor -1 per bounce."""
-    flights, kicks, _ = _batch(config, [orbit])
+    _, flights, kicks, _ = _one_row(config, orbit)
     return _monodromies(flights, kicks)[0]
 
 
@@ -153,8 +157,13 @@ class StabilityRecord:
         return float(np.log(self.lam_abs))
 
 
-def stability_records(config, orbits) -> list:
+def stability_records(config, labels, flights, cos_incidence):
     """Stability of equal-length orbits in one batch, both routes per row.
+
+    ``labels``, ``flights`` and ``cos_incidence`` are the ``(M, n)``
+    columns of :func:`orbits.solve_orbits`.  Returns the periodic
+    curvatures ``kappa``, ``(M, n)``, and the signed expanding
+    eigenvalues ``lam``, ``(M,)``.
 
     Raises
     ------
@@ -165,41 +174,44 @@ def stability_records(config, orbits) -> list:
         eigenvalue disagrees with the curvature route beyond a relative
         1e-8.
     DomainError
-        If the batch is empty or mixes lengths.
+        If the batch is empty or the three arrays are not of one
+        ``(M, n)`` shape.
     """
-    flights, kicks, kb = _batch(config, orbits)
-    kappa = _curvatures(orbits, flights, kicks, kb)
-    factors = 1.0 + flights * kappa
-    lam_abs = np.prod(factors, axis=1)
-    mono = _monodromies(flights, kicks)
-    lam_mono = expanding_eigenvalue(mono)
-    sign = -1 if orbits[0].n % 2 == 1 else 1
+    labels = np.asarray(labels, dtype=np.int64)
+    flights, cos_incidence = np.asarray(flights, float), np.asarray(cos_incidence, float)
+    shapes = {labels.shape, flights.shape, cos_incidence.shape}
+    if labels.ndim != 2 or not labels.size or len(shapes) != 1:
+        raise DomainError("a stability batch needs at least one orbit and a single length")
+    kicks, kb = _kicks(config, labels, cos_incidence)
+    kappa = _curvatures(labels, flights, kicks, kb)
+    lam_abs = np.prod(1.0 + flights * kappa, axis=1)
+    lam_mono = expanding_eigenvalue(_monodromies(flights, kicks))
+    sign = -1 if labels.shape[1] % 2 == 1 else 1
     agree = np.isclose(lam_mono, sign * lam_abs, rtol=CROSS_CHECK_RTOL, atol=0.0)
     bad = np.flatnonzero(~agree)
     if bad.size:
         i = bad[0]
         raise HyperbolicityError(
-            f"stability mismatch for {orbits[i].word}: curvature route "
+            f"stability mismatch for {_word(labels, i)}: curvature route "
             f"{sign * lam_abs[i]}, monodromy route {lam_mono[i]}"
         )
-    trace = np.trace(mono, axis1=1, axis2=2)
-    return [
-        StabilityRecord(
-            word=orbit.word,
-            T=orbit.T,
-            kappa=kappa[i],
-            factors=factors[i],
-            lam_abs=float(lam_abs[i]),
-            sign=sign,
-            trace=float(trace[i]),
-        )
-        for i, orbit in enumerate(orbits)
-    ]
+    return kappa, sign * lam_abs
 
 
 def stability_record(config, orbit: PeriodicOrbit) -> StabilityRecord:
-    """The one-row batch of :func:`stability_records`."""
-    return stability_records(config, [orbit])[0]
+    """The one-row batch of :func:`stability_records`, with the expansion
+    factors and the monodromy trace."""
+    labels, flights, kicks, _ = _one_row(config, orbit)
+    kappa, lam = stability_records(config, labels, flights, orbit.cos_incidence[None])
+    return StabilityRecord(
+        word=orbit.word,
+        T=orbit.T,
+        kappa=kappa[0],
+        factors=1.0 + orbit.flights * kappa[0],
+        lam_abs=abs(float(lam[0])),
+        sign=-1 if orbit.n % 2 == 1 else 1,
+        trace=float(np.trace(_monodromies(flights, kicks)[0])),
+    )
 
 
 def det_one_minus_poincare(lam_signed: float, r: int = 1) -> float:

@@ -52,17 +52,15 @@ def cylinder_values(db, word):
 class CylinderPotential:
     """Tabulated cylinder observables plus the transfer-graph layout.
 
-    ``edges`` holds, for every admissible transition between length-k
-    words, the row index, column index, and the (f, g) values of the
-    connecting (k+1)-word.
+    ``words`` lists the admissible (k+1)-words, one per transition
+    between length-k words; edge ``i`` holds the row index, column
+    index, and the (f, g) values of ``words[i]``.
     """
 
     r: int
     k: int
     states: tuple
     words: tuple
-    f: dict
-    g: dict
     edge_row: np.ndarray
     edge_col: np.ndarray
     edge_f: np.ndarray
@@ -95,8 +93,6 @@ def build_potentials(db, k: int) -> CylinderPotential:
     states = enumerate_words(r, k)
     index = {w: i for i, w in enumerate(states)}
     words = []
-    f_tab = {}
-    g_tab = {}
     rows, cols, fs, gs = [], [], [], []
     for u in states:
         for a in range(1, r + 1):
@@ -106,8 +102,6 @@ def build_potentials(db, k: int) -> CylinderPotential:
             v = u[1:] + (a,) if k > 1 else (a,)
             f, _, g = cylinder_values(db, w)
             words.append(w)
-            f_tab[w] = f
-            g_tab[w] = g
             rows.append(index[u])
             cols.append(index[v])
             fs.append(f)
@@ -117,8 +111,6 @@ def build_potentials(db, k: int) -> CylinderPotential:
         k=k,
         states=tuple(states),
         words=tuple(words),
-        f=f_tab,
-        g=g_tab,
         edge_row=np.array(rows, dtype=np.int64),
         edge_col=np.array(cols, dtype=np.int64),
         edge_f=np.array(fs),
@@ -136,13 +128,11 @@ def refinement_gap(pot_k: CylinderPotential, pot_k1: CylinderPotential):
     if pot_k1.k != pot_k.k + 1:
         raise ValueError("potentials must have consecutive memories")
     delta = (pot_k1.k // 2) - (pot_k.k // 2)
-    gap_f = 0.0
-    gap_g = 0.0
-    for w in pot_k1.words:
-        parent = w[delta : delta + pot_k.k + 1]
-        gap_f = max(gap_f, abs(pot_k1.f[w] - pot_k.f[parent]))
-        gap_g = max(gap_g, abs(pot_k1.g[w] - pot_k.g[parent]))
-    return gap_f, gap_g
+    edge = {w: i for i, w in enumerate(pot_k.words)}
+    parent = [edge[w[delta : delta + pot_k.k + 1]] for w in pot_k1.words]
+    gap_f = np.abs(pot_k1.edge_f - pot_k.edge_f[parent]).max()
+    gap_g = np.abs(pot_k1.edge_g - pot_k.edge_g[parent]).max()
+    return float(gap_f), float(gap_g)
 
 
 def leading_eigenvalue(B: np.ndarray, tol: float = POWER_TOL, max_iter: int = 200000):

@@ -204,9 +204,9 @@ def ikawa_scan(
     """
     if bump is None:
         bump = BumpFunction()
-    rec = db.record_for(tuple(gamma0))
+    t0 = float(db.T[db.row(gamma0)])
     measure = build_measure(db, "dirichlet")
-    special_ells = [j * rec.T for j in range(1, j_max + 1)]
+    special_ells = [j * t0 for j in range(1, j_max + 1)]
     if ell_grid is None:
         ell_grid = special_ells
     horizon = measure.cutoff
@@ -246,7 +246,7 @@ def ikawa_scan(
         fit_c=float(np.exp(intercept)),
         fit_c0=float(-slope),
         gamma0_word=tuple(gamma0),
-        gamma0_T=float(rec.T),
+        gamma0_T=t0,
     )
 
 

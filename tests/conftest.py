@@ -1,8 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from billzeta import database
+from billzeta.cli import _restrict
 from billzeta.database import OrbitDatabase, build_database
 from billzeta.geometry import Configuration, Disk
+from billzeta.stability import det_one_minus_poincare
 from billzeta.thermo import build_potentials, solve_abscissa
 from billzeta.zeta import build_determinant
 
@@ -31,8 +36,86 @@ def unequal_four_disks() -> Configuration:
     return Configuration(tuple(Disk(c, a) for c, a in zip(centers, radii)))
 
 
-def restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
-    return OrbitDatabase(db.config, n_max, [r for r in db.records if r.n <= n_max])
+@dataclass(frozen=True)
+class OrbitRecord:
+    """One cycle of an :class:`OrbitDatabase` as an object: the record
+    view that tests read the columns through."""
+
+    word: tuple
+    T: float
+    angles: np.ndarray
+    flights: np.ndarray
+    cos_incidence: np.ndarray
+    residual: float
+    kappa: np.ndarray
+    lam: float  # signed expanding eigenvalue per primitive period
+    shadow_margin: float
+
+    @property
+    def n(self) -> int:
+        return len(self.word)
+
+    @property
+    def lam_abs(self) -> float:
+        return abs(self.lam)
+
+    @property
+    def sign(self) -> int:
+        return -1 if self.lam < 0 else 1
+
+    @property
+    def d_gamma(self) -> float:
+        return float(np.log(abs(self.lam)))
+
+    def det_one_minus_p(self, r: int = 1) -> float:
+        return det_one_minus_poincare(self.lam, r)
+
+
+def _records_at(db: OrbitDatabase, start: int, stop: int) -> list:
+    """Rows ``start..stop-1`` as records; the per-bounce arrays are views
+    of the columns."""
+    a, b = int(db.bounds[start]), int(db.bounds[stop])
+    spans = (db.bounds[start : stop + 1] - a).tolist()
+    word = db.word[a:b].tolist()
+    T, residual, lam, margin = (getattr(db, name)[start:stop].tolist() for name in database.SCALARS)
+    angles, flights, cos_incidence, kappa = (getattr(db, name)[a:b] for name in database.PER_BOUNCE)
+    return [
+        OrbitRecord(
+            word=tuple(word[lo:hi]),
+            T=T[i],
+            angles=angles[lo:hi],
+            flights=flights[lo:hi],
+            cos_incidence=cos_incidence[lo:hi],
+            residual=residual[i],
+            kappa=kappa[lo:hi],
+            lam=lam[i],
+            shadow_margin=margin[i],
+        )
+        for i, (lo, hi) in enumerate(zip(spans, spans[1:]))
+    ]
+
+
+def records(db: OrbitDatabase) -> tuple:
+    """Every cycle of ``db`` as an :class:`OrbitRecord`, in row order;
+    built on the first call for ``db`` and kept in ``db.derived``."""
+    if "records" not in db.derived:
+        db.derived["records"] = tuple(_records_at(db, 0, len(db)))
+    return db.derived["records"]
+
+
+def record_for(db: OrbitDatabase, word) -> OrbitRecord:
+    row = db.row(word)
+    return _records_at(db, row, row + 1)[0]
+
+
+def take_rows(db: OrbitDatabase, rows) -> OrbitDatabase:
+    """``db`` with its rows taken in the order ``rows``."""
+    flat = np.concatenate([np.arange(db.bounds[i], db.bounds[i + 1]) for i in rows])
+    columns = {
+        name: getattr(db, name)[rows if name in database.PER_CYCLE else flat]
+        for name, _ in database.SECTIONS
+    }
+    return OrbitDatabase(db.config, db.n_max, columns)
 
 
 @pytest.fixture(scope="session")
@@ -57,12 +140,12 @@ def db_four7():
 
 @pytest.fixture(scope="session")
 def db10(db12):
-    return restrict(db12, 10)
+    return _restrict(db12, 10)
 
 
 @pytest.fixture(scope="session")
 def db8(db12):
-    return restrict(db12, 8)
+    return _restrict(db12, 8)
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,7 @@ from billzeta.zeta import (
     reflection_shift_matrix,
     track_zero,
 )
+from tests.conftest import records
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -53,7 +54,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_dual_oracle_stability(config, db10):
     t0 = time.perf_counter()
     worst = 0.0
-    for rec in db10.records:
+    for rec in records(db10):
         orbit = solve_orbit(config, rec.word)
         kappa = unstable_curvatures(config, orbit)
         _, lam_curv = expansion_factor(orbit, kappa)
@@ -98,7 +99,7 @@ def test_criterion_02_closed_form_anchors(config):
 def test_criterion_03_log_factor_equals_green_integral(config, db8):
     worst = 0.0
     bounces = 0
-    for rec in db8.records:
+    for rec in records(db8):
         orbit = solve_orbit(config, rec.word)
         kappa = unstable_curvatures(config, orbit)
         for k, f in zip(kappa, orbit.flights):
@@ -163,7 +164,7 @@ def test_criterion_05_series_growth_matches_abscissas(db12, abscissas, exp12):
 
 def test_criterion_06_determinant_bracketing(db10):
     lo, hi = np.inf, 0.0
-    for rec in db10.records:
+    for rec in records(db10):
         for r in range(1, 6):
             ratio = rec.det_one_minus_p(r) / rec.lam_abs**r
             lo, hi = min(lo, ratio), max(hi, ratio)

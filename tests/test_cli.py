@@ -5,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from billzeta.database import OrbitDatabase, save_database
+from billzeta.database import save_database
 from billzeta.geometry import config_digest, save_config
 from billzeta.zeta import real_zero
-from tests.conftest import equilateral_config
+from tests.conftest import equilateral_config, records, take_rows
 
 
 def run_cli(*args):
@@ -31,11 +31,14 @@ def cli_env(tmp_path_factory, db10, config):
     return {"root": root, "config": cfg, "cache": cache, "other": other}
 
 
-def test_usage_errors_exit_one(cli_env):
+def test_usage_errors_exit_one(cli_env, tmp_path):
     assert run_cli().returncode == 1
     assert run_cli("no-such-subcommand").returncode == 1
-    assert run_cli("validate").returncode == 1
-    assert run_cli("orbits").returncode == 1
+    out = tmp_path / "out"
+    assert run_cli("validate", "--out", out).returncode == 1
+    assert run_cli("orbits", "--out", out).returncode == 1
+    assert run_cli("abscissas", "--out", out).returncode == 1
+    assert not out.exists()
 
 
 def test_version_runs():
@@ -156,7 +159,7 @@ def test_damaged_cache_is_malformed_input(cli_env, db10, tmp_path):
     truncated.write_bytes(blob[:-40])
     short = tmp_path / "short.jsonl"
     save_database(
-        OrbitDatabase(db10.config, db10.n_max, [r for r in db10.records if r.word != (1, 2, 3)]),
+        take_rows(db10, [row for row in range(len(db10)) if row != db10.row((1, 2, 3))]),
         short,
     )
     appended = tmp_path / "appended.jsonl"
@@ -369,6 +372,16 @@ def test_unwritable_output_paths_are_malformed_input(cli_env, tmp_path):
     assert out.returncode == 1, out.stderr
     assert f"cannot create output directory {taken}" in out.stderr
     assert "Traceback" not in out.stderr
+    # the output directory is checked before any work: nothing is printed,
+    # solved or written
+    assert out.stdout == ""
+    new_cache = tmp_path / "new.bin"
+    for sub in ("validate", "orbits", "abscissas", "zeta", "poles", "counting", "trace"):
+        out = run_cli(sub, "--config", cfg, "--cache", new_cache, "--nmax", 4, "--out", taken)
+        assert out.returncode == 1, (sub, out.stderr)
+        assert f"cannot create output directory {taken}" in out.stderr, sub
+        assert out.stdout == "" and "Traceback" not in out.stderr, sub
+        assert not new_cache.exists(), sub
 
 
 def test_orbits_csv_equals_the_row_writer(tmp_path, db12, db_four7):
@@ -380,29 +393,34 @@ def test_orbits_csv_equals_the_row_writer(tmp_path, db12, db_four7):
         rows = [
             ("-".join(str(s) for s in rec.word), rec.n, rec.T, rec.lam, rec.residual,
              rec.shadow_margin)
-            for rec in db.records
+            for rec in records(db)
         ]
         cli._write_csv(want, header, rows)
         cli._write_orbits_csv(got, db)
         assert got.read_bytes() == want.read_bytes()
 
 
-def test_consumers_of_a_cache_build_no_records(cli_env, tmp_path, monkeypatch):
-    from billzeta import cli, database
+def test_solve_and_consumers_build_no_per_cycle_objects(cli_env, config, tmp_path, monkeypatch):
+    from billzeta import cli, orbits, stability
 
     made = []
-    record = database.OrbitRecord
+    for cls in (orbits.PeriodicOrbit, stability.StabilityRecord):
 
-    def counting(*args, **kwargs):
-        made.append(kwargs.get("word"))
-        return record(*args, **kwargs)
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
 
-    monkeypatch.setattr(database, "OrbitRecord", counting)
-    cache = str(cli_env["cache"])
+        monkeypatch.setattr(cls, "__init__", counting)
+    cfg, cache = str(cli_env["config"]), str(tmp_path / "c.bin")
     for argv in (
+        ["orbits", "--config", cfg, "--cache", cache, "--nmax", "7"],
         ["orbits", "--cache", cache, "--nmax", "8"],
         ["abscissas", "--cache", cache],
         ["poles", "--cache", cache],
+        ["trace", "--cache", cache],
     ):
         assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv
     assert made == []
+    # the spies do see the one-row calls
+    stability.stability_record(config, orbits.solve_orbit(config, (1, 2)))
+    assert made == ["PeriodicOrbit", "StabilityRecord"]

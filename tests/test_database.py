@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,8 +6,6 @@ import pytest
 
 from billzeta import cli, database
 from billzeta.database import (
-    OrbitDatabase,
-    OrbitRecord,
     build_database,
     extend_database,
     load_database,
@@ -22,7 +21,14 @@ from billzeta.geometry import Configuration, Disk, validate
 from billzeta.orbits import solve_orbit, solve_orbits
 from billzeta.stability import det_one_minus_poincare, stability_record, stability_records
 from billzeta.symbolic import enumerate_cycles, primitive_class_count
-from tests.conftest import equilateral_config
+from tests.conftest import (
+    OrbitRecord,
+    equilateral_config,
+    record_for,
+    records,
+    take_rows,
+    unequal_four_disks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,23 +38,23 @@ def db14(config):
 
 def test_counts_per_length_match_class_counts(db12):
     for n in range(2, 13):
-        got = sum(1 for rec in db12.records if rec.n == n)
+        got = sum(1 for rec in records(db12) if rec.n == n)
         assert got == primitive_class_count(3, n)
 
 
 def test_records_sorted_and_indexed(db12):
-    keys = [(rec.n, rec.word) for rec in db12.records]
+    keys = [(rec.n, rec.word) for rec in records(db12)]
     assert keys == sorted(keys)
-    rec = db12.record_for((1, 2))
+    rec = record_for(db12, (1, 2))
     assert rec.word == (1, 2)
     # a repeated block, a non-canonical rotation, lengths past n_max and below 2
     for word in ((1, 2, 1, 2), (2, 1), (1, 2) * 6 + (3,), (1,), ()):
         with pytest.raises(DomainError, match="has no cycle"):
-            db12.record_for(word)
+            record_for(db12, word)
 
 
 def test_record_repetition_determinant(db12):
-    rec = db12.record_for((1, 2, 3))
+    rec = record_for(db12, (1, 2, 3))
     for r in range(1, 5):
         assert rec.det_one_minus_p(r) == det_one_minus_poincare(rec.lam, r)
 
@@ -74,7 +80,7 @@ def test_round_trip_preserves_everything(tmp_path, db8, db_four7):
         back = load_database(path)
         assert back.config_hash == db.config_hash
         assert back.n_max == db.n_max
-        assert_same_records(db.records, back.records)
+        assert_same_records(records(db), records(back))
         for column in ("n", "T", "lam"):
             assert getattr(back, column).tobytes() == getattr(db, column).tobytes()
         # the same database saves to the same bytes
@@ -158,9 +164,9 @@ def assert_records_match_lone_solves(db):
     bit for bit, and every length holds its full class count."""
     config = db.config
     for n in range(2, db.n_max + 1):
-        got = sum(1 for rec in db.records if rec.n == n)
+        got = sum(1 for rec in records(db) if rec.n == n)
         assert got == primitive_class_count(config.r, n)
-    for rec in db.records:
+    for rec in records(db):
         orbit = solve_orbit(config, rec.word)
         assert orbit.word == rec.word
         assert orbit.T == rec.T
@@ -181,7 +187,7 @@ def test_batched_build_equals_lone_solves_on_fixture(db12):
 def test_batched_build_equals_lone_solves_on_unequal_disks(db_four7):
     assert validate(db_four7.config).ok
     assert len(db_four7) == 508
-    assert max(rec.residual for rec in db_four7.records) < 1e-12
+    assert max(rec.residual for rec in records(db_four7)) < 1e-12
     assert_records_match_lone_solves(db_four7)
 
 
@@ -212,9 +218,9 @@ def test_truncated_cache_line_is_malformed(tmp_path, db8):
 
 def test_cache_missing_a_record_is_refused(tmp_path, db8):
     path = tmp_path / "cache.jsonl"
-    kept = [rec for rec in db8.records if rec.word != (1, 2, 3)]
+    kept = [row for row in range(len(db8)) if row != db8.row((1, 2, 3))]
     assert len(kept) == len(db8) - 1
-    save_database(OrbitDatabase(db8.config, db8.n_max, kept), path)
+    save_database(take_rows(db8, kept), path)
     with pytest.raises(MalformedInputError, match="1 cycles of length 3, expected 2"):
         load_database(path)
 
@@ -251,8 +257,6 @@ def test_columns_agree_across_build_paths(tmp_path, config, db12, db14, db_four7
     assert_same_columns(db14, load_database(path))
     assert_same_columns(build_database(config, 10), cli._restrict(db14, 10))
     assert cli._restrict(db14, 14) is db14
-    # the records constructor sorts its input
-    assert_same_columns(db12, OrbitDatabase(config, 12, reversed(db12.records)))
     four5 = build_database(db_four7.config, 5)
     assert_same_columns(db_four7, extend_database(four5, 7))
     assert_same_columns(four5, cli._restrict(db_four7, 5))
@@ -262,27 +266,29 @@ def test_columns_agree_across_build_paths(tmp_path, config, db12, db14, db_four7
 
 
 def solved_records(db):
-    """Records of every length's solve and stability batch, one object per
-    cycle: how the database was built before it was columnar."""
-    config, records = db.config, []
+    """Records made row by row from every length's solve and stability
+    columns."""
+    config, made = db.config, []
     words = enumerate_cycles(config.r, db.n_max)
     for n in range(2, db.n_max + 1):
         solved = solve_orbits(config, [w for w in words if len(w) == n])
-        records += [
+        labels = solved["labels"]
+        kappa, lam = stability_records(config, labels, solved["flights"], solved["cos_incidence"])
+        made += [
             OrbitRecord(
-                word=orbit.word,
-                T=orbit.T,
-                angles=orbit.angles,
-                flights=orbit.flights,
-                cos_incidence=orbit.cos_incidence,
-                residual=orbit.residual,
-                kappa=stab.kappa,
-                lam=stab.lam,
-                shadow_margin=orbit.shadow_margin,
+                word=tuple(labels[i].tolist()),
+                T=float(solved["T"][i]),
+                angles=solved["angles"][i],
+                flights=solved["flights"][i],
+                cos_incidence=solved["cos_incidence"][i],
+                residual=float(solved["residual"][i]),
+                kappa=kappa[i],
+                lam=float(lam[i]),
+                shadow_margin=float(solved["shadow_margin"][i]),
             )
-            for orbit, stab in zip(solved, stability_records(config, solved))
+            for i in range(len(labels))
         ]
-    return records
+    return made
 
 
 def test_records_view_equals_the_solved_records(tmp_path, db12, db_four7):
@@ -291,22 +297,12 @@ def test_records_view_equals_the_solved_records(tmp_path, db12, db_four7):
         save_database(db, path)
         want = solved_records(db)
         for view in (db, load_database(path)):
-            assert_same_records(want, view.records)
-            assert view.records is view.records
+            assert_same_records(want, records(view))
+            assert records(view) is records(view)
             for row in range(0, len(want), 5):
                 word = want[row].word
-                assert_same_records([want[row]], [view.record_for(word)])
+                assert_same_records([want[row]], [record_for(view, word)])
                 assert view.row(word) == row
-
-
-def reordered(db, rows):
-    """``db`` with its rows taken in the order ``rows``."""
-    flat = np.concatenate([np.arange(db.bounds[i], db.bounds[i + 1]) for i in rows])
-    columns = {
-        name: getattr(db, name)[rows if name in database.PER_CYCLE else flat]
-        for name, _ in database.SECTIONS
-    }
-    return OrbitDatabase.from_columns(db.config, db.n_max, columns)
 
 
 def test_cache_out_of_order_or_repeating_a_cycle_is_refused(tmp_path, db8):
@@ -323,8 +319,26 @@ def test_cache_out_of_order_or_repeating_a_cycle_is_refused(tmp_path, db8):
         (repeated, f"rows {first5 + 1} and {first5 + 2} repeat one cycle"),
     ):
         # sections and digests are written afresh: only the order is wrong
-        save_database(reordered(db8, order), path)
+        save_database(take_rows(db8, order), path)
         with pytest.raises(MalformedInputError, match=message):
             load_database(path)
-    save_database(reordered(db8, rows), path)
+    save_database(take_rows(db8, rows), path)
     assert_same_columns(db8, load_database(path))
+
+
+# sha256 of the cache bytes of fresh builds, recorded with numpy 2.4.6 at
+# commit f24dac3.  A solver change that moves them bumps SOLVER_VERSION
+# and these digests together, with a note in CHANGES.md.
+CACHE_DIGESTS = (
+    (equilateral_config, 10, 226,
+     "377cb8ab705ef62177c265512e8b733030d3c6a48b1102dfcfea486cb7f0c368"),
+    (unequal_four_disks, 7, 508,
+     "1b98d2421cfcb8ae4828ef4769ecc67765b65e427643bbe15956a5d7958d097a"),
+)
+
+
+def test_cache_bytes_are_pinned():
+    for make_config, n_max, cycles, digest in CACHE_DIGESTS:
+        db = build_database(make_config(), n_max)
+        assert len(db) == cycles
+        assert hashlib.sha256(database._encode(db)).hexdigest() == digest, make_config.__name__

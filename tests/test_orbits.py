@@ -13,6 +13,7 @@ from billzeta.orbits import (
     solve_orbits,
 )
 from billzeta.symbolic import enumerate_cycles, is_cyclically_admissible
+from tests.conftest import records
 
 
 def first_bad_word_message(config, words):
@@ -54,7 +55,7 @@ def test_time_reversal_same_period(config):
 
 
 def test_all_short_cycles_converge(db8):
-    for rec in db8.records:
+    for rec in records(db8):
         assert rec.residual < 1e-12
         assert rec.shadow_margin > 0.5
         assert abs(np.sum(rec.flights) - rec.T) < 1e-12
@@ -135,7 +136,7 @@ def test_batch_raises_for_the_first_row_left_above_tolerance(config):
     assert info.value.residual > SOLVER_TOL
     # a start that is already solved passes; only the stalled row is named
     solved = solve_orbits(config, words)
-    start = np.array([orbit.angles for orbit in solved])
+    start = solved["angles"].copy()
     start[3] = default_angles(config, words[3])
     with pytest.raises(SolverError, match=re.escape(str(words[3]))):
         solve_orbits(config, words, theta0=start, max_iter=1)

@@ -5,8 +5,8 @@ from scipy.integrate import quad
 from billzeta.errors import DomainError, HyperbolicityError
 from billzeta.orbits import solve_orbit, solve_orbits
 from billzeta.stability import (
-    _batch,
     _curvature_sweeps,
+    _kicks,
     det_one_minus_poincare,
     expanding_eigenvalue,
     expansion_factor,
@@ -17,6 +17,7 @@ from billzeta.stability import (
     wavefront_green,
     weight_tables,
 )
+from tests.conftest import records
 
 
 def test_two_cycle_curvature_and_factor(config):
@@ -47,7 +48,7 @@ def test_odd_cycles_have_negative_eigenvalue(config):
 
 
 def test_dual_routes_agree(db8, config):
-    for rec in db8.records:
+    for rec in records(db8):
         orbit = solve_orbit(config, rec.word)
         kappa = unstable_curvatures(config, orbit)
         _, lam_curv = expansion_factor(orbit, kappa)
@@ -101,8 +102,10 @@ def test_green_integral_reproduces_log_factor(config):
 def test_curvature_rows_do_not_depend_on_their_batch(config):
     from billzeta.symbolic import enumerate_cycles
 
-    orbits = solve_orbits(config, [w for w in enumerate_cycles(3, 7) if len(w) == 7])
-    flights, kicks, kb = _batch(config, orbits)
+    words = [w for w in enumerate_cycles(3, 7) if len(w) == 7]
+    solved = solve_orbits(config, words)
+    labels, flights, cos_incidence = solved["labels"], solved["flights"], solved["cos_incidence"]
+    kicks, kb = _kicks(config, labels, cos_incidence)
     settled, _, _ = _curvature_sweeps(flights, kicks, kb)
     # rows from the boundary curvatures, from just off the periodic state
     # and from the periodic state itself settle after 3, 2 and 1 sweeps
@@ -116,19 +119,26 @@ def test_curvature_rows_do_not_depend_on_their_batch(config):
         assert np.array_equal(kappa[i], alone[0])
         assert sweeps[i] == alone_sweeps[0]
     # every start reaches the same periodic state
-    spread = np.ptp(kappa.reshape(len(orbits), len(starts), -1), axis=1)
+    spread = np.ptp(kappa.reshape(len(words), len(starts), -1), axis=1)
     assert spread.max() < 1e-12
 
-    batch = stability_records(config, orbits)
-    for orbit, rec in zip(orbits, batch):
-        alone = stability_record(config, orbit)
-        assert np.array_equal(rec.kappa, alone.kappa)
-        assert np.array_equal(rec.factors, alone.factors)
-        assert (rec.lam_abs, rec.sign, rec.trace) == (alone.lam_abs, alone.sign, alone.trace)
+    batch_kappa, batch_lam = stability_records(config, labels, flights, cos_incidence)
+    for i, word in enumerate(words):
+        alone = stability_record(config, solve_orbit(config, word))
+        assert np.array_equal(batch_kappa[i], alone.kappa)
+        assert np.array_equal(1.0 + flights[i] * batch_kappa[i], alone.factors)
+        assert (abs(batch_lam[i]), np.sign(batch_lam[i])) == (alone.lam_abs, alone.sign)
 
 
 def test_stability_batch_of_mixed_lengths_or_no_orbits_is_domain_error(config):
-    mixed = [solve_orbit(config, (1, 2)), solve_orbit(config, (1, 2, 3))]
-    for orbits in (mixed, []):
+    two, three = solve_orbit(config, (1, 2)), solve_orbit(config, (1, 2, 3))
+    empty = np.empty((0, 2))
+    for labels, flights, cos_incidence in (
+        ([two.word], [three.flights], [two.cos_incidence]),
+        ([two.word], [two.flights], [three.cos_incidence]),
+        ([three.word], [two.flights], [two.cos_incidence]),
+        (two.word, two.flights, two.cos_incidence),
+        (empty.astype(int), empty, empty),
+    ):
         with pytest.raises(DomainError):
-            stability_records(config, orbits)
+            stability_records(config, labels, flights, cos_incidence)

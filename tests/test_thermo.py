@@ -14,6 +14,7 @@ from billzeta.thermo import (
     twisted_spectral_test,
     twisted_unit_gap,
 )
+from tests.conftest import records
 
 
 def test_memory_one_potential_is_uniform(db8):
@@ -63,7 +64,7 @@ def test_abscissa_ordering(abscissas):
 def test_periodic_pressure_matches_hand_sum(db8):
     s, beta, n = 0.07, 0.6, 4
     total = 0.0
-    for rec in db8.records:
+    for rec in records(db8):
         if rec.n > n or n % rec.n != 0:
             continue
         reps = n // rec.n
@@ -109,7 +110,7 @@ def test_pressure_decreases_in_s(pot6):
 def reference_pressure_periodic(db, s, beta, n):
     """The periodic-point sum added record by record."""
     total = 0.0
-    for rec in db.records:
+    for rec in records(db):
         if n % rec.n == 0:
             reps = n // rec.n
             total += rec.n * np.exp(-s * reps * rec.T - beta * reps * rec.d_gamma)

@@ -15,7 +15,7 @@ from billzeta.trace import (
     window_count,
 )
 from billzeta.zeta import Pole
-from tests.conftest import restrict
+from tests.conftest import record_for
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_measure_kinds(db10):
 
 def test_pair_short_window_exact_value(db12, bump):
     measure = build_measure(db12, "dirichlet")
-    rec = db12.record_for((1, 2))
+    rec = record_for(db12, (1, 2))
     det = det_one_minus_poincare(rec.lam)
     expected = 3.0 * bump.value(0.0) * rec.T / np.sqrt(det)
     got = pair(measure, bump, 8.0, 50.0)
@@ -100,7 +100,7 @@ def test_ikawa_scan_special_sequence(db12, bump):
     assert scan.gamma0_T == pytest.approx(8.0, abs=1e-12)
     assert len(scan.special_rows) == 4
     assert all(row[4] for row in scan.special_rows)
-    lam12 = db12.record_for((1, 2)).lam_abs
+    lam12 = record_for(db12, (1, 2)).lam_abs
     expected_rate = np.log(lam12) / (2.0 * scan.gamma0_T)
     assert abs(scan.fit_c0 - expected_rate) < 0.02
     assert scan.fit_c > 0.0

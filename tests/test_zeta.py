@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from billzeta import zeta
+from billzeta.cli import _restrict
 from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
     ATOM_BLOCK,
@@ -27,7 +28,7 @@ from billzeta.zeta import (
     signed_shell_partials,
     track_zero,
 )
-from tests.conftest import restrict
+from tests.conftest import records
 
 
 def cycle_expansion_value(exp, s):
@@ -86,7 +87,7 @@ def test_atom_bookkeeping(db8):
 def reference_atoms(db, T_max=None, m_max=None):
     """The atoms built record by record, repetition by repetition."""
     rows = []
-    for p_idx, rec in enumerate(db.records):
+    for p_idx, rec in enumerate(records(db)):
         r = 1
         while (T_max is None or r * rec.T <= T_max) and (m_max is None or r * rec.n <= m_max):
             rows.append(
@@ -115,7 +116,7 @@ def reference_atoms(db, T_max=None, m_max=None):
 def test_atoms_equal_the_record_loop(request, name):
     db = request.getfixturevalue(name)
     horizon = (db.n_max + 1) * db.config.d0
-    exact = 3 * db.records[0].T
+    exact = 3 * records(db)[0].T
     assert exact <= horizon
     cutoffs = [{"m_max": db.n_max}, {"m_max": 5}, {"T_max": horizon}, {"T_max": exact}]
     for cutoff in cutoffs:
@@ -189,7 +190,7 @@ def test_even_restriction_estimate_runs(db12, abscissas):
 
 
 def test_estimate_needs_enough_shells(db12):
-    shallow = restrict(db12, 5)
+    shallow = _restrict(db12, 5)
     with pytest.raises(IncompleteDataError):
         abscissa_estimate(shallow, weight="half")
 
@@ -292,7 +293,7 @@ def record_loop_determinant(db, N, k_max=5):
     """Log atoms and sorted factor pool built record by record, then the
     expansion, as arrays: the reference for the columnar build."""
     log_rows, items = [], []
-    for rec in db.records:
+    for rec in records(db):
         if rec.n > N:
             continue
         for k in range(k_max + 1):
@@ -334,7 +335,7 @@ def oracle_trust_floor(arrays, N):
 
 
 def test_columnar_build_equals_the_record_loop(db13, db_four7):
-    cases = [(restrict(db13, N), N, 5) for N in range(9, 14)]
+    cases = [(_restrict(db13, N), N, 5) for N in range(9, 14)]
     cases += [(db13, 11, 2), (db_four7, 7, 5)]
     for db, N, k_max in cases:
         exp = build_determinant(db, N, k_max=k_max)
@@ -392,7 +393,7 @@ def test_trust_floors_match_the_scan_by_probe_line(db13, db_four7):
         13: -0.3600000000000002,
     }
     for N, floor in pinned.items():
-        assert build_determinant(restrict(db13, N), N).trust_floor == floor
+        assert build_determinant(_restrict(db13, N), N).trust_floor == floor
     assert build_determinant(db_four7, 7).trust_floor == 0.07999999999999984
 
 
@@ -444,7 +445,7 @@ def record_loop_tail_bound(db, exp, s_re):
     """The tail bound summed record by record: the reference for the
     columnar loop."""
     total = 0.0
-    for rec in db.records:
+    for rec in records(db):
         if rec.n > exp.N:
             continue
         r = 1
