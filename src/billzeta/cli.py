@@ -55,13 +55,21 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 class _Rect(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         re0, re1, im0, im1 = values
-        if not (np.isfinite(values).all() and re0 < re1 and im0 < im1):
-            raise argparse.ArgumentError(
-                self, f"needs finite RE0 < RE1 and IM0 < IM1, got {values}"
-            )
+        if not (re0 < re1 and im0 < im1):
+            raise argparse.ArgumentError(self, f"needs RE0 < RE1 and IM0 < IM1, got {values}")
         setattr(namespace, self.dest, values)
 
 
@@ -87,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abscissas", help="pressure abscissas h, a1, b1 by two methods")
     _common_flags(p)
-    p.add_argument("--k", type=int, metavar="INT", help="cylinder memory (transfer method)")
+    p.add_argument(
+        "--k", type=_int_at_least(1), metavar="INT", help="cylinder memory (transfer method)"
+    )
     p.add_argument(
         "--n", type=_int_at_least(2), metavar="INT", help="period for the periodic-point method"
     )
@@ -110,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rect",
-        type=float,
+        type=_finite_float,
         nargs=4,
         action=_Rect,
         metavar=("RE0", "RE1", "IM0", "IM1"),
@@ -123,15 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counting", help="orbit counting against e^{hx}/(hx)")
     _common_flags(p)
-    p.add_argument("--k", type=int, metavar="INT", help="cylinder memory for h")
+    p.add_argument("--k", type=_int_at_least(1), metavar="INT", help="cylinder memory for h")
     p.set_defaults(func=cmd_counting)
 
     p = sub.add_parser("trace", help="length-spectrum window scans and Gaussian sums")
     _common_flags(p)
-    p.add_argument("--beta", type=float, default=1.0, help="window sharpening rate")
-    p.add_argument("--alpha0", type=float, default=0.25, help="decay threshold exponent")
-    p.add_argument("--sigma", type=float, default=0.1, help="Gaussian width parameter")
-    p.add_argument("--eps", type=float, default=0.1, help="shell-search rate slack")
+    p.add_argument("--beta", type=_finite_float, default=1.0, help="window sharpening rate")
+    p.add_argument("--alpha0", type=_finite_float, default=0.25, help="decay threshold exponent")
+    p.add_argument("--sigma", type=_finite_float, default=0.1, help="Gaussian width parameter")
+    p.add_argument("--eps", type=_finite_float, default=0.1, help="shell-search rate slack")
     p.add_argument(
         "--experimental-trace-compare",
         action="store_true",
@@ -510,7 +520,7 @@ def cmd_trace(args) -> None:
         det_n = min(12, db.n_max)
         exp = zeta.build_determinant(db, det_n, k_max=5)
         poles = _conjugate_closed(_default_pole_search(exp))
-        ells = [r[0] for r in scan.special_rows]
+        ells = [r[0] for r in scan.rows]
         compare_rows = trace.experimental_compare(db, poles, args.beta, ells, bump=bump)
         print("experimental resonance-side comparison (heuristic, no claim):")
         for ell, m, orbit, res, ratio in compare_rows:

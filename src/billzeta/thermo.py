@@ -8,6 +8,12 @@ orbit obtained by closing the word.  The induced transfer operator acts
 on length-k words; its leading eigenvalue gives the pressure
 P(-s f + beta g), and the abscissas of the orbit series are the roots
 in s of P = 0 at beta = 0, 1/2, 1.
+
+Both pressures, the transfer one and the periodic-point approximant, are
+convex and decreasing in s with slope -<f> between minus the longest and
+minus the shortest flight.  A secant iteration from s = 0 whose first
+step divides P(0) by the longest flight therefore reaches each root in a
+few pressure calls, without a bracket (see :func:`solve_abscissa`).
 """
 
 from dataclasses import dataclass
@@ -18,6 +24,7 @@ from .errors import DomainError, NumericalError, PowerIterationError
 from .symbolic import canonical_rotation, enumerate_words, primitive_root
 
 PRESSURE_TOL = 1e-10
+ROOT_MAX_STEPS = 50
 POWER_TOL = 1e-13
 
 
@@ -184,33 +191,29 @@ def pressure_periodic(db, s: float, beta: float, n: int) -> float:
     return float(np.log(total) / n)
 
 
-def _bisect_root(fun, lo, hi, flo, fhi, tol):
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if abs(fm) <= tol:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    raise NumericalError("pressure bisection failed to reach tolerance")
-
-
 def solve_abscissa(
     db,
     beta: float,
     method: str = "transfer",
     k: int = 6,
     n: int = 10,
-    tol: float = PRESSURE_TOL,
     pot: CylinderPotential | None = None,
 ) -> float:
-    """Root in s of the pressure at fixed beta.
+    """Root in s of the pressure at fixed beta, by secant steps from s = 0.
 
     ``method`` selects the transfer-operator pressure at memory ``k``
     (reusing ``pot`` if given) or the n-periodic-point approximant.
     beta = 0, 1/2, 1 give the growth, half, and full abscissas.
+
+    No bracket is needed.  P is convex in s: the transfer pressure is the
+    log spectral radius of a matrix of log-convex entries, the periodic
+    one a log-sum-exp.  Its slope P'(s) = -<f> lies in [-f_max, -f_min]
+    over the flights of ``db``, so the first step s1 = P(0) / f_max never
+    passes the root.  When P(0) > 0 every secant iterate stays between 0
+    and the root.  When P(0) < 0 one step may pass the root, but only
+    within the bound the flights give, and the iteration then closes on
+    it.  Iterates stay near the root, where the power iteration of
+    :func:`pressure` converges.  The loop stops at |P| <= PRESSURE_TOL.
     """
     if method == "transfer":
         if pot is None:
@@ -220,31 +223,18 @@ def solve_abscissa(
         fun = lambda s: pressure_periodic(db, s, beta, n)
     else:
         raise ValueError(f"unknown method {method!r}")
-    lo = hi = 0.0
-    flo = fhi = fun(0.0)
-    if abs(flo) <= tol:
-        return 0.0
-    step = 0.25
-    for _ in range(60):
-        if flo > 0.0:
-            # pressure decreases in s; move right for the root
-            hi = lo + step
-            fhi = fun(hi)
-            if fhi <= 0.0:
-                break
-            lo, flo = hi, fhi
-        else:
-            lo = hi - step
-            flo = fun(lo)
-            if flo >= 0.0:
-                break
-            hi, fhi = lo, flo
-        step *= 2.0
-    else:
-        raise NumericalError("could not bracket the pressure root")
-    if flo > 0.0 >= fhi:
-        return float(_bisect_root(fun, lo, hi, flo, fhi, tol))
-    return float(_bisect_root(fun, hi, lo, fhi, flo, tol))
+    s, p = 0.0, fun(0.0)
+    step = p / float(db.flights.max())
+    for _ in range(ROOT_MAX_STEPS):
+        if abs(p) <= PRESSURE_TOL:
+            return s
+        p_next = fun(s + step)
+        if p_next == p:
+            break
+        s, p, step = s + step, p_next, -p_next * step / (p_next - p)
+    raise NumericalError(
+        f"pressure root not found in {ROOT_MAX_STEPS} secant steps: P({s:.6g}) = {p:.3e}"
+    )
 
 
 def sign_check_b1(pot: CylinderPotential, dead_band: float = 1e-6):

@@ -177,7 +177,6 @@ def window_count(measure: AtomicMeasure, ell: float, m: float) -> int:
 @dataclass(frozen=True)
 class IkawaScan:
     rows: tuple
-    special_rows: tuple
     fit_c: float
     fit_c0: float
     gamma0_word: tuple
@@ -189,60 +188,41 @@ def ikawa_scan(
     beta: float,
     alpha0: float,
     j_max: int,
-    ell_grid=None,
     gamma0=(1, 2),
     bump: BumpFunction | None = None,
 ) -> IkawaScan:
     """Window scan of the signed pairing against e^{-alpha0 ell}.
 
-    Rows cover ``ell_grid`` (default: the special sequence) with
+    Rows cover the special sequence ell_j = j T(gamma0), j = 1..j_max,
+    which isolates the repetitions of a chosen short cycle, with
     m_j = e^{beta ell_j}; each row is (ell, m, |pairing|, threshold,
-    pass, atom count).  The special sequence ell_j = j T(gamma0),
-    j = 1..j_max, isolates the repetitions of a chosen short cycle; a
-    linear regression of log |pairing| against ell fits the empirical
-    lower-bound constants (c, c0) with |pairing| ~ c e^{-c0 ell}.
+    pass, atom count).  A linear regression of log |pairing| against ell
+    fits the empirical lower-bound constants (c, c0) with
+    |pairing| ~ c e^{-c0 ell}.
     """
     if bump is None:
         bump = BumpFunction()
     t0 = float(db.T[db.row(gamma0)])
     measure = build_measure(db, "dirichlet")
-    special_ells = [j * t0 for j in range(1, j_max + 1)]
-    if ell_grid is None:
-        ell_grid = special_ells
     horizon = measure.cutoff
-
-    def scan(ells):
-        rows = []
-        for ell in ells:
-            m = float(np.exp(beta * ell))
-            if ell + 1.0 / m > horizon:
-                raise IncompleteDataError(
-                    f"window at ell={ell:.3f} reaches beyond the cutoff {horizon:.3f}"
-                )
-            val = abs(pair(measure, bump, float(ell), m))
-            thr = float(np.exp(-alpha0 * ell))
-            rows.append(
-                (
-                    float(ell),
-                    m,
-                    val,
-                    thr,
-                    val >= thr,
-                    window_count(measure, float(ell), m),
-                )
+    rows = []
+    for j in range(1, j_max + 1):
+        ell = j * t0
+        m = float(np.exp(beta * ell))
+        if ell + 1.0 / m > horizon:
+            raise IncompleteDataError(
+                f"window at ell={ell:.3f} reaches beyond the cutoff {horizon:.3f}"
             )
-        return rows
-
-    rows = scan(ell_grid)
-    special = scan(special_ells)
-    ells = np.array([r[0] for r in special])
-    vals = np.array([r[2] for r in special])
+        val = abs(pair(measure, bump, ell, m))
+        thr = float(np.exp(-alpha0 * ell))
+        rows.append((ell, m, val, thr, val >= thr, window_count(measure, ell, m)))
+    ells = np.array([r[0] for r in rows])
+    vals = np.array([r[2] for r in rows])
     if np.any(vals <= 0.0):
         raise NumericalError("empty special window; cannot fit decay constants")
     slope, intercept = np.polyfit(ells, np.log(vals), 1)
     return IkawaScan(
         rows=tuple(rows),
-        special_rows=tuple(special),
         fit_c=float(np.exp(intercept)),
         fit_c0=float(-slope),
         gamma0_word=tuple(gamma0),

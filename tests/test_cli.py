@@ -139,12 +139,33 @@ def test_out_of_range_integer_flags_are_usage_errors(cli_env, tmp_path):
         (("zeta", "--cache", cache, "--window", -2), "--window"),
         (("abscissas", "--cache", cache, "--n", 0), "argument --n:"),
         (("abscissas", "--cache", cache, "--n", 1), "argument --n:"),
+        (("abscissas", "--cache", cache, "--k", 0), "argument --k:"),
+        (("counting", "--cache", cache, "--k", 0), "argument --k:"),
+        (("trace", "--cache", cache, "--eps", "nan", "--alpha0", "nan"), "--eps"),
+        (("trace", "--cache", cache, "--alpha0", "nan"), "--alpha0"),
+        (("trace", "--cache", cache, "--beta", "nan"), "--beta"),
+        (("trace", "--cache", cache, "--sigma", "inf"), "--sigma"),
+        (("trace", "--cache", cache, "--eps", "-inf"), "--eps"),
     ]
     for argv, flag in cases:
         res = run_cli(*argv, "--out", out)
         assert res.returncode == 1, argv
         assert flag in res.stderr and "Traceback" not in res.stderr, argv
         assert not new_cache.exists() and not out.exists(), argv
+
+
+def test_cli_imports_no_scipy(cli_env):
+    # importing scipy.optimize alone costs about twice `import billzeta.cli`
+    script = "\n".join([
+        "import sys",
+        "from billzeta.cli import main",
+        "for sub in ('abscissas', 'zeta', 'poles', 'counting', 'trace'):",
+        f"    assert main([sub, '--cache', {str(cli_env['cache'])!r}]) == 0, sub",
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    ])
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_jobs_flag_is_a_usage_error(cli_env):

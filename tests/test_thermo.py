@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from billzeta import thermo
+from billzeta.database import build_database
 from billzeta.errors import DomainError
+from billzeta.geometry import Configuration, Disk
 from billzeta.thermo import (
+    PRESSURE_TOL,
     build_potentials,
     closing_word,
     leading_eigenvalue,
@@ -38,6 +42,50 @@ def test_memory_one_abscissa_closed_form(db8):
         expected = (np.log(2.0) + beta * g) / 4.0
         got = solve_abscissa(db8, beta, "transfer", k=1)
         assert abs(got - expected) < 1e-9
+
+
+@pytest.mark.parametrize("method", ["transfer", "periodic"])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_root_takes_few_pressure_calls(monkeypatch, db12, pot6, beta, method):
+    calls = []
+    for name in ("pressure", "pressure_periodic"):
+        real = getattr(thermo, name)
+        monkeypatch.setattr(thermo, name, lambda *a, _real=real: calls.append(a) or _real(*a))
+    root = solve_abscissa(db12, beta, method, k=6, n=10, pot=pot6)
+    monkeypatch.undo()
+    assert 2 <= len(calls) <= 8
+    if method == "transfer":
+        value = pressure(pot6, root, beta)
+    else:
+        value = pressure_periodic(db12, root, beta, 10)
+    assert abs(value) <= PRESSURE_TOL
+
+
+# The second and sixth configurations of the benchmark's random_disk_configs(7).
+# The power iteration stalls at s = -0.75 (configuration 1, beta = 1) and
+# s = +0.75 (configuration 5, beta = 0), about 0.5 past these roots, so a
+# root search must not step that far from them.
+SEED7_DISKS = {
+    1: (
+        ((-0.5407035947953744, 6.674684371085636), 1.1292262544910106),
+        ((0.22588234559222187, -0.050025033703931854), 0.7475149220273308),
+        ((-7.811295591319906, -4.92156569623503), 1.1920321208818392),
+    ),
+    5: (
+        ((0.8372238026762204, -5.111160024817414), 1.38405689419647),
+        ((2.265147283559692, 1.115108391580927), 0.8762878361299201),
+        ((-1.4247154854859225, -4.168172597090482), 0.5380572866912391),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "which, beta, expected", [(1, 1.0, -0.2547311905), (5, 0.0, 0.2665006618)]
+)
+def test_roots_near_a_slow_power_iteration(which, beta, expected):
+    config = Configuration(tuple(Disk(c, a) for c, a in SEED7_DISKS[which]))
+    db = build_database(config, 8)
+    assert abs(solve_abscissa(db, beta, "transfer", k=6) - expected) < 1e-9
 
 
 def test_refinement_gap_decays_over_two_steps(db8):

@@ -98,8 +98,8 @@ def test_pair_domain_checks(db12, bump):
 def test_ikawa_scan_special_sequence(db12, bump):
     scan = ikawa_scan(db12, beta=1.0, alpha0=0.25, j_max=4, bump=bump)
     assert scan.gamma0_T == pytest.approx(8.0, abs=1e-12)
-    assert len(scan.special_rows) == 4
-    assert all(row[4] for row in scan.special_rows)
+    assert len(scan.rows) == 4
+    assert all(row[4] for row in scan.rows)
     lam12 = record_for(db12, (1, 2)).lam_abs
     expected_rate = np.log(lam12) / (2.0 * scan.gamma0_T)
     assert abs(scan.fit_c0 - expected_rate) < 0.02
