@@ -124,7 +124,7 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
         raise EclipseError(f"configuration rejected: {report.summary()}")
     if not report.ok:
         raise DomainError(f"configuration rejected: {report.summary()}")
-    words = symbolic.enumerate_cycles(config.r, n_max)
+    words = symbolic.enumerate_cycles(config.r, n_max, n_min=db.n_max + 1)
     parts = {name: [getattr(db, name)] for name, _ in SECTIONS}
     for n in range(db.n_max + 1, n_max + 1):
         solved = orbits.solve_orbits(config, [w for w in words if len(w) == n])

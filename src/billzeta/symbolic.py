@@ -115,8 +115,8 @@ def _admissible_codes(r: int, n: int):
     return code[last != first]
 
 
-def enumerate_cycles(r: int, n_max: int):
-    """All primitive cyclic classes of length 2..n_max, canonical words.
+def enumerate_cycles(r: int, n_max: int, n_min: int = 2):
+    """All primitive cyclic classes of length n_min..n_max, canonical words.
 
     Every cyclically admissible word of a length is coded as a base-r
     integer, so that integer order is lexicographic order, and kept
@@ -130,7 +130,7 @@ def enumerate_cycles(r: int, n_max: int):
     if r < 3:
         raise ValueError("need at least 3 symbols")
     cycles = []
-    for n in range(2, n_max + 1):
+    for n in range(n_min, n_max + 1):
         code = _admissible_codes(r, n)
         keep = np.ones(code.size, dtype=bool)
         for k in range(1, n):

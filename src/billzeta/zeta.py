@@ -24,8 +24,9 @@ Every sum over atoms goes through one kernel, built on the factorisation
 exp(-s tau) = exp(-x tau) exp(-i y tau) for s = x + iy.  Contour samples
 lie on grid lines, so each shares its real or its imaginary part with
 many others; the kernel computes the first factor once per distinct real
-part and the second once per distinct imaginary part of a block of
-points, and forms the terms from them bitwise as the complex exp would.
+part of a call and the second once per distinct imaginary part of a
+block of points, and forms the terms from them bitwise as the complex exp
+would.
 One pass returns several sums over the same terms: D with its last
 shell (the truncation noise), or D with D'.
 
@@ -244,14 +245,17 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
 TRUST_THRESHOLD = 3e-5  # last-shell level that bounds the trusted region
 PROBE_IM = np.linspace(0.0, 1.2, 7)  # imaginary parts of the trust-floor probe
 WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
-ATOM_BLOCK = 16  # points per exponential block (about 0.3 MB of terms at N = 13)
+# points per block: at N = 13 a block's terms take about 0.3 MB, beside the
+# call's real-part table of 7.5 kB per distinct Re s (blocks of 16 raise the
+# peak RSS of repeated N = 13 pole searches by about 1 MB)
+ATOM_BLOCK = 8
 SPREAD_TOL = 0.04  # allowed |sum (z - centroid)^2| of a cell's zeros / diagonal^2
 
 
 def _bit_groups(parts):
     """The distinct bit patterns of the float array ``parts`` (as floats)
     and, per element, the index of its pattern (``np.unique`` does the
-    same at about three times the cost on a block of 16)."""
+    same at about three times the cost on a few points)."""
     bits = parts.view(np.int64)
     order = bits.argsort(kind="stable")
     ordered = bits[order]
@@ -277,10 +281,12 @@ def _atom_sums(tau, s, *sums):
     ``s``, else of arrays over the points.
 
     The exponential factors as exp(-x tau) exp(-i y tau), s = x + iy.
-    The points are ordered by (Im s, Re s) and taken ``ATOM_BLOCK`` at a
-    time; within a block the first factor is computed once per distinct
-    real part and the second once per distinct imaginary part (parts are
-    grouped by their bits, so -0.0 and +0.0 stay apart).  Both go through
+    The first factor is computed once per distinct real part of the call,
+    ``ATOM_BLOCK`` parts at a time, into a real table.  The points are
+    ordered by the bit patterns of (Im s, Re s) and taken ``ATOM_BLOCK``
+    at a time, and the second factor is computed once per distinct
+    imaginary part of a block: on a grid line a block holds one or two.
+    Grouping parts by their bits keeps -0.0 and +0.0 apart.  Both go through
     the complex exp, which forms exp(x + iy) as exp(x) cos y + i exp(x)
     sin y from the same exp and sincos: wherever exp(-x tau) does not
     overflow, each term and its product with the real coefficient is
@@ -294,17 +300,24 @@ def _atom_sums(tau, s, *sums):
     tau = tau[lo:]
     coeffs = {id(coeff): coeff[lo:] for coeff, _ in sums}
     values = np.empty((len(sums), points.size), dtype=complex)
-    order = np.lexsort((points.real, points.imag))
+    x, ix = _bit_groups(points.real)
+    y, iy = _bit_groups(points.imag)
+    # sorted by the bits of Im s, a block's imaginary parts are a run of y
+    order = np.lexsort((ix, iy))
     with np.errstate(over="ignore", invalid="ignore"):
+        grow = np.empty((x.size, tau.size))
+        for first in range(0, x.size, ATOM_BLOCK):
+            rows = slice(first, first + ATOM_BLOCK)
+            grow[rows] = _exp_table(x[rows], tau, False).real
         for first in range(0, points.size, ATOM_BLOCK):
             idx = order[first : first + ATOM_BLOCK]
-            x, ix = _bit_groups(points.real[idx])
-            y, iy = _bit_groups(points.imag[idx])
-            turn = _exp_table(y, tau, True)
-            cos, sin = turn.real[iy], turn.imag[iy]
-            grow = _exp_table(x, tau, False).real[ix]
-            cos *= grow
-            sin *= grow
+            run = iy[idx]
+            turn = _exp_table(y[run[0] : run[-1] + 1], tau, True)
+            run -= run[0]
+            cos, sin = turn.real[run], turn.imag[run]
+            block_grow = grow[ix[idx]]
+            cos *= block_grow
+            sin *= block_grow
             terms = {}
             for key, coeff in coeffs.items():
                 terms[key] = np.empty(cos.shape, dtype=complex)

@@ -61,6 +61,13 @@ def test_enumeration_matches_moebius_count(r, n):
         assert words == brute_force_cycles(r, n)
 
 
+@pytest.mark.parametrize("r", [3, 4])
+def test_enumeration_from_a_minimum_length_is_the_tail(r):
+    every = enumerate_cycles(r, 9)
+    for k in range(2, 11):
+        assert enumerate_cycles(r, 9, n_min=k) == [w for w in every if len(w) >= k]
+
+
 def test_enumerated_words_are_canonical_admissible_primitive():
     for w in enumerate_cycles(3, 7):
         canon, shift = canonical_rotation(w)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from billzeta import zeta
-from billzeta.cli import _restrict
+from billzeta.cli import _default_pole_search, _restrict
 from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
     ATOM_BLOCK,
@@ -228,6 +228,66 @@ def test_value_does_not_depend_on_the_batch(exp12):
         assert all(
             (first[k], second[k]) == method(complex(p)) for k, p in enumerate(points)
         )
+
+
+def test_value_does_not_depend_on_the_batch_on_grid_lines(exp12):
+    xs = np.linspace(-0.3, 0.1, 9)
+    line = xs + 0.7j  # one Im s, each Re s again on the axis and the column
+    column = xs[0] + 1j * np.linspace(-0.5, 0.5, 11)
+    axis = np.array([complex(x, y) for x in xs for y in (0.0, -0.0)])
+    points = np.concatenate((line, column, axis, line[::-1]))
+    assert points.size > 2 * ATOM_BLOCK
+
+    def bits(value):
+        return np.complex128(value).tobytes()
+
+    single = (exp12.value, exp12.derivative, exp12.last_shell_value)
+    paired = (exp12.value_and_last_shell, exp12.value_and_derivative)
+    for method in single:
+        batch = method(points)
+        assert all(bits(batch[k]) == bits(method(complex(p))) for k, p in enumerate(points))
+        empty = method(np.array([], dtype=complex))
+        assert empty.dtype == complex and empty.shape == (0,)
+    for method in paired:
+        first, second = method(points)
+        for k, p in enumerate(points):
+            lone = method(complex(p))
+            assert (bits(first[k]), bits(second[k])) == (bits(lone[0]), bits(lone[1]))
+        for empty in method(np.array([], dtype=complex)):
+            assert empty.dtype == complex and empty.shape == (0,)
+
+
+def test_each_real_part_is_exponentiated_once_per_call(db13, monkeypatch):
+    exp = build_determinant(db13, 13)
+    rows = []  # (imag, parts) per exponential table, in call order
+    calls = []  # (real-part rows, distinct real parts) per kernel call
+    exp_table, atom_sums = zeta._exp_table, zeta._atom_sums
+
+    def counted_table(parts, tau, imag):
+        rows.append((imag, parts.size))
+        return exp_table(parts, tau, imag)
+
+    def counted_sums(tau, s, *sums):
+        start = len(rows)
+        values = atom_sums(tau, s, *sums)
+        real = np.atleast_1d(np.asarray(s, dtype=complex)).real
+        calls.append(
+            (sum(n for imag, n in rows[start:] if not imag), np.unique(real.view(np.int64)).size)
+        )
+        return values
+
+    monkeypatch.setattr(zeta, "_exp_table", counted_table)
+    monkeypatch.setattr(zeta, "_atom_sums", counted_sums)
+    _guarded_values(exp, default_grid_samples(exp))
+    assert calls == [(61, 61)]
+    rows.clear()
+    exp.value(complex(-0.1, 0.5))
+    assert sum(n for _, n in rows) == 2
+    rows.clear()
+    calls.clear()
+    _default_pole_search(exp)
+    assert all(got == distinct for got, distinct in calls)
+    assert sum(n for _, n in rows) <= 1160  # 2,115 with real parts exponentiated per block
 
 
 def oracle_atom_sum(coeff, tau, s, block=64):
