@@ -1,10 +1,15 @@
 """Command line driver.
 
-Every subcommand that writes files drops a run manifest next to them
-listing the configuration hash, resolved parameters, tool version,
-timestamp, and every output file.  CSV output is UTF-8 with LF line
-endings and shortest round-trip float formatting, so repeated runs are
+With ``--out DIR`` a subcommand writes its tables into DIR and then
+``<subcommand>_manifest.json`` beside them: the configuration hash,
+resolved parameters, tool version, timestamp, and the names of exactly
+the files it wrote.  CSV output is UTF-8 with LF line endings and
+shortest round-trip float formatting, so repeated runs are
 byte-identical.
+
+``orbits`` without ``--nmax`` keeps an existing cache's n_max and builds
+a fresh one to n_max 10; every other subcommand reads the whole cache.
+``poles --grid`` needs ``--rect``: the default search sets its own grids.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 domain violation
 (eclipse, stale cache, data horizon), 3 numerical failure.
@@ -15,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +36,7 @@ from .database import (
     load_database,
     save_database,
 )
-from .errors import BilliardError, IncompleteDataError, MalformedInputError
+from .errors import BilliardError, IncompleteDataError, MalformedInputError, ShortSeriesError
 from .geometry import config_digest, load_config, validate
 
 
@@ -194,31 +199,46 @@ def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
             fh.write(f"{symbols},{n},{T!r},{lam!r},{residual!r},{margin!r}\n")
 
 
-def _out_dir(args) -> Path | None:
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _make_out_dir(args) -> None:
+    """Create the --out directory, if given; each subcommand calls this before any work."""
     if args.out is None:
-        return None
-    out = Path(args.out)
+        return
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise MalformedInputError(f"cannot create output directory {out}: {exc}") from exc
-    return out
+        raise MalformedInputError(f"cannot create output directory {args.out}: {exc}") from exc
 
 
-def _write_manifest(out: Path, args, config_hash: str, params: dict, outputs) -> None:
-    manifest = {
+def _write_outputs(args, config_hash: str, params: dict, tables: dict) -> None:
+    """Write every table into the --out directory, then the run manifest
+    that lists exactly those files; nothing without --out.
+
+    ``tables`` maps a file name to ``(header, rows)`` of a CSV table, or
+    to a function that writes the file at the path it is given.
+    """
+    if args.out is None:
+        return
+    out = Path(args.out)
+    for name, table in tables.items():
+        if callable(table):
+            table(out / name)
+        else:
+            _write_csv(out / name, *table)
+    _write_json(out / f"{args.subcommand}_manifest.json", {
         "format": "billzeta-run/1",
         "tool_version": __version__,
         "subcommand": args.subcommand,
         "config_hash": config_hash,
         "parameters": params,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "outputs": sorted(str(name) for name in outputs),
-    }
-    path = out / f"{args.subcommand}_manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "outputs": sorted(tables),
+    })
 
 
 def _restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
@@ -233,11 +253,13 @@ def _restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     return OrbitDatabase(db.config, n_max, columns)
 
 
-def _load_db(args, default_nmax: int = 10):
-    """The orbit database and the --out directory (None without --out).
+# --nmax of a build from --config alone; with a cache, it is the cache's n_max
+FRESH_NMAX = 10
 
-    The database is the cache (cross-checked against --config when both
-    are given) or an in-memory build from --config, honoring --nmax.
+
+def _load_db(args) -> OrbitDatabase:
+    """The orbit database: the cache (cross-checked against --config when
+    both are given) or an in-memory build from --config, honoring --nmax.
     The arguments and the output directory are checked before any cycle
     is loaded or solved.
     """
@@ -248,19 +270,19 @@ def _load_db(args, default_nmax: int = 10):
             "no orbit data: provide --cache with an existing cache file, or "
             "--config to solve the orbits in memory"
         )
-    out = _out_dir(args)
+    _make_out_dir(args)
     if not cached:
-        return build_database(config, default_nmax if args.nmax is None else args.nmax), out
+        return build_database(config, FRESH_NMAX if args.nmax is None else args.nmax)
     db = load_database(args.cache, config)
-    if args.nmax is not None:
-        if args.nmax > db.n_max:
-            raise IncompleteDataError(
-                f"cache {args.cache} stops at n_max={db.n_max}, requested "
-                f"{args.nmax}; re-run `billzeta orbits --cache {args.cache} "
-                f"--nmax {args.nmax}` to extend it"
-            )
-        db = _restrict(db, args.nmax)
-    return db, out
+    if args.nmax is None:
+        return db
+    if args.nmax > db.n_max:
+        raise IncompleteDataError(
+            f"cache {args.cache} stops at n_max={db.n_max}, requested "
+            f"{args.nmax}; re-run `billzeta orbits --cache {args.cache} "
+            f"--nmax {args.nmax}` to extend it"
+        )
+    return _restrict(db, args.nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -270,57 +292,39 @@ def _load_db(args, default_nmax: int = 10):
 def cmd_validate(args) -> None:
     if not args.config:
         raise MalformedInputError("validate requires --config")
-    out = _out_dir(args)
+    _make_out_dir(args)
     config = load_config(args.config)
+    digest = config_digest(config)
     report = validate(config)
-    print(f"configuration: {config.r} disks, hash {config_digest(config)[:12]}")
+    print(f"configuration: {config.r} disks, hash {digest[:12]}")
     print(report.summary())
-    if out is not None:
-        path = out / "validate_report.json"
-        payload = {
-            "ok": report.ok,
-            "n_disks": report.n_disks,
-            "min_pair_gap": report.min_pair_gap,
-            "min_triple_margin": report.min_triple_margin,
-            "bad_pairs": [list(p) for p in report.bad_pairs],
-            "bad_triples": [list(t) for t in report.bad_triples],
-            "reasons": list(report.reasons),
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(
-            out, args, config_digest(config), {"config": args.config}, [path.name]
-        )
+    _write_outputs(args, digest, {"config": args.config},
+                   {"validate_report.json": lambda path: _write_json(path, asdict(report))})
     if not report.ok:
         raise BilliardError(f"configuration rejected: {'; '.join(report.reasons)}")
 
 
 def cmd_orbits(args) -> None:
     cache = Path(args.cache) if args.cache else None
-    if not args.config and (cache is None or not cache.exists()):
+    cached = cache is not None and cache.exists()
+    if not args.config and not cached:
         raise MalformedInputError("orbits requires --config (or an existing --cache)")
-    out = _out_dir(args)
-    n_max = 10 if args.nmax is None else args.nmax
+    _make_out_dir(args)
     config = load_config(args.config) if args.config else None
-    if cache is not None and cache.exists():
-        cached = load_database(cache, config)
-        if cached.n_max >= n_max:
-            print(
-                f"cache hit: {cache} holds n_max={cached.n_max} "
-                f"({len(cached)} cycles); no re-solve needed"
-            )
-            db = _restrict(cached, n_max)
+    if cached:
+        db = load_database(cache, config)
+        n_max = db.n_max if args.nmax is None else args.nmax
+        if db.n_max >= n_max:
+            print(f"cache hit: {cache} holds n_max={db.n_max} ({len(db)} cycles); "
+                  "no re-solve needed")
+            db = _restrict(db, n_max)
         else:
-            print(
-                f"cache stops at n_max={cached.n_max}; solving lengths "
-                f"{cached.n_max + 1}..{n_max}"
-            )
-            db = extend_database(cached, n_max)
+            print(f"cache stops at n_max={db.n_max}; solving lengths {db.n_max + 1}..{n_max}")
+            db = extend_database(db, n_max)
             save_database(db, cache)
             print(f"wrote {cache}")
     else:
-        db = build_database(config, n_max)
+        db = build_database(config, FRESH_NMAX if args.nmax is None else args.nmax)
         if cache is not None:
             save_database(db, cache)
             print(f"wrote {cache}")
@@ -329,21 +333,12 @@ def cmd_orbits(args) -> None:
     per_length = ", ".join(f"{n}:{c}" for n, c in zip(lengths.tolist(), counts.tolist()))
     print(f"orbits: {len(db)} primitive cycles (length:count {per_length})")
     print(f"residuals: min {db.residual.min():.3e}, max {db.residual.max():.3e}")
-
-    if out is not None:
-        path = out / "orbits.csv"
-        _write_orbits_csv(path, db)
-        _write_manifest(
-            out,
-            args,
-            db.config_hash,
-            {"nmax": n_max, "cache": args.cache},
-            [path.name],
-        )
+    _write_outputs(args, db.config_hash, {"nmax": db.n_max, "cache": args.cache},
+                   {"orbits.csv": lambda path: _write_orbits_csv(path, db)})
 
 
 def cmd_abscissas(args) -> None:
-    db, out = _load_db(args)
+    db = _load_db(args)
     k = args.k if args.k is not None else min(6, db.n_max - 1)
     n = args.n if args.n is not None else min(10, db.n_max)
     pot = thermo.build_potentials(db, k)
@@ -365,45 +360,37 @@ def cmd_abscissas(args) -> None:
     print(f"ordering b1 < a1 < h: {'ok' if order_ok else 'VIOLATED'}")
     print(f"sign of P(g) at s=0: {sign:+d} (value {pg:.3e})")
     print(f"twisted spectrum distance from +1 at s=b1: {gap:.6f}")
-    if out is not None:
-        path = out / "abscissas.csv"
-        _write_csv(path, ["quantity", "method", "order", "value"], rows)
-        _write_manifest(
-            out, args, db.config_hash, {"k": k, "n": n, "nmax": db.n_max}, [path.name]
-        )
+    _write_outputs(args, db.config_hash, {"k": k, "n": n, "nmax": db.n_max},
+                   {"abscissas.csv": (["quantity", "method", "order", "value"], rows)})
 
 
 def cmd_zeta(args) -> None:
-    db, out = _load_db(args)
+    db = _load_db(args)
     est_rows = []
     shell_rows = []
-    for weight, parity in (
-        ("none", None),
-        ("half", None),
-        ("full", None),
-        ("unstable", None),
-        ("half", "even"),
-    ):
-        est, err, shells = zeta.abscissa_estimate(
-            db, weight=weight, parity=parity, window=args.window
-        )
+    short = []
+    for weight, parity in (("none", None), ("half", None), ("full", None),
+                           ("unstable", None), ("half", "even")):
+        try:
+            est, err, shells = zeta.abscissa_estimate(
+                db, weight=weight, parity=parity, window=args.window
+            )
+        except ShortSeriesError as exc:
+            short.append(exc)
+            continue
         label = weight if parity is None else f"{weight}/{parity}"
         est_rows.append((label, est, err))
         for m, total, mean_tau in shells:
             shell_rows.append((label, m, total, mean_tau))
         print(f"growth of {label:<12s} series: {est:+.6f} (spread {err:.1e})")
-    if out is not None:
-        p1 = out / "zeta_estimates.csv"
-        _write_csv(p1, ["series", "estimate", "spread"], est_rows)
-        p2 = out / "zeta_shells.csv"
-        _write_csv(p2, ["series", "shell", "shell_sum", "mean_length"], shell_rows)
-        _write_manifest(
-            out,
-            args,
-            db.config_hash,
-            {"window": args.window, "nmax": db.n_max},
-            [p1.name, p2.name],
-        )
+    if short:
+        # one message for every short series, with a cutoff that fits them all
+        raise ShortSeriesError([series for exc in short for series in exc.short],
+                               args.window, db.n_max, max(exc.nmax for exc in short))
+    _write_outputs(args, db.config_hash, {"window": args.window, "nmax": db.n_max}, {
+        "zeta_estimates.csv": (["series", "estimate", "spread"], est_rows),
+        "zeta_shells.csv": (["series", "shell", "shell_sum", "mean_length"], shell_rows),
+    })
 
 
 def _conjugate_closed(poles) -> list:
@@ -426,11 +413,14 @@ def _default_pole_search(exp):
 
 
 def cmd_poles(args) -> None:
-    db, out = _load_db(args)
+    if args.grid is not None and args.rect is None:
+        raise MalformedInputError("--grid needs --rect: the default search sets its own grids")
+    db = _load_db(args)
     det_n = args.det_n if args.det_n is not None else min(12, db.n_max)
     exp = zeta.build_determinant(db, det_n, k_max=args.det_kmax)
     print(f"determinant truncation N={det_n}, repetitions k<={args.det_kmax}, "
           f"trust floor Re s > {exp.trust_floor:.3f}")
+    grid = None
     if args.rect is not None:
         grid = tuple(args.grid) if args.grid else (8, 8)
         poles = zeta.find_poles(exp, tuple(args.rect), grid=grid)
@@ -444,41 +434,31 @@ def cmd_poles(args) -> None:
     for p in poles:
         print(f"  {p.s.real:+.10f} {p.s.imag:+.10f}i  m={p.multiplicity}  "
               f"|D|={p.residual:.1e}  margin {p.trust_margin:.1f}")
-    if out is not None:
-        path = out / "poles.csv"
-        _write_csv(path, ["re", "im", "multiplicity", "residual", "trust_margin"], rows)
-        _write_manifest(
-            out,
-            args,
-            db.config_hash,
-            {
-                "det_n": det_n,
-                "det_kmax": args.det_kmax,
-                "rect": list(args.rect) if args.rect else None,
-                "nmax": db.n_max,
-            },
-            [path.name],
-        )
+    params = {
+        "det_n": det_n,
+        "det_kmax": args.det_kmax,
+        "rect": list(args.rect) if args.rect else None,
+        "grid": list(grid) if grid else None,
+        "nmax": db.n_max,
+    }
+    _write_outputs(args, db.config_hash, params,
+                   {"poles.csv": (["re", "im", "multiplicity", "residual", "trust_margin"], rows)})
 
 
 def cmd_counting(args) -> None:
-    db, out = _load_db(args)
+    db = _load_db(args)
     k = args.k if args.k is not None else min(6, db.n_max - 1)
     h = thermo.solve_abscissa(db, 0.0, "transfer", k=k)
     rows = zeta.counting_check(db, h)
     print(f"h = {h:.10f} (transfer, k={k})")
     x, count, model, ratio = rows[-1]
     print(f"at x={x:.2f}: N(x)={count}, e^(hx)/(hx)={model:.1f}, ratio {ratio:.3f}")
-    if out is not None:
-        path = out / "counting.csv"
-        _write_csv(path, ["x", "count", "model", "ratio"], rows)
-        _write_manifest(
-            out, args, db.config_hash, {"k": k, "h": h, "nmax": db.n_max}, [path.name]
-        )
+    _write_outputs(args, db.config_hash, {"k": k, "h": h, "nmax": db.n_max},
+                   {"counting.csv": (["x", "count", "model", "ratio"], rows)})
 
 
 def cmd_trace(args) -> None:
-    db, out = _load_db(args)
+    db = _load_db(args)
     bump = trace.BumpFunction()
     measure = trace.build_measure(db, "dirichlet")
     gamma0 = (1, 2)
@@ -514,8 +494,16 @@ def cmd_trace(args) -> None:
             report.qualifying)
     )
     print(f"shell search (b1={b1:.6f}, eps={args.eps}): {report.summary()}")
+    tables = {
+        "trace_windows.csv": (["ell", "m", "pairing", "threshold", "passes", "atoms"], scan.rows),
+        "trace_gaussian.csv": (
+            ["t", "sigma", "direct", "quadrature", "quad_error", "lower_bound", "bound_holds"],
+            gauss_rows,
+        ),
+        "trace_shells.csv": (["center", "shell_sum", "atoms", "threshold", "qualifying"],
+                             shell_rows),
+    }
 
-    compare_rows = None
     if args.experimental_trace_compare:
         det_n = min(12, db.n_max)
         exp = zeta.build_determinant(db, det_n, k_max=5)
@@ -526,49 +514,18 @@ def cmd_trace(args) -> None:
         for ell, m, orbit, res, ratio in compare_rows:
             print(f"  ell={ell:6.2f}  orbit {orbit:+.3e}  resonance {res:+.3e}  "
                   f"ratio {ratio:+.3f}")
+        tables["trace_compare.csv"] = (["ell", "m", "orbit_side", "resonance_side", "ratio"],
+                                       compare_rows)
 
-    if out is not None:
-        outputs = []
-        p = out / "trace_windows.csv"
-        _write_csv(
-            p,
-            ["ell", "m", "pairing", "threshold", "passes", "atoms"],
-            scan.rows,
-        )
-        outputs.append(p.name)
-        p = out / "trace_gaussian.csv"
-        _write_csv(
-            p,
-            ["t", "sigma", "direct", "quadrature", "quad_error", "lower_bound",
-             "bound_holds"],
-            gauss_rows,
-        )
-        outputs.append(p.name)
-        p = out / "trace_shells.csv"
-        _write_csv(
-            p, ["center", "shell_sum", "atoms", "threshold", "qualifying"], shell_rows
-        )
-        outputs.append(p.name)
-        if compare_rows is not None:
-            p = out / "trace_compare.csv"
-            _write_csv(
-                p, ["ell", "m", "orbit_side", "resonance_side", "ratio"], compare_rows
-            )
-            outputs.append(p.name)
-        _write_manifest(
-            out,
-            args,
-            db.config_hash,
-            {
-                "beta": args.beta,
-                "alpha0": args.alpha0,
-                "sigma": args.sigma,
-                "eps": args.eps,
-                "nmax": db.n_max,
-                "experimental_trace_compare": bool(args.experimental_trace_compare),
-            },
-            outputs,
-        )
+    params = {
+        "beta": args.beta,
+        "alpha0": args.alpha0,
+        "sigma": args.sigma,
+        "eps": args.eps,
+        "nmax": db.n_max,
+        "experimental_trace_compare": bool(args.experimental_trace_compare),
+    }
+    _write_outputs(args, db.config_hash, params, tables)
 
 
 def main(argv=None) -> int:

@@ -41,6 +41,23 @@ class IncompleteDataError(DomainError):
     """Orbit database is too short for the requested cutoff or window."""
 
 
+class ShortSeriesError(IncompleteDataError):
+    """Too few bounce-count shells for a growth-rate fit.  ``short`` lists
+    (series label, shell count) for each short series and ``nmax`` is a
+    cutoff at which all of them fit."""
+
+    def __init__(self, short, window, n_max, nmax):
+        listed = "; ".join(
+            f"{label} series: it has {count} shells, needs {window + 1}" for label, count in short
+        )
+        super().__init__(
+            f"not enough shells for a growth-rate fit with a window of {window} up to "
+            f"nmax {n_max}: {listed}; --nmax {nmax} would be enough"
+        )
+        self.short = short
+        self.nmax = nmax
+
+
 class NumericalError(BilliardError):
     exit_code = NUMERICAL_EXIT
 

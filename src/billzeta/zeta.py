@@ -51,7 +51,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import DomainError, IncompleteDataError, TrustRegionError
+from .errors import DomainError, IncompleteDataError, ShortSeriesError, TrustRegionError
 from .stability import det_one_minus_poincare
 
 # ---------------------------------------------------------------------------
@@ -221,11 +221,8 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
         step = 2 if parity == "even" else 1
         last = shells[-1][0] if shells else 2 - step
         label = weight if parity is None else f"{weight}/{parity}"
-        raise IncompleteDataError(
-            f"not enough shells for a growth-rate fit of the {label} series: "
-            f"it has {len(shells)} shells up to nmax {db.n_max}, a window of "
-            f"{window} needs {window + 1}; --nmax "
-            f"{last + step * (window + 1 - len(shells))} would be enough"
+        raise ShortSeriesError(
+            [(label, len(shells))], window, db.n_max, last + step * (window + 1 - len(shells))
         )
     xs = np.array([t for _, _, t in shells])
     ys = np.log(np.array([a for _, a, _ in shells]))

@@ -445,3 +445,99 @@ def test_solve_and_consumers_build_no_per_cycle_objects(cli_env, config, tmp_pat
     # the spies do see the one-row calls
     stability.stability_record(config, orbits.solve_orbit(config, (1, 2)))
     assert made == ["PeriodicOrbit", "StabilityRecord"]
+
+
+def test_orbits_without_nmax_keeps_the_cache_n_max(tmp_path, db8, db13):
+    c8, c13, out_dir = tmp_path / "c8.bin", tmp_path / "c13.bin", tmp_path / "out"
+    save_database(db8, c8)
+    save_database(db13, c13)
+    blobs = {cache: cache.read_bytes() for cache in (c8, c13)}
+    out = run_cli("orbits", "--cache", c8)
+    assert out.returncode == 0, out.stderr
+    assert "cache hit" in out.stdout and "solving" not in out.stdout
+    out = run_cli("orbits", "--cache", c13, "--out", out_dir)
+    assert out.returncode == 0, out.stderr
+    assert f"orbits: {len(db13)} primitive cycles" in out.stdout
+    assert {cache: cache.read_bytes() for cache in (c8, c13)} == blobs
+    lines = (out_dir / "orbits.csv").read_text(encoding="utf-8").splitlines()
+    assert len(db13) == 1377 and len(lines) == 1 + 1377
+    manifest = json.loads((out_dir / "orbits_manifest.json").read_text("utf-8"))
+    assert manifest["parameters"]["nmax"] == 13
+
+
+def test_poles_grid_without_rect_is_a_usage_error(cli_env, tmp_path):
+    out_dir = tmp_path / "out"
+    out = run_cli("poles", "--cache", cli_env["cache"], "--grid", 1, 1, "--out", out_dir)
+    assert out.returncode == 1, out.stderr
+    assert "--grid needs --rect" in out.stderr and "Traceback" not in out.stderr
+    assert out.stdout == ""
+    assert not out_dir.exists()
+
+
+def test_poles_manifest_records_the_grid(cli_env, tmp_path):
+    from billzeta import cli
+
+    grids = {}
+    for tag, extra in (
+        ("default", []),
+        ("g33", ["--rect", "-0.2", "-0.05", "-0.1", "0.1", "--grid", "3", "3"]),
+        ("g13", ["--rect", "-0.2", "-0.05", "-0.1", "0.1", "--grid", "1", "3"]),
+    ):
+        out_dir = tmp_path / tag
+        assert cli.main(["poles", "--cache", str(cli_env["cache"]), *extra,
+                         "--out", str(out_dir)]) == 0, tag
+        manifest = json.loads((out_dir / "poles_manifest.json").read_text("utf-8"))
+        grids[tag] = manifest["parameters"]["grid"]
+    assert grids == {"default": None, "g33": [3, 3], "g13": [1, 3]}
+
+
+def test_zeta_short_cache_names_an_nmax_that_fits_every_series(tmp_path, db12, capsys):
+    from billzeta import cli
+    from billzeta.cli import _restrict
+
+    for window, n_max, listed, need in (
+        (4, 3, ["none", "half", "full", "unstable", "half/even"], 10),
+        (4, 5, ["none", "half", "full", "unstable", "half/even"], 10),
+        (4, 6, ["half/even"], 10),
+        (2, 3, ["none", "half", "full", "unstable", "half/even"], 6),
+    ):
+        cache = tmp_path / f"c{n_max}.bin"
+        save_database(_restrict(db12, n_max), cache)
+        assert cli.main(["zeta", "--cache", str(cache), "--window", str(window)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1, err
+        assert [clause.split(" series:")[0].split()[-1] for clause in err.split(";")[:-1]] \
+            == listed, err
+        assert err.rstrip().endswith(f"--nmax {need} would be enough"), err
+        fits = tmp_path / f"fits{need}.bin"
+        save_database(_restrict(db12, need), fits)
+        assert cli.main(["zeta", "--cache", str(fits), "--window", str(window)]) == 0
+
+
+def test_every_manifest_lists_exactly_the_files_written(cli_env, tmp_path):
+    from billzeta import cli
+    from billzeta.geometry import load_config
+
+    cfg, cache = str(cli_env["config"]), str(cli_env["cache"])
+    trace_keys = {"beta", "alpha0", "sigma", "eps", "nmax", "experimental_trace_compare"}
+    cases = [
+        (["validate", "--config", cfg], {"config"}),
+        (["orbits", "--cache", cache], {"nmax", "cache"}),
+        (["abscissas", "--cache", cache], {"k", "n", "nmax"}),
+        (["zeta", "--cache", cache], {"window", "nmax"}),
+        (["poles", "--cache", cache], {"det_n", "det_kmax", "rect", "grid", "nmax"}),
+        (["counting", "--cache", cache], {"k", "h", "nmax"}),
+        (["trace", "--cache", cache], trace_keys),
+        (["trace", "--cache", cache, "--experimental-trace-compare"], trace_keys),
+    ]
+    digest = config_digest(load_config(cfg))
+    for i, (argv, keys) in enumerate(cases):
+        out_dir = tmp_path / f"{i}-{argv[0]}"
+        assert cli.main([*argv, "--out", str(out_dir)]) == 0, argv
+        name = f"{argv[0]}_manifest.json"
+        manifest = json.loads((out_dir / name).read_text("utf-8"))
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted([name, *manifest["outputs"]])
+        assert manifest["outputs"], argv
+        assert set(manifest["parameters"]) == keys, argv
+        assert manifest["config_hash"] == digest, argv
+        assert manifest["subcommand"] == argv[0]
