@@ -393,23 +393,40 @@ def cmd_zeta(args) -> None:
     })
 
 
-def _conjugate_closed(poles) -> list:
+def _conjugate_closed(poles, rects) -> list:
     """The zeros with near-real ones put on the axis, plus the mirror image
-    of each zero above it, sorted by (Im s, Re s)."""
-    full = [replace(p, s=p.s.real + 0.0j) if abs(p.s.imag) < 1e-13 else p for p in poles]
-    mirrored = [replace(p, s=p.s.conjugate()) for p in full if p.s.imag > 1e-12]
+    of each zero whose conjugate lies outside every searched rectangle
+    (the zeros inside were found by the search), sorted by (Im s, Re s)."""
+
+    def searched(s):
+        return any(re0 <= s.real <= re1 and im0 <= s.imag <= im1 for re0, re1, im0, im1 in rects)
+
+    full = [replace(p, s=p.s.real + 0.0j) if abs(p.s.imag) < 1e-12 else p for p in poles]
+    mirrored = [
+        replace(p, s=p.s.conjugate())
+        for p in full
+        if p.s.imag and not searched(p.s.conjugate())
+    ]
     return sorted(full + mirrored, key=lambda p: (p.s.imag, p.s.real))
+
+
+def _pole_search(exp, searches) -> list:
+    """The conjugate-closed zeros of ``find_poles`` over each (rect, grid)."""
+    poles = []
+    for rect, grid in searches:
+        poles += zeta.find_poles(exp, rect, grid=grid)
+    return _conjugate_closed(poles, [rect for rect, _ in searches])
 
 
 def _default_pole_search(exp):
     # stay right of the trust floor; deeper searches need a larger N
     re0 = max(-0.45, exp.trust_floor + 0.01)
-    poles = []
+    searches = []
     if re0 < -0.06:
-        poles += zeta.find_poles(exp, (max(re0, -0.20), -0.05, -0.10, 0.10), grid=(3, 3))
+        searches.append(((max(re0, -0.20), -0.05, -0.10, 0.10), (3, 3)))
     if re0 < -0.03:
-        poles += zeta.find_poles(exp, (re0, -0.02, 0.20, 1.40), grid=(5, 6))
-    return poles
+        searches.append(((re0, -0.02, 0.20, 1.40), (5, 6)))
+    return _pole_search(exp, searches)
 
 
 def cmd_poles(args) -> None:
@@ -423,10 +440,9 @@ def cmd_poles(args) -> None:
     grid = None
     if args.rect is not None:
         grid = tuple(args.grid) if args.grid else (8, 8)
-        poles = zeta.find_poles(exp, tuple(args.rect), grid=grid)
+        poles = _pole_search(exp, [(tuple(args.rect), grid)])
     else:
         poles = _default_pole_search(exp)
-    poles = _conjugate_closed(poles)
     rows = [
         (p.s.real, p.s.imag, p.multiplicity, p.residual, p.trust_margin) for p in poles
     ]
@@ -507,7 +523,7 @@ def cmd_trace(args) -> None:
     if args.experimental_trace_compare:
         det_n = min(12, db.n_max)
         exp = zeta.build_determinant(db, det_n, k_max=5)
-        poles = _conjugate_closed(_default_pole_search(exp))
+        poles = _default_pole_search(exp)
         ells = [r[0] for r in scan.rows]
         compare_rows = trace.experimental_compare(db, poles, args.beta, ells, bump=bump)
         print("experimental resonance-side comparison (heuristic, no claim):")

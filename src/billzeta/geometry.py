@@ -5,6 +5,21 @@ plane.  Scattering quantities downstream assume that no disk meets the
 convex hull of any other two, so every line of sight between two disks
 clears the remaining obstacles; :func:`validate` checks exactly that and
 reports every offending triple.
+
+The hull of disks B(c1, a1) and B(c2, a2) is swept by the disks
+B(c(t), a(t)) with c(t) = (1-t)c1 + t c2 and a(t) = (1-t)a1 + t a2 for
+t in [0, 1], so the gap from a point p to it is the least value of
+g(t) = |p - c(t)| - a(t) on [0, 1].  Put u = c2 - c1, L = |u|, let
+(x, y) with y >= 0 be the coordinates of p - c1 along u and across it,
+and sigma = (a2 - a1) / L.  Then g'(t) = 0 reads
+(x - tL) / sqrt((x - tL)^2 + y^2) = -sigma, whose one solution for
+|sigma| < 1 is t* = (x + sigma y / sqrt(1 - sigma^2)) / L (for y = 0
+it is the kink of g at t = x / L).  g is convex, a norm of an affine
+map minus an affine map, so its least value on [0, 1] is taken at t*
+clamped to [0, 1]; :func:`hull_gap` also looks at both endpoints, which
+costs nothing and absorbs rounding.  When L <= |a2 - a1| (one disk
+inside the other, or concentric disks) g' keeps one sign, g is
+monotone and only the endpoints count.
 """
 
 import hashlib
@@ -16,8 +31,6 @@ import numpy as np
 from .errors import MalformedInputError
 
 CONFIG_FORMAT = "billiard-config/1"
-
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -32,29 +45,34 @@ class Disk:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Immutable list of disks with cached coordinate arrays."""
+    """Immutable list of disks with cached coordinate arrays, the
+    boundary-to-boundary gap of each disk pair (keyed by 0-based (i, j),
+    i < j) and the least such gap ``d0``."""
 
     disks: tuple
     centers: np.ndarray = field(init=False, repr=False)
     radii: np.ndarray = field(init=False, repr=False)
+    pair_gaps: dict = field(init=False, repr=False)
+    d0: float = field(init=False, repr=False)
 
     def __post_init__(self):
         disks = tuple(self.disks)
+        c = np.array([d.center for d in disks], dtype=float)
+        a = np.array([d.radius for d in disks], dtype=float)
+        gaps = {
+            (i, j): np.linalg.norm(c[i] - c[j]) - a[i] - a[j]
+            for i in range(len(a))
+            for j in range(i + 1, len(a))
+        }
         object.__setattr__(self, "disks", disks)
-        object.__setattr__(
-            self, "centers", np.array([d.center for d in disks], dtype=float)
-        )
-        object.__setattr__(
-            self, "radii", np.array([d.radius for d in disks], dtype=float)
-        )
+        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "radii", a)
+        object.__setattr__(self, "pair_gaps", gaps)
+        object.__setattr__(self, "d0", float(min(gaps.values(), default=np.inf)))
 
     @property
     def r(self) -> int:
         return len(self.disks)
-
-    @property
-    def d0(self) -> float:
-        return min_separation(self)
 
     def to_dict(self) -> dict:
         return {
@@ -116,67 +134,31 @@ def config_digest(config: Configuration) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def boundary_point(config: Configuration, j: int, theta):
-    """Point on the boundary of disk ``j`` (0-based) at polar angle ``theta``."""
-    c = config.centers[j]
-    a = config.radii[j]
-    return c + a * np.array([np.cos(theta), np.sin(theta)])
-
-
-def outward_normal(theta):
-    return np.array([np.cos(theta), np.sin(theta)])
-
-
-def reflect(v, n):
-    """Reflect velocity ``v`` in the line with unit normal ``n``."""
-    v = np.asarray(v, dtype=float)
-    n = np.asarray(n, dtype=float)
-    return v - 2.0 * np.dot(v, n) * n
-
-
-def min_separation(config: Configuration) -> float:
-    """Smallest boundary-to-boundary gap over disk pairs."""
-    c = config.centers
-    a = config.radii
-    best = np.inf
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            gap = np.linalg.norm(c[i] - c[j]) - a[i] - a[j]
-            best = min(best, gap)
-    return float(best)
-
-
 def hull_gap(p, c1, a1, c2, a2) -> float:
     """Signed distance from point ``p`` to the convex hull of two disks.
 
-    The hull is swept by the disks B((1-t)c1 + t c2, (1-t)a1 + t a2) for
-    t in [0, 1], and the gap to the swept disk is convex in t, so a
-    golden-section search finds the minimum to near machine precision.
-    Negative return means ``p`` lies inside the hull.
+    The hull is swept by the disks B(c(t), a(t)) with c(t) = (1-t)c1 + t c2
+    and a(t) = (1-t)a1 + t a2 for t in [0, 1], so the gap is the least
+    g(t) = |p - c(t)| - a(t) over [0, 1]; see the module docstring for the
+    closed-form minimiser.  Negative return means ``p`` lies inside the hull.
     """
     p = np.asarray(p, dtype=float)
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
 
     def gap(t):
-        c = (1.0 - t) * c1 + t * c2
-        a = (1.0 - t) * a1 + t * a2
-        return np.linalg.norm(p - c) - a
+        return np.linalg.norm(p - (1.0 - t) * c1 - t * c2) - (1.0 - t) * a1 - t * a2
 
-    lo, hi = 0.0, 1.0
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = gap(x1), gap(x2)
-    for _ in range(90):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = gap(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = gap(x2)
-    return float(min(f1, f2))
+    ts = [0.0, 1.0]
+    u = c2 - c1
+    L = np.linalg.norm(u)
+    if L > abs(a2 - a1):
+        d = p - c1
+        x = np.dot(d, u) / L
+        y = abs(u[0] * d[1] - u[1] * d[0]) / L
+        sigma = (a2 - a1) / L
+        ts.append(min(max((x + sigma * y / np.sqrt(1.0 - sigma * sigma)) / L, 0.0), 1.0))
+    return float(min(gap(t) for t in ts))
 
 
 @dataclass(frozen=True)
@@ -226,40 +208,35 @@ def validate(config: Configuration, tol: float = 1e-9) -> ValidationReport:
     bad_pairs = []
     bad_triples = []
 
-    min_pair = np.inf
-    c = config.centers
-    a = config.radii
-    for i in range(r):
-        for j in range(i + 1, r):
-            gap = float(np.linalg.norm(c[i] - c[j]) - a[i] - a[j])
-            min_pair = min(min_pair, gap)
-            if gap <= tol:
-                bad_pairs.append((i + 1, j + 1, gap))
-                reasons.append(f"disks {i + 1} and {j + 1} overlap or touch (gap {gap:.6g})")
+    for (i, j), gap in config.pair_gaps.items():
+        if gap <= tol:
+            bad_pairs.append((i + 1, j + 1, float(gap)))
+            reasons.append(f"disks {i + 1} and {j + 1} overlap or touch (gap {gap:.6g})")
 
     if r < 3:
         reasons.append(f"need at least 3 disks, got {r}")
 
+    c = config.centers
+    a = config.radii
     min_triple = np.inf
-    for i in range(r):
-        for j in range(i + 1, r):
-            for k in range(r):
-                if k == i or k == j:
-                    continue
-                margin = hull_gap(c[k], c[i], a[i], c[j], a[j]) - a[k]
-                min_triple = min(min_triple, margin)
-                if margin <= tol:
-                    bad_triples.append((i + 1, j + 1, k + 1, float(margin)))
-                    reasons.append(
-                        f"disk {k + 1} blocks the line of sight between "
-                        f"disks {i + 1} and {j + 1} (margin {margin:.6g})"
-                    )
+    for i, j in config.pair_gaps:
+        for k in range(r):
+            if k == i or k == j:
+                continue
+            margin = hull_gap(c[k], c[i], a[i], c[j], a[j]) - a[k]
+            min_triple = min(min_triple, margin)
+            if margin <= tol:
+                bad_triples.append((i + 1, j + 1, k + 1, float(margin)))
+                reasons.append(
+                    f"disk {k + 1} blocks the line of sight between "
+                    f"disks {i + 1} and {j + 1} (margin {margin:.6g})"
+                )
 
     ok = not reasons
     return ValidationReport(
         ok=ok,
         n_disks=r,
-        min_pair_gap=float(min_pair),
+        min_pair_gap=config.d0,
         min_triple_margin=float(min_triple if np.isfinite(min_triple) else np.inf),
         bad_pairs=tuple(bad_pairs),
         bad_triples=tuple(bad_triples),

@@ -63,14 +63,7 @@ def rotate(word, s):
 def canonical_rotation(word):
     """Return (canonical word, shift) with canonical = rotate(word, shift)."""
     word = tuple(word)
-    best = word
-    shift = 0
-    for s in range(1, len(word)):
-        cand = rotate(word, s)
-        if cand < best:
-            best = cand
-            shift = s
-    return best, shift
+    return min((word[s:] + word[:s], s) for s in range(len(word)))
 
 
 def primitive_root(word):

@@ -74,9 +74,6 @@ class BumpFunction:
             out[inside] = self.scale * self._autocorr(t[inside])
         return float(out[0]) if scalar else out
 
-    def __call__(self, t):
-        return self.value(t)
-
     def phi_hat(self, lam):
         """Transform of the base bump, entire in lam."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
@@ -103,15 +100,10 @@ class BumpFunction:
 class AtomicMeasure:
     """Finite weighted sum of Dirac masses on orbit lengths."""
 
-    kind: str
     tau: np.ndarray
     weight: np.ndarray
     cutoff: float
     min_flight: float
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.tau)
 
 
 MEASURE_KINDS = ("half", "even", "dirichlet", "full")
@@ -139,7 +131,6 @@ def build_measure(db, kind: str = "dirichlet", T_max=None) -> AtomicMeasure:
     else:
         w = atoms["w_full"]
     return AtomicMeasure(
-        kind=kind,
         tau=atoms["tau"].copy(),
         weight=np.asarray(w, dtype=float),
         cutoff=float(T_max),
@@ -179,7 +170,6 @@ class IkawaScan:
     rows: tuple
     fit_c: float
     fit_c0: float
-    gamma0_word: tuple
     gamma0_T: float
 
 
@@ -225,7 +215,6 @@ def ikawa_scan(
         rows=tuple(rows),
         fit_c=float(np.exp(intercept)),
         fit_c0=float(-slope),
-        gamma0_word=tuple(gamma0),
         gamma0_T=t0,
     )
 

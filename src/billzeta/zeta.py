@@ -113,14 +113,11 @@ def _atoms(db, T_max, m_max):
     lam_abs = np.abs(lam)
     m = rep * db.n[p_idx]
     atoms = {
-        "p_idx": p_idx,
         "r": rep,
         "tau": tau,
         "tsharp": tsharp,
         "m": m,
         "det": det,
-        "lam_abs": lam_abs,
-        "sign": np.where(lam < 0, -1, 1),
         "w_half": tsharp / np.sqrt(det),
         "w_full": tsharp / det,
         "w_unstable": tsharp * lam_abs ** (-rep.astype(float)),

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from billzeta.cli import _conjugate_closed
 from billzeta.database import save_database
 from billzeta.geometry import config_digest, save_config
-from billzeta.zeta import real_zero
+from billzeta.zeta import Pole, real_zero
 from tests.conftest import equilateral_config, records, take_rows
 
 
@@ -293,6 +294,49 @@ def test_poles_outputs(cli_env, tmp_path):
     assert abs(float(re_val) + 0.12156) < 1e-3
     assert float(im_val) == 0.0
     assert mult == "1"
+
+
+def poles_rows(cache, out_dir, *rect_and_grid):
+    out = run_cli("poles", "--cache", cache, "--out", out_dir, "--rect", *rect_and_grid)
+    assert out.returncode == 0, out.stderr
+    lines = (out_dir / "poles.csv").read_text(encoding="utf-8").splitlines()[1:]
+    return [tuple(map(float, line.split(",")[:2])) for line in lines]
+
+
+def test_poles_rect_across_the_axis_lists_each_zero_once(tmp_path, db12):
+    cache = tmp_path / "orbits12.jsonl"
+    save_database(db12, cache)
+    rows = poles_rows(cache, tmp_path / "out", -0.3, -0.2, -1, 1, "--grid", 2, 5)
+    # the search finds both members of the pair; none is mirrored again
+    assert len(rows) == 2
+    (re_lo, im_lo), (re_hi, im_hi) = rows
+    assert -1.0 < im_lo < -0.5 and 0.5 < im_hi < 1.0
+    assert abs(re_lo - re_hi) < 1e-9 and abs(im_lo + im_hi) < 1e-9
+
+
+def test_poles_rect_below_the_axis_gets_its_mirror(tmp_path, db12):
+    cache = tmp_path / "orbits12.jsonl"
+    save_database(db12, cache)
+    below = poles_rows(cache, tmp_path / "below", -0.3, -0.2, -1, -0.5, "--grid", 2, 2)
+    above = poles_rows(cache, tmp_path / "above", -0.3, -0.2, 0.5, 1, "--grid", 2, 2)
+    assert len(below) == 2
+    assert below[1] == (below[0][0], -below[0][1]) and below[0][1] < 0.0
+    # the search above the axis finds the same pair to the last digits
+    assert np.allclose(sorted(below), sorted(above), rtol=0.0, atol=1e-11)
+
+
+def test_conjugate_closing_snaps_and_mirrors_by_one_rule():
+    def pole(s):
+        return Pole(s=s, multiplicity=1, residual=0.0, trust_margin=1.0)
+
+    rect = (-1.0, 0.0, 1e-13, 1.0)
+    found = [pole(complex(-0.5, 5e-13)), pole(complex(-0.2, 0.4)), pole(complex(-0.3, 2e-12))]
+    closed = [p.s for p in _conjugate_closed(found, [rect])]
+    # 5e-13 goes on the axis and is not mirrored; 2e-12 and 0.4 are
+    assert closed == [-0.2 - 0.4j, -0.3 - 2e-12j, -0.5 + 0j, -0.3 + 2e-12j, -0.2 + 0.4j]
+    assert [p.s for p in _conjugate_closed(found, [(-1.0, 0.0, -1.0, 1.0)])] == [
+        -0.5 + 0j, -0.3 + 2e-12j, -0.2 + 0.4j
+    ]
 
 
 def test_poles_explicit_rect_past_floor_is_numerical_error(cli_env):

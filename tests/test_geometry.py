@@ -5,16 +5,14 @@ from billzeta.errors import MalformedInputError
 from billzeta.geometry import (
     Configuration,
     Disk,
-    boundary_point,
     config_digest,
     config_from_dict,
+    hull_gap,
     load_config,
-    outward_normal,
-    reflect,
     save_config,
     validate,
 )
-from tests.conftest import equilateral_config
+from tests.conftest import equilateral_config, unequal_four_disks
 
 
 def test_fixture_boundary_gap_is_four(config):
@@ -104,24 +102,69 @@ def test_load_config_rejects_bad_json(tmp_path):
             load_config(path)
 
 
-def test_boundary_point_and_normal(config):
-    theta = 0.3
-    p = boundary_point(config, 0, theta)
-    c = config.centers[0]
-    assert abs(np.hypot(*(p - c)) - config.radii[0]) < 1e-14
-    n = outward_normal(theta)
-    assert np.allclose(p, c + config.radii[0] * n)
-
-
-def test_reflect_preserves_norm_and_flips_normal_component():
-    v = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    n = np.array([0.0, 1.0])
-    w = reflect(v, n)
-    assert abs(np.linalg.norm(w) - 1.0) < 1e-14
-    assert np.allclose(w, [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)])
-
-
 def test_digest_depends_on_geometry():
     a = equilateral_config()
     b = equilateral_config(radius=0.9)
     assert config_digest(a) != config_digest(b)
+
+
+def brute_hull_gap(p, c1, a1, c2, a2, points=20001):
+    t = np.linspace(0.0, 1.0, points)
+    centers = (1.0 - t)[:, None] * c1 + t[:, None] * c2
+    return float(np.min(np.hypot(*(p - centers).T) - ((1.0 - t) * a1 + t * a2)))
+
+
+def test_hull_gap_matches_a_dense_minimum():
+    rng = np.random.default_rng(11)
+    cases = [
+        ((4.0, 0.0), (0.0, 0.0), 1.0, (8.0, 0.0), 1.5),  # point on the axis (y = 0)
+        ((4.0, 0.0), (0.0, 0.0), 0.5, (8.0, 0.0), 3.0),  # on the axis, inside the hull
+        ((6.0, 1.0), (0.0, 0.0), 3.0, (0.5, 0.0), 1.0),  # nested pair (L < |a2 - a1|)
+        ((6.0, 1.0), (0.0, 0.0), 1.0, (0.5, 0.0), 3.0),  # nested, larger disk second
+        ((2.0, -3.0), (1.0, 1.0), 1.0, (1.0, 1.0), 2.5),  # concentric pair (L = 0)
+    ]
+    for _ in range(200):
+        p, c1, c2 = rng.uniform(-6.0, 6.0, (3, 2))
+        a1, a2 = rng.uniform(0.1, 3.0, 2)
+        cases.append((p, c1, a1, c2, a2))
+    for p, c1, a1, c2, a2 in cases:
+        p, c1, c2 = (np.asarray(v, dtype=float) for v in (p, c1, c2))
+        exact = hull_gap(p, c1, a1, c2, a2)
+        brute = brute_hull_gap(p, c1, a1, c2, a2)
+        assert brute - 1e-6 <= exact <= brute + 1e-12, (p, c1, a1, c2, a2)
+
+
+def test_unequal_four_disks_validate():
+    cfg = unequal_four_disks()
+    report = validate(cfg)
+    assert report.ok and report.n_disks == 4
+    assert report.bad_pairs == () and report.bad_triples == ()
+    assert 0.0 < report.min_triple_margin < report.min_pair_gap
+
+
+def test_d0_is_the_least_pair_gap_on_four_disks():
+    cfg = unequal_four_disks()
+    gaps = [
+        np.linalg.norm(cfg.centers[i] - cfg.centers[j]) - cfg.radii[i] - cfg.radii[j]
+        for i in range(4)
+        for j in range(i + 1, 4)
+    ]
+    assert cfg.d0 == min(gaps)
+    assert validate(cfg).min_pair_gap == cfg.d0
+    assert sorted(cfg.pair_gaps) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+def test_eclipse_with_unequal_radii_rejected():
+    # the hull widens towards the large second disk and takes in the
+    # third; two disks of the mean radius 1.5 would leave it clear
+    def three(a1, a2):
+        return Configuration((Disk((0.0, 0.0), a1), Disk((10.0, 0.0), a2), Disk((7.0, 2.0), 0.3)))
+
+    assert validate(three(1.5, 1.5)).ok
+    report = validate(three(0.5, 2.5))
+    assert not report.ok
+    assert report.bad_pairs == ()
+    assert [t[:3] for t in report.bad_triples] == [(1, 2, 3)]
+    brute = brute_hull_gap(np.array([7.0, 2.0]), np.zeros(2), 0.5, np.array([10.0, 0.0]), 2.5)
+    assert abs(report.min_triple_margin - (brute - 0.3)) < 1e-6
+    assert report.min_triple_margin < -0.2

@@ -94,6 +94,24 @@ def test_canonical_rotation_shift_convention():
         assert canon[i] == word[(i + shift) % n]
 
 
+def rotation_loop(word):
+    """The least rotation and its shift, found one rotation at a time."""
+    best, shift = word, 0
+    for s in range(1, len(word)):
+        if rotate(word, s) < best:
+            best, shift = rotate(word, s), s
+    return best, shift
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_canonical_rotation_matches_the_rotation_loop(r):
+    for n in range(1, 9):
+        for w in enumerate_words(r, n):
+            assert canonical_rotation(w) == rotation_loop(w)
+            # repeated blocks tie between rotations; the least shift wins
+            assert canonical_rotation(w * 2) == rotation_loop(w * 2)
+
+
 def test_primitive_root_of_repeated_word():
     assert primitive_root((1, 2, 1, 2, 1, 2)) == ((1, 2), 3)
     assert primitive_root((1, 2, 3)) == ((1, 2, 3), 1)

@@ -87,24 +87,18 @@ def test_atom_bookkeeping(db8):
 def reference_atoms(db, T_max=None, m_max=None):
     """The atoms built record by record, repetition by repetition."""
     rows = []
-    for p_idx, rec in enumerate(records(db)):
+    for rec in records(db):
         r = 1
         while (T_max is None or r * rec.T <= T_max) and (m_max is None or r * rec.n <= m_max):
-            rows.append(
-                (p_idx, r, r * rec.T, rec.T, r * rec.n, rec.det_one_minus_p(r), rec.lam_abs,
-                 rec.sign)
-            )
+            rows.append((r, r * rec.T, rec.T, r * rec.n, rec.det_one_minus_p(r), rec.lam_abs))
             r += 1
-    p_idx, rep, tau, tsharp, m, det, lam_abs, sign = map(np.array, zip(*rows))
+    rep, tau, tsharp, m, det, lam_abs = map(np.array, zip(*rows))
     return {
-        "p_idx": p_idx,
         "r": rep,
         "tau": tau,
         "tsharp": tsharp,
         "m": m,
         "det": det,
-        "lam_abs": lam_abs,
-        "sign": sign,
         "w_half": tsharp / np.sqrt(det),
         "w_full": tsharp / det,
         "w_unstable": tsharp * lam_abs ** (-rep.astype(float)),
