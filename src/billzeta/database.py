@@ -38,7 +38,7 @@ import numpy as np
 from . import geometry, orbits, stability, symbolic
 from .errors import DomainError, EclipseError, MalformedInputError, StaleCacheError
 
-SOLVER_VERSION = 3
+SOLVER_VERSION = 4
 CACHE_FORMAT = "billzeta-orbit-cache/2"
 OLD_CACHE_FORMAT = "billzeta-orbit-cache/1"
 SCALARS = ("T", "residual", "lam", "shadow_margin")

@@ -3,15 +3,22 @@
 The reflection points on disk boundaries are parameterized by polar
 angles; the periodic orbit is the critical point of the cyclic length
 functional, found by damped Newton iteration with analytic gradient and
-Hessian.  :func:`solve_orbits` runs the iteration on an ``(M, n)`` array
-of angles, one row per cycle of length ``n``, then certifies every row:
-the residual, the incidence angles and the reflection law over
-``(M, n)`` arrays, and the clearance of each flight from every disk over
-``(M, n, r)``.  It returns those arrays as columns, one row per cycle,
-and builds no object per cycle.  Every row follows exactly the steps it
-would take alone, so a whole length is solved and certified in one
-batch, and :func:`solve_orbit` is the one-row batch, returned as a
-:class:`PeriodicOrbit`.
+Hessian.  Bounce i couples only to bounces i-1 and i+1, so the Hessian
+is cyclic tridiagonal and is kept as two ``(M, n)`` bands, its diagonal
+and its cyclic off-diagonal, computed with the length and gradient from
+one frame of points, tangents and flights per iterate.  A bordered
+LDL^T of the bands, vectorised over rows and looping over the ``n``
+columns, tests positive definiteness (every pivot positive) and gives
+the Newton step; its pivot product is det H, which Hill's formula ties
+to the monodromy.  :func:`solve_orbits` runs the iteration on an
+``(M, n)`` array of angles, one row per cycle of length ``n``, then
+certifies every row: the residual, the incidence angles and the
+reflection law over ``(M, n)`` arrays, and the clearance of each flight
+from every disk over ``(M, n, r)``.  It returns those arrays as
+columns, one row per cycle, and builds no object per cycle.  Every row
+follows exactly the steps it would take alone, so a whole length is
+solved and certified in one batch, and :func:`solve_orbit` is the
+one-row batch, returned as a :class:`PeriodicOrbit`.
 """
 
 from dataclasses import dataclass
@@ -130,69 +137,109 @@ def _length(cx, cy, rad, theta):
     return _row_sum(_frame(cx, cy, rad, theta)[6])
 
 
-def _gradient(cx, cy, rad, theta):
-    # flight i contributes -<u_i, t_i> at bounce i and +<u_i, t_{i+1}>
-    # at bounce i+1
-    _, _, tx, ty, ux, uy, _ = _frame(cx, cy, rad, theta)
-    return (_prev(ux) * tx + _prev(uy) * ty) - (ux * tx + uy * ty)
+def _derivatives(cx, cy, rad, theta):
+    """Length, gradient and Hessian bands at ``theta``, from one frame.
 
-
-def _hessian(cx, cy, rad, theta):
-    """Cyclic tridiagonal Hessian of the length, ``(M, n, n)``."""
+    The Hessian of the cyclic length is cyclic tridiagonal; it is
+    returned as its diagonal ``d`` and its off-diagonal ``e``, with
+    ``e[:, i] = H[i, i+1 mod n]``, both ``(M, n)``.
+    """
     px, py, tx, ty, ux, uy, f = _frame(cx, cy, rad, theta)
+    # flight i contributes -<u_i, t_i> to the gradient at bounce i and
+    # +<u_i, t_{i+1}> at bounce i+1
+    di = ux * tx + uy * ty
+    g = (_prev(ux) * tx + _prev(uy) * ty) - di
     # p'' = -(p - c); the tangent projected off the flight is (I - u u^T) t
     ax, ay = cx - px, cy - py
     txj, tyj = _next(tx), _next(ty)
     axj, ayj = _next(ax), _next(ay)
-    di = ux * tx + uy * ty
     qxi, qyi = tx - ux * di, ty - uy * di
     dj = ux * txj + uy * tyj
     qxj, qyj = txj - ux * dj, tyj - uy * dj
     start = (qxi * tx + qyi * ty) / f - (ux * ax + uy * ay)
     end = (qxj * txj + qyj * tyj) / f + (ux * axj + uy * ayj)
     cross = -(qxj * tx + qyj * ty) / f
-
-    m, n = theta.shape
-    r = np.arange(n)
-    nxt = (r + 1) % n
-    H = np.zeros((m, n, n))
-    H[:, r, r] = start + _prev(end)
-    H[:, r, nxt] += cross
-    H[:, nxt, r] += cross
-    return H
+    return _row_sum(f), g, start + _prev(end), cross
 
 
-def _positive_definite(H):
-    """Which matrices of the stack ``H`` are positive definite: all of
-    them when one stacked Cholesky succeeds, else those whose smallest
-    eigenvalue is positive."""
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return np.linalg.eigvalsh(H)[:, 0] > 0.0
-    return np.ones(len(H), dtype=bool)
+def _cyclic_solve(d, e, r):
+    """Solve ``H x = r`` for cyclic tridiagonal ``H``, one row per matrix,
+    by a bordered LDL^T factorisation.
+
+    Row k of ``H`` has diagonal ``d[k]`` and ``H[i, i+1 mod n] =
+    e[k, i]``.  Its leading ``n-1`` block is tridiagonal and factors
+    with multipliers ``l``; the last row and column are the border,
+    whose multipliers ``z`` come from a forward solve, and the Schur
+    complement is the last pivot.  For n = 2 both off-diagonal terms
+    land on ``H[0, 1]``.  The loops run over the columns only, so
+    nothing mixes rows.
+
+    Returns ``x``, the pivots and which rows are positive definite (all
+    pivots positive).  The pivots of a row after its first non-positive
+    one are set to 1, so no row divides by zero; its ``x`` is then
+    meaningless.
+    """
+    m, n = d.shape
+    # columns as contiguous rows
+    d, e, r = d.T.copy(), e.T.copy(), r.T.copy()
+    border = np.zeros((n - 1, m))
+    border[0] += e[-1]
+    border[-1] += e[-2]
+    pivots = np.empty((n, m))
+    l = np.empty((n - 2, m))
+    z = np.empty((n - 1, m))
+    definite = np.ones(m, dtype=bool)
+    schur = d[-1].copy()
+    p, y = d[0], border[0]
+    for i in range(n - 1):
+        if i:
+            p = d[i] - l[i - 1] * e[i - 1]
+            y = border[i] - l[i - 1] * y
+        definite &= p > 0.0
+        pivots[i] = p = np.where(definite, p, 1.0)
+        z[i] = y / p
+        schur -= z[i] * y
+        if i < n - 2:
+            l[i] = e[i] / p
+    definite &= schur > 0.0
+    pivots[-1] = np.where(definite, schur, 1.0)
+
+    # forward with the unit lower factor, then the pivots, then back
+    u = [r[0]]
+    last = r[-1] - z[0] * u[0]
+    for i in range(1, n - 1):
+        u.append(r[i] - l[i - 1] * u[-1])
+        last -= z[i] * u[i]
+    x = np.empty_like(r)
+    x[-1] = xn = last / pivots[-1]
+    for i in range(n - 2, -1, -1):
+        xi = u[i] / pivots[i] - z[i] * xn
+        if i < n - 2:
+            xi -= l[i] * x[i + 1]
+        x[i] = xi
+    return x.T, pivots.T, definite
 
 
-def _damped_step(cx, cy, rad, theta, g, gnorm):
+def _damped_step(cx, cy, rad, theta, local, gnorm):
     """One damped Newton step per row: returns the new angles and which
     rows moved.
 
-    A row takes the Newton step when its Hessian is positive definite,
-    else the step -g.  Near convergence a Newton step is taken in full;
-    otherwise it is halved until the length decreases, and a Newton row
-    that finds no decrease retries along -g.  A row that finds no
-    decrease either way does not move.
+    ``local`` holds the length, gradient ``g`` and Hessian bands at
+    ``theta`` (:func:`_derivatives`).  The bordered LDL^T of the bands
+    (:func:`_cyclic_solve`) both tests the Hessian, which is positive
+    definite when every pivot is positive, and gives the Newton step;
+    a row that fails the test takes the step -g.  Near convergence a
+    Newton step is taken in full; otherwise it is halved until the
+    length decreases, and a Newton row that finds no decrease retries
+    along -g.  A row that finds no decrease either way does not move.
     """
-    H = _hessian(cx, cy, rad, theta)
-    newton = _positive_definite(H)
-    delta = -g
-    if newton.any():
-        delta[newton] = np.linalg.solve(H[newton], -g[newton][..., None])[..., 0]
+    L0, g, d, e = local
+    step, _, newton = _cyclic_solve(d, e, -g)
+    delta = np.where(newton[:, None], step, -g)
 
     new = theta.copy()
     moved = newton & (gnorm < FULL_STEP_RESIDUAL)
     new[moved] += delta[moved]
-    L0 = _length(cx, cy, rad, theta)
     pending = ~moved
     for direction in (delta, -g):
         lam = 1.0
@@ -218,18 +265,21 @@ def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER):
     residual (gradient sup norm) per row.
     """
     theta = np.array(theta, dtype=float)
-    g = _gradient(cx, cy, rad, theta)
-    gnorm = np.max(np.abs(g), axis=1)
+    local = _derivatives(cx, cy, rad, theta)
+    gnorm = np.max(np.abs(local[1]), axis=1)
     live = gnorm > tol
     for _ in range(max_iter):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
         disks = cx[rows], cy[rows], rad[rows]
-        new, moved = _damped_step(*disks, theta[rows], g[rows], gnorm[rows])
+        new, moved = _damped_step(
+            *disks, theta[rows], [a[rows] for a in local], gnorm[rows]
+        )
         theta[rows] = new
-        g[rows] = _gradient(*disks, new)
-        gnorm[rows] = np.max(np.abs(g[rows]), axis=1)
+        for a, b in zip(local, _derivatives(*disks, new)):
+            a[rows] = b
+        gnorm[rows] = np.max(np.abs(local[1][rows]), axis=1)
         live[rows] = moved & (gnorm[rows] > tol)
     return theta, gnorm
 
@@ -373,9 +423,3 @@ def solve_orbit(
         shadow_margin=float(rows["shadow_margin"][0]),
     )
 
-
-def orbit_with_repetition(orbit: PeriodicOrbit, r: int):
-    """Length data of the r-fold traversal: (tau, tau_sharp, bounces)."""
-    if r < 1:
-        raise DomainError("repetition count must be >= 1")
-    return r * orbit.T, orbit.T, r * orbit.n

@@ -220,17 +220,3 @@ def det_one_minus_poincare(lam_signed: float, r: int = 1) -> float:
     t = lam_signed**r
     return abs(2.0 - t - 1.0 / t)
 
-
-def weight_tables(record: StabilityRecord, r_max: int):
-    """Per-repetition weight tables for the zeta-type series.
-
-    Returns dict with arrays over r = 1..r_max: ``det`` (|det(Id-P^r)|),
-    ``half`` (tau_sharp / det^{1/2}), ``full`` (tau_sharp / det), and
-    ``unstable`` (tau_sharp / |Lambda|^r).
-    """
-    r_vals = np.arange(1, r_max + 1)
-    det = np.array([det_one_minus_poincare(record.lam, r) for r in r_vals])
-    half = record.T / np.sqrt(det)
-    full = record.T / det
-    unstable = record.T * record.lam_abs ** (-r_vals.astype(float))
-    return {"r": r_vals, "det": det, "half": half, "full": full, "unstable": unstable}

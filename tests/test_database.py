@@ -327,13 +327,14 @@ def test_cache_out_of_order_or_repeating_a_cycle_is_refused(tmp_path, db8):
 
 
 # sha256 of the cache bytes of fresh builds, recorded with numpy 2.4.6 at
-# commit f24dac3.  A solver change that moves them bumps SOLVER_VERSION
-# and these digests together, with a note in CHANGES.md.
+# the commit that set SOLVER_VERSION 4 (Newton steps from the bordered
+# LDL^T of the Hessian bands).  A solver change that moves them bumps
+# SOLVER_VERSION and these digests together, with a note in CHANGES.md.
 CACHE_DIGESTS = (
     (equilateral_config, 10, 226,
-     "377cb8ab705ef62177c265512e8b733030d3c6a48b1102dfcfea486cb7f0c368"),
+     "3135c5c1b79730017927cbd8b8c235f3b14157fcd3bba4ad34a556aa586fb769"),
     (unequal_four_disks, 7, 508,
-     "1b98d2421cfcb8ae4828ef4769ecc67765b65e427643bbe15956a5d7958d097a"),
+     "9b75848725305b0f0c61b9aa1baf4bb3b8df089148240f635eb443b6f97472ae"),
 )
 
 

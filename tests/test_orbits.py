@@ -1,19 +1,36 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from billzeta.database import build_database
 from billzeta.errors import BilliardError, DomainError, SolverError
 from billzeta.orbits import (
     SOLVER_TOL,
-    _positive_definite,
+    _cyclic_solve,
+    _derivatives,
+    _disks,
     default_angles,
-    orbit_with_repetition,
     solve_orbit,
     solve_orbits,
 )
 from billzeta.symbolic import enumerate_cycles, is_cyclically_admissible
-from tests.conftest import records
+from tests.conftest import equilateral_config, records, unequal_four_disks
+
+
+def dense(d, e):
+    """The ``(M, n, n)`` cyclic tridiagonal matrices with diagonal ``d``
+    and ``H[i, i+1 mod n] = e[:, i]``; for n = 2 both off-diagonal terms
+    add up on ``H[0, 1]``."""
+    m, n = d.shape
+    r = np.arange(n)
+    nxt = (r + 1) % n
+    H = np.zeros((m, n, n))
+    H[:, r, r] = d
+    H[:, r, nxt] += e
+    H[:, nxt, r] += e
+    return H
 
 
 def first_bad_word_message(config, words):
@@ -68,16 +85,6 @@ def test_bad_words_rejected(config):
             solve_orbit(config, word)
 
 
-def test_repetition_length_data(config):
-    orbit = solve_orbit(config, (1, 2, 3))
-    tau, tau_sharp, bounces = orbit_with_repetition(orbit, 3)
-    assert abs(tau - 3.0 * orbit.T) < 1e-12
-    assert tau_sharp == orbit.T
-    assert bounces == 9
-    with pytest.raises(BilliardError):
-        orbit_with_repetition(orbit, 0)
-
-
 def test_solver_is_deterministic(config):
     a = solve_orbit(config, (1, 2, 1, 3, 2, 3))
     b = solve_orbit(config, (1, 2, 1, 3, 2, 3))
@@ -92,7 +99,7 @@ def test_default_angles_point_toward_next_disk(config):
 
 
 def test_newton_rows_do_not_depend_on_their_batch(config):
-    from billzeta.orbits import _disks, _gradient, _hessian, _length, _newton
+    from billzeta.orbits import _length, _newton
 
     words = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
     cx, cy, rad = _disks(config, words)
@@ -102,10 +109,11 @@ def test_newton_rows_do_not_depend_on_their_batch(config):
     far = start + 2.0
 
     def min_eig(theta):
-        return np.linalg.eigvalsh(_hessian(cx, cy, rad, theta))[:, 0]
+        _, _, d, e = _derivatives(cx, cy, rad, theta)
+        return np.linalg.eigvalsh(dense(d, e))[:, 0]
 
     def residual(theta):
-        return np.abs(_gradient(cx, cy, rad, theta)).max(axis=1)
+        return np.abs(_derivatives(cx, cy, rad, theta)[1]).max(axis=1)
 
     # three branches: near rows take the full Newton step, default starts
     # the halved Newton step, far starts (indefinite Hessian) the halved -g
@@ -165,16 +173,64 @@ def test_batch_of_mixed_lengths_or_no_words_is_domain_error(config):
         solve_orbits(config, [(1, 2), (1, 3)], theta0=np.zeros((1, 2)))
 
 
-def test_positive_definite_mask_matches_eigvalsh():
+def test_cyclic_solve_matches_dense_linear_algebra():
     rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.normal(size=(40, 5, 5)))
-    eigs = rng.uniform(0.01, 2.0, size=(40, 5))
-    eigs[::3, 0] = -0.5  # indefinite
-    H = q @ (eigs[..., None] * np.swapaxes(q, 1, 2))
-    H = 0.5 * (H + np.swapaxes(H, 1, 2))
-    mixed = _positive_definite(H)
-    assert mixed.dtype == bool and 0 < mixed.sum() < len(H)
-    assert np.array_equal(mixed, np.linalg.eigvalsh(H)[:, 0] > 0.0)
-    definite = H[mixed]
-    assert _positive_definite(definite).all()
-    assert (np.linalg.eigvalsh(definite)[:, 0] > 0.0).all()
+    for n in range(2, 15):
+        e = rng.normal(size=(60, n))
+        # diagonally dominant rows are positive definite; the rest have
+        # a negative diagonal entry, a small diagonal, a small last
+        # diagonal entry (only the Schur complement fails) or a zero
+        # first pivot
+        d = np.abs(e) + np.abs(np.roll(e, 1, axis=1)) + rng.uniform(0.1, 2.0, size=(60, n))
+        d[1::5, rng.integers(n)] -= 5.0
+        d[2::5] = rng.uniform(0.0, 0.3, size=(12, n))
+        d[3::5, -1] = 0.01
+        d[4, 0] = 0.0
+        H = dense(d, e)
+        r = rng.normal(size=(60, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, pivots, definite = _cyclic_solve(d, e, r)
+        assert np.array_equal(definite, np.linalg.eigvalsh(H)[:, 0] > 0.0)
+        assert 0 < definite.sum() < len(H) and not definite[4]
+        exact = np.linalg.solve(H[definite], r[definite][..., None])[..., 0]
+        error = np.abs(x[definite] - exact).max(axis=1)
+        assert np.all(error <= 1e-13 * np.abs(exact).max(axis=1)), n
+        assert np.allclose(pivots[definite].prod(axis=1), np.linalg.det(H[definite]),
+                           rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("make_config", [equilateral_config, unequal_four_disks])
+def test_two_cycle_solves_through_the_doubled_off_diagonal(make_config):
+    config = make_config()
+    (x1, y1), (x2, y2) = config.centers[:2]
+    a1, a2 = config.radii[:2]
+    closed = 2.0 * (np.hypot(x2 - x1, y2 - y1) - a1 - a2)
+    start = default_angles(config, (1, 2))
+    # the default start is the orbit itself; a tilted one takes Newton
+    # steps on the 2 x 2 Hessian, whose H[0, 1] holds both flights'
+    # terms.  With the exact Hessian it converges in 3 steps; with one
+    # of the two terms dropped it needs 13
+    for theta0 in (start, start + np.array([0.3, -0.2])):
+        orbit = solve_orbit(config, (1, 2), theta0=theta0, max_iter=5)
+        assert abs(orbit.T - closed) <= 1e-14
+        assert orbit.residual <= SOLVER_TOL
+
+
+@pytest.mark.parametrize("make_config", [equilateral_config, unequal_four_disks])
+def test_hill_formula_ties_the_pivots_to_the_monodromy(make_config):
+    # MacKay & Meiss, Phys. Lett. A 98 (1983) 92: det H equals
+    # (-1)^n (tr M - 2) times the product of the off-diagonal terms, and
+    # tr M = lam + 1/lam for the signed eigenvalue
+    config = make_config()
+    db = build_database(config, 8)
+    for n in range(3, 9):
+        rows = np.flatnonzero(db.n == n)
+        a, b = db.bounds[rows[0]], db.bounds[rows[-1] + 1]
+        words = db.word[a:b].reshape(-1, n)
+        _, _, d, e = _derivatives(*_disks(config, words), db.angles[a:b].reshape(-1, n))
+        _, pivots, definite = _cyclic_solve(d, e, np.zeros_like(d))
+        assert definite.all()
+        lam = db.lam[rows]
+        hill = (-1) ** n * (lam + 1.0 / lam - 2.0) * e.prod(axis=1)
+        assert np.allclose(pivots.prod(axis=1), hill, rtol=1e-12, atol=0.0), n

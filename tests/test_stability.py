@@ -15,7 +15,6 @@ from billzeta.stability import (
     stability_records,
     unstable_curvatures,
     wavefront_green,
-    weight_tables,
 )
 from tests.conftest import records
 
@@ -70,19 +69,6 @@ def test_poincare_determinant_matches_matrix(config):
         for r in (1, 2):
             direct = abs(np.linalg.det(np.eye(2) - np.linalg.matrix_power(M, r)))
             assert abs(det_one_minus_poincare(rec.lam, r) - direct) <= 1e-6 * direct
-
-
-def test_weight_tables_consistent(config):
-    orbit = solve_orbit(config, (1, 2))
-    rec = stability_record(config, orbit)
-    tables = weight_tables(rec, 4)
-    lam = rec.lam
-    for i, r in enumerate(tables["r"]):
-        det = abs(2.0 - lam**r - lam ** (-r))
-        assert abs(tables["det"][i] - det) < 1e-9 * det
-        assert abs(tables["half"][i] - rec.T / np.sqrt(det)) < 1e-12 * rec.T
-        assert abs(tables["full"][i] - rec.T / det) < 1e-12 * rec.T
-        assert tables["unstable"][i] <= tables["full"][i] + 1e-12
 
 
 def test_elliptic_matrix_rejected():
