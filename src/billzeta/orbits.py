@@ -123,18 +123,26 @@ def _row_sum(a):
     return total
 
 
-def _frame(cx, cy, rad, theta):
-    """Points p, tangents t = dp/dtheta, unit flight directions u and
-    flight lengths f; flight i runs from bounce i to bounce i+1."""
-    c, s = np.cos(theta), np.sin(theta)
+def _flights(cx, cy, rad, c, s):
+    """Points p at the angles of cosine ``c`` and sine ``s``, flight
+    vectors e and flight lengths f; flight i runs from bounce i to bounce
+    i+1."""
     px, py = cx + rad * c, cy + rad * s
     ex, ey = _next(px) - px, _next(py) - py
-    f = np.sqrt(ex * ex + ey * ey)
+    return px, py, ex, ey, np.sqrt(ex * ex + ey * ey)
+
+
+def _frame(cx, cy, rad, theta):
+    """Points p, tangents t = dp/dtheta, unit flight directions u and
+    flight lengths f."""
+    c, s = np.cos(theta), np.sin(theta)
+    px, py, ex, ey, f = _flights(cx, cy, rad, c, s)
     return px, py, -rad * s, rad * c, ex / f, ey / f, f
 
 
 def _length(cx, cy, rad, theta):
-    return _row_sum(_frame(cx, cy, rad, theta)[6])
+    """Cyclic length per row, from the flights alone."""
+    return _row_sum(_flights(cx, cy, rad, np.cos(theta), np.sin(theta))[4])
 
 
 def _derivatives(cx, cy, rad, theta):

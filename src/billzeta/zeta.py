@@ -25,10 +25,9 @@ exp(-s tau) = exp(-x tau) exp(-i y tau) for s = x + iy.  Contour samples
 lie on grid lines, so each shares its real or its imaginary part with
 many others; the kernel computes the first factor once per distinct real
 part of a call and the second once per distinct imaginary part of a
-block of points, and forms the terms from them bitwise as the complex exp
-would.
+call, and forms the terms from them bitwise as the complex exp would.
 One pass returns several sums over the same terms: D with its last
-shell (the truncation noise), or D with D'.
+shell (the truncation noise), D with D', or all three.
 
 The contour search evaluates D in batches.  A grid's cell sides are cut
 into segments, every distinct sample on the grid lines is evaluated once
@@ -36,6 +35,7 @@ into segments, every distinct sample on the grid lines is evaluated once
 guard is applied to the whole array.  Segments whose phase step exceeds
 the limit are halved level by level, one batch per level, and the steps
 are summed per cell into winding numbers and argument-principle moments.
+For the moments, D' at every node comes from the same guarded pass as D.
 
 Every zero is placed by one rule (Delves and Lyness): a cell of winding
 w >= 1 reports the first argument-principle moment divided by w, the
@@ -48,6 +48,7 @@ than report it.
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -279,11 +280,13 @@ def _atom_sums(tau, s, *sums):
     ``ATOM_BLOCK`` parts at a time, into a real table.  The points are
     ordered by the bit patterns of (Im s, Re s) and taken ``ATOM_BLOCK``
     at a time, and the second factor is computed once per distinct
-    imaginary part of a block: on a grid line a block holds one or two.
-    Grouping parts by their bits keeps -0.0 and +0.0 apart.  Both go through
-    the complex exp, which forms exp(x + iy) as exp(x) cos y + i exp(x)
-    sin y from the same exp and sincos: wherever exp(-x tau) does not
-    overflow, each term and its product with the real coefficient is
+    imaginary part of the call: a block's imaginary parts are a run that
+    starts no earlier than the previous block's, so one table of the
+    current run's rows, which only moves forward, serves every block.
+    Grouping parts by their bits keeps -0.0 and +0.0 apart.  Both factors
+    go through the complex exp, which forms exp(x + iy) as exp(x) cos y +
+    i exp(x) sin y from the same exp and sincos: wherever exp(-x tau) does
+    not overflow, each term and its product with the real coefficient is
     bitwise that of the unfactored exp.  Sums over one coefficient array
     share its terms.  Each point's row of terms is reduced on its own, in
     a fixed order over the atoms, so a value does not depend on which
@@ -297,17 +300,24 @@ def _atom_sums(tau, s, *sums):
     x, ix = _bit_groups(points.real)
     y, iy = _bit_groups(points.imag)
     # sorted by the bits of Im s, a block's imaginary parts are a run of y
+    # that starts no earlier than the last block's
     order = np.lexsort((ix, iy))
     with np.errstate(over="ignore", invalid="ignore"):
         grow = np.empty((x.size, tau.size))
         for first in range(0, x.size, ATOM_BLOCK):
             rows = slice(first, first + ATOM_BLOCK)
             grow[rows] = _exp_table(x[rows], tau, False).real
+        turn, turn_lo = np.empty((0, tau.size), dtype=complex), 0  # rows y[turn_lo:]
         for first in range(0, points.size, ATOM_BLOCK):
             idx = order[first : first + ATOM_BLOCK]
             run = iy[idx]
-            turn = _exp_table(y[run[0] : run[-1] + 1], tau, True)
-            run -= run[0]
+            turn_hi = turn_lo + len(turn)
+            if run[-1] >= turn_hi:
+                new = _exp_table(y[max(run[0], turn_hi) : run[-1] + 1], tau, True)
+                keep = turn[run[0] - turn_lo :]
+                turn = np.concatenate((keep, new)) if len(keep) else new
+                turn_lo = run[0]
+            run -= turn_lo
             cos, sin = turn.real[run], turn.imag[run]
             block_grow = grow[ix[idx]]
             cos *= block_grow
@@ -357,11 +367,13 @@ class DeterminantExpansion:
     def last_shell_value(self, s):
         return _atom_sums(self.poly_tau, s, (self.poly_coeff, self._last_shell))[0]
 
-    def value_and_last_shell(self, s):
-        """(D(s), last-shell sum) from one pass over the terms."""
-        return _atom_sums(
-            self.poly_tau, s, (self.poly_coeff, 0), (self.poly_coeff, self._last_shell)
-        )
+    def value_and_last_shell(self, s, derivative=False):
+        """(D(s), last-shell sum), with D'(s) third when ``derivative``,
+        from one pass over the terms."""
+        sums = [(self.poly_coeff, 0), (self.poly_coeff, self._last_shell)]
+        if derivative:
+            sums.append((-self.poly_coeff * self.poly_tau, 0))
+        return _atom_sums(self.poly_tau, s, *sums)
 
     def value_and_derivative(self, s):
         """(D(s), D'(s)) from one pass over the exponentials."""
@@ -382,16 +394,30 @@ def _expansion_atoms(items, N):
     (n, T) form one group (a cycle's transverse factors and any cycle of
     bitwise-equal period); the group's factor is expanded into the
     coefficients f_0..f_J of prod_j (1 - w_j y), J = N // n, and
-    multiplied into one tau -> coefficient map per shell.  Each tau is
-    built by adding T one period at a time in item order, so equal sums
-    of equal periods are bitwise equal and merge into one atom.
+    multiplied into one tau -> coefficient map per shell.  The
+    coefficients are folded in place, one item at a time: f_j -= w f_{j-1}
+    for j descending, the list growing by one zero per item until it
+    reaches degree J (f_1 alone when J = 1).  A coefficient no item has
+    reached yet stays out of the list: as a zero it would still add
+    atoms.  Each tau is built by adding T one period at a time in item
+    order, so equal sums of equal periods are bitwise equal and merge
+    into one atom.
     """
     shells = [{} for _ in range(N + 1)]
     shells[0][0.0] = 1.0
-    for (n, T), group in groupby(items, key=lambda it: it[:2]):
-        f = [1.0]
-        for _, _, w in group:
-            f = [a - w * b for a, b in zip(f + [0.0], [0.0] + f)][: N // n + 1]
+    for (n, T), group in groupby(items, key=itemgetter(0, 1)):
+        if 2 * n > N:
+            f1 = 0.0
+            for _, _, w in group:
+                f1 -= w
+            f = [1.0, f1]
+        else:
+            f = [1.0]
+            for _, _, w in group:
+                if len(f) <= N // n:
+                    f.append(0.0)
+                for j in range(len(f) - 1, 0, -1):
+                    f[j] -= w * f[j - 1]
         # f_0 = 1 keeps every atom; descending shells read each map
         # before any new term lands in it
         for shell in range(N - n, -1, -1):
@@ -521,12 +547,14 @@ NOISE_SAFETY = 3.0
 MAX_HALVINGS = 44  # refinement depth cap of a contour segment
 
 
-def _guarded_values(exp: DeterminantExpansion, z):
-    """D at the points ``z``, raising at the first one where the value is
-    indistinguishable from the truncation noise (last-shell magnitude).
-    A contour through such a region can wind around noise artifacts
-    instead of genuine zeros, so the search refuses to continue."""
-    f, shell = exp.value_and_last_shell(z)
+def _guarded_values(exp: DeterminantExpansion, z, derivative=False):
+    """D at the points ``z``, and D' from the same pass when
+    ``derivative``, as the rows of a ``(1 or 2, z.size)`` array.  Raises
+    at the first point where D is indistinguishable from the truncation
+    noise (last-shell magnitude): a contour through such a region can wind
+    around noise artifacts instead of genuine zeros, so the search refuses
+    to continue."""
+    f, shell, *df = exp.value_and_last_shell(z, derivative)
     noise = np.abs(shell)
     bad = np.flatnonzero(np.abs(f) < NOISE_SAFETY * noise)
     if bad.size:
@@ -535,63 +563,60 @@ def _guarded_values(exp: DeterminantExpansion, z):
             f"|D| = {abs(f[k]):.2e} at s = {complex(z[k]):.4f} is below {NOISE_SAFETY} x "
             f"the truncation noise {noise[k]:.2e}; shift the grid or reduce the depth"
         )
-    return f
+    return np.array([f, *df])
 
 
 def _refine(exp: DeterminantExpansion, za, zb, fa, fb, max_step):
     """Halve the segments [za, zb] level by level until the phase of D
     changes by at most ``max_step`` along every piece, or the piece is
-    ``MAX_HALVINGS`` levels deep.  Each level's midpoints are one guarded
-    evaluation.  Returns the finished pieces as arrays (segment index,
-    za, zb, fa, fb, phase step)."""
+    ``MAX_HALVINGS`` levels deep.  ``fa`` and ``fb`` hold the end values
+    as :func:`_guarded_values` returns them, D and possibly D'; each
+    level's midpoints are one guarded evaluation of the same rows.
+    Returns the finished pieces as arrays (segment index, za, zb, fa, fb,
+    phase step)."""
     seg = np.arange(za.size)
     pieces = []
     for depth in range(MAX_HALVINGS + 1):
-        step = np.angle(fb / fa)
+        step = np.angle(fb[0] / fa[0])
         done = (np.abs(step) <= max_step) | (depth == MAX_HALVINGS)
-        pieces.append((seg[done], za[done], zb[done], fa[done], fb[done], step[done]))
+        pieces.append((seg[done], za[done], zb[done], fa[:, done], fb[:, done], step[done]))
         if done.all():
             break
-        seg, za, zb, fa, fb = (a[~done] for a in (seg, za, zb, fa, fb))
+        seg, za, zb, fa, fb = (a[..., ~done] for a in (seg, za, zb, fa, fb))
         mid = 0.5 * (za + zb)
-        fm = _guarded_values(exp, mid)
+        fm = _guarded_values(exp, mid, derivative=len(fa) > 1)
         seg = np.concatenate((seg, seg))
         za, zb = np.concatenate((za, mid)), np.concatenate((mid, zb))
-        fa, fb = np.concatenate((fa, fm)), np.concatenate((fm, fb))
-    return [np.concatenate(column) for column in zip(*pieces)]
+        fa, fb = np.concatenate((fa, fm), axis=1), np.concatenate((fm, fb), axis=1)
+    return [np.concatenate(column, axis=-1) for column in zip(*pieces)]
 
 
-def _phase_sum(exp, za, zb, fa, fb, step):
-    return (step,)
-
-
-def _simpson_sum(exp, za, zb, fa, fb, step):
+def _simpson_sum(exp, za, zb, fa, fb):
     """Simpson rule for int s D'/D ds and int s^2 D'/D ds on each piece.
-    D' at the piece ends (each shared end once) is one batch, D and D' at
-    the midpoints one fused batch; both moments weight the same D'/D."""
+    D and D' at the piece ends come with the guarded values, D and D' at
+    the midpoints are one fused batch; both moments weight the same D'/D."""
     mid = 0.5 * (za + zb)
-    ends, where = np.unique(np.concatenate((za, zb)), return_inverse=True)
-    d_end = exp.derivative(ends)[where]
     f_mid, d_mid = exp.value_and_derivative(mid)
-    ga = za * d_end[: za.size] / fa
-    gb = zb * d_end[za.size :] / fb
+    ga = za * fa[1] / fa[0]
+    gb = zb * fb[1] / fb[0]
     gm = mid * d_mid / f_mid
     first = (zb - za) * (ga + 4.0 * gm + gb) / 6.0
     second = (zb - za) * (za * ga + 4.0 * mid * gm + zb * gb) / 6.0
     return first, second
 
 
-def _grid_contours(exp, xs, ys, samples, max_step, piece_sum):
-    """Counterclockwise contour sums of each quantity ``piece_sum``
-    returns around every cell of the grid with lines ``xs`` x ``ys``, as a
-    list of ``(nx, ny)`` arrays.
+def _grid_contours(exp, xs, ys, samples, max_step, moments):
+    """Counterclockwise contour sums around every cell of the grid with
+    lines ``xs`` x ``ys``, as a list of ``(nx, ny)`` arrays: the phase
+    change of D, or with ``moments`` the two :func:`_simpson_sum`
+    moments.
 
     Each cell side is cut into ``samples`` segments.  A side shared by
     two cells is one run of segments, added to one cell and subtracted
-    from the other, and D is evaluated once (with the noise guard) at
-    every distinct sample on the grid lines.  Segments are then refined
-    by :func:`_refine` and each finished piece contributes
-    ``piece_sum``, in the +x or +y direction of its grid line.
+    from the other, and D (with D' for the moments) is evaluated once,
+    with the noise guard, at every distinct sample on the grid lines.
+    Segments are then refined by :func:`_refine` and each finished piece
+    contributes in the +x or +y direction of its grid line.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     nx, ny = xs.size - 1, ys.size - 1
@@ -601,18 +626,20 @@ def _grid_contours(exp, xs, ys, samples, max_step, piece_sum):
     col = np.arange(fine_x.size) % samples == 0  # fine x on a vertical grid line
     row = np.arange(fine_y.size) % samples == 0  # fine y on a horizontal grid line
     z = fine_x[:, None] + 1j * fine_y[None, :]
-    f = np.zeros_like(z)
     on_line = col[:, None] | row[None, :]
-    f[on_line] = _guarded_values(exp, z[on_line])
+    values = _guarded_values(exp, z[on_line], derivative=moments)
+    k = len(values)
+    f = np.zeros((k,) + z.shape, dtype=complex)
+    f[:, on_line] = values
     # segments along x on the horizontal lines, then along y on the vertical ones
     za = np.concatenate((z[:-1, row].ravel(), z[col, :-1].ravel()))
     zb = np.concatenate((z[1:, row].ravel(), z[col, 1:].ravel()))
-    fa = np.concatenate((f[:-1, row].ravel(), f[col, :-1].ravel()))
-    fb = np.concatenate((f[1:, row].ravel(), f[col, 1:].ravel()))
-    seg, *piece = _refine(exp, za, zb, fa, fb, max_step)
+    fa = np.concatenate((f[:, :-1, row].reshape(k, -1), f[:, col, :-1].reshape(k, -1)), axis=1)
+    fb = np.concatenate((f[:, 1:, row].reshape(k, -1), f[:, col, 1:].reshape(k, -1)), axis=1)
+    seg, pa, pb, pfa, pfb, step = _refine(exp, za, zb, fa, fb, max_step)
     n_h = nx * samples * (ny + 1)
     sums = []
-    for contrib in piece_sum(exp, *piece):
+    for contrib in _simpson_sum(exp, pa, pb, pfa, pfb) if moments else (step,):
         total = np.zeros(za.size, dtype=contrib.dtype)
         np.add.at(total, seg, contrib)
         h = total[:n_h].reshape(nx, samples, ny + 1).sum(axis=1)
@@ -624,7 +651,7 @@ def _grid_contours(exp, xs, ys, samples, max_step, piece_sum):
 def _cell_windings(exp, xs, ys, samples=12):
     """Winding numbers of D around the cells of a grid, ``(nx, ny)``;
     phase steps are refined down to pi/2."""
-    (phase,) = _grid_contours(exp, xs, ys, samples, 0.5 * np.pi, _phase_sum)
+    (phase,) = _grid_contours(exp, xs, ys, samples, 0.5 * np.pi, moments=False)
     return phase / (2.0 * np.pi)
 
 
@@ -636,7 +663,7 @@ def _cell_moments(exp, re0, re1, im0, im1, samples=12):
     """Sums of the zeros inside the cell and of their squares, counted
     with multiplicity (first and second moments by the argument
     principle, Simpson pieces refined down to a phase step of 0.1)."""
-    sums = _grid_contours(exp, (re0, re1), (im0, im1), samples, 0.1, _simpson_sum)
+    sums = _grid_contours(exp, (re0, re1), (im0, im1), samples, 0.1, moments=True)
     return tuple(complex(total[0, 0] / (2.0j * np.pi)) for total in sums)
 
 

@@ -1,10 +1,12 @@
 import tracemalloc
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 import pytest
 
 from billzeta import zeta
-from billzeta.cli import _default_pole_search, _restrict
+from billzeta.cli import _default_pole_search, _pole_search, _restrict
 from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
     ATOM_BLOCK,
@@ -217,10 +219,15 @@ def test_value_does_not_depend_on_the_batch(exp12):
     for method in (exp12.value, exp12.derivative, exp12.last_shell_value):
         batch = method(points)
         assert all(batch[k] == method(complex(p)) for k, p in enumerate(points))
-    for method in (exp12.value_and_last_shell, exp12.value_and_derivative):
-        first, second = method(points)
+    fused = (
+        exp12.value_and_last_shell,
+        partial(exp12.value_and_last_shell, derivative=True),
+        exp12.value_and_derivative,
+    )
+    for method in fused:
+        batch = method(points)
         assert all(
-            (first[k], second[k]) == method(complex(p)) for k, p in enumerate(points)
+            tuple(v[k] for v in batch) == method(complex(p)) for k, p in enumerate(points)
         )
 
 
@@ -236,17 +243,21 @@ def test_value_does_not_depend_on_the_batch_on_grid_lines(exp12):
         return np.complex128(value).tobytes()
 
     single = (exp12.value, exp12.derivative, exp12.last_shell_value)
-    paired = (exp12.value_and_last_shell, exp12.value_and_derivative)
+    fused = (
+        exp12.value_and_last_shell,
+        partial(exp12.value_and_last_shell, derivative=True),
+        exp12.value_and_derivative,
+    )
     for method in single:
         batch = method(points)
         assert all(bits(batch[k]) == bits(method(complex(p))) for k, p in enumerate(points))
         empty = method(np.array([], dtype=complex))
         assert empty.dtype == complex and empty.shape == (0,)
-    for method in paired:
-        first, second = method(points)
+    for method in fused:
+        batch = method(points)
         for k, p in enumerate(points):
             lone = method(complex(p))
-            assert (bits(first[k]), bits(second[k])) == (bits(lone[0]), bits(lone[1]))
+            assert [bits(v[k]) for v in batch] == [bits(v) for v in lone]
         for empty in method(np.array([], dtype=complex)):
             assert empty.dtype == complex and empty.shape == (0,)
 
@@ -254,7 +265,9 @@ def test_value_does_not_depend_on_the_batch_on_grid_lines(exp12):
 def test_each_real_part_is_exponentiated_once_per_call(db13, monkeypatch):
     exp = build_determinant(db13, 13)
     rows = []  # (imag, parts) per exponential table, in call order
-    calls = []  # (real-part rows, distinct real parts) per kernel call
+    # (real-part rows, distinct real parts, imaginary-part rows, distinct
+    # imaginary parts) per kernel call
+    calls = []
     exp_table, atom_sums = zeta._exp_table, zeta._atom_sums
 
     def counted_table(parts, tau, imag):
@@ -264,24 +277,62 @@ def test_each_real_part_is_exponentiated_once_per_call(db13, monkeypatch):
     def counted_sums(tau, s, *sums):
         start = len(rows)
         values = atom_sums(tau, s, *sums)
-        real = np.atleast_1d(np.asarray(s, dtype=complex)).real
+        points = np.atleast_1d(np.asarray(s, dtype=complex))
         calls.append(
-            (sum(n for imag, n in rows[start:] if not imag), np.unique(real.view(np.int64)).size)
+            (
+                sum(n for imag, n in rows[start:] if not imag),
+                np.unique(points.real.view(np.int64)).size,
+                sum(n for imag, n in rows[start:] if imag),
+                np.unique(points.imag.view(np.int64)).size,
+            )
         )
         return values
 
     monkeypatch.setattr(zeta, "_exp_table", counted_table)
     monkeypatch.setattr(zeta, "_atom_sums", counted_sums)
     _guarded_values(exp, default_grid_samples(exp))
-    assert calls == [(61, 61)]
+    assert calls == [(61, 61, 73, 73)]
     rows.clear()
     exp.value(complex(-0.1, 0.5))
     assert sum(n for _, n in rows) == 2
     rows.clear()
     calls.clear()
     _default_pole_search(exp)
-    assert all(got == distinct for got, distinct in calls)
-    assert sum(n for _, n in rows) <= 1160  # 2,115 with real parts exponentiated per block
+    assert all(real == x and imag == y for real, x, imag, y in calls)
+    # 1,154 with a sincos row per block, 2,115 with real parts also per block
+    assert sum(n for _, n in rows) <= 734
+
+
+# repr of (s, multiplicity, residual, trust_margin) per zero, recorded at
+# the fixture's N = 12 and 13 determinants: the default search, and a
+# rectangle whose upper cell of winding 2 is closed by its conjugate
+POLE_REPRS = {
+    (12, "default"): "[((-0.2642760713640669-0.8139574025950796j), 2, 6.43499940370341e-08, "
+    "0.055723928635933284), ((-0.1215576284543656+0j), 1, 4.536301889679351e-16, "
+    "0.19844237154563457), ((-0.2642760713640669+0.8139574025950796j), 2, "
+    "6.43499940370341e-08, 0.055723928635933284)]",
+    (12, "rect"): "[((-0.26427362860608145-0.8139523898676754j), 2, 6.547816969030704e-08, "
+    "0.05572637139391873), ((-0.26427362860608145+0.8139523898676754j), 2, "
+    "6.547816969030704e-08, 0.05572637139391873)]",
+    (13, "default"): "[((-0.26427642901932774-0.8139479841108562j), 2, 1.2838068721752027e-08, "
+    "0.09572357098067247), ((-0.12155762845511991+0j), 1, 1.6740081543176188e-16, "
+    "0.2384423715448803), ((-0.26427642901932774+0.8139479841108562j), 2, "
+    "1.2838068721752027e-08, 0.09572357098067247)]",
+    (13, "rect"): "[((-0.26427364235354245-0.813952408713216j), 2, 1.1399771709176056e-08, "
+    "0.09572635764645776), ((-0.26427364235354245+0.813952408713216j), 2, "
+    "1.1399771709176056e-08, 0.09572635764645776)]",
+}
+
+
+def test_pole_search_bytes_are_pinned(exp12, db13):
+    for exp in (exp12, build_determinant(db13, 13)):
+        searches = {
+            "default": _default_pole_search(exp),
+            "rect": _pole_search(exp, [((-0.31, 0.0, 0.5, 1.0), (8, 8))]),
+        }
+        for name, poles in searches.items():
+            got = repr([(p.s, p.multiplicity, p.residual, p.trust_margin) for p in poles])
+            assert got == POLE_REPRS[exp.N, name], (exp.N, name)
 
 
 def oracle_atom_sum(coeff, tau, s, block=64):
@@ -317,8 +368,17 @@ def oracle_sums(exp, s):
             exp.log_coeff * exp.log_tau, exp.log_tau, s
         ),
         "value_and_last_shell": (value, shell),
+        "value_and_last_shell+derivative": (value, shell, derivative),
         "value_and_derivative": (value, derivative),
     }
+
+
+def call_method(exp, name, s):
+    """The determinant method ``name`` of :func:`oracle_sums` at ``s``."""
+    method, _, derivative = name.partition("+")
+    if derivative:
+        return getattr(exp, method)(s, derivative=True)
+    return getattr(exp, method)(s)
 
 
 def test_factored_kernel_equals_the_complex_exp_bitwise(exp12, db_four7):
@@ -332,20 +392,44 @@ def test_factored_kernel_equals_the_complex_exp_bitwise(exp12, db_four7):
     for exp in (exp12, build_determinant(db_four7, 7)):
         want = oracle_sums(exp, points)
         for name, values in want.items():
-            got = getattr(exp, name)(points)
+            got = call_method(exp, name, points)
             pairs = zip(got, values) if isinstance(values, tuple) else [(got, values)]
             for g, w in pairs:
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (exp.N, name)
         for s in scalars:
             for name, value in oracle_sums(exp, s).items():
-                got = getattr(exp, name)(s)
+                got = call_method(exp, name, s)
                 assert type(got) is type(value), (name, s)
                 assert np.array(got).tobytes() == np.array(value).tobytes(), (name, s)
 
 
-def record_loop_determinant(db, N, k_max=5):
-    """Log atoms and sorted factor pool built record by record, then the
-    expansion, as arrays: the reference for the columnar build."""
+def reference_expansion_atoms(items, N):
+    """``zeta._expansion_atoms`` with each factor group's coefficients
+    rebuilt as new lists item by item: the reference for the in-place
+    fold."""
+    shells = [{} for _ in range(N + 1)]
+    shells[0][0.0] = 1.0
+    for (n, T), group in groupby(items, key=lambda it: it[:2]):
+        f = [1.0]
+        for _, _, w in group:
+            f = [a - w * b for a, b in zip(f + [0.0], [0.0] + f)][: N // n + 1]
+        for shell in range(N - n, -1, -1):
+            for tau, c in shells[shell].items():
+                t = tau
+                for j in range(1, min(len(f), (N - shell) // n + 1)):
+                    t = t + T
+                    row = shells[shell + j * n]
+                    row[t] = row.get(t, 0.0) + c * f[j]
+    keys = [(m, t) for m, row in enumerate(shells) for t in sorted(row)]
+    shell = np.array([m for m, _ in keys], dtype=np.int64)
+    tau = np.array([t for _, t in keys])
+    coeff = np.array([shells[m][t] for m, t in keys])
+    return coeff, tau, shell
+
+
+def record_loop_factors(db, N, k_max):
+    """Log atoms (shell, tau, coefficient) and the sorted factor pool
+    (n, T, w), built record by record."""
     log_rows, items = [], []
     for rec in records(db):
         if rec.n > N:
@@ -361,7 +445,14 @@ def record_loop_determinant(db, N, k_max=5):
                 r += 1
     log_rows.sort()
     items.sort()
-    poly_coeff, poly_tau, poly_shell = zeta._expansion_atoms(items, N)
+    return log_rows, items
+
+
+def record_loop_determinant(db, N, k_max=5):
+    """Log atoms and sorted factor pool built record by record, then the
+    reference expansion, as arrays: the reference for the columnar build."""
+    log_rows, items = record_loop_factors(db, N, k_max)
+    poly_coeff, poly_tau, poly_shell = reference_expansion_atoms(items, N)
     return {
         "log_shell": np.array([row[0] for row in log_rows], dtype=np.int64),
         "log_tau": np.array([row[1] for row in log_rows]),
@@ -370,6 +461,18 @@ def record_loop_determinant(db, N, k_max=5):
         "poly_tau": poly_tau,
         "poly_shell": poly_shell,
     }
+
+
+def test_expansion_atoms_equal_the_list_rebuild(db13, db_four7):
+    # down to N = 3, where build_determinant's trust floor would refuse
+    cases = [(db13, N) for N in range(3, 14)] + [(db_four7, N) for N in range(3, 8)]
+    for db, N in cases:
+        for k_max in (0, 2, 5):
+            _, items = record_loop_factors(db, N, k_max)
+            got = zeta._expansion_atoms(items, N)
+            want = reference_expansion_atoms(items, N)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (db.n_max, N, k_max)
 
 
 def oracle_trust_floor(arrays, N):
