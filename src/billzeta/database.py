@@ -24,7 +24,9 @@ section's name, dtype, count and sha256 digest.  A stale cache (another
 configuration, solver version or format) is refused rather than
 silently reused, and so is a cache that lacks a cycle, repeats one or
 holds them out of order, holds a damaged byte, or runs short or long.
-A load checks every section and then uses its bytes as the column.
+A load reads the file once, checks every section's digest over its
+bytes in place and then uses those bytes as the column, so nothing is
+copied.
 Stored values are the solver's doubles to the bit, as JSON ``repr``
 kept them in format ``/1``.
 """
@@ -181,11 +183,13 @@ def save_database(db: OrbitDatabase, path) -> None:
 
 
 def _read_header(path, blob: bytes):
-    line, newline, _ = blob.partition(b"\n")
-    if not newline:
+    """The header of the cache ``blob`` and the offset of its first
+    section; only the header line is copied out of ``blob``."""
+    end = blob.find(b"\n")
+    if end < 0:
         raise MalformedInputError(f"orbit cache {path} has no header line")
     try:
-        header = json.loads(line.decode("utf-8"))
+        header = json.loads(blob[:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"orbit cache {path} has a bad header") from exc
     fmt = header.get("format") if isinstance(header, dict) else header
@@ -206,17 +210,18 @@ def _read_header(path, blob: bytes):
         raise MalformedInputError(f"orbit cache {path} has no integer n_max")
     if "config" not in header:
         raise MalformedInputError(f"orbit cache {path} carries no configuration")
-    return header, len(line) + 1
+    return header, end + 1
 
 
 def _read_sections(path, header: dict, blob: bytes, offset: int) -> dict:
     """Every section as a read-only array over ``blob``, after its dtype,
     length and digest are checked; bytes past the last section are
-    refused."""
+    refused.  Digests are taken over views of ``blob``, so nothing is
+    copied."""
     entries = header.get("sections")
     if not isinstance(entries, list) or len(entries) != len(SECTIONS):
         raise MalformedInputError(f"orbit cache {path} does not list its {len(SECTIONS)} sections")
-    columns = {}
+    columns, view = {}, memoryview(blob)
     for entry, (name, dtype) in zip(entries, SECTIONS):
         if not isinstance(entry, dict) or (entry.get("name"), entry.get("dtype")) != (name, dtype):
             raise MalformedInputError(f"orbit cache {path}: section {name} is not listed as {dtype}")
@@ -235,7 +240,7 @@ def _read_sections(path, header: dict, blob: bytes, offset: int) -> dict:
                 f"orbit cache {path}: section {name} is cut short "
                 f"({max(len(blob) - offset, 0)} of {end - offset} bytes)"
             )
-        if hashlib.sha256(blob[offset:end]).hexdigest() != entry.get("sha256"):
+        if hashlib.sha256(view[offset:end]).hexdigest() != entry.get("sha256"):
             raise MalformedInputError(f"orbit cache {path}: section {name} fails its sha256 check")
         columns[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
         offset = end

@@ -8,7 +8,8 @@ variant).  The determinant D(s) is handled in two equivalent layers:
 * log atoms: log D(s) = -sum over (p, r, k) of
   (1/r) sgn(Lambda_p)^{kr} |Lambda_p|^{-r(k+1/2)} exp(-s r T_p),
   so (log D)'(s) reproduces the half-weight series truncated at
-  (N, k_max) term by term;
+  (N, k_max) term by term; they are built on first use, since pole
+  location reads only the expansion atoms;
 * expansion atoms: the product over (p, k) of (1 - t_{p,k}), expanded
   exactly up to total symbol length N (no term is pruned) by one
   product over the factors grouped by (length, period).  This finite
@@ -46,7 +47,8 @@ is wrong, and the search raises ``TrustRegionError`` (exit 3) rather
 than report it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -106,11 +108,14 @@ def _atoms(db, T_max, m_max):
     if not len(p_idx):
         raise IncompleteDataError("no atoms below the requested cutoff")
     lam = db.lam[p_idx]
-    # C pow per atom: numpy's SIMD power can differ from it in the last bit
-    det = np.array(
-        [det_one_minus_poincare(x, r) for x, r in zip(lam.tolist(), rep.tolist())],
-        dtype=float,
-    )
+    # |det(Id - P^r)| as det_one_minus_poincare computes it: at r = 1 C pow
+    # returns Lambda itself, so numpy forms the same doubles; the repetitions
+    # keep one C pow each, as numpy's SIMD power can differ in the last bit
+    det = np.abs(2.0 - lam - 1.0 / lam)
+    multi = np.flatnonzero(rep > 1)
+    det[multi] = [
+        det_one_minus_poincare(x, r) for x, r in zip(lam[multi].tolist(), rep[multi].tolist())
+    ]
     lam_abs = np.abs(lam)
     m = rep * db.n[p_idx]
     atoms = {
@@ -158,24 +163,12 @@ def eta_via_roots_of_unity(db, s, q: int, T_max=None, m_max=None):
     return complex(total)
 
 
-def series_full_power(db, s, variant: str = "det", T_max=None, m_max=None):
-    """Partial sum of the full-weight series; ``variant`` chooses the
-    denominator |det(Id - P)| ("det") or |Lambda|^r ("unstable")."""
-    atoms = orbit_atoms(db, T_max=T_max, m_max=m_max)
-    key = {"det": "w_full", "unstable": "w_unstable"}[variant]
-    return complex(np.sum(atoms[key].astype(complex) * np.exp(-s * atoms["tau"])))
-
-
 def reflection_shift_matrix(q: int) -> np.ndarray:
     """Cyclic-shift permutation on q coordinates: one step per bounce."""
     A = np.zeros((q, q), dtype=np.int64)
     for i in range(q):
         A[i, (i + 1) % q] = 1
     return A
-
-
-def roots_of_unity_filter(m: int, q: int) -> complex:
-    return complex(sum(np.exp(2.0j * np.pi * j * m / q) for j in range(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +329,33 @@ def _atom_sums(tau, s, *sums):
 
 @dataclass
 class DeterminantExpansion:
-    """Truncated determinant: log atoms plus expanded product atoms."""
+    """Truncated determinant: expanded product atoms, and log atoms built
+    on first use from ``cycles``, the (n, T, lam) columns of the cycles
+    with n <= N."""
 
     N: int
     k_max: int
-    log_coeff: np.ndarray
-    log_tau: np.ndarray
-    log_shell: np.ndarray
     poly_coeff: np.ndarray
     poly_tau: np.ndarray
     poly_shell: np.ndarray
+    cycles: tuple = field(repr=False)
     trust_floor: float = np.nan
+
+    @cached_property
+    def _log_atoms(self):
+        return _build_log_atoms(*self.cycles, self.N, self.k_max)
+
+    @property
+    def log_shell(self):
+        return self._log_atoms[0]
+
+    @property
+    def log_tau(self):
+        return self._log_atoms[1]
+
+    @property
+    def log_coeff(self):
+        return self._log_atoms[2]
 
     def log_derivative_series(self, s):
         """(log D)'(s) from the log atoms; term-for-term it is the
@@ -441,6 +450,25 @@ def _signed_power(lam, j, e):
     return np.where((lam < 0) & (j % 2 == 1), -mag, mag)
 
 
+def _factors(count, k_max):
+    """(p, k) of every factor, one per cycle p < count and k <= k_max,
+    in record order."""
+    return np.repeat(np.arange(count), k_max + 1), np.tile(np.arange(k_max + 1), count)
+
+
+def _build_log_atoms(n, T, lam, N, k_max):
+    """(shell, tau, coefficient) of the log atoms (p, k, r), r n_p <= N,
+    sorted by shell, then tau, then coefficient."""
+    p, k = _factors(n.size, k_max)
+    reps = N // n[p]
+    lp, lk = np.repeat(p, reps), np.repeat(k, reps)
+    r = np.arange(lp.size) - np.repeat(np.cumsum(reps) - reps, reps) + 1
+    log_shell, log_tau = r * n[lp], r * T[lp]
+    log_coeff = _signed_power(lam[lp], lk * r, -r * (lk + 0.5)) / r
+    order = np.lexsort((log_coeff, log_tau, log_shell))
+    return log_shell[order], log_tau[order], log_coeff[order]
+
+
 def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
     """Assemble the truncated determinant from the orbit database.
 
@@ -459,18 +487,7 @@ def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
         raise IncompleteDataError(f"N={N} exceeds database n_max={db.n_max}")
     keep = db.n <= N
     n, T, lam = db.n[keep], db.T[keep], db.lam[keep]
-    # one factor (p, k) per cycle and k <= k_max, in record order, and its
-    # log atoms (p, k, r) for r n_p <= N
-    p = np.repeat(np.arange(n.size), k_max + 1)
-    k = np.tile(np.arange(k_max + 1), n.size)
-    reps = N // n[p]
-    lp, lk = np.repeat(p, reps), np.repeat(k, reps)
-    r = np.arange(lp.size) - np.repeat(np.cumsum(reps) - reps, reps) + 1
-    log_shell, log_tau = r * n[lp], r * T[lp]
-    log_coeff = _signed_power(lam[lp], lk * r, -r * (lk + 0.5)) / r
-    order = np.lexsort((log_coeff, log_tau, log_shell))
-    log_shell, log_tau, log_coeff = log_shell[order], log_tau[order], log_coeff[order]
-
+    p, k = _factors(n.size, k_max)
     w = _signed_power(lam[p], k, -(k + 0.5))
     order = np.lexsort((w, T[p], n[p]))
     items = zip(n[p][order].tolist(), T[p][order].tolist(), w[order].tolist())
@@ -479,12 +496,10 @@ def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
     exp = DeterminantExpansion(
         N=N,
         k_max=k_max,
-        log_coeff=log_coeff,
-        log_tau=log_tau,
-        log_shell=log_shell,
         poly_coeff=poly_coeff,
         poly_tau=poly_tau,
         poly_shell=poly_shell,
+        cycles=(n, T, lam),
     )
     exp.trust_floor = _trust_floor(exp)
     return exp

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,3 +344,19 @@ def test_cache_bytes_are_pinned():
         db = build_database(make_config(), n_max)
         assert len(db) == cycles
         assert hashlib.sha256(database._encode(db)).hexdigest() == digest, make_config.__name__
+
+
+def test_cache_load_copies_nothing(tmp_path, db14):
+    # a load that copied the payload (the header split or a hashed slice)
+    # would peak at about twice the file size
+    path = tmp_path / "cache"
+    save_database(db14, path)
+    load_database(path)
+    tracemalloc.start()
+    try:
+        db = load_database(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.stat().st_size
+    assert_same_columns(db14, db)

@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from billzeta import cli
+from billzeta.database import save_database
 from billzeta.errors import DomainError, IncompleteDataError, NumericalError
 from billzeta.stability import det_one_minus_poincare
 from billzeta.trace import (
     BumpFunction,
     build_measure,
     experimental_compare,
+    gauss_legendre_256,
     gaussian_weight,
     ikawa_scan,
     lemma41_search,
@@ -21,6 +26,18 @@ from tests.conftest import record_for
 @pytest.fixture(scope="module")
 def bump():
     return BumpFunction()
+
+
+def test_stored_rule_is_numpy_leggauss():
+    x, w = gauss_legendre_256()
+    want_x, want_w = np.polynomial.legendre.leggauss(256)
+    # another LAPACK may move numpy's rule by an ulp; numpy 2.4.6 gave the stored bits
+    np.testing.assert_array_max_ulp(x, want_x, maxulp=2)
+    np.testing.assert_array_max_ulp(w, want_w, maxulp=2)
+    if np.__version__ == "2.4.6":
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    assert np.all(np.diff(x) > 0.0) and x[128] > 0.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
 def test_bump_normalization(bump):
@@ -183,3 +200,32 @@ def test_experimental_compare_is_finite(db10, bump):
     assert resonance_side(poles, bump, 8.0, np.exp(8.0)) == pytest.approx(
         rows[0][3], rel=1e-12
     )
+
+
+# sha256 of the `trace --experimental-trace-compare` tables for the fixture
+# at nmax 10 and 12, recorded with numpy 2.4.6 while the bump still called
+# leggauss(256) on every construction: the stored rule must not move a byte.
+TRACE_DIGESTS = {
+    10: {
+        "trace_windows.csv": "653cb91fb419fda9a8c0ba0fac931c5771700376263454bafb6379cbe5a23d74",
+        "trace_gaussian.csv": "cceabd16bcf90644bdbee1d3a117c15d8bee5cd5ec2271b2f319a416a682b9bb",
+        "trace_shells.csv": "543e1043132e1c29711788985b1d25428ae88aba6cf337a7bfdf2c44d503facb",
+        "trace_compare.csv": "eabc9d18a985224dad203c8c353cdc7933cf5a3d79087d4a7d824f2b4004e07e",
+    },
+    12: {
+        "trace_windows.csv": "ea9d5eca5d517f5e941ed286fd38ef05c149cf681983c5262d1b40895fc01294",
+        "trace_gaussian.csv": "cceabd16bcf90644bdbee1d3a117c15d8bee5cd5ec2271b2f319a416a682b9bb",
+        "trace_shells.csv": "01f23a741b19399d8233685da00c8a7cfdcd36ca2327154a8de40ca3ffa40625",
+        "trace_compare.csv": "a6c607cedaa3e383a6e2a9154f0493ffd8bc7004a173b367b831bb066171af86",
+    },
+}
+
+
+def test_trace_tables_are_pinned(tmp_path, db10, db12):
+    for db in (db10, db12):
+        cache, out = tmp_path / f"cache{db.n_max}", tmp_path / f"out{db.n_max}"
+        save_database(db, cache)
+        argv = ["trace", "--cache", str(cache), "--out", str(out), "--experimental-trace-compare"]
+        assert cli.main(argv) == 0
+        for name, digest in TRACE_DIGESTS[db.n_max].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (db.n_max, name)

@@ -25,8 +25,6 @@ from billzeta.zeta import (
     orbit_atoms,
     real_zero,
     reflection_shift_matrix,
-    roots_of_unity_filter,
-    series_full_power,
     signed_shell_partials,
     track_zero,
 )
@@ -162,14 +160,6 @@ def test_shift_matrix_identities():
             assert np.trace(np.linalg.matrix_power(A, j)) == 0
 
 
-def test_filter_indicator():
-    for q in range(1, 7):
-        for m in range(1, 13):
-            val = roots_of_unity_filter(m, q)
-            want = q if m % q == 0 else 0.0
-            assert abs(val - want) < 1e-12
-
-
 def test_growth_estimates_match_pressure_roots(db12, abscissas):
     half, _, _ = abscissa_estimate(db12, weight="half")
     full, _, _ = abscissa_estimate(db12, weight="full")
@@ -189,12 +179,6 @@ def test_estimate_needs_enough_shells(db12):
     shallow = _restrict(db12, 5)
     with pytest.raises(IncompleteDataError):
         abscissa_estimate(shallow, weight="half")
-
-
-def test_series_variants_are_finite(db10):
-    for variant in ("det", "unstable"):
-        val = series_full_power(db10, 0.2 + 0.3j, variant=variant, m_max=10)
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
 def test_determinant_layers_agree(exp12):
@@ -496,7 +480,10 @@ def test_columnar_build_equals_the_record_loop(db13, db_four7):
     cases += [(db13, 11, 2), (db_four7, 7, 5)]
     for db, N, k_max in cases:
         exp = build_determinant(db, N, k_max=k_max)
+        # the log atoms are built on first use, once
+        assert "_log_atoms" not in vars(exp)
         want = record_loop_determinant(db, N, k_max)
+        assert exp.log_tau is exp.log_tau
         for key, values in want.items():
             got = getattr(exp, key)
             assert got.dtype == values.dtype, (N, key)
