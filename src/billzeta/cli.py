@@ -179,13 +179,19 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
-    """``orbits.csv`` written row by row from the columns; the bytes are
-    those of :func:`_write_csv`, whose ``_fmt`` is ``str`` of an int and
-    ``repr`` of a float."""
-    word, bounds = db.word.tolist(), db.bounds.tolist()
-    rows = zip(
-        bounds,
-        bounds[1:],
+    """``orbits.csv`` from the columns; the bytes are those of
+    :func:`_write_csv`, whose ``_fmt`` is ``str`` of an int and ``repr``
+    of a float.  Every symbol of every word is joined by "-" in one
+    string, which is cut at the character offsets of the row bounds."""
+    labels = np.array([str(k) for k in range(int(db.word.max(initial=0)) + 1)])
+    joined = "-".join(labels[db.word].tolist())
+    # symbol i starts at the sum of (width + 1) over the symbols before it
+    widths = np.char.str_len(labels)[db.word] + 1
+    starts = np.concatenate(([0], np.cumsum(widths)))[db.bounds].tolist()
+    words = [joined[a : b - 1] for a, b in zip(starts, starts[1:])]
+    lines = map(
+        "{},{},{!r},{!r},{!r},{!r}".format,
+        words,
         db.n.tolist(),
         db.T.tolist(),
         db.lam.tolist(),
@@ -193,10 +199,7 @@ def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
         db.shadow_margin.tolist(),
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("word,length,period,lam,residual,shadow_margin\n")
-        for a, b, n, T, lam, residual, margin in rows:
-            symbols = "-".join(map(str, word[a:b]))
-            fh.write(f"{symbols},{n},{T!r},{lam!r},{residual!r},{margin!r}\n")
+        fh.write("\n".join(["word,length,period,lam,residual,shadow_margin", *lines]) + "\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -523,7 +526,8 @@ def cmd_trace(args) -> None:
     if args.experimental_trace_compare:
         det_n = min(12, db.n_max)
         exp = zeta.build_determinant(db, det_n, k_max=5)
-        poles = _default_pole_search(exp)
+        # resonance_side counts each off-axis zero with its conjugate
+        poles = [p for p in _default_pole_search(exp) if p.s.imag >= 0]
         ells = [r[0] for r in scan.rows]
         compare_rows = trace.experimental_compare(db, poles, args.beta, ells, bump=bump)
         print("experimental resonance-side comparison (heuristic, no claim):")

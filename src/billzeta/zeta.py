@@ -35,16 +35,20 @@ into segments, every distinct sample on the grid lines is evaluated once
 (a side shared by two cells is walked once), and the truncation-noise
 guard is applied to the whole array.  Segments whose phase step exceeds
 the limit are halved level by level, one batch per level, and the steps
-are summed per cell into winding numbers and argument-principle moments.
-For the moments, D' at every node comes from the same guarded pass as D.
+are summed per cell into winding numbers.  The same pass sums each
+cell's first argument-principle moment by parts, int s d(log D), from
+the values and phase steps it already holds.  The Simpson moments of a
+cell refine further and take D' at every node from the same guarded
+pass as D.
 
-Every zero is placed by one rule (Delves and Lyness): a cell of winding
-w >= 1 reports the first argument-principle moment divided by w, the
-centroid of its zeros, Newton-polished when w = 1.  That point must lie
-in the closed cell, and for w >= 2 the second moment must show one
-cluster rather than separate zeros; otherwise the winding or the moment
-is wrong, and the search raises ``TrustRegionError`` (exit 3) rather
-than report it.
+Every zero is placed by the argument principle (Delves and Lyness).  A
+cell of winding 1 is Newton-polished from the winding pass's first
+moment; a cell of winding w >= 2 reports its Simpson first moment
+divided by w, the centroid of its zeros.  That point must lie in the
+closed cell, and for w >= 2 the second moment must show one cluster
+rather than separate zeros; otherwise the winding or the moment is
+wrong, and the search raises ``TrustRegionError`` (exit 3) rather than
+report it.
 """
 
 from dataclasses import dataclass, field
@@ -622,9 +626,12 @@ def _simpson_sum(exp, za, zb, fa, fb):
 
 def _grid_contours(exp, xs, ys, samples, max_step, moments):
     """Counterclockwise contour sums around every cell of the grid with
-    lines ``xs`` x ``ys``, as a list of ``(nx, ny)`` arrays: the phase
-    change of D, or with ``moments`` the two :func:`_simpson_sum`
-    moments.
+    lines ``xs`` x ``ys``, as a list of ``(nx, ny)`` arrays: with
+    ``moments`` the two :func:`_simpson_sum` moments, else the phase
+    change of D and the first moment taken by parts, int s D'/D ds =
+    int s d(log D), by the midpoint rule: each piece adds
+    (za + zb)/2 (log|D(zb)/D(za)| + i step).  A piece's phase step is
+    local, so that sum needs no branch of log and no new value of D.
 
     Each cell side is cut into ``samples`` segments.  A side shared by
     two cells is one run of segments, added to one cell and subtracted
@@ -652,9 +659,14 @@ def _grid_contours(exp, xs, ys, samples, max_step, moments):
     fa = np.concatenate((f[:, :-1, row].reshape(k, -1), f[:, col, :-1].reshape(k, -1)), axis=1)
     fb = np.concatenate((f[:, 1:, row].reshape(k, -1), f[:, col, 1:].reshape(k, -1)), axis=1)
     seg, pa, pb, pfa, pfb, step = _refine(exp, za, zb, fa, fb, max_step)
+    if moments:
+        contribs = _simpson_sum(exp, pa, pb, pfa, pfb)
+    else:
+        log_step = np.log(np.abs(pfb[0] / pfa[0])) + 1j * step
+        contribs = (step, 0.5 * (pa + pb) * log_step)
     n_h = nx * samples * (ny + 1)
     sums = []
-    for contrib in _simpson_sum(exp, pa, pb, pfa, pfb) if moments else (step,):
+    for contrib in contribs:
         total = np.zeros(za.size, dtype=contrib.dtype)
         np.add.at(total, seg, contrib)
         h = total[:n_h].reshape(nx, samples, ny + 1).sum(axis=1)
@@ -663,11 +675,19 @@ def _grid_contours(exp, xs, ys, samples, max_step, moments):
     return sums
 
 
+def _winding_pass(exp, xs, ys, samples=12):
+    """Winding numbers of D around the cells of a grid and their first
+    argument-principle moments by parts, two ``(nx, ny)`` arrays; phase
+    steps are refined down to pi/2.  Where the winding is 1 the moment is
+    the zero's position to about 1e-2 of the cell diagonal or better,
+    close enough to start Newton."""
+    phase, first = _grid_contours(exp, xs, ys, samples, 0.5 * np.pi, moments=False)
+    return phase / (2.0 * np.pi), first / (2.0j * np.pi)
+
+
 def _cell_windings(exp, xs, ys, samples=12):
-    """Winding numbers of D around the cells of a grid, ``(nx, ny)``;
-    phase steps are refined down to pi/2."""
-    (phase,) = _grid_contours(exp, xs, ys, samples, 0.5 * np.pi, moments=False)
-    return phase / (2.0 * np.pi)
+    """Winding numbers of D around the cells of a grid, ``(nx, ny)``."""
+    return _winding_pass(exp, xs, ys, samples)[0]
 
 
 def _cell_winding(exp, re0, re1, im0, im1, samples=12):
@@ -696,21 +716,24 @@ def _polish_zero(exp: DeterminantExpansion, s0, steps=80, tol=1e-14):
     return s
 
 
-def _cell_zero(exp: DeterminantExpansion, re0, re1, im0, im1, w: int):
-    """Position of the ``w`` zeros inside a cell: their centroid, the
-    first argument-principle moment over w (Delves and Lyness),
-    Newton-polished when w = 1.  A centroid of zeros in a rectangle lies
-    in that rectangle, so a point outside the closed cell means the
+def _cell_zero(exp: DeterminantExpansion, re0, re1, im0, im1, w: int, seed):
+    """Position of the ``w`` zeros inside a cell (Delves and Lyness).  A
+    simple zero is Newton-polished from ``seed``, the first moment the
+    winding pass took by parts.  For w >= 2 the position is their
+    centroid, the first argument-principle moment over w, from a Simpson
+    contour (:func:`_cell_moments`).  A centroid of zeros in a rectangle
+    lies in that rectangle, so a point outside the closed cell means the
     winding or the moment is wrong and raises ``TrustRegionError``.
 
     For w >= 2 the zeros are reported as one multiple zero, so they must
     form one cluster: the second moment less w times the squared
     centroid, sum (z - centroid)^2, must stay below ``SPREAD_TOL`` times
     the squared cell diagonal, else ``TrustRegionError``."""
-    first, second = _cell_moments(exp, re0, re1, im0, im1)
-    s = first / w
     if w == 1:
-        s = _polish_zero(exp, s)
+        s = _polish_zero(exp, seed)
+    else:
+        first, second = _cell_moments(exp, re0, re1, im0, im1)
+        s = first / w
     if not (re0 <= s.real <= re1 and im0 <= s.imag <= im1):
         raise TrustRegionError(
             f"the {w} zero(s) of cell [{re0:.4f},{re1:.4f}]x[{im0:.4f},{im1:.4f}] "
@@ -750,7 +773,9 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
     |D| above the local noise.  Each cell of winding w >= 1 reports one
     zero of multiplicity w at :func:`_cell_zero`'s point, which must lie
     in the closed cell and, for w >= 2, stand for one cluster of zeros
-    (else ``TrustRegionError``).  The zeros are sorted by (Im s, Re s).
+    (else ``TrustRegionError``).  A simple zero is polished from the
+    first moment of the winding pass; only cells of w >= 2 take a Simpson
+    moment contour.  The zeros are sorted by (Im s, Re s).
     """
     re0, re1, im0, im1 = map(float, rect)
     if not (np.isfinite([re0, re1, im0, im1]).all() and re0 < re1 and im0 < im1):
@@ -770,7 +795,7 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
     nx, ny = grid
     xs = np.linspace(re0, re1, nx + 1)
     ys = np.linspace(im0, im1, ny + 1)
-    windings = _cell_windings(exp, xs, ys)
+    windings, seeds = _winding_pass(exp, xs, ys)
     poles = []
     for i in range(nx):
         for j in range(ny):
@@ -784,7 +809,7 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
                 )
             if w_int < 1:
                 continue
-            s_star = _cell_zero(exp, xs[i], xs[i + 1], ys[j], ys[j + 1], w_int)
+            s_star = _cell_zero(exp, xs[i], xs[i + 1], ys[j], ys[j + 1], w_int, seeds[i, j])
             poles.append(
                 Pole(
                     s=s_star,
@@ -801,23 +826,25 @@ def track_zero(exp: DeterminantExpansion, s0, multiplicity: int, radius: float =
 
     Computes the winding of D over a box of the given radius centered
     at ``s0`` and places its zeros by :func:`_cell_zero`, the rule
-    :func:`find_poles` uses: the centroid for multiple zeros, a
-    Newton-polished point for simple ones, refused (``TrustRegionError``)
-    outside the box.  Unlike :func:`find_poles` this skips the
-    rectangle-level gate: it is meant for comparing one established
-    zero across truncation orders, and the contour noise guard still
-    protects every sample.  Returns (winding, position).
+    :func:`find_poles` uses: the Simpson centroid for multiple zeros, a
+    point Newton-polished from the winding pass's first moment for simple
+    ones, refused (``TrustRegionError``) outside the box.  Unlike
+    :func:`find_poles` this skips the rectangle-level gate: it is meant
+    for comparing one established zero across truncation orders, and the
+    contour noise guard still protects every sample.  Returns (winding,
+    position).
     """
     re0, re1 = s0.real - radius, s0.real + radius
     im0, im1 = s0.imag - radius, s0.imag + radius
-    w = _cell_winding(exp, re0, re1, im0, im1)
+    windings, seeds = _winding_pass(exp, (re0, re1), (im0, im1))
+    w = float(windings[0, 0])
     w_int = int(round(w))
     if abs(w - w_int) > WINDING_TOL or w_int < 1:
         raise TrustRegionError(
             f"tracking box at {s0:.4f} sees winding {w:.3f}, "
             f"expected about {multiplicity}"
         )
-    return w_int, _cell_zero(exp, re0, re1, im0, im1, w_int)
+    return w_int, _cell_zero(exp, re0, re1, im0, im1, w_int, seeds[0, 0])
 
 
 def real_zero(exp: DeterminantExpansion, lo: float, hi: float, tol=1e-13) -> float:

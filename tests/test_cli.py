@@ -416,6 +416,27 @@ def test_trace_experimental_flag(cli_env, tmp_path):
     assert (out_dir / "trace_compare.csv").exists()
 
 
+def test_trace_compare_counts_each_zero_pair_once(tmp_path, db12):
+    from billzeta import cli
+    from billzeta.trace import BumpFunction, resonance_side
+    from billzeta.zeta import build_determinant
+
+    cache, out = tmp_path / "c.bin", tmp_path / "out"
+    save_database(db12, cache)
+    argv = ["trace", "--cache", str(cache), "--out", str(out), "--experimental-trace-compare"]
+    assert cli.main(argv) == 0
+    closed = cli._default_pole_search(build_determinant(db12, 12))
+    upper = [p for p in closed if p.s.imag >= 0]
+    assert len(upper) < len(closed)  # the search finds a complex pair
+    lines = (out / "trace_compare.csv").read_text("utf-8").splitlines()
+    assert lines[0] == "ell,m,orbit_side,resonance_side,ratio"
+    bump = BumpFunction()
+    for line in lines[1:]:
+        ell, m, _, res, _ = map(float, line.split(","))
+        assert res == resonance_side(upper, bump, ell, m)
+        assert res != resonance_side(closed, bump, ell, m)
+
+
 def test_csv_lf_line_endings(cli_env, tmp_path):
     out_dir = tmp_path / "out"
     run_cli("counting", "--cache", cli_env["cache"], "--out", out_dir)
@@ -449,12 +470,32 @@ def test_unwritable_output_paths_are_malformed_input(cli_env, tmp_path):
         assert not new_cache.exists(), sub
 
 
+def eleven_disk_database():
+    """A hand-built database over 11 disks, so that labels reach two
+    digits; its numbers are arbitrary, only the writer reads them."""
+    from billzeta import database
+    from billzeta.database import OrbitDatabase
+    from billzeta.geometry import Configuration, Disk
+
+    angles = 2.0 * np.pi * np.arange(11) / 11
+    config = Configuration(tuple(Disk((20.0 * np.cos(a), 20.0 * np.sin(a)), 1.0) for a in angles))
+    words = [(1, 10), (2, 11), (9, 10), (10, 11), (1, 10, 11), (3, 11, 4, 10), (11, 10, 11, 9, 10)]
+    n = [len(w) for w in words]
+    rng = np.random.default_rng(11)
+    columns = {"n": n, "word": [s for w in words for s in w]}
+    for name in database.SCALARS:
+        columns[name] = rng.uniform(-40.0, 40.0, len(words))
+    for name in database.PER_BOUNCE:
+        columns[name] = rng.uniform(-1.0, 1.0, sum(n))
+    return OrbitDatabase(config, max(n), columns)
+
+
 def test_orbits_csv_equals_the_row_writer(tmp_path, db12, db_four7):
     from billzeta import cli
 
     header = ["word", "length", "period", "lam", "residual", "shadow_margin"]
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    for db in (db12, db_four7):
+    for db in (db12, db_four7, eleven_disk_database()):
         rows = [
             ("-".join(str(s) for s in rec.word), rec.n, rec.T, rec.lam, rec.residual,
              rec.shadow_margin)
@@ -463,6 +504,7 @@ def test_orbits_csv_equals_the_row_writer(tmp_path, db12, db_four7):
         cli._write_csv(want, header, rows)
         cli._write_orbits_csv(got, db)
         assert got.read_bytes() == want.read_bytes()
+    assert b"\n3-11-4-10," in got.read_bytes()
 
 
 def test_solve_and_consumers_build_no_per_cycle_objects(cli_env, config, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from billzeta.zeta import (
     ATOM_BLOCK,
     PROBE_IM,
     TRUST_THRESHOLD,
+    _cell_moments,
     _cell_winding,
     _cell_windings,
     abscissa_estimate,
@@ -23,12 +24,15 @@ from billzeta.zeta import (
     _guarded_values,
     find_poles,
     orbit_atoms,
+    _polish_zero,
     real_zero,
     reflection_shift_matrix,
     signed_shell_partials,
     track_zero,
 )
-from tests.conftest import records
+from billzeta.database import build_database
+from billzeta.geometry import Configuration, Disk
+from tests.conftest import equilateral_config, records, unequal_four_disks
 
 
 def cycle_expansion_value(exp, s):
@@ -289,17 +293,19 @@ def test_each_real_part_is_exponentiated_once_per_call(db13, monkeypatch):
 
 # repr of (s, multiplicity, residual, trust_margin) per zero, recorded at
 # the fixture's N = 12 and 13 determinants: the default search, and a
-# rectangle whose upper cell of winding 2 is closed by its conjugate
+# rectangle whose upper cell of winding 2 is closed by its conjugate.  The
+# simple real zero's last digits depend on the Newton seed, the winding
+# pass's by-parts moment
 POLE_REPRS = {
     (12, "default"): "[((-0.2642760713640669-0.8139574025950796j), 2, 6.43499940370341e-08, "
-    "0.055723928635933284), ((-0.1215576284543656+0j), 1, 4.536301889679351e-16, "
-    "0.19844237154563457), ((-0.2642760713640669+0.8139574025950796j), 2, "
+    "0.055723928635933284), ((-0.12155762845436559+0j), 1, 6.054184931159057e-16, "
+    "0.1984423715456346), ((-0.2642760713640669+0.8139574025950796j), 2, "
     "6.43499940370341e-08, 0.055723928635933284)]",
     (12, "rect"): "[((-0.26427362860608145-0.8139523898676754j), 2, 6.547816969030704e-08, "
     "0.05572637139391873), ((-0.26427362860608145+0.8139523898676754j), 2, "
     "6.547816969030704e-08, 0.05572637139391873)]",
     (13, "default"): "[((-0.26427642901932774-0.8139479841108562j), 2, 1.2838068721752027e-08, "
-    "0.09572357098067247), ((-0.12155762845511991+0j), 1, 1.6740081543176188e-16, "
+    "0.09572357098067247), ((-0.1215576284551199+0j), 1, 1.3010426069826053e-18, "
     "0.2384423715448803), ((-0.26427642901932774+0.8139479841108562j), 2, "
     "1.2838068721752027e-08, 0.09572357098067247)]",
     (13, "rect"): "[((-0.26427364235354245-0.813952408713216j), 2, 1.1399771709176056e-08, "
@@ -704,6 +710,103 @@ def test_merged_cluster_is_refused(exp12, monkeypatch):
     for grid in grids:
         assert found[grid] == find_poles(exp12, TALL, grid=grid), grid
         assert sum(p.multiplicity for p in found[grid]) == 5, grid
+
+
+def moved_fixture(seed):
+    """The fixture under the rigid motion that ``perfbench/pipeline.py``
+    draws for a seed: a rotation angle, a translation, then a permutation
+    of the disk labels from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    shift = rng.uniform(-2.0, 2.0, size=2)
+    order = rng.permutation(3)
+    cos, sin = np.cos(angle), np.sin(angle)
+    base = [disk.center for disk in equilateral_config().disks]
+    return Configuration(tuple(
+        Disk((cos * base[k][0] - sin * base[k][1] + shift[0],
+              sin * base[k][0] + cos * base[k][1] + shift[1]), 1.0)
+        for k in order
+    ))
+
+
+def default_searches(exp, monkeypatch):
+    """The (rect, grid) of every ``find_poles`` call of the default search."""
+    searches = []
+    with monkeypatch.context() as m:
+        m.setattr(zeta, "find_poles", lambda exp, rect, grid: searches.append((rect, grid)) or [])
+        _default_pole_search(exp)
+    return searches
+
+
+def check_simple_zeros(exp, rect, grid):
+    """Every w = 1 zero of ``find_poles`` lies in its cell and equals the
+    Newton polish seeded by the cell's Simpson moment to 4 ulp of |s|, or
+    to the zero's rounding width eps sum |c_i exp(-s tau_i)| / |D'(s)|
+    where that is wider (on the real axis it is about 10 ulp, and Newton
+    from two seeds can stop anywhere in it).  Returns their count."""
+    xs = np.linspace(rect[0], rect[1], grid[0] + 1)
+    ys = np.linspace(rect[2], rect[3], grid[1] + 1)
+    cells = [
+        (xs[i], xs[i + 1], ys[j], ys[j + 1])
+        for i, j in np.argwhere(np.round(_cell_windings(exp, xs, ys)) == 1)
+    ]
+    simple = [p.s for p in find_poles(exp, rect, grid=grid) if p.multiplicity == 1]
+    assert len(simple) == len(cells), (exp.N, rect)
+    for re0, re1, im0, im1 in cells:
+        want = _polish_zero(exp, _cell_moments(exp, re0, re1, im0, im1)[0])
+        got = min(simple, key=lambda s: abs(s - want))
+        assert re0 <= got.real <= re1 and im0 <= got.imag <= im1, (exp.N, got)
+        terms = np.abs(exp.poly_coeff * np.exp(-want * exp.poly_tau)).sum()
+        width = max(4 * np.spacing(abs(want)), np.finfo(float).eps * terms / abs(exp.derivative(want)))
+        assert abs(got.real - want.real) <= width, (exp.N, got, want)
+        assert abs(got.imag - want.imag) <= width, (exp.N, got, want)
+    return len(cells)
+
+
+def test_simple_zeros_polish_from_the_winding_pass(db13, monkeypatch):
+    count = 0
+    for N in range(9, 14):
+        exp = build_determinant(_restrict(db13, N), N)
+        searches = default_searches(exp, monkeypatch)
+        if N >= 12:  # below, the tall rectangle crosses the trust floor or the noise gate
+            searches.append((TALL, (5, 11)))
+        for rect, grid in searches:
+            count += check_simple_zeros(exp, rect, grid)
+    # the real zero at each N, and the zero near -0.1266 + 1.5165i at N = 12, 13
+    assert count == 7
+    for seed in (1, 2, 3):
+        exp = build_determinant(build_database(moved_fixture(seed), 12), 12)
+        assert sum(check_simple_zeros(exp, *search) for search in default_searches(exp, monkeypatch)) == 1
+    # the unequal four disks' real zero near -0.0416 is trusted from N = 10
+    exp = build_determinant(build_database(unequal_four_disks(), 10), 10)
+    assert check_simple_zeros(exp, (-0.07, 0.05, -0.10, 0.10), (3, 3)) == 1
+
+
+def test_only_multiple_zeros_take_a_simpson_moment(exp12, db13, monkeypatch):
+    cells, found = [], []
+    moments, search = zeta._cell_moments, zeta.find_poles
+
+    def counting_moments(exp, *cell, **kwargs):
+        cells.append(cell)
+        return moments(exp, *cell, **kwargs)
+
+    def recording_search(exp, rect, grid):
+        poles = search(exp, rect, grid=grid)
+        found.extend(poles)
+        return poles
+
+    monkeypatch.setattr(zeta, "_cell_moments", counting_moments)
+    for exp in (exp12, build_determinant(db13, 13)):
+        cells.clear()
+        found.clear()
+        with monkeypatch.context() as m:
+            m.setattr(zeta, "find_poles", recording_search)
+            _default_pole_search(exp)
+        multiple = [p.s for p in found if p.multiplicity >= 2]
+        assert len(multiple) == 1 and len(found) == 2
+        assert len(cells) == len(multiple)
+        for s in multiple:
+            assert sum(a <= s.real <= b and c <= s.imag <= d for a, b, c, d in cells) == 1
 
 
 def test_tracked_leading_pair_stable_under_truncation(exp10, exp12):
