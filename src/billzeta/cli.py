@@ -28,12 +28,11 @@ import numpy as np
 
 from . import __version__, thermo, trace, zeta
 from .database import (
-    PER_CYCLE,
-    SECTIONS,
     OrbitDatabase,
     build_database,
     extend_database,
     load_database,
+    restrict_database,
     save_database,
 )
 from .errors import BilliardError, IncompleteDataError, MalformedInputError, ShortSeriesError
@@ -244,18 +243,6 @@ def _write_outputs(args, config_hash: str, params: dict, tables: dict) -> None:
     })
 
 
-def _restrict(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
-    if n_max == db.n_max:
-        return db
-    # rows are sorted by length, so the kept ones are a prefix
-    keep = int(np.searchsorted(db.n, n_max, side="right"))
-    flat = int(db.bounds[keep])
-    columns = {
-        name: getattr(db, name)[: keep if name in PER_CYCLE else flat] for name, _ in SECTIONS
-    }
-    return OrbitDatabase(db.config, n_max, columns)
-
-
 # --nmax of a build from --config alone; with a cache, it is the cache's n_max
 FRESH_NMAX = 10
 
@@ -285,7 +272,7 @@ def _load_db(args) -> OrbitDatabase:
             f"{args.nmax}; re-run `billzeta orbits --cache {args.cache} "
             f"--nmax {args.nmax}` to extend it"
         )
-    return _restrict(db, args.nmax)
+    return restrict_database(db, args.nmax)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +307,7 @@ def cmd_orbits(args) -> None:
         if db.n_max >= n_max:
             print(f"cache hit: {cache} holds n_max={db.n_max} ({len(db)} cycles); "
                   "no re-solve needed")
-            db = _restrict(db, n_max)
+            db = restrict_database(db, n_max)
         else:
             print(f"cache stops at n_max={db.n_max}; solving lengths {db.n_max + 1}..{n_max}")
             db = extend_database(db, n_max)

@@ -126,10 +126,9 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
         raise EclipseError(f"configuration rejected: {report.summary()}")
     if not report.ok:
         raise DomainError(f"configuration rejected: {report.summary()}")
-    words = symbolic.enumerate_cycles(config.r, n_max, n_min=db.n_max + 1)
     parts = {name: [getattr(db, name)] for name, _ in SECTIONS}
     for n in range(db.n_max + 1, n_max + 1):
-        solved = orbits.solve_orbits(config, [w for w in words if len(w) == n])
+        solved = orbits.solve_orbits(config, symbolic.enumerate_cycles(config.r, n, n_min=n))
         labels = solved["labels"]
         kappa, lam = stability.stability_records(
             config, labels, solved["flights"], solved["cos_incidence"]
@@ -140,6 +139,19 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
             parts[name].append(np.asarray(batch[name], dtype=dtype).ravel())
     columns = {name: np.concatenate(parts[name]) for name in parts}
     return OrbitDatabase(config, n_max, columns)
+
+
+def restrict_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
+    """``db`` cut to the cycles of length <= ``n_max`` (``db`` itself if
+    it stops there); rows are sorted by length, so they are a prefix."""
+    if n_max == db.n_max:
+        return db
+    keep = int(np.searchsorted(db.n, n_max, side="right"))
+    flat = int(db.bounds[keep])
+    columns = {
+        name: getattr(db, name)[: keep if name in PER_CYCLE else flat] for name, _ in SECTIONS
+    }
+    return OrbitDatabase(db.config, n_max, columns)
 
 
 def _encode(db: OrbitDatabase) -> bytes:
@@ -192,7 +204,9 @@ def _read_header(path, blob: bytes):
         header = json.loads(blob[:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"orbit cache {path} has a bad header") from exc
-    fmt = header.get("format") if isinstance(header, dict) else header
+    if not isinstance(header, dict):
+        raise MalformedInputError(f"orbit cache {path} has a bad header")
+    fmt = header.get("format")
     if fmt == OLD_CACHE_FORMAT:
         raise StaleCacheError(
             f"orbit cache {path} has the retired format {fmt}; re-run "

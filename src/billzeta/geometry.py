@@ -31,6 +31,7 @@ import numpy as np
 from .errors import MalformedInputError
 
 CONFIG_FORMAT = "billiard-config/1"
+VALIDATE_TOL = 1e-9  # pair gaps and visibility margins at or below it are violations
 
 
 @dataclass(frozen=True)
@@ -182,15 +183,13 @@ class ValidationReport:
         return "; ".join(self.reasons)
 
 
-def validate(config: Configuration, tol: float = 1e-9) -> ValidationReport:
+def validate(config: Configuration) -> ValidationReport:
     """Check disjointness and the no-eclipse condition.
 
     Parameters
     ----------
     config : Configuration
         At least two disks (fewer raises ``MalformedInputError``).
-    tol : float
-        Margins at or below ``tol`` count as violations.
 
     Returns
     -------
@@ -198,7 +197,8 @@ def validate(config: Configuration, tol: float = 1e-9) -> ValidationReport:
         ``ok`` is True only when there are at least three pairwise
         disjoint disks and, for every pair (i, j), every third disk k
         keeps a positive distance from the convex hull of disks i and j.
-        Indices in the report are 1-based.
+        Gaps and margins at or below ``VALIDATE_TOL`` count as
+        violations.  Indices in the report are 1-based.
     """
     r = config.r
     if r < 2:
@@ -209,7 +209,7 @@ def validate(config: Configuration, tol: float = 1e-9) -> ValidationReport:
     bad_triples = []
 
     for (i, j), gap in config.pair_gaps.items():
-        if gap <= tol:
+        if gap <= VALIDATE_TOL:
             bad_pairs.append((i + 1, j + 1, float(gap)))
             reasons.append(f"disks {i + 1} and {j + 1} overlap or touch (gap {gap:.6g})")
 
@@ -225,7 +225,7 @@ def validate(config: Configuration, tol: float = 1e-9) -> ValidationReport:
                 continue
             margin = hull_gap(c[k], c[i], a[i], c[j], a[j]) - a[k]
             min_triple = min(min_triple, margin)
-            if margin <= tol:
+            if margin <= VALIDATE_TOL:
                 bad_triples.append((i + 1, j + 1, k + 1, float(margin)))
                 reasons.append(
                     f"disk {k + 1} blocks the line of sight between "

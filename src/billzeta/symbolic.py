@@ -76,22 +76,12 @@ def primitive_root(word):
     raise AssertionError("unreachable")
 
 
-def is_primitive(word) -> bool:
-    return primitive_root(word)[1] == 1
-
-
 def is_cyclically_admissible(word) -> bool:
     word = tuple(word)
     n = len(word)
     if n < 2:
         return False
     return all(word[i] != word[(i + 1) % n] for i in range(n))
-
-
-def reverse_class(word):
-    """Canonical representative of the time-reversed cycle."""
-    rev = tuple(reversed(tuple(word)))
-    return canonical_rotation(rev)[0]
 
 
 def _admissible_codes(r: int, n: int):

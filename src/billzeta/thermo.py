@@ -25,7 +25,9 @@ from .symbolic import canonical_rotation, enumerate_words, primitive_root
 
 PRESSURE_TOL = 1e-10
 ROOT_MAX_STEPS = 50
-POWER_TOL = 1e-13
+POWER_TOL = 1e-13  # relative width of the eigenvalue bracket at which power iteration stops
+POWER_MAX_ITER = 200000
+SIGN_DEAD_BAND = 1e-6  # |P(g)| at or below which sign_check_b1 reports 0
 
 
 def closing_word(word):
@@ -59,15 +61,14 @@ def cylinder_values(db, word):
 class CylinderPotential:
     """Tabulated cylinder observables plus the transfer-graph layout.
 
-    ``words`` lists the admissible (k+1)-words, one per transition
-    between length-k words; edge ``i`` holds the row index, column
-    index, and the (f, g) values of ``words[i]``.
+    Each admissible (k+1)-word is one transition between length-k words;
+    edge ``i`` holds the row index, column index, and the (f, g) values
+    of the ``i``-th such word.
     """
 
     r: int
     k: int
     states: tuple
-    words: tuple
     edge_row: np.ndarray
     edge_col: np.ndarray
     edge_f: np.ndarray
@@ -99,7 +100,6 @@ def build_potentials(db, k: int) -> CylinderPotential:
     r = db.config.r
     states = enumerate_words(r, k)
     index = {w: i for i, w in enumerate(states)}
-    words = []
     rows, cols, fs, gs = [], [], [], []
     for u in states:
         for a in range(1, r + 1):
@@ -108,7 +108,6 @@ def build_potentials(db, k: int) -> CylinderPotential:
             w = u + (a,)
             v = u[1:] + (a,) if k > 1 else (a,)
             f, _, g = cylinder_values(db, w)
-            words.append(w)
             rows.append(index[u])
             cols.append(index[v])
             fs.append(f)
@@ -117,7 +116,6 @@ def build_potentials(db, k: int) -> CylinderPotential:
         r=r,
         k=k,
         states=tuple(states),
-        words=tuple(words),
         edge_row=np.array(rows, dtype=np.int64),
         edge_col=np.array(cols, dtype=np.int64),
         edge_f=np.array(fs),
@@ -125,35 +123,19 @@ def build_potentials(db, k: int) -> CylinderPotential:
     )
 
 
-def refinement_gap(pot_k: CylinderPotential, pot_k1: CylinderPotential):
-    """Largest change of (f, g) when memory k is refined to k + 1.
-
-    A (k+2)-word evaluates the same physical bounce as its centered
-    (k+1)-subword, so the gap measures how fast the cylinder
-    approximation converges.
-    """
-    if pot_k1.k != pot_k.k + 1:
-        raise ValueError("potentials must have consecutive memories")
-    delta = (pot_k1.k // 2) - (pot_k.k // 2)
-    edge = {w: i for i, w in enumerate(pot_k.words)}
-    parent = [edge[w[delta : delta + pot_k.k + 1]] for w in pot_k1.words]
-    gap_f = np.abs(pot_k1.edge_f - pot_k.edge_f[parent]).max()
-    gap_g = np.abs(pot_k1.edge_g - pot_k.edge_g[parent]).max()
-    return float(gap_f), float(gap_g)
-
-
-def leading_eigenvalue(B: np.ndarray, tol: float = POWER_TOL, max_iter: int = 200000):
+def leading_eigenvalue(B: np.ndarray):
     """Perron eigenvalue of a nonnegative irreducible matrix by power
     iteration with two-sided eigenvalue brackets.
 
     At each step the bracket [min_i (Bx)_i / x_i, max_i (Bx)_i / x_i]
     encloses the eigenvalue; iteration stops once its width drops below
-    ``tol`` times the eigenvalue.
+    ``POWER_TOL`` times the eigenvalue, and fails after
+    ``POWER_MAX_ITER`` steps.
     """
     n = B.shape[0]
     x = np.full(n, 1.0 / n)
     lam = np.nan
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = B @ x
         norm = float(np.sum(y))
         if norm <= 0.0 or not np.isfinite(norm):
@@ -163,7 +145,7 @@ def leading_eigenvalue(B: np.ndarray, tol: float = POWER_TOL, max_iter: int = 20
         hi = float(np.max(ratios))
         lam = 0.5 * (lo + hi)
         x = y / norm
-        if hi - lo <= tol * abs(lam):
+        if hi - lo <= POWER_TOL * abs(lam):
             return lam
     raise PowerIterationError(
         f"power iteration stalled: bracket width {hi - lo:.3e} at eigenvalue {lam:.6g}"
@@ -237,14 +219,14 @@ def solve_abscissa(
     )
 
 
-def sign_check_b1(pot: CylinderPotential, dead_band: float = 1e-6):
-    """Sign of P(g): positive, negative, or 0 inside the dead band.
+def sign_check_b1(pot: CylinderPotential):
+    """Sign of P(g): positive, negative, or 0 inside ``SIGN_DEAD_BAND``.
 
     The sign of the full abscissa b1 must match: P(g) > 0 forces b1 > 0
     and vice versa.
     """
     value = pressure(pot, 0.0, 1.0)
-    if abs(value) <= dead_band:
+    if abs(value) <= SIGN_DEAD_BAND:
         return 0, value
     return (1 if value > 0 else -1), value
 

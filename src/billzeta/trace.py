@@ -106,6 +106,11 @@ _HALF_RULE = np.frombuffer(
 ).reshape(2, 128)
 
 
+BUMP_MARGIN = 1.05  # least value of the bump rho on [-1/2, 1/2]
+XI_STEP = 0.05  # trapezoid step of the Gaussian weight's frequency integral
+TAIL_TOL = 1e-10  # largest Gaussian tail the frequency cutoff may leave
+
+
 def gauss_legendre_256():
     """Nodes and weights of the 256-node Gauss-Legendre rule on [-1, 1],
     nodes increasing, from the stored positive half."""
@@ -119,11 +124,10 @@ class BumpFunction:
 
     Support is [-1, 1]; the scale c is fixed so the minimum of rho over
     [-1/2, 1/2] (attained at the endpoints, since an autocorrelation of
-    a positive bump decreases away from 0) equals ``margin``.
+    a positive bump decreases away from 0) equals ``BUMP_MARGIN``.
     """
 
-    def __init__(self, margin: float = 1.05):
-        self.margin = float(margin)
+    def __init__(self):
         x, w = gauss_legendre_256()
         # nodes mapped to [-1/2, 1/2] for transforms of phi itself
         self._x = 0.5 * x
@@ -132,7 +136,7 @@ class BumpFunction:
         self._unit_x = x
         self._unit_w = w
         self.scale = 1.0
-        self.scale = self.margin / self._autocorr(np.array([0.5]))[0]
+        self.scale = BUMP_MARGIN / self._autocorr(np.array([0.5]))[0]
 
     @staticmethod
     def _phi(t):
@@ -196,15 +200,14 @@ class AtomicMeasure:
     min_flight: float
 
 
-MEASURE_KINDS = ("half", "even", "dirichlet", "full")
+MEASURE_KINDS = ("half", "dirichlet", "full")
 
 
 def build_measure(db, kind: str = "dirichlet", T_max=None) -> AtomicMeasure:
     """Atomic measure over all orbit atoms up to the cutoff.
 
-    Kinds: "half" (tau_sharp |det|^{-1/2}), "even" (twice the half
-    weight on even reflection counts), "dirichlet" (half weight carrying
-    (-1)^m), "full" (tau_sharp |det|^{-1}).
+    Kinds: "half" (tau_sharp |det|^{-1/2}), "dirichlet" (half weight
+    carrying (-1)^m), "full" (tau_sharp |det|^{-1}).
     """
     if kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
@@ -214,8 +217,6 @@ def build_measure(db, kind: str = "dirichlet", T_max=None) -> AtomicMeasure:
     base = atoms["w_half"]
     if kind == "half":
         w = base
-    elif kind == "even":
-        w = np.where(atoms["m"] % 2 == 0, 2.0 * base, 0.0)
     elif kind == "dirichlet":
         w = atoms["parity"] * base
     else:
@@ -315,7 +316,6 @@ class GaussianWeight:
     quadrature: float
     quad_error: float
     lower_bound: float
-    diagonal_sum: float
 
     @property
     def bound_holds(self) -> bool:
@@ -327,18 +327,18 @@ def gaussian_weight(
     t: float,
     sigma: float,
     xi_max: float = 40.0,
-    step: float = 0.05,
     bump: BumpFunction | None = None,
-    tail_tol: float = 1e-10,
 ) -> GaussianWeight:
     """Gaussian-weighted two-point sum around t and its dual form.
 
     Direct: sqrt(2 pi) sum over atom pairs of w w' exp(-(tau-tau')^2 /
     (2 sigma)) rho(tau-t) rho(tau'-t) with w = tau_sharp |det|^{-1/2}.
     Dual: sigma^{1/2} integral of |S(t, xi)|^2 exp(-sigma xi^2 / 2)
-    with S(t, xi) = sum w e^{i xi tau} rho(tau - t), by trapezoid on
-    [-xi_max, xi_max].  The reported quadrature error combines a
-    step-halving estimate with the analytic truncation tail.
+    with S(t, xi) = sum w e^{i xi tau} rho(tau - t), by trapezoid of
+    step ``XI_STEP`` on [-xi_max, xi_max]; a cutoff whose Gaussian tail
+    exceeds ``TAIL_TOL`` raises ``NumericalError``.  The reported
+    quadrature error combines a step-halving estimate with the analytic
+    truncation tail.
 
     Also evaluates the diagonal lower bound
     sqrt(2 pi) min_{|u|<=1/2} rho(u)^2 * sum_{|tau-t|<=1/2} tau_sharp/|det|.
@@ -365,13 +365,13 @@ def gaussian_weight(
         direct = 0.0
 
     # frequency side
-    n_half = int(round(xi_max / step))
+    n_half = int(round(xi_max / XI_STEP))
     xi = np.linspace(-xi_max, xi_max, 2 * n_half + 1)
     s_max = float(np.sum(np.abs(wr)))
     # |S|^2 <= s_max^2, so the discarded tail of the xi integral is
     # bounded by the Gaussian tail below
     tail = s_max**2 * np.sqrt(2.0 * np.pi) * math.erfc(xi_max * np.sqrt(sigma / 2.0))
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise NumericalError(
             f"frequency cutoff xi_max={xi_max} leaves a tail bound {tail:.2e}"
         )
@@ -402,7 +402,6 @@ def gaussian_weight(
         quadrature=g_h2,
         quad_error=quad_error,
         lower_bound=c_min * diag_sum,
-        diagonal_sum=diag_sum,
     )
 
 
@@ -413,10 +412,6 @@ class ShellReport:
     counts: np.ndarray
     thresholds: np.ndarray
     qualifying: np.ndarray
-
-    @property
-    def t_sequence(self):
-        return self.centers[self.qualifying]
 
     def summary(self) -> str:
         n_q = int(np.sum(self.qualifying))

@@ -685,13 +685,8 @@ def _winding_pass(exp, xs, ys, samples=12):
     return phase / (2.0 * np.pi), first / (2.0j * np.pi)
 
 
-def _cell_windings(exp, xs, ys, samples=12):
-    """Winding numbers of D around the cells of a grid, ``(nx, ny)``."""
-    return _winding_pass(exp, xs, ys, samples)[0]
-
-
 def _cell_winding(exp, re0, re1, im0, im1, samples=12):
-    return float(_cell_windings(exp, (re0, re1), (im0, im1), samples)[0, 0])
+    return float(_winding_pass(exp, (re0, re1), (im0, im1), samples)[0][0, 0])
 
 
 def _cell_moments(exp, re0, re1, im0, im1, samples=12):
@@ -759,46 +754,18 @@ def _rect_noise(exp: DeterminantExpansion, re0, re1, im0, im1, samples=13):
     return float(np.max(np.abs(exp.last_shell_value(pts))))
 
 
-def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
-    """Zeros of the truncated determinant inside a rectangle.
-
-    The rectangle must be finite and non-empty (else ``DomainError``)
-    and lie in the trusted region: its left edge right of the trust
-    floor, and the sampled last-shell contribution below
-    ``TRUST_THRESHOLD`` across the whole rectangle (truncation
-    noise grows upward as well as leftward, and phase slips in noisy
-    territory can fake integer windings).  The rectangle is subdivided
-    into grid cells; the winding number of D around each cell must come
-    out integer to ``WINDING_TOL``, with every contour sample keeping
-    |D| above the local noise.  Each cell of winding w >= 1 reports one
-    zero of multiplicity w at :func:`_cell_zero`'s point, which must lie
-    in the closed cell and, for w >= 2, stand for one cluster of zeros
-    (else ``TrustRegionError``).  A simple zero is polished from the
-    first moment of the winding pass; only cells of w >= 2 take a Simpson
-    moment contour.  The zeros are sorted by (Im s, Re s).
-    """
-    re0, re1, im0, im1 = map(float, rect)
-    if not (np.isfinite([re0, re1, im0, im1]).all() and re0 < re1 and im0 < im1):
-        raise DomainError(f"rectangle {[re0, re1, im0, im1]} is not finite and non-empty")
-    if np.isnan(exp.trust_floor) or re0 < exp.trust_floor - 1e-12:
-        raise TrustRegionError(
-            f"rectangle reaches Re s = {re0}, left of the trust floor "
-            f"{exp.trust_floor:.4f} for N={exp.N}"
-        )
-    noise = _rect_noise(exp, re0, re1, im0, im1)
-    if noise > TRUST_THRESHOLD:
-        raise TrustRegionError(
-            f"last-shell contribution reaches {noise:.2e} on the rectangle, "
-            f"above the trusted level {TRUST_THRESHOLD:.2e}; "
-            "rectangle too deep for this truncation order"
-        )
-    nx, ny = grid
-    xs = np.linspace(re0, re1, nx + 1)
-    ys = np.linspace(im0, im1, ny + 1)
+def _grid_zeros(exp: DeterminantExpansion, xs, ys):
+    """The zeros of D in the cells of the grid with lines ``xs`` x
+    ``ys``, as :class:`Pole` objects in cell order.  The winding number
+    of D around each cell must come out integer to ``WINDING_TOL``, and
+    each cell of winding w >= 1 reports one zero of multiplicity w at
+    :func:`_cell_zero`'s point, which must lie in the closed cell and,
+    for w >= 2, stand for one cluster of zeros; else
+    ``TrustRegionError``."""
     windings, seeds = _winding_pass(exp, xs, ys)
     poles = []
-    for i in range(nx):
-        for j in range(ny):
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
             w = windings[i, j]
             w_int = int(round(w))
             if abs(w - w_int) > WINDING_TOL:
@@ -818,33 +785,62 @@ def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
                     trust_margin=float(s_star.real - exp.trust_floor),
                 )
             )
-    return sorted(poles, key=lambda p: (p.s.imag, p.s.real))
+    return poles
+
+
+def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
+    """Zeros of the truncated determinant inside a rectangle.
+
+    The rectangle must be finite and non-empty (else ``DomainError``)
+    and lie in the trusted region: its left edge right of the trust
+    floor, and the sampled last-shell contribution below
+    ``TRUST_THRESHOLD`` across the whole rectangle (truncation
+    noise grows upward as well as leftward, and phase slips in noisy
+    territory can fake integer windings).  The rectangle is cut into
+    grid cells, searched by :func:`_grid_zeros` with every contour sample
+    keeping |D| above the local noise.  The zeros are sorted by
+    (Im s, Re s).
+    """
+    re0, re1, im0, im1 = map(float, rect)
+    if not (np.isfinite([re0, re1, im0, im1]).all() and re0 < re1 and im0 < im1):
+        raise DomainError(f"rectangle {[re0, re1, im0, im1]} is not finite and non-empty")
+    if np.isnan(exp.trust_floor) or re0 < exp.trust_floor - 1e-12:
+        raise TrustRegionError(
+            f"rectangle reaches Re s = {re0}, left of the trust floor "
+            f"{exp.trust_floor:.4f} for N={exp.N}"
+        )
+    noise = _rect_noise(exp, re0, re1, im0, im1)
+    if noise > TRUST_THRESHOLD:
+        raise TrustRegionError(
+            f"last-shell contribution reaches {noise:.2e} on the rectangle, "
+            f"above the trusted level {TRUST_THRESHOLD:.2e}; "
+            "rectangle too deep for this truncation order"
+        )
+    nx, ny = grid
+    xs = np.linspace(re0, re1, nx + 1)
+    ys = np.linspace(im0, im1, ny + 1)
+    return sorted(_grid_zeros(exp, xs, ys), key=lambda p: (p.s.imag, p.s.real))
 
 
 def track_zero(exp: DeterminantExpansion, s0, multiplicity: int, radius: float = 0.1):
     """Re-locate a known zero cluster on another truncation.
 
-    Computes the winding of D over a box of the given radius centered
-    at ``s0`` and places its zeros by :func:`_cell_zero`, the rule
-    :func:`find_poles` uses: the Simpson centroid for multiple zeros, a
-    point Newton-polished from the winding pass's first moment for simple
-    ones, refused (``TrustRegionError``) outside the box.  Unlike
+    Searches the one cell of a box of the given radius centered at
+    ``s0`` by :func:`_grid_zeros`, the rule :func:`find_poles` uses, and
+    refuses (``TrustRegionError``) a box that holds no zero.  Unlike
     :func:`find_poles` this skips the rectangle-level gate: it is meant
     for comparing one established zero across truncation orders, and the
     contour noise guard still protects every sample.  Returns (winding,
     position).
     """
-    re0, re1 = s0.real - radius, s0.real + radius
-    im0, im1 = s0.imag - radius, s0.imag + radius
-    windings, seeds = _winding_pass(exp, (re0, re1), (im0, im1))
-    w = float(windings[0, 0])
-    w_int = int(round(w))
-    if abs(w - w_int) > WINDING_TOL or w_int < 1:
+    box = _grid_zeros(
+        exp, (s0.real - radius, s0.real + radius), (s0.imag - radius, s0.imag + radius)
+    )
+    if not box:
         raise TrustRegionError(
-            f"tracking box at {s0:.4f} sees winding {w:.3f}, "
-            f"expected about {multiplicity}"
+            f"tracking box at {s0:.4f} holds no zero, expected about {multiplicity}"
         )
-    return w_int, _cell_zero(exp, re0, re1, im0, im1, w_int, seeds[0, 0])
+    return box[0].multiplicity, box[0].s
 
 
 def real_zero(exp: DeterminantExpansion, lo: float, hi: float, tol=1e-13) -> float:
@@ -889,19 +885,3 @@ def counting_check(db, h: float, x_values=None):
         ratio = count / model if model and np.isfinite(model) else 0.0
         rows.append((float(x), count, model, float(ratio)))
     return rows
-
-
-def signed_shell_partials(db, s, m_max=None):
-    """Per-shell sums of the full-weight series with and without the
-    alternating sign; used by the directional convergence test."""
-    atoms = orbit_atoms(db, m_max=m_max or db.n_max)
-    shells = []
-    base = atoms["w_full"] * np.exp(-np.real(s) * atoms["tau"])
-    for m_val in range(2, (m_max or db.n_max) + 1):
-        sel = atoms["m"] == m_val
-        if not np.any(sel):
-            continue
-        unsigned = float(np.sum(base[sel]))
-        signed = float(np.sum(base[sel] * atoms["parity"][sel]))
-        shells.append((m_val, signed, unsigned))
-    return shells

@@ -1,15 +1,28 @@
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from billzeta import database
-from billzeta.cli import _restrict
-from billzeta.database import OrbitDatabase, build_database
+from billzeta.database import OrbitDatabase, build_database, restrict_database
 from billzeta.geometry import Configuration, Disk
 from billzeta.stability import det_one_minus_poincare
 from billzeta.thermo import build_potentials, solve_abscissa
 from billzeta.zeta import build_determinant
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env() -> dict:
+    """The environment of a ``python`` subprocess that imports billzeta:
+    this checkout's ``src`` goes in front of any ``PYTHONPATH``, so the
+    subprocess finds the package however pytest was started."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def equilateral_config(side: float = 6.0, radius: float = 1.0) -> Configuration:
@@ -140,12 +153,12 @@ def db_four7():
 
 @pytest.fixture(scope="session")
 def db10(db12):
-    return _restrict(db12, 10)
+    return restrict_database(db12, 10)
 
 
 @pytest.fixture(scope="session")
 def db8(db12):
-    return _restrict(db12, 8)
+    return restrict_database(db12, 8)
 
 
 @pytest.fixture(scope="session")

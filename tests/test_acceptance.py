@@ -43,7 +43,7 @@ from billzeta.zeta import (
     reflection_shift_matrix,
     track_zero,
 )
-from tests.conftest import records
+from tests.conftest import records, subprocess_env
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -351,7 +351,7 @@ def test_criterion_12_cli_determinism(tmp_path, config):
             cmd = base + [str(a) for a in extra]
             if extra[0] != "validate":
                 cmd += ["--out", str(out_dir)]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env())
             assert proc.returncode == 0, (extra[0], proc.stderr)
         outputs[run] = {
             p.name: p.read_bytes()

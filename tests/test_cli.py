@@ -9,7 +9,7 @@ from billzeta.cli import _conjugate_closed
 from billzeta.database import save_database
 from billzeta.geometry import config_digest, save_config
 from billzeta.zeta import Pole, real_zero
-from tests.conftest import equilateral_config, records, take_rows
+from tests.conftest import equilateral_config, records, subprocess_env, take_rows
 
 
 def run_cli(*args):
@@ -17,6 +17,7 @@ def run_cli(*args):
         [sys.executable, "-m", "billzeta.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
 
 
@@ -164,7 +165,9 @@ def test_cli_imports_no_scipy(cli_env):
         f"    assert main([sub, '--cache', {str(cli_env['cache'])!r}]) == 0, sub",
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
     ])
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+    )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[]"
 
@@ -186,10 +189,13 @@ def test_damaged_cache_is_malformed_input(cli_env, db10, tmp_path):
     )
     appended = tmp_path / "appended.jsonl"
     appended.write_bytes(blob + b"\n")
+    string_header = tmp_path / "string_header.jsonl"
+    string_header.write_text('"billzeta-orbit-cache/2"\n', encoding="utf-8")
     for cache, message in (
         (truncated, "section kappa is cut short"),
         (short, "length 3"),
         (appended, "1 bytes after its last section"),
+        (string_header, "has a bad header"),
     ):
         for sub in ("orbits", "zeta"):
             out = run_cli(sub, "--cache", cache)
@@ -579,7 +585,7 @@ def test_poles_manifest_records_the_grid(cli_env, tmp_path):
 
 def test_zeta_short_cache_names_an_nmax_that_fits_every_series(tmp_path, db12, capsys):
     from billzeta import cli
-    from billzeta.cli import _restrict
+    from billzeta.database import restrict_database
 
     for window, n_max, listed, need in (
         (4, 3, ["none", "half", "full", "unstable", "half/even"], 10),
@@ -588,7 +594,7 @@ def test_zeta_short_cache_names_an_nmax_that_fits_every_series(tmp_path, db12, c
         (2, 3, ["none", "half", "full", "unstable", "half/even"], 6),
     ):
         cache = tmp_path / f"c{n_max}.bin"
-        save_database(_restrict(db12, n_max), cache)
+        save_database(restrict_database(db12, n_max), cache)
         assert cli.main(["zeta", "--cache", str(cache), "--window", str(window)]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1, err
@@ -596,7 +602,7 @@ def test_zeta_short_cache_names_an_nmax_that_fits_every_series(tmp_path, db12, c
             == listed, err
         assert err.rstrip().endswith(f"--nmax {need} would be enough"), err
         fits = tmp_path / f"fits{need}.bin"
-        save_database(_restrict(db12, need), fits)
+        save_database(restrict_database(db12, need), fits)
         assert cli.main(["zeta", "--cache", str(fits), "--window", str(window)]) == 0
 
 

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from billzeta import cli, database
+from billzeta import database
 from billzeta.database import (
     build_database,
     extend_database,
     load_database,
+    restrict_database,
     save_database,
 )
 from billzeta.errors import (
@@ -142,6 +143,10 @@ def test_corrupt_cache_refused(tmp_path, db8):
     path.write_text("[1]\n", encoding="utf-8")
     with pytest.raises(MalformedInputError):
         load_database(path)
+    # a header that is a JSON string, even the format's name, is no header
+    path.write_text('"billzeta-orbit-cache/2"\n', encoding="utf-8")
+    with pytest.raises(MalformedInputError, match="has a bad header"):
+        load_database(path)
     path.write_bytes(b"\xff\xfe\x00\n")
     with pytest.raises(MalformedInputError):
         load_database(path)
@@ -256,11 +261,11 @@ def test_columns_agree_across_build_paths(tmp_path, config, db12, db14, db_four7
     save_database(db14, path)
     assert_same_columns(db14, extend_database(db12, 14))
     assert_same_columns(db14, load_database(path))
-    assert_same_columns(build_database(config, 10), cli._restrict(db14, 10))
-    assert cli._restrict(db14, 14) is db14
+    assert_same_columns(build_database(config, 10), restrict_database(db14, 10))
+    assert restrict_database(db14, 14) is db14
     four5 = build_database(db_four7.config, 5)
     assert_same_columns(db_four7, extend_database(four5, 7))
-    assert_same_columns(four5, cli._restrict(db_four7, 5))
+    assert_same_columns(four5, restrict_database(db_four7, 5))
     save_database(db_four7, path)
     assert_same_columns(db_four7, load_database(path))
     assert db14.bounds.tolist() == [0, *np.cumsum(db14.n).tolist()]

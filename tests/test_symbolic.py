@@ -9,10 +9,8 @@ from billzeta.symbolic import (
     enumerate_cycles,
     enumerate_words,
     is_cyclically_admissible,
-    is_primitive,
     primitive_class_count,
     primitive_root,
-    reverse_class,
     rotate,
     transition_matrix,
 )
@@ -74,7 +72,7 @@ def test_enumerated_words_are_canonical_admissible_primitive():
         assert canon == w
         assert shift == 0
         assert is_cyclically_admissible(w)
-        assert is_primitive(w)
+        assert primitive_root(w)[1] == 1
 
 
 def test_enumerate_words_counts_paths():
@@ -115,12 +113,7 @@ def test_canonical_rotation_matches_the_rotation_loop(r):
 def test_primitive_root_of_repeated_word():
     assert primitive_root((1, 2, 1, 2, 1, 2)) == ((1, 2), 3)
     assert primitive_root((1, 2, 3)) == ((1, 2, 3), 1)
-    assert not is_primitive((1, 3, 1, 3))
-
-
-def test_reverse_class():
-    assert reverse_class((1, 2, 3)) == (1, 3, 2)
-    assert reverse_class((1, 2)) == (1, 2)
+    assert primitive_root((1, 3, 1, 3))[1] != 1
 
 
 def test_admissibility_checks_wraparound():

@@ -12,7 +12,6 @@ from billzeta.thermo import (
     leading_eigenvalue,
     pressure,
     pressure_periodic,
-    refinement_gap,
     sign_check_b1,
     solve_abscissa,
     twisted_spectral_test,
@@ -86,13 +85,6 @@ def test_roots_near_a_slow_power_iteration(which, beta, expected):
     config = Configuration(tuple(Disk(c, a) for c, a in SEED7_DISKS[which]))
     db = build_database(config, 8)
     assert abs(solve_abscissa(db, beta, "transfer", k=6) - expected) < 1e-9
-
-
-def test_refinement_gap_decays_over_two_steps(db8):
-    pots = {k: build_potentials(db8, k) for k in range(2, 7)}
-    gaps = {k: max(refinement_gap(pots[k], pots[k + 1])) for k in range(2, 6)}
-    assert gaps[4] < gaps[2]
-    assert gaps[5] < gaps[3]
 
 
 def test_cross_method_agreement(db8):

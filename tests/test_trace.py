@@ -78,18 +78,15 @@ def test_bump_vectorization(bump):
 
 def test_measure_kinds(db10):
     half = build_measure(db10, "half")
-    even = build_measure(db10, "even")
     dirichlet = build_measure(db10, "dirichlet")
     full = build_measure(db10, "full")
     assert half.cutoff == (db10.n_max + 1) * db10.config.d0
     assert np.all(half.weight > 0.0)
     assert np.all(full.weight > 0.0)
-    # even kind doubles the even-m mass and kills odd m
-    sel = even.weight != 0.0
-    assert np.allclose(even.weight[sel], 2.0 * half.weight[sel])
     assert np.all(np.abs(dirichlet.weight) == half.weight)
-    with pytest.raises(ValueError):
-        build_measure(db10, "odd")
+    for kind in ("odd", "even"):
+        with pytest.raises(ValueError):
+            build_measure(db10, kind)
 
 
 def test_pair_short_window_exact_value(db12, bump):
@@ -158,7 +155,6 @@ def test_shell_search_finds_mass(db12, abscissas):
     report = lemma41_search(db12, abscissas[1.0], eps=0.1, t_max=40.0)
     assert np.sum(report.qualifying) >= 10
     assert np.all(report.sums[report.qualifying] >= report.thresholds[report.qualifying])
-    assert report.t_sequence.size == np.sum(report.qualifying)
     assert "qualifying" in report.summary()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from billzeta import zeta
-from billzeta.cli import _default_pole_search, _pole_search, _restrict
+from billzeta.cli import _default_pole_search, _pole_search
 from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
     ATOM_BLOCK,
@@ -14,7 +14,6 @@ from billzeta.zeta import (
     TRUST_THRESHOLD,
     _cell_moments,
     _cell_winding,
-    _cell_windings,
     abscissa_estimate,
     build_determinant,
     counting_check,
@@ -27,10 +26,10 @@ from billzeta.zeta import (
     _polish_zero,
     real_zero,
     reflection_shift_matrix,
-    signed_shell_partials,
+    _winding_pass,
     track_zero,
 )
-from billzeta.database import build_database
+from billzeta.database import build_database, restrict_database
 from billzeta.geometry import Configuration, Disk
 from tests.conftest import equilateral_config, records, unequal_four_disks
 
@@ -180,7 +179,7 @@ def test_even_restriction_estimate_runs(db12, abscissas):
 
 
 def test_estimate_needs_enough_shells(db12):
-    shallow = _restrict(db12, 5)
+    shallow = restrict_database(db12, 5)
     with pytest.raises(IncompleteDataError):
         abscissa_estimate(shallow, weight="half")
 
@@ -482,7 +481,7 @@ def oracle_trust_floor(arrays, N):
 
 
 def test_columnar_build_equals_the_record_loop(db13, db_four7):
-    cases = [(_restrict(db13, N), N, 5) for N in range(9, 14)]
+    cases = [(restrict_database(db13, N), N, 5) for N in range(9, 14)]
     cases += [(db13, 11, 2), (db_four7, 7, 5)]
     for db, N, k_max in cases:
         exp = build_determinant(db, N, k_max=k_max)
@@ -543,7 +542,7 @@ def test_trust_floors_match_the_scan_by_probe_line(db13, db_four7):
         13: -0.3600000000000002,
     }
     for N, floor in pinned.items():
-        assert build_determinant(_restrict(db13, N), N).trust_floor == floor
+        assert build_determinant(restrict_database(db13, N), N).trust_floor == floor
     assert build_determinant(db_four7, 7).trust_floor == 0.07999999999999984
 
 
@@ -560,7 +559,7 @@ def test_cell_windings_match_dense_walk(exp12, db_four7):
     for exp, (re0, re1, im0, im1), (nx, ny) in cases:
         xs = np.linspace(re0, re1, nx + 1)
         ys = np.linspace(im0, im1, ny + 1)
-        grid = _cell_windings(exp, xs, ys)
+        grid = _winding_pass(exp, xs, ys)[0]
         for i in range(nx):
             for j in range(ny):
                 cell = (xs[i], xs[i + 1], ys[j], ys[j + 1])
@@ -748,7 +747,7 @@ def check_simple_zeros(exp, rect, grid):
     ys = np.linspace(rect[2], rect[3], grid[1] + 1)
     cells = [
         (xs[i], xs[i + 1], ys[j], ys[j + 1])
-        for i, j in np.argwhere(np.round(_cell_windings(exp, xs, ys)) == 1)
+        for i, j in np.argwhere(np.round(_winding_pass(exp, xs, ys)[0]) == 1)
     ]
     simple = [p.s for p in find_poles(exp, rect, grid=grid) if p.multiplicity == 1]
     assert len(simple) == len(cells), (exp.N, rect)
@@ -766,7 +765,7 @@ def check_simple_zeros(exp, rect, grid):
 def test_simple_zeros_polish_from_the_winding_pass(db13, monkeypatch):
     count = 0
     for N in range(9, 14):
-        exp = build_determinant(_restrict(db13, N), N)
+        exp = build_determinant(restrict_database(db13, N), N)
         searches = default_searches(exp, monkeypatch)
         if N >= 12:  # below, the tall rectangle crosses the trust floor or the noise gate
             searches.append((TALL, (5, 11)))
@@ -817,6 +816,16 @@ def test_tracked_leading_pair_stable_under_truncation(exp10, exp12):
     assert abs(z10 - z12) < 1e-4
 
 
+def test_track_zero_places_the_double_zero_as_find_poles_does(exp12):
+    winding, s = track_zero(exp12, -0.264 + 0.814j, 2, radius=0.08)
+    assert (winding, s) == (2, -0.2642759007818864 + 0.8139476138518954j)
+
+
+def test_track_zero_refuses_a_box_without_a_zero(exp12):
+    with pytest.raises(TrustRegionError, match="holds no zero"):
+        track_zero(exp12, 0.3 + 0.5j, 1, radius=0.05)
+
+
 def test_window_doubling_does_not_lose_poles(exp12):
     # imaginary window [0.2, 1.3] doubled in height to [0.2, 2.4]
     short = find_poles(exp12, (-0.31, -0.02, 0.20, 1.30), grid=(5, 6))
@@ -834,18 +843,3 @@ def test_counting_rows_and_band(db12, abscissas):
     assert counts == sorted(counts)
     for x, count, model, ratio in rows:
         assert 0.5 < ratio < 2.0
-
-
-def test_signed_sums_are_smaller_than_unsigned(db12, abscissas):
-    shells = signed_shell_partials(db12, abscissas[1.0], m_max=12)
-    signed = np.array([s for m, s, u in shells])
-    unsigned = np.array([u for m, s, u in shells])
-    # every atom in shell m carries the parity (-1)^m, so per shell the
-    # signed sum is exactly +/- the unsigned one
-    assert np.allclose(np.abs(signed), unsigned)
-    # the cancellation lives across shells: partial sums of the signed
-    # series stay bounded while the unsigned mass keeps accumulating
-    cum_signed = np.cumsum(signed)
-    cum_unsigned = np.cumsum(unsigned)
-    assert np.max(np.abs(cum_signed)) < 0.5 * cum_unsigned[-1]
-    assert cum_unsigned[-1] > 2.0 * unsigned[0]
