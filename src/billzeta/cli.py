@@ -427,6 +427,10 @@ def cmd_poles(args) -> None:
     exp = zeta.build_determinant(db, det_n, k_max=args.det_kmax)
     print(f"determinant truncation N={det_n}, repetitions k<={args.det_kmax}, "
           f"trust floor Re s > {exp.trust_floor:.3f}")
+    _, classes = zeta.class_periods(db, det_n)
+    print(f"{len(exp.cycles[0])} cycles in {classes} period classes (label symmetry "
+          f"order {len(db.config.label_symmetries)}, with time reversal): "
+          f"{len(exp.poly_coeff)} atoms")
     grid = None
     if args.rect is not None:
         grid = tuple(args.grid) if args.grid else (8, 8)

@@ -20,11 +20,21 @@ clamped to [0, 1]; :func:`hull_gap` also looks at both endpoints, which
 costs nothing and absorbs rounding.  When L <= |a2 - a1| (one disk
 inside the other, or concentric disks) g' keeps one sign, g is
 monotone and only the endpoints count.
+
+A label symmetry is a permutation of the disks that an isometry of the
+plane realizes: it maps each disk onto one of equal radius and keeps
+every centre distance.  An isometry is fixed by the images of two
+distinct centres and its orientation, so the candidates are the two
+isometries taking centres 1 and 2 onto each ordered pair of centres at
+their distance, O(r^2) candidates matched in O(r^2) each; a candidate
+counts when the radii and the whole distance matrix agree to
+``VALIDATE_TOL``.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +85,12 @@ class Configuration:
     def r(self) -> int:
         return len(self.disks)
 
+    @cached_property
+    def label_symmetries(self) -> tuple:
+        """The label symmetries, each as the tuple of the 0-based image of
+        every disk, sorted, so the identity comes first."""
+        return _label_symmetries(self.centers, self.radii)
+
     def to_dict(self) -> dict:
         return {
             "format": CONFIG_FORMAT,
@@ -83,6 +99,42 @@ class Configuration:
                 for c, a in zip(self.centers, self.radii)
             ],
         }
+
+
+def _distances(p, q) -> np.ndarray:
+    """Distance of every point of ``p`` (any leading axes) to every
+    point of ``q``."""
+    diff = p[..., None, :] - q
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def _label_symmetries(centers, radii) -> tuple:
+    """Permutations p of the disks, p[k] the image of disk k, that an
+    isometry of the plane realizes (see the module docstring)."""
+    c, a = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+    dist = _distances(c, c)
+    # candidate images i, j of centres 1 and 2, and the unit vector from i to j
+    i, j = np.nonzero(np.abs(dist - dist[0, 1]) <= VALIDATE_TOL)
+    u = (c[1] - c[0]) / dist[0, 1]
+    v = (c[j] - c[i]) / dist[i, j][:, None]
+    # a centre at c1 + x u + y u' (u' is u turned by +90 degrees) goes to
+    # c_i + x v + y v' or, reflected, to c_i + x v - y v'
+    x, y = (c - c[0]) @ u, (c - c[0]) @ np.array([-u[1], u[0]])
+    turned = np.stack((-v[:, 1], v[:, 0]), axis=1)
+    side = np.array([1.0, -1.0])[None, :, None, None]
+    images = (
+        c[i][:, None, None, :]
+        + x[:, None] * v[:, None, None, :]
+        + side * y[:, None] * turned[:, None, None, :]
+    ).reshape(-1, len(a), 2)
+    perms = np.argmin(_distances(images, c), axis=2)
+    moved = dist[perms[:, :, None], perms[:, None, :]]
+    ok = (
+        np.all(np.sort(perms, axis=1) == np.arange(len(a)), axis=1)
+        & np.all(np.abs(a[perms] - a) <= VALIDATE_TOL, axis=1)
+        & np.all(np.abs(moved - dist) <= VALIDATE_TOL, axis=(1, 2))
+    )
+    return tuple(sorted(set(map(tuple, perms[ok].tolist()))))
 
 
 def config_from_dict(obj) -> Configuration:

@@ -5,6 +5,11 @@ the diagonal and ones elsewhere: symbol ``i`` may be followed by any
 ``j != i``.  Periodic itineraries are handled as cyclic words; each
 class is represented by its lexicographically smallest rotation.
 Symbols are 1-based everywhere in the public API.
+
+A symmetry class of cycles gathers a canonical word with its images
+under a group of label permutations and under reversal (time reversal),
+each taken to its canonical rotation; its representative is the least
+of them.
 """
 
 import numpy as np
@@ -128,6 +133,41 @@ def enumerate_cycles(r: int, n_max: int, n_min: int = 2):
         digits = code[:, None] // r ** np.arange(n - 1, -1, -1, dtype=np.int64) % r + 1
         cycles += [tuple(row) for row in digits.tolist()]
     return cycles
+
+
+def class_representatives(words, r: int, symmetries) -> np.ndarray:
+    """Row of each word's class representative in ``words``.
+
+    ``words`` is an ``(M, n)`` block of canonical words of one length,
+    1-based and sorted, that holds every representative; ``symmetries``
+    are label permutations, each the tuple of the 0-based image of every
+    label.  A word's representative is the least canonical rotation of
+    its images under ``symmetries`` and under those followed by reversal.
+
+    Words are base-r codes as in :func:`enumerate_cycles`.  The codes of
+    all n rotations of an image and of its reversal are one float64
+    product of a ``(2n, n)`` matrix of powers of r with its digits, exact
+    because every code is below 2^53; images are taken one label
+    permutation at a time, so the memory is a few ``(2n, M)`` arrays.
+    """
+    digits = np.ascontiguousarray(np.asarray(words, dtype=np.int64).T) - 1  # (n, M)
+    n = digits.shape[0]
+    if float(r) ** n > 2.0**53:
+        raise ValueError(f"codes of {n} symbols out of {r} are not exact in float64")
+    # row k: symbol i of a word has weight r^(n - 1 - (i - k) mod n) in its
+    # rotation by k, and r^((i + k) mod n) in the rotation by k of its reversal
+    i = np.arange(n)
+    weights = float(r) ** np.vstack((n - 1 - (i - i[:, None]) % n, (i + i[:, None]) % n))
+    codes = weights[0] @ digits
+    least = None
+    for perm in np.asarray(symmetries, dtype=float):
+        image = weights @ perm[digits]
+        least = image if least is None else np.minimum(least, image, out=least)
+    least = least.min(axis=0)
+    rows = np.searchsorted(codes, least)
+    if not np.array_equal(codes[np.minimum(rows, len(codes) - 1)], least):
+        raise ValueError("the block lacks the representative of a word")
+    return rows
 
 
 def enumerate_words(r: int, length: int):

@@ -16,6 +16,21 @@ variant).  The determinant D(s) is handled in two equivalent layers:
   exponential sum is what actually vanishes at the series' poles, so
   pole location runs on it.
 
+Both layers take each cycle's period from its symmetry class.  A cycle
+and its images under a label symmetry of the disks or under time
+reversal have the same period exactly, but they are solved one by one
+and their periods come out a few ulp apart; equal sums of periods merge
+into one atom only when they are bitwise equal.  So each cycle takes the
+period of its class representative, when the two are within
+``PERIOD_ULPS`` ulp, and the expansion has one factor group per class.
+On the fixture at N = 13 that is 395 atoms for 165 classes among 1,377
+cycles, whatever its rigid motion; with each cycle's own period the
+count depends on which periods happen to round alike (941 unmoved,
+1,098 under the benchmark's seed-1 motion).  The ulp test, not the
+symmetry detection, certifies every shared period; a cycle that fails
+it keeps its own.  The series, counting and trace atoms keep every
+cycle's own period.
+
 Atoms are always generated and summed in canonical (word, repetition)
 order, and each point's sum is reduced on its own, so a value does not
 depend on which points share an evaluation and every downstream output
@@ -58,6 +73,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import symbolic
 from .errors import DomainError, IncompleteDataError, ShortSeriesError, TrustRegionError
 from .stability import det_one_minus_poincare
 
@@ -241,6 +257,11 @@ WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
 # call's real-part table of 7.5 kB per distinct Re s (blocks of 16 raise the
 # peak RSS of repeated N = 13 pole searches by about 1 MB)
 ATOM_BLOCK = 8
+# a cycle takes its class representative's period only within this many
+# ulp of its own; images of one cycle are solved apart and land up to 5
+# ulp apart (the fixture at nmax 14 under 29 rigid motions; 2 ulp for
+# time reversal on unequal_four_disks() at nmax 8)
+PERIOD_ULPS = 8
 SPREAD_TOL = 0.04  # allowed |sum (z - centroid)^2| of a cell's zeros / diagonal^2
 
 
@@ -335,7 +356,7 @@ def _atom_sums(tau, s, *sums):
 class DeterminantExpansion:
     """Truncated determinant: expanded product atoms, and log atoms built
     on first use from ``cycles``, the (n, T, lam) columns of the cycles
-    with n <= N."""
+    with n <= N, T their class periods (:func:`class_periods`)."""
 
     N: int
     k_max: int
@@ -473,12 +494,51 @@ def _build_log_atoms(n, T, lam, N, k_max):
     return log_shell[order], log_tau[order], log_coeff[order]
 
 
+def class_periods(db, N: int):
+    """The periods of the cycles with n <= N as the expansion takes them,
+    and the number of symmetry classes among those cycles.
+
+    A cycle takes the period of its class representative
+    (:func:`symbolic.class_representatives` under the configuration's
+    label symmetries and time reversal) when the two are within
+    ``PERIOD_ULPS`` ulp, else it keeps its own: the ulp test, not the
+    symmetry detection, certifies every shared period.  Built once per
+    database and N, and kept in ``db.derived``.
+    """
+    key = ("class_periods", N)
+    if key not in db.derived:
+        db.derived[key] = _class_periods(db, N)
+    return db.derived[key]
+
+
+def _class_periods(db, N):
+    # rows are sorted by length: the cycles with n <= N are the first
+    # ``count``, and length n holds rows ends[n - 2]..ends[n - 1]
+    count = int(np.searchsorted(db.n, N, side="right"))
+    ends = np.searchsorted(db.n, np.arange(2, N + 2)).tolist()
+    symmetries = db.config.label_symmetries
+    rep = np.empty(count, dtype=np.intp)
+    for n, start, stop in zip(range(2, N + 1), ends, ends[1:]):
+        words = db.word[db.bounds[start] : db.bounds[stop]].reshape(stop - start, n)
+        rep[start:stop] = start + symbolic.class_representatives(words, db.config.r, symmetries)
+    T = db.T[:count]
+    shared = T[rep]
+    same = np.abs(T - shared) <= PERIOD_ULPS * np.spacing(np.maximum(T, shared))
+    periods = np.where(same, shared, T)
+    periods.flags.writeable = False
+    return periods, int(np.count_nonzero(np.bincount(rep)))
+
+
 def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
     """Assemble the truncated determinant from the orbit database.
 
     ``N`` caps the total symbol length, ``k_max`` the number of
     transverse factors.  The expansion is the exact product truncated at
-    shell N; no term is pruned.  The trust floor is the leftmost Re s at
+    shell N; no term is pruned.  It runs over class periods
+    (:func:`class_periods`): every cycle within ``PERIOD_ULPS`` ulp of
+    its class representative takes the representative's period, so the
+    factors of one class form one group and their sums of periods merge
+    into one atom.  The trust floor is the leftmost Re s at
     which the length-N shell of the expansion (the signed last-shell
     sum, whose internal cancellation tracks how shadowing actually
     limits the truncation error) stays below ``TRUST_THRESHOLD`` on the
@@ -489,8 +549,8 @@ def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
     """
     if N > db.n_max:
         raise IncompleteDataError(f"N={N} exceeds database n_max={db.n_max}")
-    keep = db.n <= N
-    n, T, lam = db.n[keep], db.T[keep], db.lam[keep]
+    T, _ = class_periods(db, N)
+    n, lam = db.n[: T.size], db.lam[: T.size]
     p, k = _factors(n.size, k_max)
     w = _signed_power(lam[p], k, -(k + 0.5))
     order = np.lexsort((w, T[p], n[p]))

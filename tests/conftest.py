@@ -1,3 +1,4 @@
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -7,10 +8,11 @@ import pytest
 
 from billzeta import database
 from billzeta.database import OrbitDatabase, build_database, restrict_database
-from billzeta.geometry import Configuration, Disk
+from billzeta.geometry import VALIDATE_TOL, Configuration, Disk
 from billzeta.stability import det_one_minus_poincare
+from billzeta.symbolic import canonical_rotation
 from billzeta.thermo import build_potentials, solve_abscissa
-from billzeta.zeta import build_determinant
+from billzeta.zeta import PERIOD_ULPS, build_determinant
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,6 +49,81 @@ def unequal_four_disks() -> Configuration:
     centers = [(0.0, 0.0), (7.0, 0.0), (7.5, 6.5), (0.5, 7.0)]
     radii = [1.0, 1.3, 0.8, 1.1]
     return Configuration(tuple(Disk(c, a) for c, a in zip(centers, radii)))
+
+
+def moved_equilateral(seed: int) -> Configuration:
+    """The equilateral fixture under a rotation, a translation and a
+    relabelling of its disks, drawn from ``default_rng(seed)`` in that
+    order."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    shift = rng.uniform(-2.0, 2.0, size=2)
+    order = rng.permutation(3)
+    turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    base = equilateral_config()
+    return Configuration(
+        tuple(Disk(turn @ base.centers[k] + shift, base.radii[k]) for k in order)
+    )
+
+
+def square_four_disks() -> Configuration:
+    """Four unit disks on the corners of a square of side 6."""
+    return Configuration(tuple(Disk(c, 1.0) for c in [(0, 0), (6, 0), (6, 6), (0, 6)]))
+
+
+def isosceles_three_disks() -> Configuration:
+    """Three unit disks on an isosceles, not equilateral, triangle."""
+    return Configuration(tuple(Disk(c, 1.0) for c in [(-3, 0), (3, 0), (0, 7)]))
+
+
+def nearly_equilateral() -> Configuration:
+    """The fixture with each centre moved by a few 1e-11 in its own
+    direction: symmetric within ``VALIDATE_TOL``, but the periods of a
+    cycle's images differ by far more than ``PERIOD_ULPS`` ulp."""
+    base = equilateral_config()
+    moves = 1e-11 * np.array([(1.0, 0.0), (0.0, -2.0), (3.0, 1.0)])
+    return Configuration(
+        tuple(Disk(c + m, a) for c, m, a in zip(base.centers, moves, base.radii))
+    )
+
+
+def brute_force_symmetries(config: Configuration) -> tuple:
+    """Every permutation of the disks that keeps the radii and the centre
+    distances to ``VALIDATE_TOL``, tried one by one."""
+    c, a = config.centers, config.radii
+    dist = np.linalg.norm(c[:, None] - c[None, :], axis=2)
+    return tuple(
+        perm
+        for perm in itertools.permutations(range(config.r))
+        if np.all(np.abs(a[list(perm)] - a) <= VALIDATE_TOL)
+        and np.all(np.abs(dist[np.ix_(perm, perm)] - dist) <= VALIDATE_TOL)
+    )
+
+
+def brute_force_class(word, symmetries) -> tuple:
+    """The least canonical rotation of the images of ``word`` under each
+    label permutation and under it followed by reversal."""
+    images = []
+    for perm in symmetries:
+        image = tuple(perm[s - 1] + 1 for s in word)
+        images += [canonical_rotation(image)[0], canonical_rotation(image[::-1])[0]]
+    return min(images)
+
+
+def brute_force_class_periods(db: OrbitDatabase, N: int, symmetries=None) -> dict:
+    """word -> the period the determinant should take for each cycle with
+    n <= N: its class representative's (:func:`brute_force_class` under
+    ``symmetries``, by default :func:`brute_force_symmetries`) when within
+    ``PERIOD_ULPS`` ulp of its own, else its own."""
+    own = {rec.word: rec.T for rec in records(db) if rec.n <= N}
+    if symmetries is None:
+        symmetries = brute_force_symmetries(db.config)
+    periods = {}
+    for word, T in own.items():
+        shared = own[brute_force_class(word, symmetries)]
+        close = abs(T - shared) <= PERIOD_ULPS * np.spacing(max(T, shared))
+        periods[word] = shared if close else T
+    return periods
 
 
 @dataclass(frozen=True)
@@ -149,6 +226,11 @@ def db13(config):
 @pytest.fixture(scope="session")
 def db_four7():
     return build_database(unequal_four_disks(), 7)
+
+
+@pytest.fixture(scope="session")
+def db_nearly8():
+    return build_database(nearly_equilateral(), 8)
 
 
 @pytest.fixture(scope="session")

@@ -633,3 +633,19 @@ def test_every_manifest_lists_exactly_the_files_written(cli_env, tmp_path):
         assert set(manifest["parameters"]) == keys, argv
         assert manifest["config_hash"] == digest, argv
         assert manifest["subcommand"] == argv[0]
+
+
+def test_poles_reports_its_period_classes(tmp_path, db13, db_four7, capsys):
+    from billzeta import cli
+
+    for db, N, line in (
+        (db13, 13, "1377 cycles in 165 period classes (label symmetry order 6, "
+                   "with time reversal): 395 atoms"),
+        # no label symmetry: only a cycle and its time reversal share a period
+        (db_four7, 7, "508 cycles in 287 period classes (label symmetry order 1, "
+                      "with time reversal): 777 atoms"),
+    ):
+        cache = tmp_path / f"orbits{N}.bin"
+        save_database(db, cache)
+        assert cli.main(["poles", "--cache", str(cache), "--det-n", str(N)]) == 0
+        assert line in capsys.readouterr().out.splitlines()

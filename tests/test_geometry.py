@@ -12,7 +12,15 @@ from billzeta.geometry import (
     save_config,
     validate,
 )
-from tests.conftest import equilateral_config, unequal_four_disks
+from tests.conftest import (
+    brute_force_symmetries,
+    equilateral_config,
+    isosceles_three_disks,
+    moved_equilateral,
+    nearly_equilateral,
+    square_four_disks,
+    unequal_four_disks,
+)
 
 
 def test_fixture_boundary_gap_is_four(config):
@@ -168,3 +176,27 @@ def test_eclipse_with_unequal_radii_rejected():
     brute = brute_hull_gap(np.array([7.0, 2.0]), np.zeros(2), 0.5, np.array([10.0, 0.0]), 2.5)
     assert abs(report.min_triple_margin - (brute - 0.3)) < 1e-6
     assert report.min_triple_margin < -0.2
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (equilateral_config, 6),
+        (lambda: moved_equilateral(1), 6),
+        (lambda: moved_equilateral(2), 6),
+        (lambda: moved_equilateral(3), 6),
+        (square_four_disks, 8),
+        (isosceles_three_disks, 2),
+        (unequal_four_disks, 1),
+        # symmetric within VALIDATE_TOL only; the period guard must catch it
+        (nearly_equilateral, 6),
+    ],
+)
+def test_label_symmetries_equal_the_permutation_search(make, order):
+    config = make()
+    symmetries = config.label_symmetries
+    assert len(symmetries) == order
+    assert symmetries == brute_force_symmetries(config)
+    assert symmetries[0] == tuple(range(config.r))
+    # kept on the configuration
+    assert config.label_symmetries is symmetries

@@ -209,13 +209,13 @@ TRACE_DIGESTS = {
         "trace_windows.csv": "653cb91fb419fda9a8c0ba0fac931c5771700376263454bafb6379cbe5a23d74",
         "trace_gaussian.csv": "cceabd16bcf90644bdbee1d3a117c15d8bee5cd5ec2271b2f319a416a682b9bb",
         "trace_shells.csv": "543e1043132e1c29711788985b1d25428ae88aba6cf337a7bfdf2c44d503facb",
-        "trace_compare.csv": "1dad37a95abb7777d58b6f1af4f9fd890fdcc8976914c109fdebc10fc9a2d33a",
+        "trace_compare.csv": "7c304b48a2db3833b6a4adbc58f4ef298e73eb4132bc7b4efdcc6fce49bc01a2",
     },
     12: {
         "trace_windows.csv": "ea9d5eca5d517f5e941ed286fd38ef05c149cf681983c5262d1b40895fc01294",
         "trace_gaussian.csv": "cceabd16bcf90644bdbee1d3a117c15d8bee5cd5ec2271b2f319a416a682b9bb",
         "trace_shells.csv": "01f23a741b19399d8233685da00c8a7cfdcd36ca2327154a8de40ca3ffa40625",
-        "trace_compare.csv": "fcf8980e7c4bc30fb8c07dbc54e53648054db1cc0e9f7fd2d11d9f459b9e7a96",
+        "trace_compare.csv": "b496a37f63d92d97515aacc7838aea61e7d734027332eaa861175ab7d97b9525",
     },
 }
 

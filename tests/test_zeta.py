@@ -5,7 +5,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from billzeta import zeta
+from billzeta import symbolic, zeta
 from billzeta.cli import _default_pole_search, _pole_search
 from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
@@ -31,7 +31,14 @@ from billzeta.zeta import (
 )
 from billzeta.database import build_database, restrict_database
 from billzeta.geometry import Configuration, Disk
-from tests.conftest import equilateral_config, records, unequal_four_disks
+from billzeta.symbolic import canonical_rotation
+from tests.conftest import (
+    brute_force_class,
+    brute_force_class_periods,
+    equilateral_config,
+    records,
+    unequal_four_disks,
+)
 
 
 def cycle_expansion_value(exp, s):
@@ -291,25 +298,27 @@ def test_each_real_part_is_exponentiated_once_per_call(db13, monkeypatch):
 
 
 # repr of (s, multiplicity, residual, trust_margin) per zero, recorded at
-# the fixture's N = 12 and 13 determinants: the default search, and a
-# rectangle whose upper cell of winding 2 is closed by its conjugate.  The
-# simple real zero's last digits depend on the Newton seed, the winding
-# pass's by-parts moment
+# the fixture's N = 12 and 13 determinants over class periods (the
+# own-period zeros lie within 1e-9 of them, as
+# test_class_periods_keep_every_zero_of_the_default_search checks): the
+# default search, and a rectangle whose upper cell of winding 2 is closed
+# by its conjugate.  The simple real zero's last digits depend on the
+# Newton seed, the winding pass's by-parts moment
 POLE_REPRS = {
-    (12, "default"): "[((-0.2642760713640669-0.8139574025950796j), 2, 6.43499940370341e-08, "
-    "0.055723928635933284), ((-0.12155762845436559+0j), 1, 6.054184931159057e-16, "
-    "0.1984423715456346), ((-0.2642760713640669+0.8139574025950796j), 2, "
-    "6.43499940370341e-08, 0.055723928635933284)]",
-    (12, "rect"): "[((-0.26427362860608145-0.8139523898676754j), 2, 6.547816969030704e-08, "
-    "0.05572637139391873), ((-0.26427362860608145+0.8139523898676754j), 2, "
-    "6.547816969030704e-08, 0.05572637139391873)]",
-    (13, "default"): "[((-0.26427642901932774-0.8139479841108562j), 2, 1.2838068721752027e-08, "
-    "0.09572357098067247), ((-0.1215576284551199+0j), 1, 1.3010426069826053e-18, "
-    "0.2384423715448803), ((-0.26427642901932774+0.8139479841108562j), 2, "
-    "1.2838068721752027e-08, 0.09572357098067247)]",
-    (13, "rect"): "[((-0.26427364235354245-0.813952408713216j), 2, 1.1399771709176056e-08, "
-    "0.09572635764645776), ((-0.26427364235354245+0.813952408713216j), 2, "
-    "1.1399771709176056e-08, 0.09572635764645776)]",
+    (12, "default"): "[((-0.2642760713638007-0.8139574025950607j), 2, 6.434996614709262e-08, "
+    "0.05572392863619946), ((-0.12155762845436555+0j), 1, 3.122502256758253e-16, "
+    "0.19844237154563463), ((-0.2642760713638007+0.8139574025950607j), 2, "
+    "6.434996614709262e-08, 0.05572392863619946)]",
+    (12, "rect"): "[((-0.2642736286031149-0.81395238986443j), 2, 6.547793034270157e-08, "
+    "0.0557263713968853), ((-0.2642736286031149+0.81395238986443j), 2, "
+    "6.547793034270157e-08, 0.0557263713968853)]",
+    (13, "default"): "[((-0.2642764290190964-0.8139479841103299j), 2, 1.2837833480801956e-08, "
+    "0.09572357098090378), ((-0.12155762845511991+0j), 1, 3.5561831257524545e-17, "
+    "0.2384423715448803), ((-0.2642764290190964+0.8139479841103299j), 2, "
+    "1.2837833480801956e-08, 0.09572357098090378)]",
+    (13, "rect"): "[((-0.2642736423516347-0.8139524087107274j), 2, 1.1399696360742434e-08, "
+    "0.09572635764836551), ((-0.2642736423516347+0.8139524087107274j), 2, "
+    "1.1399696360742434e-08, 0.09572635764836551)]",
 }
 
 
@@ -416,19 +425,22 @@ def reference_expansion_atoms(items, N):
     return coeff, tau, shell
 
 
-def record_loop_factors(db, N, k_max):
+def record_loop_factors(db, N, k_max, shared=True):
     """Log atoms (shell, tau, coefficient) and the sorted factor pool
-    (n, T, w), built record by record."""
+    (n, T, w), built record by record; T is each cycle's period from
+    the brute-force class map, or its own period when not ``shared``."""
+    periods = brute_force_class_periods(db, N) if shared else {}
     log_rows, items = [], []
     for rec in records(db):
         if rec.n > N:
             continue
+        T = periods.get(rec.word, rec.T)
         for k in range(k_max + 1):
-            items.append((rec.n, rec.T, rec.sign**k * rec.lam_abs ** (-(k + 0.5))))
+            items.append((rec.n, T, rec.sign**k * rec.lam_abs ** (-(k + 0.5))))
             r = 1
             while r * rec.n <= N:
                 log_rows.append(
-                    (r * rec.n, r * rec.T,
+                    (r * rec.n, r * T,
                      rec.sign ** (k * r) * rec.lam_abs ** (-r * (k + 0.5)) / r)
                 )
                 r += 1
@@ -480,9 +492,9 @@ def oracle_trust_floor(arrays, N):
     return xs[-1]
 
 
-def test_columnar_build_equals_the_record_loop(db13, db_four7):
+def test_columnar_build_equals_the_record_loop(db13, db_four7, db_nearly8):
     cases = [(restrict_database(db13, N), N, 5) for N in range(9, 14)]
-    cases += [(db13, 11, 2), (db_four7, 7, 5)]
+    cases += [(db13, 11, 2), (db_four7, 7, 5), (db_nearly8, 8, 5)]
     for db, N, k_max in cases:
         exp = build_determinant(db, N, k_max=k_max)
         # the log atoms are built on first use, once
@@ -494,6 +506,77 @@ def test_columnar_build_equals_the_record_loop(db13, db_four7):
             assert got.dtype == values.dtype, (N, key)
             assert got.tobytes() == values.tobytes(), (N, key)
         assert exp.trust_floor == oracle_trust_floor(want, N), N
+
+
+def own_period_determinant(db, N, k_max=5):
+    """The determinant with every cycle's own period from ``db.T``, by the
+    reference expansion, with its trust floor."""
+    _, items = record_loop_factors(db, N, k_max, shared=False)
+    coeff, tau, shell = reference_expansion_atoms(items, N)
+    keep = db.n <= N
+    cycles = (db.n[keep], db.T[keep], db.lam[keep])
+    exp = zeta.DeterminantExpansion(N, k_max, coeff, tau, shell, cycles=cycles)
+    exp.trust_floor = zeta._trust_floor(exp)
+    return exp
+
+
+def test_class_periods_move_the_determinant_by_rounding_only(db13):
+    exp, own = build_determinant(db13, 13), own_period_determinant(db13, 13)
+    assert (len(exp.poly_coeff), len(own.poly_coeff)) == (395, 941)
+    rng = np.random.default_rng(13)
+    points = rng.uniform(exp.trust_floor, 1.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400)
+    got, want = exp.value(points), own.value(points)
+    # relative to the sum of the terms' moduli, the scale of any rounding
+    # in D: near the trust floor D cancels to 1e-5 of it, and relative to
+    # |D| the move reads up to 2e-11 there (1.3e-15 of the terms)
+    scale = np.exp(-np.outer(points.real, own.poly_tau)) @ np.abs(own.poly_coeff)
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
+def test_class_periods_keep_every_zero_of_the_default_search(db13):
+    for N in range(9, 14):
+        db = restrict_database(db13, N)
+        exp, own = build_determinant(db, N), own_period_determinant(db, N)
+        assert exp.trust_floor == own.trust_floor, N
+        got, want = _default_pole_search(exp), _default_pole_search(own)
+        assert [p.multiplicity for p in got] == [p.multiplicity for p in want], N
+        assert max(abs(p.s - q.s) for p, q in zip(got, want)) <= 1e-9, N
+
+
+def test_class_periods_are_built_once_per_database_and_order(db13, monkeypatch):
+    blocks = []
+    real = symbolic.class_representatives
+
+    def counted(words, *args):
+        blocks.append(words.shape[1])
+        return real(words, *args)
+
+    monkeypatch.setattr(symbolic, "class_representatives", counted)
+    db = restrict_database(db13, 12)
+    exp = build_determinant(db, 12)
+    assert blocks == list(range(2, 13))
+    build_determinant(db, 12)
+    assert len(blocks) == 11
+    # the log atoms describe the product the expansion atoms expand
+    assert exp.cycles[1] is zeta.class_periods(db, 12)[0]
+    build_determinant(db, 11)
+    assert blocks[11:] == list(range(2, 12))
+
+
+def test_periods_of_a_nearly_symmetric_configuration_stay_their_own(db_nearly8):
+    # symmetric to about 1e-11: the classes are detected, but a label
+    # image's period is over 1,000 ulp away and only time reversal shares
+    periods, classes = zeta.class_periods(db_nearly8, 8)
+    assert (len(db_nearly8.config.label_symmetries), classes) == (6, 15)
+    symmetries = db_nearly8.config.label_symmetries
+    shared = 0
+    for rec, T in zip(records(db_nearly8), periods.tolist()):
+        if T != rec.T:
+            shared += 1
+            assert brute_force_class(rec.word, symmetries) == canonical_rotation(rec.word[::-1])[0]
+    assert shared == 1
+    # the 2-cycles 12, 13 and 23 are one class
+    assert len(set(periods[:3].tolist())) == 3
 
 
 def default_grid_samples(exp):
@@ -818,7 +901,7 @@ def test_tracked_leading_pair_stable_under_truncation(exp10, exp12):
 
 def test_track_zero_places_the_double_zero_as_find_poles_does(exp12):
     winding, s = track_zero(exp12, -0.264 + 0.814j, 2, radius=0.08)
-    assert (winding, s) == (2, -0.2642759007818864 + 0.8139476138518954j)
+    assert (winding, s) == (2, -0.26427590078150937 + 0.813947613851854j)
 
 
 def test_track_zero_refuses_a_box_without_a_zero(exp12):
