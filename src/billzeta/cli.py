@@ -84,38 +84,22 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", help="directory for CSV output")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="billzeta", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"billzeta {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("validate", help="check disjointness and the no-eclipse condition")
-    _common_flags(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("orbits", help="solve periodic orbits, manage the cache")
-    _common_flags(p)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("abscissas", help="pressure abscissas h, a1, b1 by two methods")
-    _common_flags(p)
+def _abscissas_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--k", type=_int_at_least(1), metavar="INT", help="cylinder memory (transfer method)"
     )
     p.add_argument(
         "--n", type=_int_at_least(2), metavar="INT", help="period for the periodic-point method"
     )
-    p.set_defaults(func=cmd_abscissas)
 
-    p = sub.add_parser("zeta", help="orbit series growth estimates and shell scans")
-    _common_flags(p)
+
+def _zeta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--window", type=_int_at_least(1), default=4, metavar="INT", help="regression window"
     )
-    p.set_defaults(func=cmd_zeta)
 
-    p = sub.add_parser("poles", help="determinant zeros in a rectangle")
-    _common_flags(p)
+
+def _poles_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--det-n", type=_int_at_least(2), metavar="INT", help="determinant truncation order"
     )
@@ -133,15 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid", type=_int_at_least(1), nargs=2, metavar=("NX", "NY"), help="cell grid"
     )
-    p.set_defaults(func=cmd_poles)
 
-    p = sub.add_parser("counting", help="orbit counting against e^{hx}/(hx)")
-    _common_flags(p)
+
+def _counting_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_int_at_least(1), metavar="INT", help="cylinder memory for h")
-    p.set_defaults(func=cmd_counting)
 
-    p = sub.add_parser("trace", help="length-spectrum window scans and Gaussian sums")
-    _common_flags(p)
+
+def _trace_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=_finite_float, default=1.0, help="window sharpening rate")
     p.add_argument("--alpha0", type=_finite_float, default=0.25, help="decay threshold exponent")
     p.add_argument("--sigma", type=_finite_float, default=0.1, help="Gaussian width parameter")
@@ -151,8 +133,45 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also emit the heuristic resonance-side comparison table",
     )
-    p.set_defaults(func=cmd_trace)
 
+
+def _setup_subcommand(p: argparse.ArgumentParser, name: str) -> None:
+    """Add the arguments of subcommand ``name`` to its parser ``p``."""
+    _, func, flags = SUBCOMMANDS[name]
+    _common_flags(p)
+    if flags is not None:
+        flags(p)
+    p.set_defaults(func=func)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers that are built only when the command line selects
+    them.  ``--help`` and the invalid-choice error read nothing of a
+    subcommand but its name and help, so a command line builds the
+    parser of its own subcommand alone, when argparse hands it the
+    subcommand's arguments."""
+
+    def add_command(self, name, help):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = None
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if self._name_parser_map[name] is None:
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            _setup_subcommand(sub, name)
+            self._name_parser_map[name] = sub
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="billzeta", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"billzeta {__version__}")
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, parser_class=_Parser, action=_Subcommands
+    )
+    for name, (help, _, _) in SUBCOMMANDS.items():
+        sub.add_command(name, help)
     return parser
 
 
@@ -537,6 +556,18 @@ def cmd_trace(args) -> None:
         "experimental_trace_compare": bool(args.experimental_trace_compare),
     }
     _write_outputs(args, db.config_hash, params, tables)
+
+
+# name -> (help, function, its own flags beside the common ones)
+SUBCOMMANDS = {
+    "validate": ("check disjointness and the no-eclipse condition", cmd_validate, None),
+    "orbits": ("solve periodic orbits, manage the cache", cmd_orbits, None),
+    "abscissas": ("pressure abscissas h, a1, b1 by two methods", cmd_abscissas, _abscissas_flags),
+    "zeta": ("orbit series growth estimates and shell scans", cmd_zeta, _zeta_flags),
+    "poles": ("determinant zeros in a rectangle", cmd_poles, _poles_flags),
+    "counting": ("orbit counting against e^{hx}/(hx)", cmd_counting, _counting_flags),
+    "trace": ("length-spectrum window scans and Gaussian sums", cmd_trace, _trace_flags),
+}
 
 
 def main(argv=None) -> int:

@@ -28,22 +28,27 @@ cycles, whatever its rigid motion; with each cycle's own period the
 count depends on which periods happen to round alike (941 unmoved,
 1,098 under the benchmark's seed-1 motion).  The ulp test, not the
 symmetry detection, certifies every shared period; a cycle that fails
-it keeps its own.  The series, counting and trace atoms keep every
-cycle's own period.
-
-Atoms are always generated and summed in canonical (word, repetition)
-order, and each point's sum is reduced on its own, so a value does not
-depend on which points share an evaluation and every downstream output
-is byte-reproducible.
+it takes its time reversal's period if that passes, else keeps its own.
+The series, counting and trace atoms keep every cycle's own period.
 
 Every sum over atoms goes through one kernel, built on the factorisation
 exp(-s tau) = exp(-x tau) exp(-i y tau) for s = x + iy.  Contour samples
 lie on grid lines, so each shares its real or its imaginary part with
 many others; the kernel computes the first factor once per distinct real
-part of a call and the second once per distinct imaginary part of a
-call, and forms the terms from them bitwise as the complex exp would.
-One pass returns several sums over the same terms: D with its last
-shell (the truncation noise), D with D', or all three.
+part of a call and the second once per distinct imaginary part, and
+reduces the terms by real matrix products (BLAS): the points that share
+an Im s are one product of their exp(-x tau) rows with the coefficients
+times cos and sin of y tau.  One pass returns several sums over the same
+terms: D with its last shell (the truncation noise), D with D', or all
+three.
+
+A value agrees with the one-term-at-a-time complex exp sum to a few eps
+times sum |c_i exp(-s tau_i)|, and its last bits may depend on which
+points share the call.  Atoms are always generated in canonical (word,
+repetition) order and a call groups its points by their bits alone, so
+the same evaluation gives the same bytes in every run, whatever the
+number of BLAS threads, and every downstream output is
+byte-reproducible.
 
 The contour search evaluates D in batches.  A grid's cell sides are cut
 into segments, every distinct sample on the grid lines is evaluated once
@@ -66,6 +71,7 @@ wrong, and the search raises ``TrustRegionError`` (exit 3) rather than
 report it.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -253,9 +259,8 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
 TRUST_THRESHOLD = 3e-5  # last-shell level that bounds the trusted region
 PROBE_IM = np.linspace(0.0, 1.2, 7)  # imaginary parts of the trust-floor probe
 WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
-# points per block: at N = 13 a block's terms take about 0.3 MB, beside the
-# call's real-part table of 7.5 kB per distinct Re s (blocks of 16 raise the
-# peak RSS of repeated N = 13 pole searches by about 1 MB)
+# distinct Im s per cos and sin table: at N = 13 a block's table takes
+# 51 kB, beside the call's real-part table of 3.2 kB per distinct Re s
 ATOM_BLOCK = 8
 # a cycle takes its class representative's period only within this many
 # ulp of its own; images of one cycle are solved apart and land up to 5
@@ -265,9 +270,10 @@ PERIOD_ULPS = 8
 SPREAD_TOL = 0.04  # allowed |sum (z - centroid)^2| of a cell's zeros / diagonal^2
 
 
-def _bit_groups(parts):
-    """The distinct bit patterns of the float array ``parts`` (as floats)
-    and, per element, the index of its pattern (``np.unique`` does the
+def _bit_runs(parts):
+    """The order that sorts the float array ``parts`` by bit pattern,
+    and the mask of the sorted elements that start a run of equal bits.
+    Grouping by bits keeps -0.0 and +0.0 apart (``np.unique`` groups the
     same at about three times the cost on a few points)."""
     bits = parts.view(np.int64)
     order = bits.argsort(kind="stable")
@@ -275,17 +281,30 @@ def _bit_groups(parts):
     new = np.empty(bits.size, dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    inverse = np.empty(bits.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new].view(float), inverse
+    return order, new
 
 
-def _exp_table(parts, tau, imag):
-    """exp(-p tau) (``imag`` false) or exp(-i p tau) (``imag`` true) for
-    each part p, one row per part, through the complex exp."""
-    arg = np.zeros((parts.size, tau.size), dtype=complex)
-    np.multiply.outer(-parts, tau, out=arg.imag if imag else arg.real)
-    return np.exp(arg, out=arg)
+def _factor_table(parts, tau, trig):
+    """exp(-p tau) for each part p, one row per part; with ``trig`` the
+    phase factor exp(-i p tau) instead, as the real tables cos(-p tau)
+    and sin(-p tau) stacked, shape ``(2, parts, atoms)``."""
+    arg = np.multiply.outer(-parts, tau)
+    if not trig:
+        return np.exp(arg, out=arg)
+    table = np.empty((2,) + arg.shape)
+    np.cos(arg, out=table[0])
+    np.sin(arg, out=table[1])
+    return table
+
+
+def _reduce(terms, matrix, spans, width, out):
+    """out = terms @ matrix.T, with the ``width`` columns of each sum
+    taken over its own atoms only: a span ``(a, b, n)`` adds atoms
+    a..b-1 to the first n sums, and the last span holds every sum."""
+    *head, (a, _, _) = spans
+    np.matmul(terms[:, a:], matrix[:, a:].T, out=out)
+    for a, b, n in head:
+        out[:, : n * width] += terms[:, a:b] @ matrix[: n * width, a:b].T
 
 
 def _atom_sums(tau, s, *sums):
@@ -293,60 +312,76 @@ def _atom_sums(tau, s, *sums):
     i >= start of coeff_i exp(-s tau_i): a tuple of complexes for scalar
     ``s``, else of arrays over the points.
 
-    The exponential factors as exp(-x tau) exp(-i y tau), s = x + iy.
-    The first factor is computed once per distinct real part of the call,
-    ``ATOM_BLOCK`` parts at a time, into a real table.  The points are
-    ordered by the bit patterns of (Im s, Re s) and taken ``ATOM_BLOCK``
-    at a time, and the second factor is computed once per distinct
-    imaginary part of the call: a block's imaginary parts are a run that
-    starts no earlier than the previous block's, so one table of the
-    current run's rows, which only moves forward, serves every block.
-    Grouping parts by their bits keeps -0.0 and +0.0 apart.  Both factors
-    go through the complex exp, which forms exp(x + iy) as exp(x) cos y +
-    i exp(x) sin y from the same exp and sincos: wherever exp(-x tau) does
-    not overflow, each term and its product with the real coefficient is
-    bitwise that of the unfactored exp.  Sums over one coefficient array
-    share its terms.  Each point's row of terms is reduced on its own, in
-    a fixed order over the atoms, so a value does not depend on which
-    points share the call.
+    The exponential factors as exp(-x tau) exp(-i y tau), s = x + iy,
+    and every sum is a real matrix product.  The sums are the rows of
+    one coefficient matrix C, ordered by ``start``; a sum's row is cut at
+    its start rather than padded with zeros, so a term that overflows
+    before it cannot turn its value into NaN.  The first factor is one
+    real ``np.exp`` table with a row per distinct real part of the call.
+    The points are grouped by the bits of Im s (which keeps -0.0 and +0.0
+    apart), and the distinct Im s are taken ``ATOM_BLOCK`` at a time,
+    with one cos and sin row each.  For an Im s that two or more points
+    share, the values of all of them are one product of their
+    exp(-x tau) rows with the matrix of the rows C cos(y tau) and
+    -C sin(y tau).  The points whose Im s is their own form their terms,
+    and those of a block take one product with C.
+
+    The dot products round differently from the one-term-at-a-time sum:
+    a value agrees with the unfactored complex exp to a few eps times
+    sum |coeff_i exp(-s tau_i)|, and may depend in its last bits on which
+    points share the call.  It does not depend on the run: the same batch
+    gives the same bytes.
     """
-    points = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    lo = min(start for _, start in sums)
+    points = np.asarray(s, dtype=complex).reshape(-1)
+    # the sums by start: those that take atom i >= a are a prefix
+    order = sorted(range(len(sums)), key=lambda k: sums[k][1])
+    starts = [sums[k][1] for k in order]
+    lo = starts[0]
     tau = tau[lo:]
-    coeffs = {id(coeff): coeff[lo:] for coeff, _ in sums}
-    values = np.empty((len(sums), points.size), dtype=complex)
-    x, ix = _bit_groups(points.real)
-    y, iy = _bit_groups(points.imag)
-    # sorted by the bits of Im s, a block's imaginary parts are a run of y
-    # that starts no earlier than the last block's
-    order = np.lexsort((ix, iy))
+    # a row is read only from its sum's start on
+    coeff = np.array([sums[k][0][lo:] for k in order])
+    cuts = sorted({start - lo for start in starts})
+    spans = [
+        (a, b, bisect_right(starts, a + lo)) for a, b in zip(cuts, cuts[1:] + [tau.size])
+    ]
+    # the points sorted by the bits of Im s: y[j] is the Im s of rows
+    # bounds[j]..bounds[j + 1] - 1
+    by_y, new = _bit_runs(points.imag)
+    y = points.imag[by_y][new]
+    bounds = new.nonzero()[0].tolist() + [points.size]
+    # x[ix[i]] is the Re s of sorted point i
+    real = points.real[by_y]
+    by_x, new = _bit_runs(real)
+    x = real[by_x][new]
+    ix = np.empty(points.size, dtype=np.intp)
+    ix[by_x] = new.cumsum() - 1
+    # each sum at each sorted point
+    out = np.empty((points.size, len(sums)), dtype=complex)
+    phase = np.empty((len(sums), 2, tau.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        grow = np.empty((x.size, tau.size))
-        for first in range(0, x.size, ATOM_BLOCK):
-            rows = slice(first, first + ATOM_BLOCK)
-            grow[rows] = _exp_table(x[rows], tau, False).real
-        turn, turn_lo = np.empty((0, tau.size), dtype=complex), 0  # rows y[turn_lo:]
-        for first in range(0, points.size, ATOM_BLOCK):
-            idx = order[first : first + ATOM_BLOCK]
-            run = iy[idx]
-            turn_hi = turn_lo + len(turn)
-            if run[-1] >= turn_hi:
-                new = _exp_table(y[max(run[0], turn_hi) : run[-1] + 1], tau, True)
-                keep = turn[run[0] - turn_lo :]
-                turn = np.concatenate((keep, new)) if len(keep) else new
-                turn_lo = run[0]
-            run -= turn_lo
-            cos, sin = turn.real[run], turn.imag[run]
-            block_grow = grow[ix[idx]]
-            cos *= block_grow
-            sin *= block_grow
-            terms = {}
-            for key, coeff in coeffs.items():
-                terms[key] = np.empty(cos.shape, dtype=complex)
-                np.multiply(cos, coeff, out=terms[key].real)
-                np.multiply(sin, coeff, out=terms[key].imag)
-            for k, (coeff, start) in enumerate(sums):
-                values[k, idx] = terms[id(coeff)][:, start - lo :].sum(axis=1)
+        grow = _factor_table(x, tau, False)
+        for first in range(0, y.size, ATOM_BLOCK):
+            cos_sin = _factor_table(y[first : first + ATOM_BLOCK], tau, True)
+            lone = []
+            for j in range(first, min(first + ATOM_BLOCK, y.size)):
+                a, b = bounds[j], bounds[j + 1]
+                if b - a == 1:
+                    lone.append(j)
+                    continue
+                np.multiply(coeff[:, None], cos_sin[:, j - first], out=phase)
+                matrix = phase.reshape(-1, tau.size)
+                _reduce(grow[ix[a:b]], matrix, spans, 2, out[a:b].view(float))
+            if lone:
+                at = [bounds[j] for j in lone]
+                terms = cos_sin[:, [j - first for j in lone]] * grow[ix[at]]
+                parts = np.empty((2, len(at), len(sums)))
+                rows = 2 * len(at)
+                _reduce(terms.reshape(rows, -1), coeff, spans, 1, parts.reshape(rows, -1))
+                out[at] = parts[0] + 1j * parts[1]
+    values = np.empty_like(out)
+    values[by_y] = out
+    # the sums back in the caller's order
+    values = values.T[sorted(range(len(sums)), key=order.__getitem__)]
     if np.isscalar(s):
         return tuple(complex(v[0]) for v in values)
     return tuple(values)
@@ -501,9 +536,12 @@ def class_periods(db, N: int):
     A cycle takes the period of its class representative
     (:func:`symbolic.class_representatives` under the configuration's
     label symmetries and time reversal) when the two are within
-    ``PERIOD_ULPS`` ulp, else it keeps its own: the ulp test, not the
-    symmetry detection, certifies every shared period.  Built once per
-    database and N, and kept in ``db.derived``.
+    ``PERIOD_ULPS`` ulp.  Failing that, it takes the period of its
+    time-reversal representative (the least canonical rotation of the
+    word and its reversal) when that is within ``PERIOD_ULPS`` ulp, else
+    it keeps its own: the ulp test, not the symmetry detection,
+    certifies every shared period.  Built once per database and N, and
+    kept in ``db.derived``.
     """
     key = ("class_periods", N)
     if key not in db.derived:
@@ -516,15 +554,30 @@ def _class_periods(db, N):
     # ``count``, and length n holds rows ends[n - 2]..ends[n - 1]
     count = int(np.searchsorted(db.n, N, side="right"))
     ends = np.searchsorted(db.n, np.arange(2, N + 2)).tolist()
-    symmetries = db.config.label_symmetries
-    rep = np.empty(count, dtype=np.intp)
-    for n, start, stop in zip(range(2, N + 1), ends, ends[1:]):
-        words = db.word[db.bounds[start] : db.bounds[stop]].reshape(stop - start, n)
-        rep[start:stop] = start + symbolic.class_representatives(words, db.config.r, symmetries)
+    blocks = list(zip(range(2, N + 1), ends, ends[1:]))
     T = db.T[:count]
-    shared = T[rep]
-    same = np.abs(T - shared) <= PERIOD_ULPS * np.spacing(np.maximum(T, shared))
-    periods = np.where(same, shared, T)
+
+    def representatives(symmetries, blocks):
+        # a row outside ``blocks`` is its own representative
+        rep = np.arange(count)
+        for n, start, stop in blocks:
+            words = db.word[db.bounds[start] : db.bounds[stop]].reshape(stop - start, n)
+            rows = symbolic.class_representatives(words, db.config.r, symmetries)
+            rep[start:stop] = start + rows
+        return rep
+
+    def close(rep):
+        return np.abs(T - T[rep]) <= PERIOD_ULPS * np.spacing(np.maximum(T, T[rep]))
+
+    rep = representatives(db.config.label_symmetries, blocks)
+    same = close(rep)
+    periods = np.where(same, T[rep], T)
+    # time reversal is a symmetry of every configuration, a label
+    # permutation only to ``VALIDATE_TOL``: a cycle too far from its
+    # class representative may still share its reversal's period
+    apart = [(n, start, stop) for n, start, stop in blocks if not same[start:stop].all()]
+    reversal = representatives((tuple(range(db.config.r)),), apart)
+    periods = np.where(~same & close(reversal), T[reversal], periods)
     periods.flags.writeable = False
     return periods, int(np.count_nonzero(np.bincount(rep)))
 

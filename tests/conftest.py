@@ -114,15 +114,21 @@ def brute_force_class_periods(db: OrbitDatabase, N: int, symmetries=None) -> dic
     """word -> the period the determinant should take for each cycle with
     n <= N: its class representative's (:func:`brute_force_class` under
     ``symmetries``, by default :func:`brute_force_symmetries`) when within
-    ``PERIOD_ULPS`` ulp of its own, else its own."""
+    ``PERIOD_ULPS`` ulp of its own, else its time-reversal
+    representative's (the class under the identity alone) when within
+    ``PERIOD_ULPS`` ulp, else its own."""
     own = {rec.word: rec.T for rec in records(db) if rec.n <= N}
     if symmetries is None:
         symmetries = brute_force_symmetries(db.config)
+    identity = (tuple(range(db.config.r)),)
     periods = {}
     for word, T in own.items():
-        shared = own[brute_force_class(word, symmetries)]
-        close = abs(T - shared) <= PERIOD_ULPS * np.spacing(max(T, shared))
-        periods[word] = shared if close else T
+        periods[word] = T
+        for group in (symmetries, identity):
+            shared = own[brute_force_class(word, group)]
+            if abs(T - shared) <= PERIOD_ULPS * np.spacing(max(T, shared)):
+                periods[word] = shared
+                break
     return periods
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from billzeta import __version__, cli
 from billzeta.cli import _conjugate_closed
 from billzeta.database import save_database
+from billzeta.errors import MalformedInputError
 from billzeta.geometry import config_digest, save_config
 from billzeta.zeta import Pole, real_zero
 from tests.conftest import equilateral_config, records, subprocess_env, take_rows
@@ -649,3 +653,100 @@ def test_poles_reports_its_period_classes(tmp_path, db13, db_four7, capsys):
         save_database(db, cache)
         assert cli.main(["poles", "--cache", str(cache), "--det-n", str(N)]) == 0
         assert line in capsys.readouterr().out.splitlines()
+
+
+def test_poles_csv_does_not_depend_on_the_blas_threads(tmp_path, db13):
+    # the determinant sums are BLAS products: the bytes must not depend on
+    # how many threads the BLAS library runs them on
+    cache = tmp_path / "orbits13"
+    save_database(db13, cache)
+    searches = {
+        "default": ["--det-n", "13"],
+        "rect": ["--det-n", "13", "--rect", "-0.35", "-0.02", "0.2", "1.4",
+                 "--grid", "40", "40"],
+    }
+    for name, flags in searches.items():
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}"
+            env = dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "billzeta.cli", "poles", "--cache", str(cache),
+                 "--out", str(out), *flags],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            tables.append((out / "poles.csv").read_bytes())
+        assert tables[0] == tables[1], name
+        assert tables[0].count(b"\n") == (4 if name == "default" else 3), name
+
+
+def eager_parser():
+    """The command line parser with every subcommand's parser and
+    arguments built up front, as argparse's own subparsers do."""
+    parser = cli._Parser(prog="billzeta", description=cli.__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"billzeta {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=cli._Parser)
+    for name, (help, _, _) in cli.SUBCOMMANDS.items():
+        cli._setup_subcommand(sub.add_parser(name, help=help), name)
+    return parser
+
+
+def outcome(run, argv):
+    """(result, stdout, stderr) of ``run(argv)``: what it returned, or
+    the exit code of ``--help`` or ``--version``, or the usage error's
+    message."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = ("returned", run(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        except MalformedInputError as exc:
+            result = ("usage", str(exc))
+    return result, stdout.getvalue(), stderr.getvalue()
+
+
+def test_lazy_subcommands_parse_as_the_full_parser(monkeypatch):
+    argvs = [
+        [], ["-h"], ["--help"], ["--version"], ["--bogus"], ["nope"], ["-1", "poles"],
+        ["--", "poles", "--det-n", "3"], ["poles", "--det-n"], ["poles", "--det-n", "1"],
+        ["poles", "--rect", "1", "0", "0", "1"], ["poles", "--grid", "2"],
+        ["trace", "--beta", "nan"], ["zeta", "--window", "x"], ["counting", "--k", "0"],
+        ["abscissas", "--bogus"], ["orbits", "--nmax"], ["validate", "extra"],
+        ["poles", "--cache", "c", "--rect", "-0.3", "0", "0.2", "1.4", "--grid", "4", "5"],
+        ["trace", "--experimental-trace-compare", "--sigma", "0.2"],
+        ["validate", "--config", "x"],
+    ]
+    argvs += [[name, flag] for name in cli.SUBCOMMANDS for flag in ("-h", "--help")]
+    argvs += [[name] for name in cli.SUBCOMMANDS]
+    usage = 0
+    for argv in argvs:
+        lazy, full = (outcome(lambda a: vars(build().parse_args(a)), argv)
+                      for build in (cli.build_parser, eager_parser))
+        assert lazy == full, argv
+        if full[0][0] != "usage":
+            continue
+        # main turns the usage error into the same text and exit code 1
+        usage += 1
+        codes = []
+        for build in (cli.build_parser, eager_parser):
+            monkeypatch.setattr(cli, "build_parser", build)
+            codes.append(outcome(cli.main, argv))
+        assert codes[0] == codes[1] and codes[0][0] == ("returned", 1), argv
+        monkeypatch.undo()
+    assert usage == 15
+
+
+def test_a_command_builds_the_parser_of_its_subcommand_alone(monkeypatch):
+    built = []
+    real = cli._setup_subcommand
+
+    def counted(p, name):
+        built.append(name)
+        real(p, name)
+
+    monkeypatch.setattr(cli, "_setup_subcommand", counted)
+    args = cli.build_parser().parse_args(["poles", "--det-n", "13"])
+    assert built == ["poles"]
+    assert (args.subcommand, args.det_n, args.func) == ("poles", 13, cli.cmd_poles)
