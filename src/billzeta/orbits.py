@@ -6,19 +6,21 @@ functional, found by damped Newton iteration with analytic gradient and
 Hessian.  Bounce i couples only to bounces i-1 and i+1, so the Hessian
 is cyclic tridiagonal and is kept as two ``(M, n)`` bands, its diagonal
 and its cyclic off-diagonal, computed with the length and gradient from
-one frame of points, tangents and flights per iterate.  A bordered
-LDL^T of the bands, vectorised over rows and looping over the ``n``
-columns, tests positive definiteness (every pivot positive) and gives
-the Newton step; its pivot product is det H, which Hill's formula ties
-to the monodromy.  :func:`solve_orbits` runs the iteration on an
-``(M, n)`` array of angles, one row per cycle of length ``n``, then
-certifies every row: the residual, the incidence angles and the
-reflection law over ``(M, n)`` arrays, and the clearance of each flight
-from every disk over ``(M, n, r)``.  It returns those arrays as
-columns, one row per cycle, and builds no object per cycle.  Every row
-follows exactly the steps it would take alone, so a whole length is
-solved and certified in one batch, and :func:`solve_orbit` is the
-one-row batch, returned as a :class:`PeriodicOrbit`.
+one frame of points, tangents and flights per Newton trial: the trial's
+length is its decrease test, and an accepted trial's derivatives are the
+next step's.  A bordered LDL^T of the bands, vectorised over rows and
+looping over the ``n`` columns, tests positive definiteness (every pivot
+positive) and gives the Newton step; its pivot product is det H, which
+Hill's formula ties to the monodromy.  :func:`solve_orbits` runs the
+iteration on an ``(M, n)`` array of angles, one row per cycle of length
+``n``, then certifies every row from one more frame: the residual, the
+incidence angles and the reflection law over ``(M, n)`` arrays, and the
+clearance of each flight from the r - 2 disks it does not touch over
+``(M, n, r - 2)``.  It returns those arrays as columns, one row per
+cycle, and builds no object per cycle.  Every row follows exactly the
+steps it would take alone, so a whole length is solved and certified in
+one batch, and :func:`solve_orbit` is the one-row batch, returned as a
+:class:`PeriodicOrbit`.
 """
 
 from dataclasses import dataclass
@@ -132,19 +134,6 @@ def _flights(cx, cy, rad, c, s):
     return px, py, ex, ey, np.sqrt(ex * ex + ey * ey)
 
 
-def _frame(cx, cy, rad, theta):
-    """Points p, tangents t = dp/dtheta, unit flight directions u and
-    flight lengths f."""
-    c, s = np.cos(theta), np.sin(theta)
-    px, py, ex, ey, f = _flights(cx, cy, rad, c, s)
-    return px, py, -rad * s, rad * c, ex / f, ey / f, f
-
-
-def _length(cx, cy, rad, theta):
-    """Cyclic length per row, from the flights alone."""
-    return _row_sum(_flights(cx, cy, rad, np.cos(theta), np.sin(theta))[4])
-
-
 def _derivatives(cx, cy, rad, theta):
     """Length, gradient and Hessian bands at ``theta``, from one frame.
 
@@ -152,7 +141,10 @@ def _derivatives(cx, cy, rad, theta):
     returned as its diagonal ``d`` and its off-diagonal ``e``, with
     ``e[:, i] = H[i, i+1 mod n]``, both ``(M, n)``.
     """
-    px, py, tx, ty, ux, uy, f = _frame(cx, cy, rad, theta)
+    c, s = np.cos(theta), np.sin(theta)
+    px, py, ex, ey, f = _flights(cx, cy, rad, c, s)
+    # tangents t = dp/dtheta and unit flight directions u
+    tx, ty, ux, uy = -rad * s, rad * c, ex / f, ey / f
     # flight i contributes -<u_i, t_i> to the gradient at bounce i and
     # +<u_i, t_{i+1}> at bounce i+1
     di = ux * tx + uy * ty
@@ -229,8 +221,8 @@ def _cyclic_solve(d, e, r):
 
 
 def _damped_step(cx, cy, rad, theta, local, gnorm):
-    """One damped Newton step per row: returns the new angles and which
-    rows moved.
+    """One damped Newton step per row: returns the new angles, the
+    length, gradient and Hessian bands there, and which rows moved.
 
     ``local`` holds the length, gradient ``g`` and Hessian bands at
     ``theta`` (:func:`_derivatives`).  The bordered LDL^T of the bands
@@ -239,30 +231,41 @@ def _damped_step(cx, cy, rad, theta, local, gnorm):
     a row that fails the test takes the step -g.  Near convergence a
     Newton step is taken in full; otherwise it is halved until the
     length decreases, and a Newton row that finds no decrease retries
-    along -g.  A row that finds no decrease either way does not move.
+    along -g.  A row that finds no decrease either way does not move
+    and keeps ``local``.  Every trial is one :func:`_derivatives` frame,
+    whose length is the decrease test, so the accepted trial's
+    derivatives are returned without another frame.
     """
     L0, g, d, e = local
-    step, _, newton = _cyclic_solve(d, e, -g)
-    delta = np.where(newton[:, None], step, -g)
+    delta, _, newton = _cyclic_solve(d, e, -g)
+    delta = np.where(newton[:, None], delta, -g)
+    full = newton & (gnorm < FULL_STEP_RESIDUAL)
 
-    new = theta.copy()
-    moved = newton & (gnorm < FULL_STEP_RESIDUAL)
-    new[moved] += delta[moved]
-    pending = ~moved
+    new, moved, pending = None, np.zeros_like(full), np.ones_like(full)
     for direction in (delta, -g):
         lam = 1.0
         for _ in range(MAX_HALVINGS + 1):
             rows = np.flatnonzero(pending)
             if rows.size == 0:
                 break
-            trial = theta[rows] + lam * direction[rows]
-            ok = _length(cx[rows], cy[rows], rad[rows], trial) < L0[rows]
-            new[rows[ok]] = trial[ok]
-            moved[rows[ok]] = True
-            pending[rows[ok]] = False
+            at = rows if rows.size < len(theta) else slice(None)
+            trial = theta[at] + lam * direction[at]
+            values = _derivatives(cx[at], cy[at], rad[at], trial)
+            ok = full[at] | (values[0] < L0[at])
+            if new is None:
+                # the first trial, over every row
+                if ok.all():
+                    return trial, values, ok
+                new, local = theta.copy(), [a.copy() for a in local]
+            rows = rows[ok]
+            new[rows] = trial[ok]
+            for a, b in zip(local, values):
+                a[rows] = b[ok]
+            moved[rows] = True
+            pending[rows] = False
             lam *= 0.5
         pending &= newton
-    return new, moved
+    return new, local, moved
 
 
 def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER):
@@ -280,14 +283,14 @@ def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        disks = cx[rows], cy[rows], rad[rows]
-        new, moved = _damped_step(
-            *disks, theta[rows], [a[rows] for a in local], gnorm[rows]
+        if rows.size == len(theta):
+            rows = slice(None)
+        theta[rows], values, moved = _damped_step(
+            cx[rows], cy[rows], rad[rows], theta[rows], [a[rows] for a in local], gnorm[rows]
         )
-        theta[rows] = new
-        for a, b in zip(local, _derivatives(*disks, new)):
+        for a, b in zip(local, values):
             a[rows] = b
-        gnorm[rows] = np.max(np.abs(local[1][rows]), axis=1)
+        gnorm[rows] = np.max(np.abs(values[1]), axis=1)
         live[rows] = moved & (gnorm[rows] > tol)
     return theta, gnorm
 
@@ -354,8 +357,9 @@ def solve_orbits(
             residual=float(gnorm[i]),
         )
     theta = np.mod(theta, 2.0 * np.pi)
-    px, py, _, _, ux, uy, flights = _frame(cx, cy, rad, theta)
     nx, ny = np.cos(theta), np.sin(theta)
+    px, py, ex, ey, flights = _flights(cx, cy, rad, nx, ny)
+    ux, uy = ex / flights, ey / flights
 
     # outgoing direction must leave the disk; its normal component is
     # the cosine of the incidence angle
@@ -380,22 +384,23 @@ def solve_orbits(
             residual=float(gnorm[i]),
         )
 
-    # clearance of every flight from every disk it does not touch:
+    # clearance of every flight from the r - 2 disks it does not touch:
     # distance from each center to each segment, minus the radius,
-    # over (M, n, r)
-    ex, ey = (_next(px) - px)[..., None], (_next(py) - py)[..., None]
-    xk = config.centers[:, 0] - px[..., None]
-    yk = config.centers[:, 1] - py[..., None]
-    along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-    gx, gy = xk - along * ex, yk - along * ey
-    margin = np.sqrt(gx * gx + gy * gy) - config.radii
+    # over (M, n, r - 2)
     idx = labels - 1
     disk = np.arange(config.r)
-    own = (disk == idx[..., None]) | (disk == _next(idx)[..., None])
-    margin[own] = np.inf
+    missed = (disk != idx[..., None]) & (disk != _next(idx)[..., None])
+    other = (np.flatnonzero(missed) % config.r).reshape(m, n, config.r - 2)
+    ex, ey = ex[..., None], ey[..., None]
+    xk = config.centers[other, 0] - px[..., None]
+    yk = config.centers[other, 1] - py[..., None]
+    along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    gx, gy = xk - along * ex, yk - along * ey
+    margin = np.sqrt(gx * gx + gy * gy) - config.radii[other]
     crossing = np.argwhere(margin <= 0.0)
     if crossing.size:
         i, j, k = crossing[0]
+        k = other[i, j, k]
         raise DomainError(f"segment {j} of orbit {_word(labels, i)} crosses disk {k + 1}")
 
     return {
@@ -405,7 +410,7 @@ def solve_orbits(
         "cos_incidence": cos_inc,
         "T": flights.sum(axis=1),
         "residual": gnorm,
-        "shadow_margin": margin.min(axis=(1, 2)),
+        "shadow_margin": margin.min(axis=(1, 2), initial=np.inf),
     }
 
 

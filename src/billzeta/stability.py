@@ -11,6 +11,8 @@ Both routes run over ``(M, n)`` arrays, one row per orbit of length
 ``n``: :func:`stability_records` certifies a whole length in one batch
 from the columns :func:`orbits.solve_orbits` returns and gives back the
 curvatures and signed eigenvalues as columns, with no object per cycle.
+Their loops over the bounces read columns, so both take the ``(n, M)``
+transpose once and read each column as a contiguous row.
 :func:`stability_record` (a :class:`StabilityRecord`),
 :func:`unstable_curvatures` and :func:`monodromy` are its one-row calls.
 Nothing mixes rows, so a row's result does not depend on its batch.
@@ -57,26 +59,27 @@ def _curvature_sweeps(flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_
     first sweep that moves it less than ``tol`` in sup norm.  Returns
     (kappa, sweeps per row, settled per row).
     """
-    kappa = np.array(kappa0, dtype=float)
-    m, n = kappa.shape
+    kappa = np.array(kappa0, dtype=float).T.copy()
+    flights, kicks = flights.T.copy(), kicks.T.copy()
+    n, m = kappa.shape
     sweeps = np.zeros(m, dtype=np.int64)
     live = np.ones(m, dtype=bool)
     for _ in range(max_sweeps):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        k, f, kick = kappa[rows], flights[rows], kicks[rows]
+        k, f, kick = (np.take(a, rows, axis=1) for a in (kappa, flights, kicks))
         diff = np.zeros(rows.size)
         for i in range(n):
             j = (i + 1) % n
-            new = k[:, i] / (1.0 + f[:, i] * k[:, i]) + kick[:, j]
-            d = np.abs(new - k[:, j])
+            new = k[i] / (1.0 + f[i] * k[i]) + kick[j]
+            d = np.abs(new - k[j])
             diff = np.where(d > diff, d, diff)
-            k[:, j] = new
-        kappa[rows] = k
+            k[j] = new
+        kappa[:, rows] = k
         sweeps[rows] += 1
         live[rows] = ~(diff < tol)
-    return kappa, sweeps, ~live
+    return kappa.T.copy(), sweeps, ~live
 
 
 def _curvatures(labels, flights, kicks, kb):
@@ -92,13 +95,15 @@ def _curvatures(labels, flights, kicks, kb):
 def _monodromies(flights, kicks):
     """:func:`monodromy` of every row, ``(M, 2, 2)``."""
     m, n = flights.shape
-    mono = np.zeros((m, 2, 2))
-    mono[:, 0, 0] = mono[:, 1, 1] = 1.0
+    # mono[a, b] is entry (a, b) of every row
+    flights, kicks = flights.T.copy(), kicks.T.copy()
+    mono = np.zeros((2, 2, m))
+    mono[0, 0] = mono[1, 1] = 1.0
     for i in range(n):
         j = (i + 1) % n
-        mono[:, 0] += flights[:, i, None] * mono[:, 1]
-        mono[:, 1] += kicks[:, j, None] * mono[:, 0]
-    return -mono if n % 2 == 1 else mono
+        mono[0] += flights[i] * mono[1]
+        mono[1] += kicks[j] * mono[0]
+    return np.ascontiguousarray(np.moveaxis(-mono if n % 2 == 1 else mono, -1, 0))
 
 
 def unstable_curvatures(config, orbit: PeriodicOrbit) -> np.ndarray:

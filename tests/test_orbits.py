@@ -6,11 +6,14 @@ import pytest
 
 from billzeta.database import build_database
 from billzeta.errors import BilliardError, DomainError, SolverError
+from billzeta.geometry import Configuration, Disk
 from billzeta.orbits import (
     SOLVER_TOL,
     _cyclic_solve,
+    _damped_step,
     _derivatives,
     _disks,
+    _newton,
     default_angles,
     solve_orbit,
     solve_orbits,
@@ -99,8 +102,6 @@ def test_default_angles_point_toward_next_disk(config):
 
 
 def test_newton_rows_do_not_depend_on_their_batch(config):
-    from billzeta.orbits import _length, _newton
-
     words = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
     cx, cy, rad = _disks(config, words)
     start = np.array([default_angles(config, w) for w in words])
@@ -132,8 +133,25 @@ def test_newton_rows_do_not_depend_on_their_batch(config):
         assert res[i] == alone_res[0]
     assert res.max() <= SOLVER_TOL
     # every start reaches the same orbit
-    lengths = _length(bx, by, brad, theta).reshape(-1, len(groups))
+    lengths = _derivatives(bx, by, brad, theta)[0].reshape(-1, len(groups))
     assert np.ptp(lengths, axis=1).max() < 1e-12
+
+    # a step returns the length, gradient and Hessian bands of the angles
+    # it returns, bit for bit, in each branch and for a row that does not
+    # move: on two disks on the x axis, the 6-bounce orbit turned to the
+    # far sides is a maximum of the length whose gradient is at rounding
+    # level, so no trial along -g decreases the length
+    two = Configuration((Disk((0.0, 0.0), 1.0), Disk((6.0, 0.0), 1.0)))
+    sx, sy, srad = _disks(two, [(1, 2, 1, 2, 1, 2)])
+    disks = [np.concatenate(a) for a in ((bx, sx), (by, sy), (brad, srad))]
+    theta0 = np.concatenate((theta0, default_angles(two, (1, 2, 1, 2, 1, 2))[None] + np.pi))
+    local = _derivatives(*disks, theta0)
+    theta, values, moved = _damped_step(*disks, theta0, local,
+                                        np.abs(local[1]).max(axis=1))
+    assert moved[:-1].all() and not moved[-1]
+    assert np.array_equal(theta[-1], theta0[-1])
+    for a, b in zip(values, _derivatives(*disks, theta)):
+        assert np.array_equal(a, b)
 
 
 def test_batch_raises_for_the_first_row_left_above_tolerance(config):
@@ -163,6 +181,29 @@ def test_batch_names_the_first_bad_word(config):
         message = first_bad_word_message(config, words)
         with pytest.raises(DomainError, match=re.escape(message)):
             solve_orbits(config, words)
+
+
+def test_crossing_names_the_label_of_the_crossed_disk():
+    # disk 3 sits just above the line from disk 1 to disk 2; the clearance
+    # checks each flight against the disks it does not touch only, so the
+    # message must map that gather back to the disk's label
+    config = Configuration(tuple(
+        Disk(center, 1.0) for center in ((0.0, 0.0), (10.0, 0.0), (5.0, 0.3), (5.0, 8.0))
+    ))
+    with pytest.raises(DomainError, match=re.escape("segment 0 of orbit (1, 2) crosses disk 3")):
+        solve_orbits(config, [(1, 2), (2, 4)])
+    with pytest.raises(DomainError,
+                       match=re.escape("segment 2 of orbit (1, 4, 2) crosses disk 3")):
+        solve_orbits(config, [(1, 4, 2)])
+
+
+def test_two_disks_leave_no_disk_to_clear():
+    config = Configuration((Disk((0.0, 0.0), 1.0), Disk((6.0, 0.0), 1.0)))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        orbit = solve_orbit(config, (1, 2))
+    assert orbit.shadow_margin == np.inf
+    assert orbit.T == 8.0
 
 
 def test_batch_of_mixed_lengths_or_no_words_is_domain_error(config):

@@ -7,6 +7,7 @@ from billzeta.orbits import solve_orbit, solve_orbits
 from billzeta.stability import (
     _curvature_sweeps,
     _kicks,
+    _monodromies,
     det_one_minus_poincare,
     expanding_eigenvalue,
     expansion_factor,
@@ -16,7 +17,7 @@ from billzeta.stability import (
     unstable_curvatures,
     wavefront_green,
 )
-from tests.conftest import records
+from tests.conftest import records, unequal_four_disks
 
 
 def test_two_cycle_curvature_and_factor(config):
@@ -114,6 +115,16 @@ def test_curvature_rows_do_not_depend_on_their_batch(config):
         assert np.array_equal(batch_kappa[i], alone.kappa)
         assert np.array_equal(1.0 + flights[i] * batch_kappa[i], alone.factors)
         assert (abs(batch_lam[i]), np.sign(batch_lam[i])) == (alone.lam_abs, alone.sign)
+
+    # monodromies of even and odd lengths on disks of unequal radii
+    four = unequal_four_disks()
+    for n in (4, 5):
+        solved = solve_orbits(four, [w for w in enumerate_cycles(4, n) if len(w) == n])
+        flights = solved["flights"]
+        kicks, _ = _kicks(four, solved["labels"], solved["cos_incidence"])
+        batch = _monodromies(flights, kicks)
+        for i in range(len(flights)):
+            assert np.array_equal(batch[i], _monodromies(flights[i : i + 1], kicks[i : i + 1])[0])
 
 
 def test_stability_batch_of_mixed_lengths_or_no_orbits_is_domain_error(config):
