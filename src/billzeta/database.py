@@ -1,11 +1,15 @@
 """Orbit database: every primitive cycle up to a length cutoff, solved
 and equipped with stability data, plus the binary cache format.
 
-Each length is one batch: :func:`orbits.solve_orbits` solves and
-certifies its cycles, :func:`stability.stability_records` cross-checks
-their stability, and nothing is solved twice.  Both return columns, one
-row per cycle, which are concatenated into the database's columns; no
-object is built per cycle on the way from the Newton batch to the cache.
+The new lengths of a build or an extension are solved in two batches:
+the lengths below the top one share a batch of words padded with zeros,
+and the top length, which holds about as many cells as all shorter ones
+together, has its own.  In each, :func:`orbits.solve_orbits` solves and
+certifies the cycles, :func:`stability.stability_records` cross-checks
+their stability, and nothing is solved twice.  Both return padded
+columns, one row per cycle, whose bounces are concatenated into the
+database's columns; no object is built per cycle on the way from the
+enumeration's int array through the Newton batch to the cache.
 
 The columns are the database.  An :class:`OrbitDatabase` holds one
 read-only array per cache section, in the order of :data:`SECTIONS`:
@@ -38,7 +42,7 @@ import os
 import numpy as np
 
 from . import geometry, orbits, stability, symbolic
-from .errors import DomainError, EclipseError, MalformedInputError, StaleCacheError
+from .errors import BilliardError, DomainError, EclipseError, MalformedInputError, StaleCacheError
 
 SOLVER_VERSION = 4
 CACHE_FORMAT = "billzeta-orbit-cache/2"
@@ -103,10 +107,12 @@ def build_database(config, n_max: int) -> OrbitDatabase:
 
     The configuration is validated first: a disk blocking a line of
     sight raises :class:`EclipseError`, any other failure a domain
-    error.  All cycles of one length are solved and certified in one
-    :func:`orbits.solve_orbits` batch and cross-checked in one
-    :func:`stability.stability_records` batch; a row's result does not
-    depend on its batch, so every row equals the lone solve of its word.
+    error.  The cycles are solved and certified in two
+    :func:`orbits.solve_orbits` batches, lengths 2..n_max-1 and n_max,
+    and cross-checked in one :func:`stability.stability_records` batch
+    each; a row's result does not depend on its batch, so every row
+    equals the lone solve of its word.  A failure raises the error of
+    the shortest failing length, as a batch per length would.
     """
     # no cycle is shorter than 2, so an empty database stops at n_max = 1
     return extend_database(OrbitDatabase(config, 1, {name: () for name, _ in SECTIONS}), n_max)
@@ -116,9 +122,12 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     """``db`` plus every primitive cycle of length db.n_max+1..n_max.
 
     The rows of ``db`` are kept as they are and only the new lengths are
-    solved, each in one batch as in :func:`build_database`; each column
-    is concatenated once at the end.  A row's result does not depend on
-    its batch, so the extended database equals a fresh build to the bit.
+    solved, in two batches as in :func:`build_database`: the lengths
+    below n_max share one and n_max has its own.  Cycle counts about
+    double with each length, so neither batch holds much more than the
+    top length's cells.  Each column is concatenated once at the end.  A
+    row's result does not depend on its batch, so the extended database
+    equals a fresh build to the bit.
     """
     config = db.config
     report = geometry.validate(config)
@@ -127,18 +136,43 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     if not report.ok:
         raise DomainError(f"configuration rejected: {report.summary()}")
     parts = {name: [getattr(db, name)] for name, _ in SECTIONS}
-    for n in range(db.n_max + 1, n_max + 1):
-        solved = orbits.solve_orbits(config, symbolic.enumerate_cycles(config.r, n, n_min=n))
-        labels = solved["labels"]
-        kappa, lam = stability.stability_records(
-            config, labels, solved["flights"], solved["cos_incidence"]
-        )
-        # one (rows,) or (rows, n) array per section; rows are in word order
-        batch = dict(solved, n=np.full(len(labels), n), word=labels, kappa=kappa, lam=lam)
-        for name, dtype in SECTIONS:
-            parts[name].append(np.asarray(batch[name], dtype=dtype).ravel())
+    low = db.n_max + 1
+    for lo, hi in ((low, n_max - 1), (max(low, n_max), n_max)):
+        if lo <= hi:
+            batch = _solve_lengths(config, lo, hi)
+            for name, dtype in SECTIONS:
+                parts[name].append(np.asarray(batch[name], dtype=dtype))
     columns = {name: np.concatenate(parts[name]) for name in parts}
     return OrbitDatabase(config, n_max, columns)
+
+
+def _solve_lengths(config, lo: int, hi: int) -> dict:
+    """The columns of every primitive cycle of length lo..hi, in word
+    order: one padded :func:`orbits.solve_orbits` batch and one
+    :func:`stability.stability_records` batch.
+
+    Both raise for the shortest length that fails, so the error is the
+    one a batch per length would raise, except that a stability failure
+    of a shorter length must come before a solve failure: when the solve
+    raises, lengths lo..hi-1 are solved again first.
+    """
+    words = symbolic.enumerate_cycles(config.r, hi, n_min=lo, as_array=True)
+    try:
+        solved = orbits.solve_orbits(config, words)
+    except BilliardError:
+        if lo < hi:
+            _solve_lengths(config, lo, hi - 1)
+        raise
+    labels = solved["labels"]
+    kappa, lam = stability.stability_records(
+        config, labels, solved["flights"], solved["cos_incidence"]
+    )
+    batch = dict(solved, word=labels, kappa=kappa, lam=lam)
+    # the bounces of each row, rows in order, from the padded rows
+    cells = labels != 0
+    for name in ("word", *PER_BOUNCE):
+        batch[name] = batch[name][cells]
+    return batch
 
 
 def restrict_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:

@@ -1,25 +1,33 @@
-"""Periodic billiard orbits for a prescribed itinerary.
+"""Periodic billiard orbits for prescribed itineraries.
 
 The reflection points on disk boundaries are parameterized by polar
 angles; the periodic orbit is the critical point of the cyclic length
 functional, found by damped Newton iteration with analytic gradient and
 Hessian.  Bounce i couples only to bounces i-1 and i+1, so the Hessian
-is cyclic tridiagonal and is kept as two ``(M, n)`` bands, its diagonal
+is cyclic tridiagonal and is kept as two ``(M, W)`` bands, its diagonal
 and its cyclic off-diagonal, computed with the length and gradient from
 one frame of points, tangents and flights per Newton trial: the trial's
 length is its decrease test, and an accepted trial's derivatives are the
 next step's.  A bordered LDL^T of the bands, vectorised over rows and
-looping over the ``n`` columns, tests positive definiteness (every pivot
+looping over the columns, tests positive definiteness (every pivot
 positive) and gives the Newton step; its pivot product is det H, which
-Hill's formula ties to the monodromy.  :func:`solve_orbits` runs the
-iteration on an ``(M, n)`` array of angles, one row per cycle of length
-``n``, then certifies every row from one more frame: the residual, the
-incidence angles and the reflection law over ``(M, n)`` arrays, and the
-clearance of each flight from the r - 2 disks it does not touch over
-``(M, n, r - 2)``.  It returns those arrays as columns, one row per
-cycle, and builds no object per cycle.  Every row follows exactly the
-steps it would take alone, so a whole length is solved and certified in
-one batch, and :func:`solve_orbit` is the one-row batch, returned as a
+Hill's formula ties to the monodromy.
+
+:func:`solve_orbits` solves words of several lengths in one batch, one
+row per word, each padded with zeros after its last bounce to the width
+W of the longest.  The Newton iteration runs on one ``(M, W)`` array of
+angles in which a word of length n < W keeps bounces 0..n-2 in columns
+0..n-2 and its last bounce in column W - 1, the border of the LDL^T for
+every row.  The columns between are padding, frozen at flight 0,
+gradient 0 and Hessian diagonal 1 with no coupling, so a row takes bit
+for bit the steps it takes in a batch of its own length.  Cyclic
+neighbours are read through flat gather indices built once per batch.
+The solved rows are then certified over their bounces as one flat
+array: the residual, the incidence angles, the reflection law and the
+clearance of each flight from the r - 2 disks it does not touch.  The
+columns come back as padded ``(M, W)`` arrays, with no object per
+cycle, and a row's result does not depend on which words share its
+batch.  :func:`solve_orbit` is the one-row batch, returned as a
 :class:`PeriodicOrbit`.
 """
 
@@ -53,56 +61,172 @@ class PeriodicOrbit:
         return len(self.word)
 
 
-def _word(labels, i):
-    """Row ``i`` of ``labels`` as a word, for messages."""
-    return tuple(labels[i].tolist())
+# ---------------------------------------------------------------------------
+# batches of words of several lengths
 
 
-def _check_words(config, words):
-    """Labels of equal-length itineraries as an ``(M, n)`` array, after
-    the length, label-range and consecutive-repeat checks on all rows at
-    once.  The first bad word raises, and in a batch of mixed lengths it
-    does so before the batch is refused."""
-    if len({len(w) for w in words}) != 1:
-        for word in words:
-            _check_words(config, [word])
-        raise DomainError("an orbit batch needs at least one word and a single length")
-    labels = np.array(words, dtype=np.int64)
-    short = np.full(len(labels), labels.shape[1] < 2)
-    outside = np.any((labels < 1) | (labels > config.r), axis=1)
-    repeat = np.any(labels == np.roll(labels, -1, axis=1), axis=1)
+def _cells(n, width):
+    """Which cells of padded words hold a bounce: the first ``n`` of a
+    row of length ``n``."""
+    return np.arange(width) < n[:, None]
+
+
+def _length_blocks(n, width):
+    """(rows, block) for every length in ``n``: the rows of that length
+    and the index of their own ``(rows, length)`` block of padded
+    ``(M, width)`` arrays.  A sum or product along a block takes each
+    row's terms in the order a batch of its own length does."""
+    if n.min() == width:
+        return [(slice(None), (slice(None), slice(None)))]
+    blocks = []
+    for length in np.flatnonzero(np.bincount(n)):
+        rows = np.flatnonzero(n == length)
+        blocks.append((rows, (rows, slice(None, length))))
+    return blocks
+
+
+def _word(labels, i, n):
+    """Row ``i`` of padded ``labels``, of length ``n``, as a word, for
+    messages."""
+    return tuple(labels[i, :n].tolist())
+
+
+def _first_failure(n, checks):
+    """The failure to raise: the shortest length with a failing row, the
+    first of ``checks`` that fails at that length and its first failing
+    row, as if every length were a batch of its own.  ``checks`` holds
+    the failing rows of each check in ascending order.  Returns (row,
+    check), or None when nothing fails."""
+    first = None
+    for check, rows in enumerate(checks):
+        if rows.size:
+            i = rows[np.argmin(n[rows])]
+            if first is None or n[i] < n[first[0]]:
+                first = (i, check)
+    return first
+
+
+def _batch(words):
+    """Padded labels ``(M, W)`` and lengths of ``words``: a sequence of
+    words of any lengths, or an ``(M, W)`` int array of words padded
+    with zeros after their last label; a row with a zero before a
+    nonzero label is a word of length W."""
+    if isinstance(words, np.ndarray) and words.ndim == 2:
+        labels = np.asarray(words, dtype=np.int64)
+        n = np.count_nonzero(labels, axis=1)
+        n[np.any((labels != 0) != _cells(n, labels.shape[1]), axis=1)] = labels.shape[1]
+        return labels, n
+    n = np.array([len(word) for word in words], dtype=np.int64)
+    labels = np.zeros((len(n), n.max(initial=0)), dtype=np.int64)
+    for length in np.flatnonzero(np.bincount(n)):
+        rows = np.flatnonzero(n == length)
+        labels[rows, :length] = np.array([words[i] for i in rows], dtype=np.int64)
+    return labels, n
+
+
+def _check_words(config, labels, n):
+    """Refuse the first word that is too short, uses a label outside
+    1..r or repeats a label cyclically, checked on all rows at once."""
+    m, width = labels.shape
+    if m == 0:
+        raise DomainError("an orbit batch needs at least one word")
+    if width < 2:
+        raise DomainError(f"itinerary {_word(labels, 0, n[0])} is too short")
+    cells = _cells(n, width)
+    short = n < 2
+    outside = np.any(((labels < 1) | (labels > config.r)) & cells, axis=1)
+    # each label against the next, and the last against the first
+    repeat = np.any((labels[:, 1:] == labels[:, :-1]) & cells[:, 1:], axis=1)
+    repeat |= labels[np.arange(m), np.maximum(n - 1, 0)] == labels[:, 0]
     bad = np.flatnonzero(short | outside | repeat)
     if bad.size:
         i = bad[0]
-        word = _word(labels, i)
+        word = _word(labels, i, n[i])
         if short[i]:
             raise DomainError(f"itinerary {word} is too short")
         if outside[i]:
             raise DomainError(f"itinerary {word} uses labels outside 1..{config.r}")
         raise DomainError(f"itinerary {word} repeats a label consecutively")
-    return labels
+
+
+# ---------------------------------------------------------------------------
+# the layout of the Newton solve: a row of length n keeps bounces
+# 0..n-2 in columns 0..n-2 and bounce n-1 in the last column W-1, the
+# border of the bordered LDL^T for every row; its padding lies between
+
+
+def _solve_cells(n, width):
+    """Which cells of the Newton layout hold a bounce, for rows of
+    lengths ``n``; in row-major order they run through each row's
+    bounces in order."""
+    col = np.arange(width)
+    return (col < n[:, None] - 1) | (col == width - 1)
+
+
+def _spread(values, cells):
+    """``values`` of every bounce, rows one after another, put in the
+    cells ``cells`` of an array of zeros."""
+    out = np.zeros(cells.shape, dtype=values.dtype)
+    out[cells] = values
+    return out
+
+
+def _columns(n, width):
+    """Columns of the next and of the previous bounce of every cell of
+    the Newton layout, two ``(M, width)`` arrays, for rows of lengths
+    ``n``; a padding cell is its own neighbour."""
+    col = np.arange(width)
+    tail = np.maximum(n - 2, 0)[:, None]  # column of bounce n - 2
+    nxt = np.where(col < tail, col + 1, np.where(col == tail, width - 1, col))
+    prv = np.where((col > 0) & (col <= tail), col - 1, col)
+    nxt[:, -1] = 0
+    prv[:, 0] = width - 1
+    prv[:, -1] = tail[:, 0]
+    return nxt, prv
+
+
+def _gather(cols):
+    """Flat indices of the next and the previous cell of every cell of
+    ``cols`` (:func:`_columns`, which it overwrites), for ``take`` on the
+    ``(M, W)`` arrays of those rows."""
+    m, w = cols[0].shape
+    for a in cols:
+        a += np.arange(0, m * w, w)[:, None]
+    return cols
+
+
+def _links(theta, links):
+    """``links`` of a batch: the flat neighbour indices of its cells
+    (:func:`_gather`) and its padding cells, None when there are none.
+    Without ``links``, those of rows that are all of length W."""
+    if links is not None:
+        return links
+    m, w = theta.shape
+    return _gather(_columns(np.full(m, w), w)), None
+
+
+def _take(links, rows):
+    """The links of ``rows`` (an index array or ``slice(None)``) of a
+    batch, as a batch of their own."""
+    if isinstance(rows, slice):
+        return links
+    gather, pad = links
+    shift = ((rows - np.arange(len(rows))) * gather[0].shape[1])[:, None]
+    return tuple(a[rows] - shift for a in gather), None if pad is None else pad[rows]
 
 
 def _disks(config, words):
-    """Center coordinates and radii along equal-length words, as ``(M, n)``
-    arrays."""
+    """Center coordinates and radii along padded words, as ``(M, W)``
+    arrays; a padding cell (label 0) gets zeros."""
     idx = np.asarray(words, dtype=np.int64) - 1
-    return config.centers[idx, 0], config.centers[idx, 1], config.radii[idx]
+    table = np.zeros((3, config.r + 1))
+    table[:2, :-1], table[2, :-1] = config.centers.T, config.radii
+    return table[0][idx], table[1][idx], table[2][idx]
 
 
-def _next(a):
-    """Cyclic shift along the last axis: column i holds column i+1."""
-    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
-
-
-def _prev(a):
-    """Cyclic shift along the last axis: column i holds column i-1."""
-    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
-
-
-def _default_angles(cx, cy):
-    mx = 0.5 * (_prev(cx) + _next(cx))
-    my = 0.5 * (_prev(cy) + _next(cy))
+def _default_angles(cx, cy, nxt, prv):
+    mx = 0.5 * (cx.take(prv) + cx.take(nxt))
+    my = 0.5 * (cy.take(prv) + cy.take(nxt))
     return np.arctan2(my - cy, mx - cx)
 
 
@@ -110,11 +234,12 @@ def default_angles(config, word) -> np.ndarray:
     """Initial boundary angles: each point faces the midpoint of the
     previous and next disk centers."""
     cx, cy, _ = _disks(config, [tuple(word)])
-    return _default_angles(cx, cy)[0]
+    nxt, prv = _gather(_columns(np.array([len(word)]), len(word)))
+    return _default_angles(cx, cy, nxt, prv)[0]
 
 
 # ---------------------------------------------------------------------------
-# length functional over (M, n) rows; nothing mixes rows, and row sums
+# length functional over (M, W) rows; nothing mixes rows, and row sums
 # run column by column so a row's value does not depend on its batch
 
 
@@ -125,44 +250,68 @@ def _row_sum(a):
     return total
 
 
-def _flights(cx, cy, rad, c, s):
+def _flights(cx, cy, rad, c, s, nxt):
     """Points p at the angles of cosine ``c`` and sine ``s``, flight
-    vectors e and flight lengths f; flight i runs from bounce i to bounce
-    i+1."""
+    vectors e and flight lengths f; flight i runs from bounce i to the
+    bounce at flat index ``nxt[i]``."""
     px, py = cx + rad * c, cy + rad * s
-    ex, ey = _next(px) - px, _next(py) - py
+    ex, ey = px.take(nxt) - px, py.take(nxt) - py
     return px, py, ex, ey, np.sqrt(ex * ex + ey * ey)
 
 
-def _derivatives(cx, cy, rad, theta):
+def _derivatives(cx, cy, rad, theta, links=None):
     """Length, gradient and Hessian bands at ``theta``, from one frame.
 
     The Hessian of the cyclic length is cyclic tridiagonal; it is
     returned as its diagonal ``d`` and its off-diagonal ``e``, with
-    ``e[:, i] = H[i, i+1 mod n]``, both ``(M, n)``.
+    ``e[:, i]`` its entry between bounce i and the next, both ``(M,
+    W)``; ``links`` is that of :func:`_links`.  A padding cell has
+    radius 0 and is its own neighbour, so its flight, gradient and
+    coupling are 0; it divides by 1 instead of its flight 0 and gets
+    diagonal 1.
     """
+    (nxt, prv), pad = _links(theta, links)
     c, s = np.cos(theta), np.sin(theta)
-    px, py, ex, ey, f = _flights(cx, cy, rad, c, s)
+    px, py, ex, ey, f = _flights(cx, cy, rad, c, s, nxt)
+    length = _row_sum(f)
+    if pad is not None:
+        f += pad
+    # the frame's live arrays set the solve's peak memory, so results are
+    # written over inputs that are done with and temporaries are dropped
     # tangents t = dp/dtheta and unit flight directions u
-    tx, ty, ux, uy = -rad * s, rad * c, ex / f, ey / f
+    tx, ty = np.multiply(-rad, s, out=s), np.multiply(rad, c, out=c)
+    ux, uy = np.divide(ex, f, out=ex), np.divide(ey, f, out=ey)
     # flight i contributes -<u_i, t_i> to the gradient at bounce i and
     # +<u_i, t_{i+1}> at bounce i+1
-    di = ux * tx + uy * ty
-    g = (_prev(ux) * tx + _prev(uy) * ty) - di
+    di = ux * tx
+    di += uy * ty
+    g = ux.take(prv)
+    g *= tx
+    g += uy.take(prv) * ty
+    g -= di
     # p'' = -(p - c); the tangent projected off the flight is (I - u u^T) t
-    ax, ay = cx - px, cy - py
-    txj, tyj = _next(tx), _next(ty)
-    axj, ayj = _next(ax), _next(ay)
+    ax, ay = np.subtract(cx, px, out=px), np.subtract(cy, py, out=py)
+    del px, py
     qxi, qyi = tx - ux * di, ty - uy * di
+    start = (qxi * tx + qyi * ty) / f - (ux * ax + uy * ay)
+    del qxi, qyi, di
+    axj = ux * ax.take(nxt)
+    axj += uy * ay.take(nxt)
+    del ax, ay
+    txj, tyj = tx.take(nxt), ty.take(nxt)
     dj = ux * txj + uy * tyj
     qxj, qyj = txj - ux * dj, tyj - uy * dj
-    start = (qxi * tx + qyi * ty) / f - (ux * ax + uy * ay)
-    end = (qxj * txj + qyj * tyj) / f + (ux * axj + uy * ayj)
+    del dj
+    end = (qxj * txj + qyj * tyj) / f + axj
+    del txj, tyj, axj
     cross = -(qxj * tx + qyj * ty) / f
-    return _row_sum(f), g, start + _prev(end), cross
+    d = start + end.take(prv)
+    if pad is not None:
+        d += pad
+    return length, g, d, cross
 
 
-def _cyclic_solve(d, e, r):
+def _cyclic_solve(d, e, r, tail=None):
     """Solve ``H x = r`` for cyclic tridiagonal ``H``, one row per matrix,
     by a bordered LDL^T factorisation.
 
@@ -174,6 +323,12 @@ def _cyclic_solve(d, e, r):
     land on ``H[0, 1]``.  The loops run over the columns only, so
     nothing mixes rows.
 
+    In a padded batch ``tail`` gives each row's column of bounce n-2,
+    whose coupling to the last column goes to the row's own border
+    entry; the padding columns after it have diagonal 1 and no
+    coupling, so they leave every pivot and step of the row's real
+    columns as they are in a batch of its own length.
+
     Returns ``x``, the pivots and which rows are positive definite (all
     pivots positive).  The pivots of a row after its first non-positive
     one are set to 1, so no row divides by zero; its ``x`` is then
@@ -184,7 +339,9 @@ def _cyclic_solve(d, e, r):
     d, e, r = d.T.copy(), e.T.copy(), r.T.copy()
     border = np.zeros((n - 1, m))
     border[0] += e[-1]
-    border[-1] += e[-2]
+    tail, rows = np.full(m, n - 2) if tail is None else tail, np.arange(m)
+    border[tail, rows] += e[tail, rows]
+    e[tail, rows] = 0.0
     pivots = np.empty((n, m))
     l = np.empty((n - 2, m))
     z = np.empty((n - 1, m))
@@ -220,29 +377,32 @@ def _cyclic_solve(d, e, r):
     return x.T, pivots.T, definite
 
 
-def _damped_step(cx, cy, rad, theta, local, gnorm):
+def _damped_step(cx, cy, rad, theta, local, gnorm, links=None):
     """One damped Newton step per row: returns the new angles, the
     length, gradient and Hessian bands there, and which rows moved.
 
     ``local`` holds the length, gradient ``g`` and Hessian bands at
-    ``theta`` (:func:`_derivatives`).  The bordered LDL^T of the bands
-    (:func:`_cyclic_solve`) both tests the Hessian, which is positive
-    definite when every pivot is positive, and gives the Newton step;
-    a row that fails the test takes the step -g.  Near convergence a
-    Newton step is taken in full; otherwise it is halved until the
-    length decreases, and a Newton row that finds no decrease retries
-    along -g.  A row that finds no decrease either way does not move
-    and keeps ``local``.  Every trial is one :func:`_derivatives` frame,
-    whose length is the decrease test, so the accepted trial's
-    derivatives are returned without another frame.
+    ``theta`` (:func:`_derivatives`, with the same ``links``).  The
+    bordered LDL^T of the bands (:func:`_cyclic_solve`) both tests the
+    Hessian, which is positive definite when every pivot is positive,
+    and gives the Newton step; a row that fails the test takes the step
+    -g.  Near convergence a Newton step is taken in full; otherwise it
+    is halved until the length decreases, and a Newton row that finds no
+    decrease retries along -g.  A row that finds no decrease either way
+    does not move and keeps ``local``.  Every trial is one
+    :func:`_derivatives` frame, whose length is the decrease test, so
+    the accepted trial's derivatives are returned without another frame.
     """
+    links = _links(theta, links)
     L0, g, d, e = local
-    delta, _, newton = _cyclic_solve(d, e, -g)
+    # each row's column of bounce n - 2 is the one before its last
+    delta, _, newton = _cyclic_solve(d, e, -g, links[0][1][:, -1] % theta.shape[1])
     delta = np.where(newton[:, None], delta, -g)
     full = newton & (gnorm < FULL_STEP_RESIDUAL)
 
     new, moved, pending = None, np.zeros_like(full), np.ones_like(full)
-    for direction in (delta, -g):
+    for newton_pass in (True, False):
+        direction = delta if newton_pass else -g
         lam = 1.0
         for _ in range(MAX_HALVINGS + 1):
             rows = np.flatnonzero(pending)
@@ -250,7 +410,7 @@ def _damped_step(cx, cy, rad, theta, local, gnorm):
                 break
             at = rows if rows.size < len(theta) else slice(None)
             trial = theta[at] + lam * direction[at]
-            values = _derivatives(cx[at], cy[at], rad[at], trial)
+            values = _derivatives(cx[at], cy[at], rad[at], trial, _take(links, at))
             ok = full[at] | (values[0] < L0[at])
             if new is None:
                 # the first trial, over every row
@@ -268,7 +428,7 @@ def _damped_step(cx, cy, rad, theta, local, gnorm):
     return new, local, moved
 
 
-def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER):
+def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER, links=None):
     """Damped Newton iteration on the cyclic length, one row per orbit.
 
     Rows iterate until the sup norm of their gradient is at most ``tol``,
@@ -276,7 +436,8 @@ def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER):
     residual (gradient sup norm) per row.
     """
     theta = np.array(theta, dtype=float)
-    local = _derivatives(cx, cy, rad, theta)
+    links = _links(theta, links)
+    local = _derivatives(cx, cy, rad, theta, links)
     gnorm = np.max(np.abs(local[1]), axis=1)
     live = gnorm > tol
     for _ in range(max_iter):
@@ -286,13 +447,68 @@ def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER):
         if rows.size == len(theta):
             rows = slice(None)
         theta[rows], values, moved = _damped_step(
-            cx[rows], cy[rows], rad[rows], theta[rows], [a[rows] for a in local], gnorm[rows]
+            cx[rows], cy[rows], rad[rows], theta[rows], [a[rows] for a in local], gnorm[rows],
+            _take(links, rows),
         )
         for a, b in zip(local, values):
             a[rows] = b
         gnorm[rows] = np.max(np.abs(values[1]), axis=1)
         live[rows] = moved & (gnorm[rows] > tol)
     return theta, gnorm
+
+
+def _solve(config, word, n, width, theta0, tol, max_iter):
+    """The Newton iteration on words of lengths ``n`` in its layout.
+    ``word`` and ``theta0`` (None for :func:`default_angles`) hold every
+    bounce as one flat array; returns the angles of every bounce, flat
+    and in [0, 2 pi), and the residual per row."""
+    solve = _solve_cells(n, width)
+    gather = _gather(_columns(n, width))
+    cx, cy, rad = (_spread(a, solve) for a in _disks(config, word))
+    theta = _default_angles(cx, cy, *gather) if theta0 is None else _spread(theta0, solve)
+    links = (gather, None if n.min() == width else ~solve)
+    theta, gnorm = _newton(cx, cy, rad, theta, tol, max_iter, links)
+    return np.mod(theta[solve], 2.0 * np.pi), gnorm
+
+
+def _clearance(config, word, px, py, ex, ey, nxt):
+    """Clearance of every flight from the r - 2 disks it does not touch:
+    the distance from each center to the segment, minus the radius, and
+    the disks' indices, ``(bounces, r - 2)`` each."""
+    idx = word - 1
+    disk = np.arange(config.r)
+    missed = (disk != idx[:, None]) & (disk != idx.take(nxt)[:, None])
+    other = (np.flatnonzero(missed) % config.r).reshape(len(word), config.r - 2)
+    ex, ey = ex[:, None], ey[:, None]
+    xk = config.centers[other, 0] - px[:, None]
+    yk = config.centers[other, 1] - py[:, None]
+    along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    xk -= along * ex
+    yk -= along * ey
+    return np.sqrt(xk * xk + yk * yk) - config.radii[other], other
+
+
+def _certify(config, word, theta, nxt, prv):
+    """Flights and incidence cosines of every bounce, which bounces break
+    the reflection law, and the clearance of the flights
+    (:func:`_clearance`).  ``word`` and ``theta`` hold every bounce as
+    one flat array, whose neighbours are at flat indices ``nxt`` and
+    ``prv``."""
+    nx, ny = np.cos(theta), np.sin(theta)
+    px, py, ex, ey, flights = _flights(*_disks(config, word), nx, ny, nxt)
+    margin, other = _clearance(config, word, px, py, ex, ey, nxt)
+    ux, uy = np.divide(ex, flights, out=ex), np.divide(ey, flights, out=ey)
+    # outgoing direction must leave the disk; its normal component is
+    # the cosine of the incidence angle
+    cos_inc = ux * nx + uy * ny
+    # the incoming direction reflected in the normal must be the outgoing one
+    vx, vy = ux.take(prv), uy.take(prv)
+    twice = 2.0 * (vx * nx + vy * ny)
+    vx -= twice * nx
+    vx -= ux
+    vy -= twice * ny
+    vy -= uy
+    return flights, cos_inc, np.sqrt(vx * vx + vy * vy) > REFLECTION_TOL, margin, other
 
 
 def solve_orbits(
@@ -302,115 +518,115 @@ def solve_orbits(
     tol: float = SOLVER_TOL,
     max_iter: int = MAX_ITER,
 ) -> dict:
-    """Solve the periodic orbits of equal-length cyclic itineraries in one
-    batch, one row per word.
+    """Solve the periodic orbits of cyclic itineraries in one batch, one
+    row per word.
 
     Parameters
     ----------
     config : Configuration
         Must pass :func:`billzeta.geometry.validate`.
-    words : sequence of sequences of int
-        Cyclic itineraries of one length, 1-based disk labels, no
-        immediate repeats.
+    words : sequence of sequences of int, or (M, W) int array
+        Cyclic itineraries of any lengths, 1-based disk labels, no
+        immediate repeats.  An array holds one word per row, padded
+        with zeros after its last label, as
+        :func:`billzeta.symbolic.enumerate_cycles` returns them with
+        ``as_array``; a row with a zero before a label is a word of
+        length W.
     theta0 : array, optional
-        Starting boundary angles, shape ``(len(words), n)``; defaults to
-        :func:`default_angles` of each word.
+        Starting boundary angles, shape ``(M, W)``, each row's first n
+        entries used; defaults to :func:`default_angles` of each word.
     tol : float
         Convergence target for the sup norm of the length gradient.
 
     Every row goes through the same Newton steps and checks as it would
-    alone, so the orbits do not depend on which words share the batch.
+    in a batch of its own length, so the orbits do not depend on which
+    words share the batch.
 
     Returns
     -------
     dict
         ``labels`` (the words), ``angles``, ``flights`` and
-        ``cos_incidence`` as ``(M, n)`` arrays; ``T``, ``residual`` (sup
-        norm of the length gradient) and ``shadow_margin`` (least
-        clearance of a flight from a disk it does not touch) as ``(M,)``
-        arrays.  Row ``i`` is ``words[i]``.
+        ``cos_incidence`` as ``(M, W)`` arrays, each row's first n
+        entries its bounces and 0 after them (``(M, n)`` when every
+        word has length n); ``n`` (the lengths), ``T``, ``residual``
+        (sup norm of the length gradient) and ``shadow_margin`` (least
+        clearance of a flight from a disk it does not touch) as
+        ``(M,)`` arrays.  Row ``i`` is ``words[i]``.
 
     Raises
     ------
     SolverError
-        For the first row that misses ``tol`` (carries its residual) or
-        fails the independent reflection-law check.
+        For a row that misses ``tol`` (carries its residual), is
+        tangential or fails the independent reflection-law check.
     DomainError
-        If the batch is empty or mixes lengths, an itinerary is
-        inadmissible, or a segment crosses an obstacle.
+        If the batch is empty, an itinerary is inadmissible, or a
+        segment crosses an obstacle.
+
+    The first inadmissible word raises.  Otherwise the error raised is
+    that of the shortest length with a failing row, the first failing
+    check there in the order above (a missed ``tol``, tangency, the
+    reflection law, a crossing) and its first failing row: the error a
+    batch per length, shortest first, would raise.
     """
-    labels = _check_words(config, words)
-    m, n = labels.shape
-    cx, cy, rad = _disks(config, labels)
-    if theta0 is None:
-        theta0 = _default_angles(cx, cy)
-    theta = np.array(theta0, dtype=float)
-    if theta.shape != (m, n):
-        raise DomainError(f"theta0 must have shape ({m}, {n})")
-
-    theta, gnorm = _newton(cx, cy, rad, theta, tol, max_iter)
-    stalled = np.flatnonzero(~(gnorm <= tol))
-    if stalled.size:
-        i = stalled[0]
-        raise SolverError(
-            f"orbit solve for {_word(labels, i)} stalled at residual {gnorm[i]:.3e}",
-            residual=float(gnorm[i]),
-        )
-    theta = np.mod(theta, 2.0 * np.pi)
-    nx, ny = np.cos(theta), np.sin(theta)
-    px, py, ex, ey, flights = _flights(cx, cy, rad, nx, ny)
-    ux, uy = ex / flights, ey / flights
-
-    # outgoing direction must leave the disk; its normal component is
-    # the cosine of the incidence angle
-    cos_inc = ux * nx + uy * ny
-    bad = np.argwhere(cos_inc <= 0.0)
-    if bad.size:
-        i = bad[0, 0]
-        raise SolverError(
-            f"orbit for {_word(labels, i)} is tangential or enters its own disk",
-            residual=float(gnorm[i]),
-        )
-
-    # the incoming direction reflected in the normal must be the outgoing one
-    vx, vy = _prev(ux), _prev(uy)
-    twice = 2.0 * (vx * nx + vy * ny)
-    miss = np.hypot(vx - twice * nx - ux, vy - twice * ny - uy)
-    bad = np.argwhere(miss > REFLECTION_TOL)
-    if bad.size:
-        i, j = bad[0]
-        raise SolverError(
-            f"reflection law violated at bounce {j} of {_word(labels, i)}",
-            residual=float(gnorm[i]),
-        )
-
-    # clearance of every flight from the r - 2 disks it does not touch:
-    # distance from each center to each segment, minus the radius,
-    # over (M, n, r - 2)
-    idx = labels - 1
-    disk = np.arange(config.r)
-    missed = (disk != idx[..., None]) & (disk != _next(idx)[..., None])
-    other = (np.flatnonzero(missed) % config.r).reshape(m, n, config.r - 2)
-    ex, ey = ex[..., None], ey[..., None]
-    xk = config.centers[other, 0] - px[..., None]
-    yk = config.centers[other, 1] - py[..., None]
-    along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-    gx, gy = xk - along * ex, yk - along * ey
-    margin = np.sqrt(gx * gx + gy * gy) - config.radii[other]
+    labels, n = _batch(words)
+    _check_words(config, labels, n)
+    m, width = labels.shape
+    # every bounce as one flat array, rows one after another and each
+    # row's bounces in order
+    cells = _cells(n, width)
+    word = labels[cells]
+    if theta0 is not None:
+        theta0 = np.asarray(theta0, dtype=float)
+        if theta0.shape != (m, width):
+            raise DomainError(f"theta0 must have shape ({m}, {width})")
+        theta0 = theta0[cells]
+    theta, gnorm = _solve(config, word, n, width, theta0, tol, max_iter)
+    ends = np.cumsum(n)
+    starts = ends - n
+    row_of = np.repeat(np.arange(m), n)
+    nxt, prv = np.arange(1, len(word) + 1), np.arange(-1, len(word) - 1)
+    nxt[ends - 1], prv[starts] = starts, ends - 1
+    flights, cos_inc, skewed, margin, other = _certify(config, word, theta, nxt, prv)
+    skewed = np.flatnonzero(skewed)
+    tangent = np.flatnonzero(cos_inc <= 0.0)
     crossing = np.argwhere(margin <= 0.0)
-    if crossing.size:
-        i, j, k = crossing[0]
-        k = other[i, j, k]
-        raise DomainError(f"segment {j} of orbit {_word(labels, i)} crosses disk {k + 1}")
 
+    failure = _first_failure(n, (
+        np.flatnonzero(~(gnorm <= tol)), row_of[tangent], row_of[skewed],
+        row_of[crossing[:, 0]],
+    ))
+    if failure is not None:
+        i, check = failure
+        name, residual = _word(labels, i, n[i]), float(gnorm[i])
+        if check == 0:
+            raise SolverError(
+                f"orbit solve for {name} stalled at residual {residual:.3e}", residual=residual
+            )
+        if check == 1:
+            raise SolverError(
+                f"orbit for {name} is tangential or enters its own disk", residual=residual
+            )
+        if check == 2:
+            j = skewed[row_of[skewed] == i][0] - starts[i]
+            raise SolverError(f"reflection law violated at bounce {j} of {name}", residual=residual)
+        c, k = crossing[row_of[crossing[:, 0]] == i][0]
+        raise DomainError(
+            f"segment {c - starts[i]} of orbit {name} crosses disk {other[c, k] + 1}"
+        )
+
+    flights = _spread(flights, cells)
+    T = np.empty(m)
+    for rows, block in _length_blocks(n, width):
+        T[rows] = flights[block].sum(axis=1)
     return {
         "labels": labels,
-        "angles": theta,
+        "n": n,
+        "angles": _spread(theta, cells),
         "flights": flights,
-        "cos_incidence": cos_inc,
-        "T": flights.sum(axis=1),
+        "cos_incidence": _spread(cos_inc, cells),
+        "T": T,
         "residual": gnorm,
-        "shadow_margin": margin.min(axis=(1, 2), initial=np.inf),
+        "shadow_margin": np.minimum.reduceat(margin.min(axis=1, initial=np.inf), starts),
     }
 
 
@@ -427,7 +643,7 @@ def solve_orbit(
     start = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
     rows = solve_orbits(config, [word], start, tol, max_iter)
     return PeriodicOrbit(
-        word=_word(rows["labels"], 0),
+        word=_word(rows["labels"], 0, int(rows["n"][0])),
         angles=rows["angles"][0],
         flights=rows["flights"][0],
         T=float(rows["T"][0]),
@@ -435,4 +651,3 @@ def solve_orbit(
         residual=float(rows["residual"][0]),
         shadow_margin=float(rows["shadow_margin"][0]),
     )
-

@@ -7,15 +7,20 @@ whose expanding eigenvalue must agree with route one; disagreement
 raises.  Each reflection flips orientation, so the signed eigenvalue
 carries a factor (-1) per bounce.
 
-Both routes run over ``(M, n)`` arrays, one row per orbit of length
-``n``: :func:`stability_records` certifies a whole length in one batch
-from the columns :func:`orbits.solve_orbits` returns and gives back the
+Both routes run over ``(M, W)`` arrays, one row per orbit, each row's
+first n entries its bounces and zeros after them:
+:func:`stability_records` certifies a batch of any lengths from the
+columns :func:`orbits.solve_orbits` returns and gives back the
 curvatures and signed eigenvalues as columns, with no object per cycle.
-Their loops over the bounces read columns, so both take the ``(n, M)``
-transpose once and read each column as a contiguous row.
-:func:`stability_record` (a :class:`StabilityRecord`),
-:func:`unstable_curvatures` and :func:`monodromy` are its one-row calls.
-Nothing mixes rows, so a row's result does not depend on its batch.
+Their loops over the bounces read columns, so both take the ``(W, M)``
+transpose once and read each column as a contiguous row.  A padding
+column has flight 0 and kick 0, so it passes the curvature and the
+monodromy on unchanged from a row's last bounce to its first, and the
+product of the expansion factors is taken over each length's own
+``(M_n, n)`` block.  :func:`stability_record` (a
+:class:`StabilityRecord`), :func:`unstable_curvatures` and
+:func:`monodromy` are its one-row calls.  Nothing mixes rows, so a row's
+result does not depend on its batch.
 """
 
 from dataclasses import dataclass
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HyperbolicityError, NumericalError
-from .orbits import PeriodicOrbit, _word
+from .orbits import PeriodicOrbit, _cells, _first_failure, _length_blocks, _word
 
 CURVATURE_TOL = 1e-13
 MAX_SWEEPS = 500
@@ -37,9 +42,11 @@ def wavefront_green(kappa: float, y: float) -> float:
 
 def _kicks(config, labels, cos_incidence):
     """Reflection kicks ``2 k_B / cos(phi)`` and boundary curvatures
-    ``k_B`` along equal-length words, ``(M, n)`` each."""
-    kb = 1.0 / config.radii[labels - 1]
-    return 2.0 * kb / cos_incidence, kb
+    ``k_B`` along padded words, ``(M, W)`` each; both are 0 in the
+    padding (label 0)."""
+    kb = np.append(1.0 / config.radii, 0.0)[labels - 1]
+    kicks = np.divide(2.0 * kb, cos_incidence, out=np.zeros_like(kb), where=labels != 0)
+    return kicks, kb
 
 
 def _one_row(config, orbit: PeriodicOrbit):
@@ -49,19 +56,25 @@ def _one_row(config, orbit: PeriodicOrbit):
     return (labels, orbit.flights[None], *_kicks(config, labels, orbit.cos_incidence[None]))
 
 
-def _curvature_sweeps(flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_SWEEPS):
+def _curvature_sweeps(
+    flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_SWEEPS, cells=None
+):
     """Periodic point of the curvature transport map, one row per cycle.
 
     ``kappa[:, i]`` is the outgoing (post-reflection) wavefront curvature
     at bounce ``i``; a flight of length ``f`` maps ``k`` to ``k/(1+f k)``
     and the reflection at bounce ``j`` adds ``kicks[:, j]``.  Each sweep
     goes around the cycle bounce by bounce, and a row stops after the
-    first sweep that moves it less than ``tol`` in sup norm.  Returns
-    (kappa, sweeps per row, settled per row).
+    first sweep that moves it less than ``tol`` in sup norm over
+    ``cells``, the cells that hold a bounce (all when None); a padding
+    cell, with flight and kick 0, passes its curvature on unchanged.
+    Returns (kappa, sweeps per row, settled per row).
     """
     kappa = np.array(kappa0, dtype=float).T.copy()
     flights, kicks = flights.T.copy(), kicks.T.copy()
     n, m = kappa.shape
+    # columns that are padding in some row, with the rows that have a bounce there
+    holes = {} if cells is None else {j: c for j, c in enumerate(cells.T) if not c.all()}
     sweeps = np.zeros(m, dtype=np.int64)
     live = np.ones(m, dtype=bool)
     for _ in range(max_sweeps):
@@ -69,11 +82,14 @@ def _curvature_sweeps(flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_
         if rows.size == 0:
             break
         k, f, kick = (np.take(a, rows, axis=1) for a in (kappa, flights, kicks))
+        real = {j: c[rows] for j, c in holes.items()}
         diff = np.zeros(rows.size)
         for i in range(n):
             j = (i + 1) % n
             new = k[i] / (1.0 + f[i] * k[i]) + kick[j]
             d = np.abs(new - k[j])
+            if j in real:
+                d *= real[j]
             diff = np.where(d > diff, d, diff)
             k[j] = new
         kappa[:, rows] = k
@@ -82,28 +98,34 @@ def _curvature_sweeps(flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_
     return kappa.T.copy(), sweeps, ~live
 
 
+def _unsettled(labels, i, n):
+    return NumericalError(
+        f"curvature transport for {_word(labels, i, n)} did not settle in {MAX_SWEEPS} sweeps"
+    )
+
+
 def _curvatures(labels, flights, kicks, kb):
     kappa, _, settled = _curvature_sweeps(flights, kicks, kb)
     if not settled.all():
-        word = _word(labels, np.flatnonzero(~settled)[0])
-        raise NumericalError(
-            f"curvature transport for {word} did not settle in {MAX_SWEEPS} sweeps"
-        )
+        raise _unsettled(labels, np.flatnonzero(~settled)[0], labels.shape[1])
     return kappa
 
 
-def _monodromies(flights, kicks):
-    """:func:`monodromy` of every row, ``(M, 2, 2)``."""
-    m, n = flights.shape
+def _monodromies(flights, kicks, n=None):
+    """:func:`monodromy` of every row, ``(M, 2, 2)``; ``n`` holds the
+    row lengths, whose parity gives the sign (W for every row when
+    None)."""
+    m, width = flights.shape
     # mono[a, b] is entry (a, b) of every row
     flights, kicks = flights.T.copy(), kicks.T.copy()
     mono = np.zeros((2, 2, m))
     mono[0, 0] = mono[1, 1] = 1.0
-    for i in range(n):
-        j = (i + 1) % n
+    for i in range(width):
+        j = (i + 1) % width
         mono[0] += flights[i] * mono[1]
         mono[1] += kicks[j] * mono[0]
-    return np.ascontiguousarray(np.moveaxis(-mono if n % 2 == 1 else mono, -1, 0))
+    mono *= np.where((width if n is None else n) % 2 == 1, -1.0, 1.0)
+    return np.ascontiguousarray(np.moveaxis(mono, -1, 0))
 
 
 def unstable_curvatures(config, orbit: PeriodicOrbit) -> np.ndarray:
@@ -128,16 +150,26 @@ def monodromy(config, orbit: PeriodicOrbit) -> np.ndarray:
     return _monodromies(flights, kicks)[0]
 
 
+def _not_hyperbolic(tr):
+    return HyperbolicityError(f"monodromy trace {tr} is not hyperbolic")
+
+
+def _eigenvalue(tr):
+    """Signed expanding eigenvalue for the traces with |trace| > 2, and a
+    finite value for the others."""
+    hyperbolic = np.abs(tr) > 2.0
+    return 0.5 * (tr + np.sign(tr) * np.sqrt(np.where(hyperbolic, tr * tr - 4.0, 0.0))), hyperbolic
+
+
 def expanding_eigenvalue(M: np.ndarray):
     """Signed eigenvalue of unit-determinant 2x2 matrices ``(..., 2, 2)``
     with |trace| > 2."""
     tr = np.trace(M, axis1=-2, axis2=-1)
-    bad = np.flatnonzero(~(np.abs(tr) > 2.0))
+    lam, hyperbolic = _eigenvalue(tr)
+    bad = np.flatnonzero(~hyperbolic)
     if bad.size:
-        raise HyperbolicityError(
-            f"monodromy trace {np.ravel(tr)[bad[0]]} is not hyperbolic"
-        )
-    return 0.5 * (tr + np.sign(tr) * np.sqrt(tr * tr - 4.0))
+        raise _not_hyperbolic(np.ravel(tr)[bad[0]])
+    return lam
 
 
 @dataclass(frozen=True)
@@ -163,12 +195,13 @@ class StabilityRecord:
 
 
 def stability_records(config, labels, flights, cos_incidence):
-    """Stability of equal-length orbits in one batch, both routes per row.
+    """Stability of orbits of any lengths in one batch, both routes per
+    row.
 
-    ``labels``, ``flights`` and ``cos_incidence`` are the ``(M, n)``
-    columns of :func:`orbits.solve_orbits`.  Returns the periodic
-    curvatures ``kappa``, ``(M, n)``, and the signed expanding
-    eigenvalues ``lam``, ``(M,)``.
+    ``labels``, ``flights`` and ``cos_incidence`` are the ``(M, W)``
+    columns of :func:`orbits.solve_orbits`, words padded with zeros.
+    Returns the periodic curvatures ``kappa``, ``(M, W)`` with 0 in the
+    padding, and the signed expanding eigenvalues ``lam``, ``(M,)``.
 
     Raises
     ------
@@ -179,28 +212,48 @@ def stability_records(config, labels, flights, cos_incidence):
         eigenvalue disagrees with the curvature route beyond a relative
         1e-8.
     DomainError
-        If the batch is empty or the three arrays are not of one
-        ``(M, n)`` shape.
+        If the batch is empty, the three arrays are not of one
+        ``(M, W)`` shape or the zeros of ``labels`` are not padding.
+
+    The error raised is that of the shortest length with a failing row,
+    the first failing check there in the order above and its first
+    failing row: the error a batch per length, shortest first, would
+    raise.
     """
     labels = np.asarray(labels, dtype=np.int64)
     flights, cos_incidence = np.asarray(flights, float), np.asarray(cos_incidence, float)
     shapes = {labels.shape, flights.shape, cos_incidence.shape}
     if labels.ndim != 2 or not labels.size or len(shapes) != 1:
-        raise DomainError("a stability batch needs at least one orbit and a single length")
+        raise DomainError("a stability batch needs at least one orbit and one (M, W) shape")
+    m, width = labels.shape
+    n = np.count_nonzero(labels, axis=1)
+    cells = _cells(n, width)
+    if not np.array_equal(labels != 0, cells) or n.min() < 2:
+        raise DomainError("stability labels must be words of length 2 or more, padded with zeros")
     kicks, kb = _kicks(config, labels, cos_incidence)
-    kappa = _curvatures(labels, flights, kicks, kb)
-    lam_abs = np.prod(1.0 + flights * kappa, axis=1)
-    lam_mono = expanding_eigenvalue(_monodromies(flights, kicks))
-    sign = -1 if labels.shape[1] % 2 == 1 else 1
-    agree = np.isclose(lam_mono, sign * lam_abs, rtol=CROSS_CHECK_RTOL, atol=0.0)
-    bad = np.flatnonzero(~agree)
-    if bad.size:
-        i = bad[0]
+    kappa, _, settled = _curvature_sweeps(flights, kicks, kb, cells=cells)
+    kappa[~cells] = 0.0
+    lam_abs = np.empty(m)
+    for rows, block in _length_blocks(n, width):
+        lam_abs[rows] = np.prod(1.0 + flights[block] * kappa[block], axis=1)
+    tr = np.trace(_monodromies(flights, kicks, n), axis1=-2, axis2=-1)
+    lam_mono, hyperbolic = _eigenvalue(tr)
+    lam = np.where(n % 2 == 1, -lam_abs, lam_abs)
+    agree = np.isclose(lam_mono, lam, rtol=CROSS_CHECK_RTOL, atol=0.0)
+    failure = _first_failure(n, (
+        np.flatnonzero(~settled), np.flatnonzero(~hyperbolic), np.flatnonzero(~agree)
+    ))
+    if failure is not None:
+        i, check = failure
+        if check == 0:
+            raise _unsettled(labels, i, n[i])
+        if check == 1:
+            raise _not_hyperbolic(tr[i])
         raise HyperbolicityError(
-            f"stability mismatch for {_word(labels, i)}: curvature route "
-            f"{sign * lam_abs[i]}, monodromy route {lam_mono[i]}"
+            f"stability mismatch for {_word(labels, i, n[i])}: curvature route "
+            f"{lam[i]}, monodromy route {lam_mono[i]}"
         )
-    return kappa, sign * lam_abs
+    return kappa, lam
 
 
 def stability_record(config, orbit: PeriodicOrbit) -> StabilityRecord:

@@ -103,7 +103,7 @@ def _admissible_codes(r: int, n: int):
     return code[last != first]
 
 
-def enumerate_cycles(r: int, n_max: int, n_min: int = 2):
+def enumerate_cycles(r: int, n_max: int, n_min: int = 2, as_array: bool = False):
     """All primitive cyclic classes of length n_min..n_max, canonical words.
 
     Every cyclically admissible word of a length is coded as a base-r
@@ -113,26 +113,34 @@ def enumerate_cycles(r: int, n_max: int, n_min: int = 2):
     out words that repeat a shorter block.  The count per length is
     cross-checked against the Moebius count, so enumeration and the
     closed-form trace can never drift apart silently.  Returns a list of
-    1-based tuples sorted by (length, word).
+    1-based tuples sorted by (length, word); with ``as_array``, the same
+    words as the rows of one ``(M, n_max)`` int64 array, each padded
+    with zeros after its last label.  Either way ``len()`` of the result
+    is the number of cycles.
     """
     if r < 3:
         raise ValueError("need at least 3 symbols")
-    cycles = []
+    blocks = []
     for n in range(n_min, n_max + 1):
         code = _admissible_codes(r, n)
-        keep = np.ones(code.size, dtype=bool)
         for k in range(1, n):
             low = r ** (n - k)
-            keep &= code < (code % low) * r**k + code // low
-        code = np.sort(code[keep])
+            code = code[code < (code % low) * r**k + code // low]
+        code = np.sort(code)
         cap = primitive_class_count(r, n)
         if code.size != cap:
             raise AssertionError(
                 f"enumeration found {code.size} classes of length {n}, expected {cap}"
             )
-        digits = code[:, None] // r ** np.arange(n - 1, -1, -1, dtype=np.int64) % r + 1
-        cycles += [tuple(row) for row in digits.tolist()]
-    return cycles
+        blocks.append(code[:, None] // r ** np.arange(n - 1, -1, -1, dtype=np.int64) % r + 1)
+    if not as_array:
+        return [tuple(row) for digits in blocks for row in digits.tolist()]
+    words = np.zeros((sum(len(digits) for digits in blocks), n_max), dtype=np.int64)
+    row = 0
+    for digits in blocks:
+        words[row : row + len(digits), : digits.shape[1]] = digits
+        row += len(digits)
+    return words
 
 
 def class_representatives(words, r: int, symmetries) -> np.ndarray:

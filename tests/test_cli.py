@@ -12,6 +12,7 @@ from billzeta.cli import _conjugate_closed
 from billzeta.database import save_database
 from billzeta.errors import MalformedInputError
 from billzeta.geometry import config_digest, save_config
+from billzeta.symbolic import primitive_class_count
 from billzeta.zeta import Pole, real_zero
 from tests.conftest import equilateral_config, records, subprocess_env, take_rows
 
@@ -115,13 +116,27 @@ def test_extended_cache_equals_fresh_build(cli_env, tmp_path, monkeypatch):
     lengths = []
 
     def spy(config, words, *args, **kwargs):
-        lengths.append(len(words[0]))
-        return solve_orbits(config, words, *args, **kwargs)
+        solved = solve_orbits(config, words, *args, **kwargs)
+        lengths.extend(solved["n"].tolist())
+        return solved
 
     monkeypatch.setattr(orbits, "solve_orbits", spy)
     assert cli.main(["orbits", "--cache", str(extended), "--nmax", "7"]) == 0
-    assert lengths == [6, 7]
+    # every cycle of lengths 6 and 7 is solved once, and no other
+    assert lengths == [6] * primitive_class_count(3, 6) + [7] * primitive_class_count(3, 7)
     assert extended.read_bytes() == fresh.read_bytes()
+
+
+def test_orbit_failure_exits_three_naming_the_shortest_length(cli_env, tmp_path, monkeypatch,
+                                                              capsys):
+    from billzeta import cli, orbits
+
+    monkeypatch.setattr(orbits, "REFLECTION_TOL", -1.0)
+    cache = tmp_path / "orbits.jsonl"
+    argv = ["orbits", "--config", str(cli_env["config"]), "--cache", str(cache), "--nmax", "6"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: reflection law violated at bounce 0 of (1, 2)\n"
+    assert not cache.exists()
 
 
 def test_out_of_range_integer_flags_are_usage_errors(cli_env, tmp_path):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from billzeta.symbolic import enumerate_cycles, primitive_class_count
 from tests.conftest import (
     OrbitRecord,
     equilateral_config,
+    moved_equilateral,
     record_for,
     records,
     take_rows,
@@ -365,3 +368,73 @@ def test_cache_load_copies_nothing(tmp_path, db14):
         tracemalloc.stop()
     assert peak < 1.25 * path.stat().st_size
     assert_same_columns(db14, db)
+
+
+@pytest.mark.parametrize("config, n_max", [
+    (equilateral_config(), 10),
+    (unequal_four_disks(), 7),
+    (moved_equilateral(2), 9),
+])
+def test_grouped_build_rows_equal_their_lone_solves(config, n_max):
+    # lengths 2..n_max-1 share one padded batch, so its words of length
+    # 2 and 3 have padding that must produce no 0/0 or other warning
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        db = build_database(config, n_max)
+    for rec in records(db):
+        orbit = solve_orbit(config, rec.word)
+        stab = stability_record(config, orbit)
+        assert rec.T == orbit.T and rec.residual == orbit.residual
+        assert rec.shadow_margin == orbit.shadow_margin
+        for a, b in ((rec.angles, orbit.angles), (rec.flights, orbit.flights),
+                     (rec.cos_incidence, orbit.cos_incidence), (rec.kappa, stab.kappa)):
+            assert np.array_equal(a, b)
+        assert rec.lam == stab.lam
+
+
+def test_build_raises_the_error_of_the_shortest_failing_length(config, monkeypatch):
+    from billzeta import orbits, stability
+    from billzeta.errors import HyperbolicityError, SolverError
+
+    # every row fails the stability cross-check, and the solve of any
+    # batch that holds a cycle of length 5 or more fails: the length-2
+    # cross-check must still be the error, as with a batch per length
+    monkeypatch.setattr(stability, "CROSS_CHECK_RTOL", -1.0)
+    solve_orbits = orbits.solve_orbits
+
+    def failing(config, words, *args, **kwargs):
+        solved = solve_orbits(config, words, *args, **kwargs)
+        if solved["n"].max() >= 5:
+            raise SolverError("a solve of length 5 or more fails")
+        return solved
+
+    monkeypatch.setattr(orbits, "solve_orbits", failing)
+    with pytest.raises(HyperbolicityError, match=re.escape("stability mismatch for (1, 2)")):
+        build_database(config, 7)
+    # a solve failure comes before the stability failure of its own length
+    monkeypatch.setattr(orbits, "solve_orbits", solve_orbits)
+    monkeypatch.setattr(orbits, "REFLECTION_TOL", -1.0)
+    with pytest.raises(SolverError,
+                       match=re.escape("reflection law violated at bounce 0 of (1, 2)")):
+        build_database(config, 7)
+
+
+def test_grouped_build_peaks_below_the_per_length_build(config):
+    # measured this way, the build that solved one batch per length
+    # peaked at 3.57 MB for a build to 13 and at 6.83 MB for a build to 12
+    # extended to 14; the bounds are below both, so the padded batch of
+    # lengths 2..12, 1.09 times the cells of length 13, cannot grow into
+    # a larger peak
+    build_database(config, 4)
+    tracemalloc.start()
+    try:
+        build_database(config, 13)
+        _, build13 = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        tracemalloc.start()
+        extend_database(build_database(config, 12), 14)
+        _, extended = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build13 < 3.39e6
+    assert extended < 6.55e6

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from billzeta import orbits
 from billzeta.database import build_database
 from billzeta.errors import BilliardError, DomainError, SolverError
 from billzeta.geometry import Configuration, Disk
@@ -206,12 +207,18 @@ def test_two_disks_leave_no_disk_to_clear():
     assert orbit.T == 8.0
 
 
-def test_batch_of_mixed_lengths_or_no_words_is_domain_error(config):
-    for words in ([(1, 2), (1, 2, 3)], []):
+def test_batch_of_no_words_or_a_misshapen_start_is_domain_error(config):
+    # words of different lengths share a padded batch
+    mixed = solve_orbits(config, [(1, 2), (1, 2, 3)])
+    assert mixed["n"].tolist() == [2, 3]
+    assert mixed["labels"].tolist() == [[1, 2, 0], [1, 2, 3]]
+    for words in ([], np.empty((0, 3), dtype=int)):
         with pytest.raises(DomainError):
             solve_orbits(config, words)
     with pytest.raises(DomainError):
         solve_orbits(config, [(1, 2), (1, 3)], theta0=np.zeros((1, 2)))
+    with pytest.raises(DomainError):
+        solve_orbits(config, [(1, 2), (1, 2, 3)], theta0=np.zeros((2, 2)))
 
 
 def test_cyclic_solve_matches_dense_linear_algebra():
@@ -275,3 +282,41 @@ def test_hill_formula_ties_the_pivots_to_the_monodromy(make_config):
         lam = db.lam[rows]
         hill = (-1) ** n * (lam + 1.0 / lam - 2.0) * e.prod(axis=1)
         assert np.allclose(pivots.prod(axis=1), hill, rtol=1e-12, atol=0.0), n
+
+
+def test_reflection_check_names_the_first_bounce(config, monkeypatch):
+    # below 0 every bounce fails the check
+    monkeypatch.setattr(orbits, "REFLECTION_TOL", -1.0)
+    message = re.escape("reflection law violated at bounce 0 of (1, 2)")
+    with pytest.raises(SolverError, match=message) as info:
+        solve_orbit(config, (1, 2))
+    assert info.value.residual <= SOLVER_TOL
+    with pytest.raises(SolverError, match=message):
+        solve_orbits(config, [(1, 2, 3), (1, 2), (1, 3)])
+
+
+def test_batch_of_several_lengths_raises_for_the_shortest_failing_length():
+    # disk 3 sits just above the line from disk 1 to disk 2: (1, 2) and
+    # (1, 4, 2) both cross it, (3, 4) clears every disk
+    config = Configuration(tuple(
+        Disk(center, 1.0) for center in ((0.0, 0.0), (10.0, 0.0), (5.0, 0.3), (5.0, 8.0))
+    ))
+    words = [(1, 4, 2), (1, 2), (3, 4)]
+    start = np.zeros((3, 3))
+    for i, word in enumerate(words):
+        start[i, : len(word)] = default_angles(config, word)
+    # the longer word comes first but the shorter one is named
+    with pytest.raises(DomainError, match=re.escape("segment 0 of orbit (1, 2) crosses disk 3")):
+        solve_orbits(config, words)
+    # a stall is checked before a crossing at the same length, even in a
+    # later row; a stall at a longer length comes after both
+    stalled = start.copy()
+    stalled[[0, 2], 0] += 0.3
+    with pytest.raises(SolverError, match=re.escape("orbit solve for (3, 4) stalled")):
+        solve_orbits(config, words, theta0=stalled, max_iter=0)
+    stalled = start.copy()
+    stalled[0, 0] += 0.3
+    with pytest.raises(DomainError, match=re.escape("segment 0 of orbit (1, 2) crosses disk 3")):
+        solve_orbits(config, words, theta0=stalled, max_iter=0)
+    with pytest.raises(DomainError, match=re.escape("segment 2 of orbit (1, 4, 2) crosses disk 3")):
+        solve_orbits(config, [words[0], words[2]])

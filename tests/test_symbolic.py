@@ -77,6 +77,15 @@ def test_enumeration_from_a_minimum_length_is_the_tail(r):
         assert enumerate_cycles(r, 9, n_min=k) == [w for w in every if len(w) >= k]
 
 
+@pytest.mark.parametrize("r", [3, 4])
+def test_enumeration_as_an_array_pads_the_same_words_with_zeros(r):
+    for n_min in (2, 5, 8):
+        words = enumerate_cycles(r, 8, n_min=n_min)
+        array = enumerate_cycles(r, 8, n_min=n_min, as_array=True)
+        assert array.dtype == np.int64 and len(array) == len(words)
+        assert array.tolist() == [list(w) + [0] * (8 - len(w)) for w in words]
+
+
 def test_enumerated_words_are_canonical_admissible_primitive():
     for w in enumerate_cycles(3, 7):
         canon, shift = canonical_rotation(w)
