@@ -40,12 +40,14 @@ def wavefront_green(kappa: float, y: float) -> float:
     return -0.5 * kappa / (1.0 + kappa * y)
 
 
-def _kicks(config, labels, cos_incidence):
+def _kicks(config, labels, cos_incidence, cells=None):
     """Reflection kicks ``2 k_B / cos(phi)`` and boundary curvatures
     ``k_B`` along padded words, ``(M, W)`` each; both are 0 in the
-    padding (label 0)."""
+    padding (label 0), the cells outside ``cells`` (None when every cell
+    holds a bounce)."""
     kb = np.append(1.0 / config.radii, 0.0)[labels - 1]
-    kicks = np.divide(2.0 * kb, cos_incidence, out=np.zeros_like(kb), where=labels != 0)
+    where = True if cells is None else cells
+    kicks = np.divide(2.0 * kb, cos_incidence, out=np.zeros_like(kb), where=where)
     return kicks, kb
 
 
@@ -227,16 +229,18 @@ def stability_records(config, labels, flights, cos_incidence):
         raise DomainError("a stability batch needs at least one orbit and one (M, W) shape")
     m, width = labels.shape
     n = np.count_nonzero(labels, axis=1)
-    cells = _cells(n, width)
-    if not np.array_equal(labels != 0, cells) or n.min() < 2:
+    # a batch of one length has no padding: its counts prove the layout
+    cells = None if n.min() == width else _cells(n, width)
+    if (cells is not None and not np.array_equal(labels != 0, cells)) or n.min() < 2:
         raise DomainError("stability labels must be words of length 2 or more, padded with zeros")
-    kicks, kb = _kicks(config, labels, cos_incidence)
+    kicks, kb = _kicks(config, labels, cos_incidence, cells)
     kappa, _, settled = _curvature_sweeps(flights, kicks, kb, cells=cells)
-    kappa[~cells] = 0.0
+    if cells is not None:
+        kappa[~cells] = 0.0
     lam_abs = np.empty(m)
     for rows, block in _length_blocks(n, width):
         lam_abs[rows] = np.prod(1.0 + flights[block] * kappa[block], axis=1)
-    tr = np.trace(_monodromies(flights, kicks, n), axis1=-2, axis2=-1)
+    tr = np.trace(_monodromies(flights, kicks, None if cells is None else n), axis1=-2, axis2=-1)
     lam_mono, hyperbolic = _eigenvalue(tr)
     lam = np.where(n % 2 == 1, -lam_abs, lam_abs)
     agree = np.isclose(lam_mono, lam, rtol=CROSS_CHECK_RTOL, atol=0.0)

@@ -89,24 +89,28 @@ def is_cyclically_admissible(word) -> bool:
     return all(word[i] != word[(i + 1) % n] for i in range(n))
 
 
-def _admissible_codes(r: int, n: int):
-    """Every cyclically admissible word of length ``n`` as a base-``r``
-    integer (0-based symbols, first symbol most significant)."""
-    first = np.arange(r, dtype=np.int64)
-    step = np.arange(1, r, dtype=np.int64)
-    code, last = first, first
+def _admissible_codes(r: int, n: int, first: int):
+    """Every cyclically admissible word of length ``n`` that starts with
+    the symbol ``first`` and uses none below it, as a base-``r`` integer
+    (0-based symbols, first symbol most significant)."""
+    q = r - first
+    step = np.arange(1, q, dtype=np.int64)
+    # symbols are counted from ``first``
+    code, last = np.array([first], dtype=np.int64), np.zeros(1, dtype=np.int64)
     for _ in range(n - 1):
-        nxt = (last[:, None] + step) % r
-        code = (code[:, None] * r + nxt).ravel()
+        nxt = (last[:, None] + step) % q
+        code = (code[:, None] * r + first + nxt).ravel()
         last = nxt.ravel()
-        first = np.repeat(first, r - 1)
-    return code[last != first]
+    return code[last != 0]
 
 
 def enumerate_cycles(r: int, n_max: int, n_min: int = 2, as_array: bool = False):
     """All primitive cyclic classes of length n_min..n_max, canonical words.
 
-    Every cyclically admissible word of a length is coded as a base-r
+    A canonical rotation starts with its least symbol, so only the
+    cyclically admissible words whose first symbol is their least are
+    built, one first symbol at a time; none starts with the last symbol,
+    which only a lesser one can follow.  Each is coded as a base-r
     integer, so that integer order is lexicographic order, and kept
     exactly when its code is strictly below the codes of all its
     nontrivial rotations: that makes it the canonical rotation and rules
@@ -122,7 +126,7 @@ def enumerate_cycles(r: int, n_max: int, n_min: int = 2, as_array: bool = False)
         raise ValueError("need at least 3 symbols")
     blocks = []
     for n in range(n_min, n_max + 1):
-        code = _admissible_codes(r, n)
+        code = np.concatenate([_admissible_codes(r, n, first) for first in range(r - 1)])
         for k in range(1, n):
             low = r ** (n - k)
             code = code[code < (code % low) * r**k + code // low]

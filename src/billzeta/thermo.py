@@ -9,6 +9,14 @@ on length-k words; its leading eigenvalue gives the pressure
 P(-s f + beta g), and the abscissas of the orbit series are the roots
 in s of P = 0 at beta = 0, 1/2, 1.
 
+The potentials are integer-array work.  Words are base-r integers of
+0-based symbols, whose order is lexicographic; integer arithmetic closes
+each (k+1)-word, reduces it to its primitive root and turns that to its
+least rotation, one search per root length in the database's sorted
+words finds the cycle, and f and g are gathered from its per-bounce
+columns: the values of the word-by-word rule that ``tests/test_thermo.py``
+keeps as its oracle.
+
 Both pressures, the transfer one and the periodic-point approximant, are
 convex and decreasing in s with slope -<f> between minus the longest and
 minus the shortest flight.  A secant iteration from s = 0 whose first
@@ -21,40 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, PowerIterationError
-from .symbolic import canonical_rotation, enumerate_words, primitive_root
 
 PRESSURE_TOL = 1e-10
 ROOT_MAX_STEPS = 50
 POWER_TOL = 1e-13  # relative width of the eigenvalue bracket at which power iteration stops
 POWER_MAX_ITER = 200000
 SIGN_DEAD_BAND = 1e-6  # |P(g)| at or below which sign_check_b1 reports 0
-
-
-def closing_word(word):
-    """Periodic word whose orbit realizes the cylinder: drop the last
-    symbol when it repeats the first, otherwise the word itself."""
-    if len(word) >= 2 and word[0] == word[-1]:
-        return word[:-1]
-    return word
-
-
-def cylinder_values(db, word):
-    """(flight, curvature, contraction) of the cylinder's center bounce.
-
-    The word is closed, reduced to its primitive root, and looked up in
-    the database; the center position is mapped through the canonical
-    rotation to index the cycle's row of the flat per-bounce columns.
-    """
-    k = len(word) - 1
-    closed = closing_word(word)
-    root, _ = primitive_root(closed)
-    canon, shift = canonical_rotation(root)
-    m = (k // 2) % len(root)
-    at = db.bounds[db.row(canon)] + (m - shift) % len(root)
-    f = float(db.flights[at])
-    kappa = float(db.kappa[at])
-    g = -np.log1p(f * kappa)
-    return f, kappa, g
 
 
 @dataclass(frozen=True)
@@ -88,6 +68,47 @@ class CylinderPotential:
         return B
 
 
+def _successors(codes, r: int):
+    """The admissible one-symbol extensions of base-r words, in order."""
+    ext = codes[:, None] * r + np.arange(r)
+    return ext[np.arange(r) != codes[:, None] % r]
+
+
+def _center_bounces(db, words, k: int):
+    """Flat per-bounce index of each (k+1)-word's center bounce, the
+    word closed (its last symbol dropped when it repeats the first)."""
+    r = db.config.r
+    closes = words // r**k == words % r
+    length = k + 1 - closes
+    closed = np.where(closes, words // r, words)
+    # the shortest period d | length: the word is its head repeated
+    period = length.copy()
+    for d in range(k, 0, -1):
+        whole = length % d == 0
+        head = closed // r ** np.where(whole, length - d, 0)
+        period[whole & (head * ((r**length - 1) // (r**d - 1)) == closed)] = d
+    root = closed // r ** (length - period)
+    # every rotation of the root, row s by s symbols (s mod its length)
+    s = np.arange(k + 1)[:, None] % period
+    rotations = root % r ** (period - s) * r**s + root // r ** (period - s)
+    shift = rotations.argmin(axis=0)
+    canon = rotations.min(axis=0)
+    row = np.empty_like(words)
+    for p in np.flatnonzero(np.bincount(period)):
+        start, stop = np.searchsorted(db.n, [p, p + 1])
+        block = db.word[db.bounds[start] : db.bounds[stop]].reshape(-1, p) - 1
+        codes = block @ r ** np.arange(p - 1, -1, -1)
+        sel = period == p
+        i = np.searchsorted(codes, canon[sel])
+        row[sel] = np.where(np.append(codes, -1)[i] == canon[sel], start + i, -1)
+    missing = np.flatnonzero(row < 0)
+    if missing.size:
+        j = missing[0]
+        word = canon[j] // r ** np.arange(period[j] - 1, -1, -1) % r + 1
+        raise DomainError(f"orbit database has no cycle {tuple(word.tolist())}")
+    return db.bounds[row] + ((k // 2) % period - shift) % period
+
+
 def build_potentials(db, k: int) -> CylinderPotential:
     """Tabulate f and g on all admissible (k+1)-words of the database's
     configuration and lay out the transfer graph on k-words."""
@@ -98,28 +119,22 @@ def build_potentials(db, k: int) -> CylinderPotential:
             f"memory k={k} needs orbits of period {k + 1}; database stops at {db.n_max}"
         )
     r = db.config.r
-    states = enumerate_words(r, k)
-    index = {w: i for i, w in enumerate(states)}
-    rows, cols, fs, gs = [], [], [], []
-    for u in states:
-        for a in range(1, r + 1):
-            if a == u[-1]:
-                continue
-            w = u + (a,)
-            v = u[1:] + (a,) if k > 1 else (a,)
-            f, _, g = cylinder_values(db, w)
-            rows.append(index[u])
-            cols.append(index[v])
-            fs.append(f)
-            gs.append(g)
+    # words as base-r integers of 0-based symbols, in lexicographic order
+    states = np.arange(r)
+    for _ in range(k - 1):
+        states = _successors(states, r)
+    words = _successors(states, r)
+    at = _center_bounces(db, words, k)
+    f = db.flights[at]
+    digits = states[:, None] // r ** np.arange(k - 1, -1, -1) % r + 1
     return CylinderPotential(
         r=r,
         k=k,
-        states=tuple(states),
-        edge_row=np.array(rows, dtype=np.int64),
-        edge_col=np.array(cols, dtype=np.int64),
-        edge_f=np.array(fs),
-        edge_g=np.array(gs),
+        states=tuple(map(tuple, digits.tolist())),
+        edge_row=np.repeat(np.arange(states.size), r - 1),
+        edge_col=np.searchsorted(states, words % r**k),
+        edge_f=f,
+        edge_g=-np.log1p(f * db.kappa[at]),
     )
 
 
@@ -130,21 +145,21 @@ def leading_eigenvalue(B: np.ndarray):
     At each step the bracket [min_i (Bx)_i / x_i, max_i (Bx)_i / x_i]
     encloses the eigenvalue; iteration stops once its width drops below
     ``POWER_TOL`` times the eigenvalue, and fails after
-    ``POWER_MAX_ITER`` steps.
+    ``POWER_MAX_ITER`` steps.  Every step writes into the same vectors.
     """
     n = B.shape[0]
     x = np.full(n, 1.0 / n)
+    y, ratios = np.empty(n), np.empty(n)
     lam = np.nan
     for _ in range(POWER_MAX_ITER):
-        y = B @ x
-        norm = float(np.sum(y))
-        if norm <= 0.0 or not np.isfinite(norm):
+        np.matmul(B, x, out=y)
+        norm = float(y.sum())
+        if not 0.0 < norm < np.inf:
             raise PowerIterationError("transfer matrix iterate left the positive cone")
-        ratios = y / x
-        lo = float(np.min(ratios))
-        hi = float(np.max(ratios))
+        np.divide(y, x, out=ratios)
+        lo, hi = float(ratios.min()), float(ratios.max())
         lam = 0.5 * (lo + hi)
-        x = y / norm
+        np.divide(y, norm, out=x)
         if hi - lo <= POWER_TOL * abs(lam):
             return lam
     raise PowerIterationError(
@@ -159,13 +174,19 @@ def pressure(pot: CylinderPotential, s: float, beta: float) -> float:
 
 def pressure_periodic(db, s: float, beta: float, n: int) -> float:
     """Pressure approximant (1/n) log of the n-periodic-point sum of
-    exp(-s S_n f + beta S_n g), assembled from primitive orbit data."""
+    exp(-s S_n f + beta S_n g), assembled from primitive orbit data.
+
+    The cycles whose length divides n, with their repetitions, periods
+    and expansion exponents, are selected once per database and n and
+    kept in ``db.derived``."""
     if n > db.n_max:
         raise DomainError(f"period {n} beyond database n_max={db.n_max}")
-    sel = n % db.n == 0
-    length, reps = db.n[sel], n // db.n[sel]
-    d_gamma = np.log(np.abs(db.lam[sel]))
-    terms = length * np.exp(-s * reps * db.T[sel] - beta * reps * d_gamma)
+    key = ("pressure_periodic", n)
+    if key not in db.derived:
+        sel = n % db.n == 0
+        db.derived[key] = (db.n[sel], n // db.n[sel], db.T[sel], np.log(np.abs(db.lam[sel])))
+    length, reps, T, d_gamma = db.derived[key]
+    terms = length * np.exp(-s * reps * T - beta * reps * d_gamma)
     # a running sum adds the terms in record order, as a loop would
     total = np.add.accumulate(terms)[-1] if terms.size else 0.0
     if total <= 0.0:

@@ -175,20 +175,26 @@ def test_out_of_range_integer_flags_are_usage_errors(cli_env, tmp_path):
         assert not new_cache.exists() and not out.exists(), argv
 
 
-def test_cli_imports_no_scipy(cli_env):
-    # importing scipy.optimize alone costs about twice `import billzeta.cli`
+def test_cli_imports_no_scipy(cli_env, tmp_path):
+    # importing scipy.optimize alone costs about twice `import billzeta.cli`;
+    # numpy.ma, which a plain np.unique imports, adds about 1 MB to the heap
+    config, cache, fresh = (str(p) for p in (cli_env["config"], cli_env["cache"], tmp_path / "c"))
     script = "\n".join([
         "import sys",
         "from billzeta.cli import main",
+        f"assert main(['validate', '--config', {config!r}]) == 0",
+        f"assert main(['orbits', '--config', {config!r}, '--cache', {fresh!r}, '--nmax', '5']) == 0",
+        f"assert main(['orbits', '--cache', {fresh!r}, '--nmax', '7']) == 0",
         "for sub in ('abscissas', 'zeta', 'poles', 'counting', 'trace'):",
-        f"    assert main([sub, '--cache', {str(cli_env['cache'])!r}]) == 0, sub",
+        f"    assert main([sub, '--cache', {cache!r}]) == 0, sub",
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+        "print(sorted(name for name in sys.modules if name.split('.')[:2] == ['numpy', 'ma']))",
     ])
     res = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    assert res.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_jobs_flag_is_a_usage_error(cli_env):

@@ -139,3 +139,20 @@ def test_stability_batch_of_mixed_lengths_or_no_orbits_is_domain_error(config):
     ):
         with pytest.raises(DomainError):
             stability_records(config, labels, flights, cos_incidence)
+
+
+def test_stability_padding_must_trail_the_word(config):
+    two, three = solve_orbit(config, (1, 2)), solve_orbit(config, (1, 2, 3))
+    flights = np.array([np.append(two.flights, 0.0), three.flights])
+    cos_incidence = np.array([np.append(two.cos_incidence, 0.0), three.cos_incidence])
+    kappa, lam = stability_records(config, [[1, 2, 0], [1, 2, 3]], flights, cos_incidence)
+    for i, orbit in enumerate((two, three)):
+        alone = stability_record(config, orbit)
+        assert np.array_equal(kappa[i, : orbit.n], alone.kappa) and lam[i] == alone.lam
+    assert kappa[0, 2] == 0.0
+    # a batch of one length has no padding and takes no padding mask
+    full = stability_records(config, [three.word], [three.flights], [three.cos_incidence])
+    assert np.array_equal(full[0][0], kappa[1]) and full[1][0] == lam[1]
+    for labels in ([[1, 0, 2], [1, 2, 3]], [[0, 1, 2], [1, 2, 3]], [[1, 0, 0], [1, 2, 3]]):
+        with pytest.raises(DomainError, match="padded with zeros"):
+            stability_records(config, labels, flights, cos_incidence)

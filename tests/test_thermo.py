@@ -1,14 +1,20 @@
+import contextlib
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
-from billzeta import thermo
-from billzeta.database import build_database
-from billzeta.errors import DomainError
+from billzeta import cli, symbolic, thermo
+from billzeta.database import OrbitDatabase, build_database, save_database
+from billzeta.errors import DomainError, PowerIterationError
 from billzeta.geometry import Configuration, Disk
+from billzeta.symbolic import canonical_rotation, enumerate_words, primitive_root
 from billzeta.thermo import (
+    POWER_MAX_ITER,
+    POWER_TOL,
     PRESSURE_TOL,
     build_potentials,
-    closing_word,
     leading_eigenvalue,
     pressure,
     pressure_periodic,
@@ -17,7 +23,13 @@ from billzeta.thermo import (
     twisted_spectral_test,
     twisted_unit_gap,
 )
-from tests.conftest import records
+from tests.conftest import (
+    nearly_equilateral,
+    records,
+    square_four_disks,
+    take_rows,
+    unequal_four_disks,
+)
 
 
 def test_memory_one_potential_is_uniform(db8):
@@ -132,9 +144,154 @@ def test_depth_requirement(db8):
         build_potentials(db8, 8)
 
 
+def closing_word(word):
+    """Periodic word whose orbit realizes the cylinder: drop the last
+    symbol when it repeats the first, otherwise the word itself."""
+    if len(word) >= 2 and word[0] == word[-1]:
+        return word[:-1]
+    return word
+
+
+def cylinder_values(db, word):
+    """(flight, g) of the center bounce of the cylinder of ``word``, one
+    word at a time: the word is closed, reduced to its primitive root and
+    looked up by its canonical rotation."""
+    k = len(word) - 1
+    root, _ = primitive_root(closing_word(word))
+    canon, shift = canonical_rotation(root)
+    m = (k // 2) % len(root)
+    at = db.bounds[db.row(canon)] + (m - shift) % len(root)
+    f = float(db.flights[at])
+    return f, -np.log1p(f * float(db.kappa[at]))
+
+
+def reference_potentials(db, k):
+    """The states and the edge arrays of :func:`build_potentials` by the
+    per-word loop over the transfer graph."""
+    states = enumerate_words(db.config.r, k)
+    index = {w: i for i, w in enumerate(states)}
+    rows, cols, fs, gs = [], [], [], []
+    for u in states:
+        for a in range(1, db.config.r + 1):
+            if a != u[-1]:
+                f, g = cylinder_values(db, u + (a,))
+                rows.append(index[u])
+                cols.append(index[(u + (a,))[1:]])
+                fs.append(f)
+                gs.append(g)
+    edges = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(fs),
+             np.array(gs))
+    return tuple(states), edges
+
+
 def test_closing_word():
     assert closing_word((1, 2, 3)) == (1, 2, 3)
     assert closing_word((1, 2, 1)) == (1, 2)
+
+
+@pytest.fixture(scope="module")
+def db_square7():
+    return build_database(square_four_disks(), 7)
+
+
+@pytest.mark.parametrize("name", ["db12", "db_four7", "db_square7", "db_nearly8"])
+def test_potentials_equal_the_per_word_loop(request, name):
+    db = request.getfixturevalue(name)
+    for k in range(1, 7):
+        pot = build_potentials(db, k)
+        states, edges = reference_potentials(db, k)
+        assert pot.states == states and pot.n_states == len(states)
+        for got, want in zip((pot.edge_row, pot.edge_col, pot.edge_f, pot.edge_g), edges):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, k)
+
+
+def test_potentials_need_no_per_word_lookup(monkeypatch, db12, pot6):
+    def refuse(*args):
+        raise AssertionError("per-word lookup")
+
+    monkeypatch.setattr(OrbitDatabase, "row", refuse)
+    monkeypatch.setattr(symbolic, "canonical_rotation", refuse)
+    monkeypatch.setattr(symbolic, "primitive_root", refuse)
+    pot = build_potentials(db12, 6)
+    for name in ("edge_row", "edge_col", "edge_f", "edge_g"):
+        assert getattr(pot, name).tobytes() == getattr(pot6, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dropped, k",
+    [
+        # the first cycle of its length, the last of its length (past every
+        # word the search meets), and every cycle of a length
+        ([(1, 2, 3)], 3),
+        ([(1, 3, 2)], 2),
+        ([(1, 2), (1, 3), (2, 3)], 1),
+        ([(2, 3)], 4),
+    ],
+)
+def test_potentials_name_a_missing_cycle(db8, dropped, k):
+    gone = {db8.row(word) for word in dropped}
+    db = take_rows(db8, [row for row in range(len(db8)) if row not in gone])
+    with pytest.raises(DomainError) as want:
+        reference_potentials(db, k)
+    with pytest.raises(DomainError) as got:
+        build_potentials(db, k)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("orbit database has no cycle ")
+
+
+def reference_leading_eigenvalue(B):
+    """The power iteration with a new array for every step."""
+    n = B.shape[0]
+    x = np.full(n, 1.0 / n)
+    for _ in range(POWER_MAX_ITER):
+        y = B @ x
+        norm = float(np.sum(y))
+        if norm <= 0.0 or not np.isfinite(norm):
+            raise PowerIterationError("transfer matrix iterate left the positive cone")
+        ratios = y / x
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        lam = 0.5 * (lo + hi)
+        x = y / norm
+        if hi - lo <= POWER_TOL * abs(lam):
+            return lam
+    raise PowerIterationError("stalled")
+
+
+def test_leading_eigenvalue_equals_the_allocating_loop(pot6, db_four7):
+    four = build_potentials(db_four7, 4)
+    for pot in (pot6, four):
+        for s, beta in ((0.0, 0.0), (0.3, 0.5), (-0.2, 1.0), (0.11, -0.4), (0.0, 1.0)):
+            B = pot.matrix(s, beta)
+            assert leading_eigenvalue(B) == reference_leading_eigenvalue(B)
+    for B in (np.zeros((3, 3)), np.full((2, 2), np.inf), np.full((2, 2), np.nan)):
+        with pytest.raises(PowerIterationError, match="positive cone"):
+            leading_eigenvalue(B)
+
+
+# sha256 of the tables on the fixture, recorded while the potentials were
+# still built one word at a time and the power iteration allocated every step
+THERMO_DIGESTS = {
+    10: {
+        "abscissas.csv": "9ec6c61ab700ec0ea8c5c920def0122fb09c57ca41117e694d6e4eccb7e7da44",
+        "counting.csv": "8b62c0f02913fdf3db603874d466c5321244f07e4cf490135a7a117eda21f3f9",
+    },
+    12: {
+        "abscissas.csv": "6a7fad2347291e96cb764a978cf60ac9812ece487491f24dd324a624cd32bb90",
+        "counting.csv": "91294713e5594cb66e5a05afed413644fc5e4d89d51d1fb3a1b61a685f6ba59e",
+    },
+}
+
+
+def test_thermo_tables_are_pinned(tmp_path, db10, db12):
+    for db in (db10, db12):
+        cache = tmp_path / f"cache{db.n_max}"
+        save_database(db, cache)
+        for name, digest in THERMO_DIGESTS[db.n_max].items():
+            sub, out = name.removesuffix(".csv"), tmp_path / f"out{db.n_max}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([sub, "--cache", str(cache), "--out", str(out)]) == 0
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (db.n_max, name)
 
 
 def test_leading_eigenvalue_known_matrix():
