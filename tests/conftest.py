@@ -235,6 +235,11 @@ def db_four7():
 
 
 @pytest.fixture(scope="session")
+def db_square7():
+    return build_database(square_four_disks(), 7)
+
+
+@pytest.fixture(scope="session")
 def db_nearly8():
     return build_database(nearly_equilateral(), 8)
 

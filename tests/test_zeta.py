@@ -474,6 +474,12 @@ def record_loop_factors(db, N, k_max, shared=True):
     return log_rows, items
 
 
+def pool_columns(items):
+    """The (n, T, w) columns of a factor pool listed as tuples."""
+    n, T, w = zip(*items)
+    return np.array(n, dtype=np.int64), np.array(T), np.array(w)
+
+
 def record_loop_determinant(db, N, k_max=5):
     """Log atoms and sorted factor pool built record by record, then the
     reference expansion, as arrays: the reference for the columnar build."""
@@ -495,10 +501,63 @@ def test_expansion_atoms_equal_the_list_rebuild(db13, db_four7):
     for db, N in cases:
         for k_max in (0, 2, 5):
             _, items = record_loop_factors(db, N, k_max)
-            got = zeta._expansion_atoms(items, N)
+            got = zeta._expansion_atoms(*pool_columns(items), N)
             want = reference_expansion_atoms(items, N)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (db.n_max, N, k_max)
+
+
+def test_square_expansion_atoms_equal_the_list_rebuild_at_order_3(db_square7):
+    # build_determinant's trust floor refuses N = 3 on the square
+    with pytest.raises(TrustRegionError):
+        build_determinant(db_square7, 3)
+    for k_max in (0, 2, 5):
+        _, items = record_loop_factors(db_square7, 3, k_max)
+        got = zeta._expansion_atoms(*pool_columns(items), 3)
+        for g, w in zip(got, reference_expansion_atoms(items, 3)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), k_max
+
+
+def test_lower_orders_are_prefixes_of_the_expansion(db13, db_four7, db_square7):
+    # an order-N build holds every lower order's atoms as its prefix
+    cases = [(db13, range(5, 14)), (db_four7, range(4, 8)), (db_square7, range(4, 8))]
+    pairs = 0
+    for db, orders in cases:
+        for k_max in (0, 2, 5):
+            builds = {N: build_determinant(db, N, k_max=k_max) for N in orders}
+            for N, exp in builds.items():
+                for M in range(orders.start, N):
+                    low = builds[M]
+                    cut = int(np.searchsorted(exp.poly_shell, M + 1))
+                    for key in ("poly_coeff", "poly_tau", "poly_shell"):
+                        got, want = getattr(exp, key)[:cut], getattr(low, key)
+                        assert got.tobytes() == want.tobytes(), (db.n_max, M, N, k_max, key)
+                    pairs += 1
+    assert pairs == 3 * (36 + 6 + 6)
+
+
+def old_signed_power(lam, j, e):
+    """``zeta._signed_power`` as a per-row float ``**`` comprehension."""
+    mag = np.array([a**b for a, b in zip(np.abs(lam).tolist(), e.tolist())], dtype=float)
+    return np.where((lam < 0) & (j % 2 == 1), -mag, mag)
+
+
+def test_signed_power_equals_the_power_comprehension(db13, db_square7):
+    rows = []
+    for db, N in ((db13, 13), (db_square7, 7)):
+        lam = db.lam[db.n <= N]
+        p, k = zeta._factors(lam.size, 5)
+        rows.append((lam[p], k, -(k + 0.5)))
+        # and with the exponents of repetitions r = 1..7, as log atoms
+        r = np.arange(1, 8).repeat(p.size)
+        rows.append((np.tile(lam[p], 7), np.tile(k, 7) * r, -r * (np.tile(k, 7) + 0.5)))
+    # odd j with lam < 0 takes the minus sign
+    assert any(((lam < 0) & (j % 2 == 1)).any() for lam, j, _ in rows)
+    rows.append((np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)))
+    for lam, j, e in rows:
+        got, want = zeta._signed_power(lam, j, e), old_signed_power(lam, j, e)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def oracle_trust_floor(arrays, N):
@@ -517,9 +576,11 @@ def oracle_trust_floor(arrays, N):
     return xs[-1]
 
 
-def test_columnar_build_equals_the_record_loop(db13, db_four7, db_nearly8):
+def test_columnar_build_equals_the_record_loop(db13, db_four7, db_nearly8, db_square7):
     cases = [(restrict_database(db13, N), N, 5) for N in range(9, 14)]
     cases += [(db13, 11, 2), (db_four7, 7, 5), (db_nearly8, 8, 5)]
+    # the square: label group of order 8, and 368 of 508 cycles with Lambda < 0
+    cases += [(db_square7, N, k_max) for N in range(4, 8) for k_max in (0, 2, 5)]
     for db, N, k_max in cases:
         exp = build_determinant(db, N, k_max=k_max)
         # the log atoms are built on first use, once
