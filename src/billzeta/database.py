@@ -42,7 +42,10 @@ import os
 import numpy as np
 
 from . import geometry, orbits, stability, symbolic
-from .errors import BilliardError, DomainError, EclipseError, MalformedInputError, StaleCacheError
+from .errors import (
+    BilliardError, DomainError, EclipseError, IncompleteDataError, MalformedInputError,
+    StaleCacheError,
+)
 
 SOLVER_VERSION = 4
 CACHE_FORMAT = "billzeta-orbit-cache/2"
@@ -127,8 +130,10 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     double with each length, so neither batch holds much more than the
     top length's cells.  Each column is concatenated once at the end.  A
     row's result does not depend on its batch, so the extended database
-    equals a fresh build to the bit.
+    equals a fresh build to the bit.  A smaller ``n_max`` is refused.
     """
+    if n_max < db.n_max:
+        raise DomainError(f"cannot extend a database of n_max={db.n_max} down to n_max={n_max}")
     config = db.config
     report = geometry.validate(config)
     if report.bad_triples:
@@ -177,7 +182,10 @@ def _solve_lengths(config, lo: int, hi: int) -> dict:
 
 def restrict_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     """``db`` cut to the cycles of length <= ``n_max`` (``db`` itself if
-    it stops there); rows are sorted by length, so they are a prefix."""
+    it stops there); rows are sorted by length, so they are a prefix.
+    An ``n_max`` above db.n_max is an :class:`IncompleteDataError`."""
+    if n_max > db.n_max:
+        raise IncompleteDataError(f"a database of n_max={db.n_max} has no cycles to n_max={n_max}")
     if n_max == db.n_max:
         return db
     keep = int(np.searchsorted(db.n, n_max, side="right"))

@@ -15,20 +15,19 @@ Hill's formula ties to the monodromy.
 
 :func:`solve_orbits` solves words of several lengths in one batch, one
 row per word, each padded with zeros after its last bounce to the width
-W of the longest.  The Newton iteration runs on one ``(M, W)`` array of
-angles in which a word of length n < W keeps bounces 0..n-2 in columns
-0..n-2 and its last bounce in column W - 1, the border of the LDL^T for
-every row.  The columns between are padding, frozen at flight 0,
-gradient 0 and Hessian diagonal 1 with no coupling, so a row takes bit
-for bit the steps it takes in a batch of its own length.  Cyclic
-neighbours are read through flat gather indices built once per batch.
-The solved rows are then certified over their bounces as one flat
-array: the residual, the incidence angles, the reflection law and the
-clearance of each flight from the r - 2 disks it does not touch.  The
-columns come back as padded ``(M, W)`` arrays, with no object per
-cycle, and a row's result does not depend on which words share its
-batch.  :func:`solve_orbit` is the one-row batch, returned as a
-:class:`PeriodicOrbit`.
+W of the longest; the Newton iteration and the certification both run
+on these ``(M, W)`` rows.  A row of length n keeps its bounces in
+columns 0..n-1, and the LDL^T takes its border at column n-1.  The
+padding columns n..W-1 are frozen at flight 0, gradient 0 and Hessian
+diagonal 1 with no coupling, so a row takes bit for bit the steps it
+takes in a batch of its own length.  Cyclic neighbours are read through
+flat gather indices built once per batch.  The certification checks
+every bounce, with the padding masked out: the residual, the incidence
+angles, the reflection law and the clearance of each flight from the
+r - 2 disks it does not touch.  The padded arrays are returned as they
+are, with no object per cycle, and a row's result does not depend on
+which words share its batch.  :func:`solve_orbit` is the one-row batch,
+returned as a :class:`PeriodicOrbit`.
 """
 
 from dataclasses import dataclass
@@ -149,60 +148,26 @@ def _check_words(config, labels, n):
         raise DomainError(f"itinerary {word} repeats a label consecutively")
 
 
-# ---------------------------------------------------------------------------
-# the layout of the Newton solve: a row of length n keeps bounces
-# 0..n-2 in columns 0..n-2 and bounce n-1 in the last column W-1, the
-# border of the bordered LDL^T for every row; its padding lies between
-
-
-def _solve_cells(n, width):
-    """Which cells of the Newton layout hold a bounce, for rows of
-    lengths ``n``; in row-major order they run through each row's
-    bounces in order."""
+def _neighbours(n, width):
+    """Flat indices of the next and of the previous bounce of every cell
+    of padded ``(M, width)`` rows of lengths ``n``, for ``take`` on
+    arrays of those rows; a padding cell is its own neighbour."""
     col = np.arange(width)
-    return (col < n[:, None] - 1) | (col == width - 1)
-
-
-def _spread(values, cells):
-    """``values`` of every bounce, rows one after another, put in the
-    cells ``cells`` of an array of zeros."""
-    out = np.zeros(cells.shape, dtype=values.dtype)
-    out[cells] = values
-    return out
-
-
-def _columns(n, width):
-    """Columns of the next and of the previous bounce of every cell of
-    the Newton layout, two ``(M, width)`` arrays, for rows of lengths
-    ``n``; a padding cell is its own neighbour."""
-    col = np.arange(width)
-    tail = np.maximum(n - 2, 0)[:, None]  # column of bounce n - 2
-    nxt = np.where(col < tail, col + 1, np.where(col == tail, width - 1, col))
-    prv = np.where((col > 0) & (col <= tail), col - 1, col)
-    nxt[:, -1] = 0
-    prv[:, 0] = width - 1
-    prv[:, -1] = tail[:, 0]
+    own = col + np.arange(0, len(n) * width, width)[:, None]
+    last = (n - 1)[:, None]
+    nxt = np.where(col < last, own + 1, np.where(col == last, own - last, own))
+    prv = np.where(col == 0, own + last, np.where(col <= last, own - 1, own))
     return nxt, prv
 
 
-def _gather(cols):
-    """Flat indices of the next and the previous cell of every cell of
-    ``cols`` (:func:`_columns`, which it overwrites), for ``take`` on the
-    ``(M, W)`` arrays of those rows."""
-    m, w = cols[0].shape
-    for a in cols:
-        a += np.arange(0, m * w, w)[:, None]
-    return cols
-
-
 def _links(theta, links):
-    """``links`` of a batch: the flat neighbour indices of its cells
-    (:func:`_gather`) and its padding cells, None when there are none.
-    Without ``links``, those of rows that are all of length W."""
+    """``links`` of a batch: the neighbour indices of its cells
+    (:func:`_neighbours`) and its padding cells, None when there are
+    none.  Without ``links``, those of rows that are all of length W."""
     if links is not None:
         return links
     m, w = theta.shape
-    return _gather(_columns(np.full(m, w), w)), None
+    return _neighbours(np.full(m, w), w), None
 
 
 def _take(links, rows):
@@ -234,8 +199,7 @@ def default_angles(config, word) -> np.ndarray:
     """Initial boundary angles: each point faces the midpoint of the
     previous and next disk centers."""
     cx, cy, _ = _disks(config, [tuple(word)])
-    nxt, prv = _gather(_columns(np.array([len(word)]), len(word)))
-    return _default_angles(cx, cy, nxt, prv)[0]
+    return _default_angles(cx, cy, *_neighbours(np.array([len(word)]), len(word)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +275,7 @@ def _derivatives(cx, cy, rad, theta, links=None):
     return length, g, d, cross
 
 
-def _cyclic_solve(d, e, r, tail=None):
+def _cyclic_solve(d, e, r, last=None):
     """Solve ``H x = r`` for cyclic tridiagonal ``H``, one row per matrix,
     by a bordered LDL^T factorisation.
 
@@ -323,11 +287,11 @@ def _cyclic_solve(d, e, r, tail=None):
     land on ``H[0, 1]``.  The loops run over the columns only, so
     nothing mixes rows.
 
-    In a padded batch ``tail`` gives each row's column of bounce n-2,
-    whose coupling to the last column goes to the row's own border
-    entry; the padding columns after it have diagonal 1 and no
-    coupling, so they leave every pivot and step of the row's real
-    columns as they are in a batch of its own length.
+    In a padded batch ``last`` gives each row's border, its column n-1;
+    its padding after that must have diagonal 1 and ``e`` and ``r`` 0.
+    The chain takes the border column and the padding as unit pivots
+    with no coupling, so a row's own columns get the pivots and steps of
+    a batch of its own length, and the padding gets pivot 1 and ``x`` 0.
 
     Returns ``x``, the pivots and which rows are positive definite (all
     pivots positive).  The pivots of a row after its first non-positive
@@ -335,18 +299,20 @@ def _cyclic_solve(d, e, r, tail=None):
     meaningless.
     """
     m, n = d.shape
-    # columns as contiguous rows
+    # columns as contiguous rows; row k's border is at flat index ``at[k]``
     d, e, r = d.T.copy(), e.T.copy(), r.T.copy()
+    at = (np.full(m, n - 1) if last is None else last) * m + np.arange(m)
+    flat_d, flat_e, flat_r = d.reshape(-1), e.reshape(-1), r.reshape(-1)
+    schur, rn = flat_d[at], flat_r[at]
     border = np.zeros((n - 1, m))
-    border[0] += e[-1]
-    tail, rows = np.full(m, n - 2) if tail is None else tail, np.arange(m)
-    border[tail, rows] += e[tail, rows]
-    e[tail, rows] = 0.0
-    pivots = np.empty((n, m))
+    border[0] += flat_e[at]
+    border.reshape(-1)[at - m] += flat_e[at - m]
+    flat_e[at - m] = flat_e[at] = flat_r[at] = 0.0
+    flat_d[at] = 1.0
+    pivots = np.ones((n, m))
     l = np.empty((n - 2, m))
     z = np.empty((n - 1, m))
     definite = np.ones(m, dtype=bool)
-    schur = d[-1].copy()
     p, y = d[0], border[0]
     for i in range(n - 1):
         if i:
@@ -359,21 +325,22 @@ def _cyclic_solve(d, e, r, tail=None):
         if i < n - 2:
             l[i] = e[i] / p
     definite &= schur > 0.0
-    pivots[-1] = np.where(definite, schur, 1.0)
+    pivots.reshape(-1)[at] = schur = np.where(definite, schur, 1.0)
 
     # forward with the unit lower factor, then the pivots, then back
     u = [r[0]]
-    last = r[-1] - z[0] * u[0]
+    rn -= z[0] * u[0]
     for i in range(1, n - 1):
         u.append(r[i] - l[i - 1] * u[-1])
-        last -= z[i] * u[i]
-    x = np.empty_like(r)
-    x[-1] = xn = last / pivots[-1]
+        rn -= z[i] * u[i]
+    x = np.zeros_like(r)
+    xn = rn / schur
     for i in range(n - 2, -1, -1):
         xi = u[i] / pivots[i] - z[i] * xn
         if i < n - 2:
             xi -= l[i] * x[i + 1]
         x[i] = xi
+    x.reshape(-1)[at] = xn
     return x.T, pivots.T, definite
 
 
@@ -395,8 +362,8 @@ def _damped_step(cx, cy, rad, theta, local, gnorm, links=None):
     """
     links = _links(theta, links)
     L0, g, d, e = local
-    # each row's column of bounce n - 2 is the one before its last
-    delta, _, newton = _cyclic_solve(d, e, -g, links[0][1][:, -1] % theta.shape[1])
+    # each row's last bounce is the one before its first
+    delta, _, newton = _cyclic_solve(d, e, -g, links[0][1][:, 0] % theta.shape[1])
     delta = np.where(newton[:, None], delta, -g)
     full = newton & (gnorm < FULL_STEP_RESIDUAL)
 
@@ -457,47 +424,46 @@ def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER, links=None):
     return theta, gnorm
 
 
-def _solve(config, word, n, width, theta0, tol, max_iter):
-    """The Newton iteration on words of lengths ``n`` in its layout.
-    ``word`` and ``theta0`` (None for :func:`default_angles`) hold every
-    bounce as one flat array; returns the angles of every bounce, flat
-    and in [0, 2 pi), and the residual per row."""
-    solve = _solve_cells(n, width)
-    gather = _gather(_columns(n, width))
-    cx, cy, rad = (_spread(a, solve) for a in _disks(config, word))
-    theta = _default_angles(cx, cy, *gather) if theta0 is None else _spread(theta0, solve)
-    links = (gather, None if n.min() == width else ~solve)
-    theta, gnorm = _newton(cx, cy, rad, theta, tol, max_iter, links)
-    return np.mod(theta[solve], 2.0 * np.pi), gnorm
+def _solve(disks, cells, links, theta0, tol, max_iter):
+    """The Newton iteration on padded rows from ``theta0``, its padding
+    ignored, or from :func:`default_angles` when it is None.  Returns the
+    angles in [0, 2 pi), 0 in the padding, and the residual per row."""
+    start = _default_angles(disks[0], disks[1], *links) if theta0 is None else theta0
+    pad = None if cells.all() else ~cells
+    theta, gnorm = _newton(*disks, np.where(cells, start, 0.0), tol, max_iter, (links, pad))
+    return np.mod(theta, 2.0 * np.pi), gnorm
 
 
-def _clearance(config, word, px, py, ex, ey, nxt):
+def _clearance(config, labels, px, py, ex, ey, pad, nxt):
     """Clearance of every flight from the r - 2 disks it does not touch:
     the distance from each center to the segment, minus the radius, and
-    the disks' indices, ``(bounces, r - 2)`` each."""
-    idx = word - 1
-    disk = np.arange(config.r)
-    missed = (disk != idx[:, None]) & (disk != idx.take(nxt)[:, None])
-    other = (np.flatnonzero(missed) % config.r).reshape(len(word), config.r - 2)
-    ex, ey = ex[:, None], ey[:, None]
-    xk = config.centers[other, 0] - px[:, None]
-    yk = config.centers[other, 1] - py[:, None]
-    along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    the disks' indices, ``(M, W, r - 2)`` each.  A padding cell, label
+    0, gets disks 2..r-1 and divides by 1 for its flight's length."""
+    # the k-th disk a flight misses: k stepped past the lower, then the higher, of its two
+    a, b = labels - 1, (labels - 1).take(nxt)
+    other = np.arange(config.r - 2)
+    other = other + (other >= np.minimum(a, b)[..., None])
+    other += other >= np.maximum(a, b)[..., None]
+    ex, ey = ex[..., None], ey[..., None]
+    xk = config.centers[other, 0] - px[..., None]
+    yk = config.centers[other, 1] - py[..., None]
+    along = np.clip((xk * ex + yk * ey) / (ex * ex + ey * ey + pad[..., None]), 0.0, 1.0)
     xk -= along * ex
     yk -= along * ey
     return np.sqrt(xk * xk + yk * yk) - config.radii[other], other
 
 
-def _certify(config, word, theta, nxt, prv):
-    """Flights and incidence cosines of every bounce, which bounces break
-    the reflection law, and the clearance of the flights
-    (:func:`_clearance`).  ``word`` and ``theta`` hold every bounce as
-    one flat array, whose neighbours are at flat indices ``nxt`` and
-    ``prv``."""
+def _certify(config, labels, disks, theta, cells, nxt, prv):
+    """Flights and incidence cosines of the cells of padded rows, where
+    they break the reflection law, and the clearance of the flights
+    (:func:`_clearance`); neighbours are at flat indices ``nxt`` and
+    ``prv``.  A padding cell has flight 0, divides by 1 and breaks no law."""
+    pad = ~cells
     nx, ny = np.cos(theta), np.sin(theta)
-    px, py, ex, ey, flights = _flights(*_disks(config, word), nx, ny, nxt)
-    margin, other = _clearance(config, word, px, py, ex, ey, nxt)
-    ux, uy = np.divide(ex, flights, out=ex), np.divide(ey, flights, out=ey)
+    px, py, ex, ey, flights = _flights(*disks, nx, ny, nxt)
+    margin, other = _clearance(config, labels, px, py, ex, ey, pad, nxt)
+    f = flights + pad
+    ux, uy = np.divide(ex, f, out=ex), np.divide(ey, f, out=ey)
     # outgoing direction must leave the disk; its normal component is
     # the cosine of the incidence angle
     cos_inc = ux * nx + uy * ny
@@ -508,7 +474,8 @@ def _certify(config, word, theta, nxt, prv):
     vx -= ux
     vy -= twice * ny
     vy -= uy
-    return flights, cos_inc, np.sqrt(vx * vx + vy * vy) > REFLECTION_TOL, margin, other
+    skewed = (np.sqrt(vx * vx + vy * vy) > REFLECTION_TOL) & cells
+    return flights, cos_inc, skewed, margin, other
 
 
 def solve_orbits(
@@ -571,30 +538,22 @@ def solve_orbits(
     labels, n = _batch(words)
     _check_words(config, labels, n)
     m, width = labels.shape
-    # every bounce as one flat array, rows one after another and each
-    # row's bounces in order
-    cells = _cells(n, width)
-    word = labels[cells]
     if theta0 is not None:
         theta0 = np.asarray(theta0, dtype=float)
         if theta0.shape != (m, width):
             raise DomainError(f"theta0 must have shape ({m}, {width})")
-        theta0 = theta0[cells]
-    theta, gnorm = _solve(config, word, n, width, theta0, tol, max_iter)
-    ends = np.cumsum(n)
-    starts = ends - n
-    row_of = np.repeat(np.arange(m), n)
-    nxt, prv = np.arange(1, len(word) + 1), np.arange(-1, len(word) - 1)
-    nxt[ends - 1], prv[starts] = starts, ends - 1
-    flights, cos_inc, skewed, margin, other = _certify(config, word, theta, nxt, prv)
-    skewed = np.flatnonzero(skewed)
-    tangent = np.flatnonzero(cos_inc <= 0.0)
-    crossing = np.argwhere(margin <= 0.0)
-
-    failure = _first_failure(n, (
-        np.flatnonzero(~(gnorm <= tol)), row_of[tangent], row_of[skewed],
-        row_of[crossing[:, 0]],
-    ))
+    cells = _cells(n, width)
+    disks = _disks(config, labels)
+    nxt, prv = _neighbours(n, width)
+    theta, gnorm = _solve(disks, cells, (nxt, prv), theta0, tol, max_iter)
+    flights, cos_inc, skewed, margin, other = _certify(
+        config, labels, disks, theta, cells, nxt, prv
+    )
+    crossing = (margin <= 0.0) & cells[..., None]
+    failure = _first_failure(n, [np.flatnonzero(a) for a in (
+        ~(gnorm <= tol), ((cos_inc <= 0.0) & cells).any(axis=1), skewed.any(axis=1),
+        crossing.any(axis=(1, 2)),
+    )])
     if failure is not None:
         i, check = failure
         name, residual = _word(labels, i, n[i]), float(gnorm[i])
@@ -607,26 +566,23 @@ def solve_orbits(
                 f"orbit for {name} is tangential or enters its own disk", residual=residual
             )
         if check == 2:
-            j = skewed[row_of[skewed] == i][0] - starts[i]
+            j = np.flatnonzero(skewed[i])[0]
             raise SolverError(f"reflection law violated at bounce {j} of {name}", residual=residual)
-        c, k = crossing[row_of[crossing[:, 0]] == i][0]
-        raise DomainError(
-            f"segment {c - starts[i]} of orbit {name} crosses disk {other[c, k] + 1}"
-        )
+        j, k = np.argwhere(crossing[i])[0]
+        raise DomainError(f"segment {j} of orbit {name} crosses disk {other[i, j, k] + 1}")
 
-    flights = _spread(flights, cells)
     T = np.empty(m)
     for rows, block in _length_blocks(n, width):
         T[rows] = flights[block].sum(axis=1)
     return {
         "labels": labels,
         "n": n,
-        "angles": _spread(theta, cells),
+        "angles": theta,
         "flights": flights,
-        "cos_incidence": _spread(cos_inc, cells),
+        "cos_incidence": cos_inc,
         "T": T,
         "residual": gnorm,
-        "shadow_margin": np.minimum.reduceat(margin.min(axis=1, initial=np.inf), starts),
+        "shadow_margin": np.where(cells, margin.min(axis=2, initial=np.inf), np.inf).min(axis=1),
     }
 
 

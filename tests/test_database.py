@@ -18,6 +18,7 @@ from billzeta.database import (
 from billzeta.errors import (
     DomainError,
     EclipseError,
+    IncompleteDataError,
     MalformedInputError,
     StaleCacheError,
 )
@@ -272,6 +273,15 @@ def test_columns_agree_across_build_paths(tmp_path, config, db12, db14, db_four7
     save_database(db_four7, path)
     assert_same_columns(db_four7, load_database(path))
     assert db14.bounds.tolist() == [0, *np.cumsum(db14.n).tolist()]
+
+
+def test_extend_below_or_restrict_above_n_max_is_refused(db8):
+    # either would give a database whose n_max disagrees with its rows
+    with pytest.raises(DomainError, match="n_max=8.*n_max=5"):
+        extend_database(db8, 5)
+    with pytest.raises(IncompleteDataError, match="n_max=8.*n_max=11"):
+        restrict_database(db8, 11)
+    assert_same_columns(db8, extend_database(db8, 8))
 
 
 def solved_records(db):

@@ -196,6 +196,24 @@ def test_crossing_names_the_label_of_the_crossed_disk():
     with pytest.raises(DomainError,
                        match=re.escape("segment 2 of orbit (1, 4, 2) crosses disk 3")):
         solve_orbits(config, [(1, 4, 2)])
+    # in a padded row the segment is counted within the row's own word
+    for words in ([(1, 4, 2), (3, 4, 1, 4)], [(3, 4, 1, 4), (1, 4, 2)]):
+        with pytest.raises(DomainError,
+                           match=re.escape("segment 2 of orbit (1, 4, 2) crosses disk 3")):
+            solve_orbits(config, words)
+
+
+def test_padding_of_the_start_is_ignored(config):
+    words = [(1, 2), (1, 2, 3), (1, 2, 1, 3, 2, 3)]
+    start = np.zeros((3, 6))
+    for i, word in enumerate(words):
+        start[i, : len(word)] = default_angles(config, word) + 0.01
+    noisy = start.copy()
+    noisy[0, 2:], noisy[1, 3:] = np.nan, 1e300
+    with np.errstate(all="raise"):
+        clean, padded = (solve_orbits(config, words, theta0=a) for a in (start, noisy))
+        for name, column in clean.items():
+            assert np.array_equal(column, padded[name]), name
 
 
 def test_two_disks_leave_no_disk_to_clear():
@@ -246,6 +264,29 @@ def test_cyclic_solve_matches_dense_linear_algebra():
         assert np.all(error <= 1e-13 * np.abs(exact).max(axis=1)), n
         assert np.allclose(pivots[definite].prod(axis=1), np.linalg.det(H[definite]),
                            rtol=1e-12, atol=0.0)
+
+    # rows of lengths 2..W in one padded batch, each with its border at
+    # its own last bounce: its columns solve as the unpadded call of its
+    # length does, bit for bit, and the padding reads x 0 and pivot 1
+    width = 9
+    n = np.arange(2, width + 1)
+    cells = np.arange(width) < n[:, None]
+    # diagonally dominant: every row is positive definite
+    d = rng.uniform(3.0, 4.0, size=(len(n), width))
+    e = np.where(cells, rng.uniform(-1.0, 1.0, size=d.shape), 0.0)
+    r = np.where(cells, rng.normal(size=d.shape), 0.0)
+    d[~cells] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, pivots, definite = _cyclic_solve(d, e, r, n - 1)
+    assert definite.all()
+    assert np.all(x[~cells] == 0.0) and np.all(pivots[~cells] == 1.0)
+    for k, length in enumerate(n):
+        own = (slice(k, k + 1), slice(None, length))
+        alone = _cyclic_solve(d[own], e[own], r[own])
+        assert np.array_equal(x[own], alone[0]) and np.array_equal(pivots[own], alone[1])
+        exact = np.linalg.solve(dense(d[own], e[own])[0], r[own][0])
+        assert np.abs(x[own][0] - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("make_config", [equilateral_config, unequal_four_disks])
