@@ -196,26 +196,30 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _texts(column: np.ndarray, fmt) -> list:
+    """``fmt`` of every value of an 8-byte ``column``, called once per
+    distinct bit pattern, so that -0.0 and 0.0 keep their own text."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array([fmt(v) for v in keys.view(column.dtype).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
     """``orbits.csv`` from the columns; the bytes are those of
     :func:`_write_csv`, whose ``_fmt`` is ``str`` of an int and ``repr``
-    of a float.  Every symbol of every word is joined by "-" in one
-    string, which is cut at the character offsets of the row bounds."""
+    of a float.  Symmetry images and time reversals share their doubles,
+    so each column's text is made once per distinct value and the rows
+    are joined column-wise.  Every symbol of every word is joined by "-"
+    in one string, which is cut at the character offsets of the row
+    bounds."""
     labels = np.array([str(k) for k in range(int(db.word.max(initial=0)) + 1)])
     joined = "-".join(labels[db.word].tolist())
     # symbol i starts at the sum of (width + 1) over the symbols before it
     widths = np.char.str_len(labels)[db.word] + 1
     starts = np.concatenate(([0], np.cumsum(widths)))[db.bounds].tolist()
     words = [joined[a : b - 1] for a, b in zip(starts, starts[1:])]
-    lines = map(
-        "{},{},{!r},{!r},{!r},{!r}".format,
-        words,
-        db.n.tolist(),
-        db.T.tolist(),
-        db.lam.tolist(),
-        db.residual.tolist(),
-        db.shadow_margin.tolist(),
-    )
+    floats = (_texts(column, repr) for column in (db.T, db.lam, db.residual, db.shadow_margin))
+    lines = map(",".join, zip(words, _texts(db.n, str), *floats))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(["word,length,period,lam,residual,shadow_margin", *lines]) + "\n")
 
@@ -236,6 +240,14 @@ def _make_out_dir(args) -> None:
         raise MalformedInputError(f"cannot create output directory {args.out}: {exc}") from exc
 
 
+def _write_file(path: Path, write, *args) -> None:
+    """``write(path, *args)``; an unwritable file is malformed input."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _write_outputs(args, config_hash: str, params: dict, tables: dict) -> None:
     """Write every table into the --out directory, then the run manifest
     that lists exactly those files; nothing without --out.
@@ -248,10 +260,10 @@ def _write_outputs(args, config_hash: str, params: dict, tables: dict) -> None:
     out = Path(args.out)
     for name, table in tables.items():
         if callable(table):
-            table(out / name)
+            _write_file(out / name, table)
         else:
-            _write_csv(out / name, *table)
-    _write_json(out / f"{args.subcommand}_manifest.json", {
+            _write_file(out / name, _write_csv, *table)
+    _write_file(out / f"{args.subcommand}_manifest.json", _write_json, {
         "format": "billzeta-run/1",
         "tool_version": __version__,
         "subcommand": args.subcommand,

@@ -501,9 +501,21 @@ def test_unwritable_output_paths_are_malformed_input(cli_env, tmp_path):
         assert not new_cache.exists(), sub
 
 
-def eleven_disk_database():
+def test_an_unwritable_output_file_is_malformed_input(cli_env, tmp_path):
+    # a directory in the place of a table, then of a manifest
+    for sub, name in (("orbits", "orbits.csv"), ("poles", "poles_manifest.json")):
+        out_dir = tmp_path / sub
+        (out_dir / name).mkdir(parents=True)
+        out = run_cli(sub, "--cache", cli_env["cache"], "--out", out_dir)
+        assert out.returncode == 1, (sub, out.stderr)
+        assert f"cannot write output file {out_dir / name}" in out.stderr, sub
+        assert "Traceback" not in out.stderr, sub
+
+
+def eleven_disk_database(scalars=None):
     """A hand-built database over 11 disks, so that labels reach two
-    digits; its numbers are arbitrary, only the writer reads them."""
+    digits; its numbers are arbitrary, only the writer reads them.
+    ``scalars`` maps a scalar column to its 7 values, in place of random ones."""
     from billzeta import database
     from billzeta.database import OrbitDatabase
     from billzeta.geometry import Configuration, Disk
@@ -516,6 +528,7 @@ def eleven_disk_database():
     columns = {"n": n, "word": [s for w in words for s in w]}
     for name in database.SCALARS:
         columns[name] = rng.uniform(-40.0, 40.0, len(words))
+    columns.update(scalars or {})
     for name in database.PER_BOUNCE:
         columns[name] = rng.uniform(-1.0, 1.0, sum(n))
     return OrbitDatabase(config, max(n), columns)
@@ -526,7 +539,16 @@ def test_orbits_csv_equals_the_row_writer(tmp_path, db12, db_four7):
 
     header = ["word", "length", "period", "lam", "residual", "shadow_margin"]
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    for db in (db12, db_four7, eleven_disk_database()):
+    nan, inf = float("nan"), float("inf")
+    # -0.0 beside 0.0, repeats in rows apart, and the points where repr
+    # switches between its fixed and its exponent form
+    edges = {
+        "T": [-0.0, 2.5, 0.0, -0.0, 2.5, 0.0, 7.25],
+        "lam": [nan, inf, -inf, 5e-324, -nan, -5e-324, nan],
+        "residual": [1e-05, 0.0001, 1e16, 9999999999999998.0, 1e-05, 9.999999999999999e-06, 1e16],
+        "shadow_margin": [0.0001, 0.00010000000000000002, 1e15, 1e17, 0.0001, -0.0, 1e-05],
+    }
+    for db in (db12, db_four7, eleven_disk_database(), eleven_disk_database(edges)):
         rows = [
             ("-".join(str(s) for s in rec.word), rec.n, rec.T, rec.lam, rec.residual,
              rec.shadow_margin)
@@ -700,6 +722,27 @@ def test_poles_csv_does_not_depend_on_the_blas_threads(tmp_path, db13):
             tables.append((out / "poles.csv").read_bytes())
         assert tables[0] == tables[1], name
         assert tables[0].count(b"\n") == (4 if name == "default" else 3), name
+
+
+def test_orbits_csv_does_not_depend_on_the_simd_dispatch(tmp_path, db13):
+    # np.unique sorts the writer's keys on AVX-512 paths where the CPU has
+    # them: the bytes must equal those written without them
+    cache = tmp_path / "orbits13"
+    save_database(db13, cache)
+    tables = []
+    # an empty list disables nothing: numpy's default dispatch
+    for i, disabled in enumerate(("", "X86_V4 AVX512_ICL AVX512_SPR")):
+        env = dict(subprocess_env(), NPY_DISABLE_CPU_FEATURES=disabled)
+        out = tmp_path / f"out-{i}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "billzeta.cli", "orbits", "--cache", str(cache),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tables.append((out / "orbits.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0].count(b"\n") == len(db13) + 1
 
 
 def eager_parser():
