@@ -161,7 +161,7 @@ def _solve_lengths(config, lo: int, hi: int) -> dict:
     of a shorter length must come before a solve failure: when the solve
     raises, lengths lo..hi-1 are solved again first.
     """
-    words = symbolic.enumerate_cycles(config.r, hi, n_min=lo, as_array=True)
+    words = symbolic.enumerate_cycles(config.r, hi, n_min=lo)
     try:
         solved = orbits.solve_orbits(config, words)
     except BilliardError:

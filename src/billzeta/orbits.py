@@ -20,14 +20,16 @@ on these ``(M, W)`` rows.  A row of length n keeps its bounces in
 columns 0..n-1, and the LDL^T takes its border at column n-1.  The
 padding columns n..W-1 are frozen at flight 0, gradient 0 and Hessian
 diagonal 1 with no coupling, so a row takes bit for bit the steps it
-takes in a batch of its own length.  Cyclic neighbours are read through
-flat gather indices built once per batch.  The certification checks
-every bounce, with the padding masked out: the residual, the incidence
-angles, the reflection law and the clearance of each flight from the
-r - 2 disks it does not touch.  The padded arrays are returned as they
-are, with no object per cycle, and a row's result does not depend on
-which words share its batch.  :func:`solve_orbit` is the one-row batch,
-returned as a :class:`PeriodicOrbit`.
+takes in a batch of its own length, until the sup norm of its gradient
+is at most ``SOLVER_TOL``.  Cyclic neighbours are read through flat
+gather indices built once per batch and passed, with the padding cells,
+to every Newton helper.  The certification checks every bounce, with
+the padding masked out: the residual, the incidence angles, the
+reflection law and the clearance of each flight from the r - 2 disks it
+does not touch.  The padded arrays are returned as they are, with no
+object per cycle, and a row's result does not depend on which words
+share its batch.  :func:`solve_orbit` is the one-row batch, returned as
+a :class:`PeriodicOrbit`.
 """
 
 from dataclasses import dataclass
@@ -160,16 +162,6 @@ def _neighbours(n, width):
     return nxt, prv
 
 
-def _links(theta, links):
-    """``links`` of a batch: the neighbour indices of its cells
-    (:func:`_neighbours`) and its padding cells, None when there are
-    none.  Without ``links``, those of rows that are all of length W."""
-    if links is not None:
-        return links
-    m, w = theta.shape
-    return _neighbours(np.full(m, w), w), None
-
-
 def _take(links, rows):
     """The links of ``rows`` (an index array or ``slice(None)``) of a
     batch, as a batch of their own."""
@@ -223,18 +215,19 @@ def _flights(cx, cy, rad, c, s, nxt):
     return px, py, ex, ey, np.sqrt(ex * ex + ey * ey)
 
 
-def _derivatives(cx, cy, rad, theta, links=None):
+def _derivatives(cx, cy, rad, theta, links):
     """Length, gradient and Hessian bands at ``theta``, from one frame.
 
     The Hessian of the cyclic length is cyclic tridiagonal; it is
     returned as its diagonal ``d`` and its off-diagonal ``e``, with
     ``e[:, i]`` its entry between bounce i and the next, both ``(M,
-    W)``; ``links`` is that of :func:`_links`.  A padding cell has
-    radius 0 and is its own neighbour, so its flight, gradient and
-    coupling are 0; it divides by 1 instead of its flight 0 and gets
-    diagonal 1.
+    W)``.  ``links`` holds the neighbour indices of the cells
+    (:func:`_neighbours`) and the padding cells, None when there are
+    none.  A padding cell has radius 0 and is its own neighbour, so its
+    flight, gradient and coupling are 0; it divides by 1 instead of its
+    flight 0 and gets diagonal 1.
     """
-    (nxt, prv), pad = _links(theta, links)
+    (nxt, prv), pad = links
     c, s = np.cos(theta), np.sin(theta)
     px, py, ex, ey, f = _flights(cx, cy, rad, c, s, nxt)
     length = _row_sum(f)
@@ -344,7 +337,7 @@ def _cyclic_solve(d, e, r, last=None):
     return x.T, pivots.T, definite
 
 
-def _damped_step(cx, cy, rad, theta, local, gnorm, links=None):
+def _damped_step(cx, cy, rad, theta, local, gnorm, links):
     """One damped Newton step per row: returns the new angles, the
     length, gradient and Hessian bands there, and which rows moved.
 
@@ -360,7 +353,6 @@ def _damped_step(cx, cy, rad, theta, local, gnorm, links=None):
     :func:`_derivatives` frame, whose length is the decrease test, so
     the accepted trial's derivatives are returned without another frame.
     """
-    links = _links(theta, links)
     L0, g, d, e = local
     # each row's last bounce is the one before its first
     delta, _, newton = _cyclic_solve(d, e, -g, links[0][1][:, 0] % theta.shape[1])
@@ -395,18 +387,18 @@ def _damped_step(cx, cy, rad, theta, local, gnorm, links=None):
     return new, local, moved
 
 
-def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER, links=None):
+def _newton(cx, cy, rad, theta, links, max_iter):
     """Damped Newton iteration on the cyclic length, one row per orbit.
 
-    Rows iterate until the sup norm of their gradient is at most ``tol``,
-    they stall, or ``max_iter`` steps pass.  Returns the angles and the
-    residual (gradient sup norm) per row.
+    Rows iterate until the sup norm of their gradient is at most
+    ``SOLVER_TOL``, they stall, or ``max_iter`` steps pass; ``links`` as
+    for :func:`_derivatives`.  Returns the angles and the residual
+    (gradient sup norm) per row.
     """
     theta = np.array(theta, dtype=float)
-    links = _links(theta, links)
     local = _derivatives(cx, cy, rad, theta, links)
     gnorm = np.max(np.abs(local[1]), axis=1)
-    live = gnorm > tol
+    live = gnorm > SOLVER_TOL
     for _ in range(max_iter):
         rows = np.flatnonzero(live)
         if rows.size == 0:
@@ -420,17 +412,17 @@ def _newton(cx, cy, rad, theta, tol=SOLVER_TOL, max_iter=MAX_ITER, links=None):
         for a, b in zip(local, values):
             a[rows] = b
         gnorm[rows] = np.max(np.abs(values[1]), axis=1)
-        live[rows] = moved & (gnorm[rows] > tol)
+        live[rows] = moved & (gnorm[rows] > SOLVER_TOL)
     return theta, gnorm
 
 
-def _solve(disks, cells, links, theta0, tol, max_iter):
+def _solve(disks, cells, links, theta0, max_iter):
     """The Newton iteration on padded rows from ``theta0``, its padding
     ignored, or from :func:`default_angles` when it is None.  Returns the
     angles in [0, 2 pi), 0 in the padding, and the residual per row."""
     start = _default_angles(disks[0], disks[1], *links) if theta0 is None else theta0
     pad = None if cells.all() else ~cells
-    theta, gnorm = _newton(*disks, np.where(cells, start, 0.0), tol, max_iter, (links, pad))
+    theta, gnorm = _newton(*disks, np.where(cells, start, 0.0), (links, pad), max_iter)
     return np.mod(theta, 2.0 * np.pi), gnorm
 
 
@@ -478,13 +470,7 @@ def _certify(config, labels, disks, theta, cells, nxt, prv):
     return flights, cos_inc, skewed, margin, other
 
 
-def solve_orbits(
-    config,
-    words,
-    theta0=None,
-    tol: float = SOLVER_TOL,
-    max_iter: int = MAX_ITER,
-) -> dict:
+def solve_orbits(config, words, theta0=None, max_iter: int = MAX_ITER) -> dict:
     """Solve the periodic orbits of cyclic itineraries in one batch, one
     row per word.
 
@@ -496,14 +482,14 @@ def solve_orbits(
         Cyclic itineraries of any lengths, 1-based disk labels, no
         immediate repeats.  An array holds one word per row, padded
         with zeros after its last label, as
-        :func:`billzeta.symbolic.enumerate_cycles` returns them with
-        ``as_array``; a row with a zero before a label is a word of
-        length W.
+        :func:`billzeta.symbolic.enumerate_cycles` returns them; a row
+        with a zero before a label is a word of length W.
     theta0 : array, optional
         Starting boundary angles, shape ``(M, W)``, each row's first n
         entries used; defaults to :func:`default_angles` of each word.
-    tol : float
-        Convergence target for the sup norm of the length gradient.
+    max_iter : int
+        Newton steps a row may take to bring the sup norm of its length
+        gradient to ``SOLVER_TOL``.
 
     Every row goes through the same Newton steps and checks as it would
     in a batch of its own length, so the orbits do not depend on which
@@ -523,7 +509,7 @@ def solve_orbits(
     Raises
     ------
     SolverError
-        For a row that misses ``tol`` (carries its residual), is
+        For a row that misses ``SOLVER_TOL`` (carries its residual), is
         tangential or fails the independent reflection-law check.
     DomainError
         If the batch is empty, an itinerary is inadmissible, or a
@@ -531,7 +517,7 @@ def solve_orbits(
 
     The first inadmissible word raises.  Otherwise the error raised is
     that of the shortest length with a failing row, the first failing
-    check there in the order above (a missed ``tol``, tangency, the
+    check there in the order above (a missed ``SOLVER_TOL``, tangency, the
     reflection law, a crossing) and its first failing row: the error a
     batch per length, shortest first, would raise.
     """
@@ -545,13 +531,13 @@ def solve_orbits(
     cells = _cells(n, width)
     disks = _disks(config, labels)
     nxt, prv = _neighbours(n, width)
-    theta, gnorm = _solve(disks, cells, (nxt, prv), theta0, tol, max_iter)
+    theta, gnorm = _solve(disks, cells, (nxt, prv), theta0, max_iter)
     flights, cos_inc, skewed, margin, other = _certify(
         config, labels, disks, theta, cells, nxt, prv
     )
     crossing = (margin <= 0.0) & cells[..., None]
     failure = _first_failure(n, [np.flatnonzero(a) for a in (
-        ~(gnorm <= tol), ((cos_inc <= 0.0) & cells).any(axis=1), skewed.any(axis=1),
+        ~(gnorm <= SOLVER_TOL), ((cos_inc <= 0.0) & cells).any(axis=1), skewed.any(axis=1),
         crossing.any(axis=(1, 2)),
     )])
     if failure is not None:
@@ -586,18 +572,12 @@ def solve_orbits(
     }
 
 
-def solve_orbit(
-    config,
-    word,
-    theta0=None,
-    tol: float = SOLVER_TOL,
-    max_iter: int = MAX_ITER,
-) -> PeriodicOrbit:
+def solve_orbit(config, word, theta0=None, max_iter: int = MAX_ITER) -> PeriodicOrbit:
     """Solve for the periodic orbit with the given cyclic itinerary: the
     one-row batch of :func:`solve_orbits`, which gives the parameters and
     the errors raised."""
     start = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
-    rows = solve_orbits(config, [word], start, tol, max_iter)
+    rows = solve_orbits(config, [word], start, max_iter)
     return PeriodicOrbit(
         word=_word(rows["labels"], 0, int(rows["n"][0])),
         angles=rows["angles"][0],

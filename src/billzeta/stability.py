@@ -8,7 +8,8 @@ raises.  Each reflection flips orientation, so the signed eigenvalue
 carries a factor (-1) per bounce.
 
 Both routes run over ``(M, W)`` arrays, one row per orbit, each row's
-first n entries its bounces and zeros after them:
+first n entries its bounces and zeros after them, in a batch of one
+length as in a batch of several:
 :func:`stability_records` certifies a batch of any lengths from the
 columns :func:`orbits.solve_orbits` returns and gives back the
 curvatures and signed eigenvalues as columns, with no object per cycle.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HyperbolicityError, NumericalError
-from .orbits import PeriodicOrbit, _cells, _first_failure, _length_blocks, _word
+from .orbits import PeriodicOrbit, _cells, _check_words, _first_failure, _length_blocks, _word
 
 CURVATURE_TOL = 1e-13
 MAX_SWEEPS = 500
@@ -40,14 +41,12 @@ def wavefront_green(kappa: float, y: float) -> float:
     return -0.5 * kappa / (1.0 + kappa * y)
 
 
-def _kicks(config, labels, cos_incidence, cells=None):
+def _kicks(config, labels, cos_incidence):
     """Reflection kicks ``2 k_B / cos(phi)`` and boundary curvatures
     ``k_B`` along padded words, ``(M, W)`` each; both are 0 in the
-    padding (label 0), the cells outside ``cells`` (None when every cell
-    holds a bounce)."""
+    padding (label 0)."""
     kb = np.append(1.0 / config.radii, 0.0)[labels - 1]
-    where = True if cells is None else cells
-    kicks = np.divide(2.0 * kb, cos_incidence, out=np.zeros_like(kb), where=where)
+    kicks = np.divide(2.0 * kb, cos_incidence, out=np.zeros_like(kb), where=labels != 0)
     return kicks, kb
 
 
@@ -58,19 +57,18 @@ def _one_row(config, orbit: PeriodicOrbit):
     return (labels, orbit.flights[None], *_kicks(config, labels, orbit.cos_incidence[None]))
 
 
-def _curvature_sweeps(
-    flights, kicks, kappa0, tol=CURVATURE_TOL, max_sweeps=MAX_SWEEPS, cells=None
-):
+def _curvature_sweeps(flights, kicks, kappa0, cells=None):
     """Periodic point of the curvature transport map, one row per cycle.
 
     ``kappa[:, i]`` is the outgoing (post-reflection) wavefront curvature
     at bounce ``i``; a flight of length ``f`` maps ``k`` to ``k/(1+f k)``
     and the reflection at bounce ``j`` adds ``kicks[:, j]``.  Each sweep
     goes around the cycle bounce by bounce, and a row stops after the
-    first sweep that moves it less than ``tol`` in sup norm over
-    ``cells``, the cells that hold a bounce (all when None); a padding
-    cell, with flight and kick 0, passes its curvature on unchanged.
-    Returns (kappa, sweeps per row, settled per row).
+    first sweep that moves it less than ``CURVATURE_TOL`` in sup norm
+    over ``cells``, the cells that hold a bounce (all when None), or
+    after ``MAX_SWEEPS`` sweeps; a padding cell, with flight and kick 0,
+    passes its curvature on unchanged.  Returns (kappa, sweeps per row,
+    settled per row).
     """
     kappa = np.array(kappa0, dtype=float).T.copy()
     flights, kicks = flights.T.copy(), kicks.T.copy()
@@ -79,7 +77,7 @@ def _curvature_sweeps(
     holes = {} if cells is None else {j: c for j, c in enumerate(cells.T) if not c.all()}
     sweeps = np.zeros(m, dtype=np.int64)
     live = np.ones(m, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
@@ -96,7 +94,7 @@ def _curvature_sweeps(
             k[j] = new
         kappa[:, rows] = k
         sweeps[rows] += 1
-        live[rows] = ~(diff < tol)
+        live[rows] = ~(diff < CURVATURE_TOL)
     return kappa.T.copy(), sweeps, ~live
 
 
@@ -104,13 +102,6 @@ def _unsettled(labels, i, n):
     return NumericalError(
         f"curvature transport for {_word(labels, i, n)} did not settle in {MAX_SWEEPS} sweeps"
     )
-
-
-def _curvatures(labels, flights, kicks, kb):
-    kappa, _, settled = _curvature_sweeps(flights, kicks, kb)
-    if not settled.all():
-        raise _unsettled(labels, np.flatnonzero(~settled)[0], labels.shape[1])
-    return kappa
 
 
 def _monodromies(flights, kicks, n=None):
@@ -134,9 +125,13 @@ def unstable_curvatures(config, orbit: PeriodicOrbit) -> np.ndarray:
     """Post-reflection curvature of the expanding wavefront at each bounce.
 
     Starts from the boundary curvatures and sweeps the cycle map until
-    the sup-norm change per sweep is below 1e-13.
+    the sup-norm change per sweep is below ``CURVATURE_TOL``.
     """
-    return _curvatures(*_one_row(config, orbit))[0]
+    labels, flights, kicks, kb = _one_row(config, orbit)
+    kappa, _, settled = _curvature_sweeps(flights, kicks, kb)
+    if not settled[0]:
+        raise _unsettled(labels, 0, orbit.n)
+    return kappa[0]
 
 
 def expansion_factor(orbit: PeriodicOrbit, kappa: np.ndarray):
@@ -190,11 +185,6 @@ class StabilityRecord:
     def lam(self) -> float:
         return self.sign * self.lam_abs
 
-    @property
-    def d_gamma(self) -> float:
-        """Expansion exponent per primitive period (positive)."""
-        return float(np.log(self.lam_abs))
-
 
 def stability_records(config, labels, flights, cos_incidence):
     """Stability of orbits of any lengths in one batch, both routes per
@@ -215,12 +205,13 @@ def stability_records(config, labels, flights, cos_incidence):
         1e-8.
     DomainError
         If the batch is empty, the three arrays are not of one
-        ``(M, W)`` shape or the zeros of ``labels`` are not padding.
+        ``(M, W)`` shape, the zeros of ``labels`` are not padding, or a
+        word uses a label outside 1..r.
 
-    The error raised is that of the shortest length with a failing row,
-    the first failing check there in the order above and its first
-    failing row: the error a batch per length, shortest first, would
-    raise.
+    A bad batch or word raises first.  Otherwise the error raised is
+    that of the shortest length with a failing row, the first failing
+    check there in the order above and its first failing row: the error
+    a batch per length, shortest first, would raise.
     """
     labels = np.asarray(labels, dtype=np.int64)
     flights, cos_incidence = np.asarray(flights, float), np.asarray(cos_incidence, float)
@@ -229,18 +220,18 @@ def stability_records(config, labels, flights, cos_incidence):
         raise DomainError("a stability batch needs at least one orbit and one (M, W) shape")
     m, width = labels.shape
     n = np.count_nonzero(labels, axis=1)
-    # a batch of one length has no padding: its counts prove the layout
-    cells = None if n.min() == width else _cells(n, width)
-    if (cells is not None and not np.array_equal(labels != 0, cells)) or n.min() < 2:
+    cells = _cells(n, width)
+    if not np.array_equal(labels != 0, cells) or n.min() < 2:
         raise DomainError("stability labels must be words of length 2 or more, padded with zeros")
-    kicks, kb = _kicks(config, labels, cos_incidence, cells)
-    kappa, _, settled = _curvature_sweeps(flights, kicks, kb, cells=cells)
-    if cells is not None:
-        kappa[~cells] = 0.0
+    if labels.min() < 0 or labels.max() > config.r:
+        _check_words(config, labels, n)  # names the first bad word
+    kicks, kb = _kicks(config, labels, cos_incidence)
+    kappa, _, settled = _curvature_sweeps(flights, kicks, kb, cells)
+    kappa[~cells] = 0.0
     lam_abs = np.empty(m)
     for rows, block in _length_blocks(n, width):
         lam_abs[rows] = np.prod(1.0 + flights[block] * kappa[block], axis=1)
-    tr = np.trace(_monodromies(flights, kicks, None if cells is None else n), axis1=-2, axis2=-1)
+    tr = np.trace(_monodromies(flights, kicks, n), axis1=-2, axis2=-1)
     lam_mono, hyperbolic = _eigenvalue(tr)
     lam = np.where(n % 2 == 1, -lam_abs, lam_abs)
     agree = np.isclose(lam_mono, lam, rtol=CROSS_CHECK_RTOL, atol=0.0)

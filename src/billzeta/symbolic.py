@@ -4,7 +4,8 @@ Itineraries live in the subshift whose transition matrix has zeros on
 the diagonal and ones elsewhere: symbol ``i`` may be followed by any
 ``j != i``.  Periodic itineraries are handled as cyclic words; each
 class is represented by its lexicographically smallest rotation.
-Symbols are 1-based everywhere in the public API.
+Symbols are 1-based everywhere in the public API; the cycles come as
+one int array, a word per row padded with zeros after its last label.
 
 A symmetry class of cycles gathers a canonical word with its images
 under a group of label permutations and under reversal (time reversal),
@@ -104,7 +105,7 @@ def _admissible_codes(r: int, n: int, first: int):
     return code[last != 0]
 
 
-def enumerate_cycles(r: int, n_max: int, n_min: int = 2, as_array: bool = False):
+def enumerate_cycles(r: int, n_max: int, n_min: int = 2) -> np.ndarray:
     """All primitive cyclic classes of length n_min..n_max, canonical words.
 
     A canonical rotation starts with its least symbol, so only the
@@ -116,11 +117,10 @@ def enumerate_cycles(r: int, n_max: int, n_min: int = 2, as_array: bool = False)
     nontrivial rotations: that makes it the canonical rotation and rules
     out words that repeat a shorter block.  The count per length is
     cross-checked against the Moebius count, so enumeration and the
-    closed-form trace can never drift apart silently.  Returns a list of
-    1-based tuples sorted by (length, word); with ``as_array``, the same
-    words as the rows of one ``(M, n_max)`` int64 array, each padded
-    with zeros after its last label.  Either way ``len()`` of the result
-    is the number of cycles.
+    closed-form trace can never drift apart silently.  Returns the
+    1-based words sorted by (length, word) as the rows of one
+    ``(M, n_max)`` int64 array, each padded with zeros after its last
+    label, so ``len()`` of the result is the number of cycles.
     """
     if r < 3:
         raise ValueError("need at least 3 symbols")
@@ -137,8 +137,6 @@ def enumerate_cycles(r: int, n_max: int, n_min: int = 2, as_array: bool = False)
                 f"enumeration found {code.size} classes of length {n}, expected {cap}"
             )
         blocks.append(code[:, None] // r ** np.arange(n - 1, -1, -1, dtype=np.int64) % r + 1)
-    if not as_array:
-        return [tuple(row) for digits in blocks for row in digits.tolist()]
     words = np.zeros((sum(len(digits) for digits in blocks), n_max), dtype=np.int64)
     row = 0
     for digits in blocks:

@@ -10,7 +10,7 @@ from billzeta import database
 from billzeta.database import OrbitDatabase, build_database, restrict_database
 from billzeta.geometry import VALIDATE_TOL, Configuration, Disk
 from billzeta.stability import det_one_minus_poincare
-from billzeta.symbolic import canonical_rotation
+from billzeta.symbolic import canonical_rotation, enumerate_cycles
 from billzeta.thermo import build_potentials, solve_abscissa
 from billzeta.zeta import PERIOD_ULPS, build_determinant
 
@@ -85,6 +85,12 @@ def nearly_equilateral() -> Configuration:
     return Configuration(
         tuple(Disk(c + m, a) for c, m, a in zip(base.centers, moves, base.radii))
     )
+
+
+def cycles(r: int, n_max: int, n_min: int = 2) -> list:
+    """The rows of :func:`enumerate_cycles` as word tuples, the padding
+    dropped."""
+    return [tuple(s for s in row if s) for row in enumerate_cycles(r, n_max, n_min).tolist()]
 
 
 def brute_force_symmetries(config: Configuration) -> tuple:

@@ -288,9 +288,8 @@ def solved_records(db):
     """Records made row by row from every length's solve and stability
     columns."""
     config, made = db.config, []
-    words = enumerate_cycles(config.r, db.n_max)
     for n in range(2, db.n_max + 1):
-        solved = solve_orbits(config, [w for w in words if len(w) == n])
+        solved = solve_orbits(config, enumerate_cycles(config.r, n, n_min=n))
         labels = solved["labels"]
         kappa, lam = stability_records(config, labels, solved["flights"], solved["cos_incidence"])
         made += [

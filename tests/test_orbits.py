@@ -9,18 +9,20 @@ from billzeta.database import build_database
 from billzeta.errors import BilliardError, DomainError, SolverError
 from billzeta.geometry import Configuration, Disk
 from billzeta.orbits import (
+    MAX_ITER,
     SOLVER_TOL,
     _cyclic_solve,
     _damped_step,
     _derivatives,
     _disks,
+    _neighbours,
     _newton,
     default_angles,
     solve_orbit,
     solve_orbits,
 )
-from billzeta.symbolic import enumerate_cycles, is_cyclically_admissible
-from tests.conftest import equilateral_config, records, unequal_four_disks
+from billzeta.symbolic import is_cyclically_admissible
+from tests.conftest import cycles, equilateral_config, records, unequal_four_disks
 
 
 def dense(d, e):
@@ -35,6 +37,13 @@ def dense(d, e):
     H[:, r, nxt] += e
     H[:, nxt, r] += e
     return H
+
+
+def full_links(theta):
+    """The links of rows that all have as many bounces as ``theta`` has
+    columns: their neighbour indices, and no padding cells."""
+    m, width = theta.shape
+    return _neighbours(np.full(m, width), width), None
 
 
 def first_bad_word_message(config, words):
@@ -103,19 +112,19 @@ def test_default_angles_point_toward_next_disk(config):
 
 
 def test_newton_rows_do_not_depend_on_their_batch(config):
-    words = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
+    words = cycles(3, 6, 6)
     cx, cy, rad = _disks(config, words)
     start = np.array([default_angles(config, w) for w in words])
-    solved, _ = _newton(cx, cy, rad, start)
+    solved, _ = _newton(cx, cy, rad, start, full_links(start), MAX_ITER)
     near = solved + 1e-7
     far = start + 2.0
 
     def min_eig(theta):
-        _, _, d, e = _derivatives(cx, cy, rad, theta)
+        _, _, d, e = _derivatives(cx, cy, rad, theta, full_links(theta))
         return np.linalg.eigvalsh(dense(d, e))[:, 0]
 
     def residual(theta):
-        return np.abs(_derivatives(cx, cy, rad, theta)[1]).max(axis=1)
+        return np.abs(_derivatives(cx, cy, rad, theta, full_links(theta))[1]).max(axis=1)
 
     # three branches: near rows take the full Newton step, default starts
     # the halved Newton step, far starts (indefinite Hessian) the halved -g
@@ -126,15 +135,16 @@ def test_newton_rows_do_not_depend_on_their_batch(config):
     groups = (far, near, start)
     theta0 = np.stack(groups, axis=1).reshape(-1, 6)
     bx, by, brad = (np.repeat(a, len(groups), axis=0) for a in (cx, cy, rad))
-    theta, res = _newton(bx, by, brad, theta0)
+    theta, res = _newton(bx, by, brad, theta0, full_links(theta0), MAX_ITER)
     for i in range(len(theta0)):
-        alone, alone_res = _newton(bx[i : i + 1], by[i : i + 1], brad[i : i + 1],
-                                   theta0[i : i + 1])
+        one = theta0[i : i + 1]
+        alone, alone_res = _newton(bx[i : i + 1], by[i : i + 1], brad[i : i + 1], one,
+                                   full_links(one), MAX_ITER)
         assert np.array_equal(theta[i], alone[0])
         assert res[i] == alone_res[0]
     assert res.max() <= SOLVER_TOL
     # every start reaches the same orbit
-    lengths = _derivatives(bx, by, brad, theta)[0].reshape(-1, len(groups))
+    lengths = _derivatives(bx, by, brad, theta, full_links(theta))[0].reshape(-1, len(groups))
     assert np.ptp(lengths, axis=1).max() < 1e-12
 
     # a step returns the length, gradient and Hessian bands of the angles
@@ -146,17 +156,18 @@ def test_newton_rows_do_not_depend_on_their_batch(config):
     sx, sy, srad = _disks(two, [(1, 2, 1, 2, 1, 2)])
     disks = [np.concatenate(a) for a in ((bx, sx), (by, sy), (brad, srad))]
     theta0 = np.concatenate((theta0, default_angles(two, (1, 2, 1, 2, 1, 2))[None] + np.pi))
-    local = _derivatives(*disks, theta0)
+    links = full_links(theta0)
+    local = _derivatives(*disks, theta0, links)
     theta, values, moved = _damped_step(*disks, theta0, local,
-                                        np.abs(local[1]).max(axis=1))
+                                        np.abs(local[1]).max(axis=1), links)
     assert moved[:-1].all() and not moved[-1]
     assert np.array_equal(theta[-1], theta0[-1])
-    for a, b in zip(values, _derivatives(*disks, theta)):
+    for a, b in zip(values, _derivatives(*disks, theta, links)):
         assert np.array_equal(a, b)
 
 
 def test_batch_raises_for_the_first_row_left_above_tolerance(config):
-    words = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
+    words = cycles(3, 6, 6)
     with pytest.raises(SolverError) as info:
         solve_orbits(config, words, max_iter=1)
     assert str(words[0]) in str(info.value)
@@ -170,7 +181,7 @@ def test_batch_raises_for_the_first_row_left_above_tolerance(config):
 
 
 def test_batch_names_the_first_bad_word(config):
-    good = [w for w in enumerate_cycles(3, 6) if len(w) == 6]
+    good = cycles(3, 6, 6)
     batches = [
         good[:5] + [(1, 2, 3, 1, 2, 4)] + good[5:] + [(1, 1, 2, 3, 1, 2)],
         good[:3] + [(1, 2, 3, 1, 2, 1), (0, 2, 3, 1, 2, 3)],
@@ -317,7 +328,8 @@ def test_hill_formula_ties_the_pivots_to_the_monodromy(make_config):
         rows = np.flatnonzero(db.n == n)
         a, b = db.bounds[rows[0]], db.bounds[rows[-1] + 1]
         words = db.word[a:b].reshape(-1, n)
-        _, _, d, e = _derivatives(*_disks(config, words), db.angles[a:b].reshape(-1, n))
+        theta = db.angles[a:b].reshape(-1, n)
+        _, _, d, e = _derivatives(*_disks(config, words), theta, full_links(theta))
         _, pivots, definite = _cyclic_solve(d, e, np.zeros_like(d))
         assert definite.all()
         lam = db.lam[rows]

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from billzeta.errors import DomainError, HyperbolicityError
+from billzeta import cli, stability
+from billzeta.errors import DomainError, HyperbolicityError, NumericalError
+from billzeta.geometry import save_config
 from billzeta.orbits import solve_orbit, solve_orbits
 from billzeta.stability import (
     _curvature_sweeps,
@@ -17,7 +21,7 @@ from billzeta.stability import (
     unstable_curvatures,
     wavefront_green,
 )
-from tests.conftest import records, unequal_four_disks
+from tests.conftest import cycles, records, unequal_four_disks
 
 
 def test_two_cycle_curvature_and_factor(config):
@@ -87,9 +91,7 @@ def test_green_integral_reproduces_log_factor(config):
 
 
 def test_curvature_rows_do_not_depend_on_their_batch(config):
-    from billzeta.symbolic import enumerate_cycles
-
-    words = [w for w in enumerate_cycles(3, 7) if len(w) == 7]
+    words = cycles(3, 7, 7)
     solved = solve_orbits(config, words)
     labels, flights, cos_incidence = solved["labels"], solved["flights"], solved["cos_incidence"]
     kicks, kb = _kicks(config, labels, cos_incidence)
@@ -119,7 +121,7 @@ def test_curvature_rows_do_not_depend_on_their_batch(config):
     # monodromies of even and odd lengths on disks of unequal radii
     four = unequal_four_disks()
     for n in (4, 5):
-        solved = solve_orbits(four, [w for w in enumerate_cycles(4, n) if len(w) == n])
+        solved = solve_orbits(four, cycles(4, n, n))
         flights = solved["flights"]
         kicks, _ = _kicks(four, solved["labels"], solved["cos_incidence"])
         batch = _monodromies(flights, kicks)
@@ -150,9 +152,37 @@ def test_stability_padding_must_trail_the_word(config):
         alone = stability_record(config, orbit)
         assert np.array_equal(kappa[i, : orbit.n], alone.kappa) and lam[i] == alone.lam
     assert kappa[0, 2] == 0.0
-    # a batch of one length has no padding and takes no padding mask
+    # a batch of one length takes the same layout, with no padding
     full = stability_records(config, [three.word], [three.flights], [three.cos_incidence])
     assert np.array_equal(full[0][0], kappa[1]) and full[1][0] == lam[1]
     for labels in ([[1, 0, 2], [1, 2, 3]], [[0, 1, 2], [1, 2, 3]], [[1, 0, 0], [1, 2, 3]]):
         with pytest.raises(DomainError, match="padded with zeros"):
             stability_records(config, labels, flights, cos_incidence)
+
+
+def test_stability_labels_outside_the_disks_are_domain_error(config):
+    two = solve_orbit(config, (1, 2))
+    # label 5 has no disk; label -1 would read the last disk's radius
+    for word in ((1, 5), (1, -1)):
+        message = re.escape(f"itinerary {word} uses labels outside 1..3")
+        with pytest.raises(DomainError, match=message):
+            stability_records(config, [word], [two.flights], [two.cos_incidence])
+
+
+def test_unsettled_curvature_transport_names_the_shortest_cycle(config, tmp_path, monkeypatch,
+                                                                capsys):
+    # the transport of (1, 2) from the boundary curvatures takes more
+    # than one sweep, and so does that of every longer cycle
+    monkeypatch.setattr(stability, "MAX_SWEEPS", 1)
+    message = re.escape("curvature transport for (1, 2) did not settle in 1 sweeps")
+    solved = solve_orbits(config, [(1, 2, 3), (1, 2)])
+    with pytest.raises(NumericalError, match=message):
+        stability_records(config, solved["labels"], solved["flights"], solved["cos_incidence"])
+    with pytest.raises(NumericalError, match=message):
+        unstable_curvatures(config, solve_orbit(config, (1, 2)))
+    path = tmp_path / "config.json"
+    save_config(config, path)
+    assert cli.main(["orbits", "--config", str(path), "--nmax", "4"]) == 3
+    assert capsys.readouterr().err == (
+        "error: curvature transport for (1, 2) did not settle in 1 sweeps\n"
+    )

@@ -18,6 +18,7 @@ from billzeta.symbolic import (
 )
 from tests.conftest import (
     brute_force_class,
+    cycles,
     equilateral_config,
     isosceles_three_disks,
     moved_equilateral,
@@ -64,7 +65,7 @@ def brute_force_cycles(r, n):
      for r in (3, 4, 5) for n in range(2, 9)],
 )
 def test_enumeration_matches_moebius_count(r, n):
-    words = [w for w in enumerate_cycles(r, 8) if len(w) == n]
+    words = [w for w in cycles(r, 8) if len(w) == n]
     assert len(words) == primitive_class_count(r, n)
     if n <= 7:
         assert words == brute_force_cycles(r, n)
@@ -73,21 +74,23 @@ def test_enumeration_matches_moebius_count(r, n):
 @pytest.mark.parametrize("r", [3, 4])
 def test_enumeration_from_a_minimum_length_is_the_tail(r):
     every = enumerate_cycles(r, 9)
+    n = np.count_nonzero(every, axis=1)
     for k in range(2, 11):
-        assert enumerate_cycles(r, 9, n_min=k) == [w for w in every if len(w) >= k]
+        assert np.array_equal(enumerate_cycles(r, 9, n_min=k), every[n >= k])
 
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_enumeration_as_an_array_pads_the_same_words_with_zeros(r):
     for n_min in (2, 5, 8):
-        words = enumerate_cycles(r, 8, n_min=n_min)
-        array = enumerate_cycles(r, 8, n_min=n_min, as_array=True)
+        # the blocks of one length each, which need no padding
+        words = [w for n in range(n_min, 9) for w in enumerate_cycles(r, n, n_min=n).tolist()]
+        array = enumerate_cycles(r, 8, n_min=n_min)
         assert array.dtype == np.int64 and len(array) == len(words)
-        assert array.tolist() == [list(w) + [0] * (8 - len(w)) for w in words]
+        assert array.tolist() == [w + [0] * (8 - len(w)) for w in words]
 
 
 def test_enumerated_words_are_canonical_admissible_primitive():
-    for w in enumerate_cycles(3, 7):
+    for w in cycles(3, 7):
         canon, shift = canonical_rotation(w)
         assert canon == w
         assert shift == 0
@@ -161,7 +164,7 @@ def test_class_representatives_equal_the_brute_force_map(make, n_max, classes):
     symmetries = config.label_symmetries
     total = 0
     for n in range(2, n_max + 1):
-        words = enumerate_cycles(config.r, n, n_min=n)
+        words = cycles(config.r, n, n_min=n)
         rows = class_representatives(np.array(words), config.r, symmetries)
         want = [brute_force_class(word, symmetries) for word in words]
         assert [words[i] for i in rows.tolist()] == want, n
@@ -173,7 +176,7 @@ def test_class_map_holds_a_few_rows_per_image():
     # every length of the fixture at nmax 14; the 12 rotated images of the
     # last block as one (12, M, n, n) array would take 21.8 MB
     symmetries = equilateral_config().label_symmetries
-    blocks = [np.array(enumerate_cycles(3, n, n_min=n)) for n in range(2, 15)]
+    blocks = [enumerate_cycles(3, n, n_min=n) for n in range(2, 15)]
     M, n = blocks[-1].shape
     class_representatives(blocks[-1], 3, symmetries)
     tracemalloc.start()
