@@ -77,13 +77,6 @@ class _Rect(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="disk configuration JSON")
-    p.add_argument("--cache", metavar="PATH", help="orbit cache file")
-    p.add_argument("--nmax", type=_int_at_least(2), metavar="INT", help="maximum cycle length")
-    p.add_argument("--out", metavar="DIR", help="directory for CSV output")
-
-
 def _abscissas_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--k", type=_int_at_least(1), metavar="INT", help="cylinder memory (transfer method)"
@@ -104,7 +97,8 @@ def _poles_flags(p: argparse.ArgumentParser) -> None:
         "--det-n", type=_int_at_least(2), metavar="INT", help="determinant truncation order"
     )
     p.add_argument(
-        "--det-kmax", type=_int_at_least(0), default=5, metavar="INT", help="repetition cutoff"
+        "--det-kmax", type=_int_at_least(0), default=zeta.K_MAX, metavar="INT",
+        help="repetition cutoff"
     )
     p.add_argument(
         "--rect",
@@ -136,9 +130,14 @@ def _trace_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _setup_subcommand(p: argparse.ArgumentParser, name: str) -> None:
-    """Add the arguments of subcommand ``name`` to its parser ``p``."""
+    """Add the arguments of subcommand ``name`` to its parser ``p``;
+    ``validate`` reads the configuration alone."""
     _, func, flags = SUBCOMMANDS[name]
-    _common_flags(p)
+    p.add_argument("--config", metavar="PATH", help="disk configuration JSON")
+    if name != "validate":
+        p.add_argument("--cache", metavar="PATH", help="orbit cache file")
+        p.add_argument("--nmax", type=_int_at_least(2), metavar="INT", help="maximum cycle length")
+    p.add_argument("--out", metavar="DIR", help="directory for CSV output")
     if flags is not None:
         flags(p)
     p.set_defaults(func=func)
@@ -278,11 +277,13 @@ def _write_outputs(args, config_hash: str, params: dict, tables: dict) -> None:
 FRESH_NMAX = 10
 
 
-def _load_db(args) -> OrbitDatabase:
+def _load_db(args, extend=False) -> OrbitDatabase:
     """The orbit database: the cache (cross-checked against --config when
-    both are given) or an in-memory build from --config, honoring --nmax.
-    The arguments and the output directory are checked before any cycle
-    is loaded or solved.
+    both are given) cut to --nmax, or an in-memory build from --config.
+    A cache that stops below --nmax is an :class:`IncompleteDataError`,
+    or with ``extend`` comes back whole, for ``orbits`` to extend.  The
+    arguments and the output directory are checked before any cycle is
+    loaded or solved.
     """
     config = load_config(args.config) if args.config else None
     cached = bool(args.cache) and Path(args.cache).exists()
@@ -295,15 +296,24 @@ def _load_db(args) -> OrbitDatabase:
     if not cached:
         return build_database(config, FRESH_NMAX if args.nmax is None else args.nmax)
     db = load_database(args.cache, config)
-    if args.nmax is None:
-        return db
-    if args.nmax > db.n_max:
+    n_max = db.n_max if args.nmax is None else args.nmax
+    if n_max > db.n_max and not extend:
         raise IncompleteDataError(
             f"cache {args.cache} stops at n_max={db.n_max}, requested "
             f"{args.nmax}; re-run `billzeta orbits --cache {args.cache} "
             f"--nmax {args.nmax}` to extend it"
         )
-    return restrict_database(db, args.nmax)
+    return restrict_database(db, min(n_max, db.n_max))
+
+
+def _memory(db, k=None) -> int:
+    """The cylinder memory: ``k``, or the default for ``db``."""
+    return min(6, db.n_max - 1) if k is None else k
+
+
+def _det_order(db, n=None) -> int:
+    """The determinant truncation order: ``n``, or the default for ``db``."""
+    return min(12, db.n_max) if n is None else n
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +336,18 @@ def cmd_validate(args) -> None:
 
 
 def cmd_orbits(args) -> None:
-    cache = Path(args.cache) if args.cache else None
-    cached = cache is not None and cache.exists()
-    if not args.config and not cached:
-        raise MalformedInputError("orbits requires --config (or an existing --cache)")
-    _make_out_dir(args)
-    config = load_config(args.config) if args.config else None
-    if cached:
-        db = load_database(cache, config)
-        n_max = db.n_max if args.nmax is None else args.nmax
-        if db.n_max >= n_max:
-            print(f"cache hit: {cache} holds n_max={db.n_max} ({len(db)} cycles); "
-                  "no re-solve needed")
-            db = restrict_database(db, n_max)
-        else:
-            print(f"cache stops at n_max={db.n_max}; solving lengths {db.n_max + 1}..{n_max}")
-            db = extend_database(db, n_max)
-            save_database(db, cache)
-            print(f"wrote {cache}")
-    else:
-        db = build_database(config, FRESH_NMAX if args.nmax is None else args.nmax)
-        if cache is not None:
-            save_database(db, cache)
-            print(f"wrote {cache}")
+    db = _load_db(args, extend=True)
+    # nothing is written before the save, so a cache that exists is the one loaded
+    write = bool(args.cache) and not Path(args.cache).exists()
+    if args.nmax is not None and args.nmax > db.n_max:
+        print(f"cache stops at n_max={db.n_max}; solving lengths {db.n_max + 1}..{args.nmax}")
+        db, write = extend_database(db, args.nmax), True
+    elif args.cache and not write:
+        print(f"cache hit: {args.cache} holds every cycle to n_max={db.n_max}; "
+              "no re-solve needed")
+    if write:
+        save_database(db, args.cache)
+        print(f"wrote {args.cache}")
 
     lengths, counts = np.unique(db.n, return_counts=True)
     per_length = ", ".join(f"{n}:{c}" for n, c in zip(lengths.tolist(), counts.tolist()))
@@ -360,7 +359,7 @@ def cmd_orbits(args) -> None:
 
 def cmd_abscissas(args) -> None:
     db = _load_db(args)
-    k = args.k if args.k is not None else min(6, db.n_max - 1)
+    k = _memory(db, args.k)
     n = args.n if args.n is not None else min(10, db.n_max)
     pot = thermo.build_potentials(db, k)
     rows = []
@@ -454,7 +453,7 @@ def cmd_poles(args) -> None:
     if args.grid is not None and args.rect is None:
         raise MalformedInputError("--grid needs --rect: the default search sets its own grids")
     db = _load_db(args)
-    det_n = args.det_n if args.det_n is not None else min(12, db.n_max)
+    det_n = _det_order(db, args.det_n)
     exp = zeta.build_determinant(db, det_n, k_max=args.det_kmax)
     print(f"determinant truncation N={det_n}, repetitions k<={args.det_kmax}, "
           f"trust floor Re s > {exp.trust_floor:.3f}")
@@ -464,7 +463,7 @@ def cmd_poles(args) -> None:
           f"{len(exp.poly_coeff)} atoms")
     grid = None
     if args.rect is not None:
-        grid = tuple(args.grid) if args.grid else (8, 8)
+        grid = tuple(args.grid) if args.grid else zeta.GRID
         poles = _pole_search(exp, [(tuple(args.rect), grid)])
     else:
         poles = _default_pole_search(exp)
@@ -488,7 +487,7 @@ def cmd_poles(args) -> None:
 
 def cmd_counting(args) -> None:
     db = _load_db(args)
-    k = args.k if args.k is not None else min(6, db.n_max - 1)
+    k = _memory(db, args.k)
     h = thermo.solve_abscissa(db, 0.0, "transfer", k=k)
     rows = zeta.counting_check(db, h)
     print(f"h = {h:.10f} (transfer, k={k})")
@@ -500,14 +499,11 @@ def cmd_counting(args) -> None:
 
 def cmd_trace(args) -> None:
     db = _load_db(args)
-    bump = trace.BumpFunction()
-    measure = trace.build_measure(db, "dirichlet")
-    gamma0 = (1, 2)
-    t0 = float(db.T[db.row(gamma0)])
-    j_max = max(2, min(6, int((measure.cutoff - 1.0) // t0)))
-    scan = trace.ikawa_scan(db, args.beta, args.alpha0, j_max, gamma0=gamma0, bump=bump)
+    t0 = float(db.T[db.row(trace.GAMMA0)])
+    j_max = max(2, min(int((db.horizon - 1.0) // t0), 6))
+    scan = trace.ikawa_scan(db, args.beta, args.alpha0, j_max)
     n_pass = sum(1 for r in scan.rows if r[4])
-    print(f"window scan at multiples of T{''.join(str(s) for s in gamma0)}="
+    print(f"window scan at multiples of T{''.join(str(s) for s in trace.GAMMA0)}="
           f"{scan.gamma0_T:g}: {n_pass}/{len(scan.rows)} windows above "
           f"e^(-{args.alpha0} ell); fit c={scan.fit_c:.4f}, c0={scan.fit_c0:.4f}")
 
@@ -517,7 +513,7 @@ def cmd_trace(args) -> None:
     t_grid.sort()
     gauss_rows = []
     for t in t_grid:
-        g = trace.gaussian_weight(db, t, args.sigma, bump=bump)
+        g = trace.gaussian_weight(db, t, args.sigma)
         gauss_rows.append(
             (t, args.sigma, g.direct, g.quadrature, g.quad_error, g.lower_bound,
              g.bound_holds)
@@ -526,9 +522,8 @@ def cmd_trace(args) -> None:
     print(f"gaussian dual forms agree to {worst:.2e} over {len(gauss_rows)} points; "
           f"lower bound holds at {sum(1 for r in gauss_rows if r[6])}/{len(gauss_rows)}")
 
-    k = min(6, db.n_max - 1)
-    b1 = thermo.solve_abscissa(db, 1.0, "transfer", k=k)
-    t_max = float(int(measure.cutoff) - 1)
+    b1 = thermo.solve_abscissa(db, 1.0, "transfer", k=_memory(db))
+    t_max = float(int(db.horizon) - 1)
     report = trace.lemma41_search(db, b1, args.eps, t_max)
     shell_rows = list(
         zip(report.centers, report.sums, report.counts, report.thresholds,
@@ -546,12 +541,11 @@ def cmd_trace(args) -> None:
     }
 
     if args.experimental_trace_compare:
-        det_n = min(12, db.n_max)
-        exp = zeta.build_determinant(db, det_n, k_max=5)
+        exp = zeta.build_determinant(db, _det_order(db))
         # resonance_side counts each off-axis zero with its conjugate
         poles = [p for p in _default_pole_search(exp) if p.s.imag >= 0]
         ells = [r[0] for r in scan.rows]
-        compare_rows = trace.experimental_compare(db, poles, args.beta, ells, bump=bump)
+        compare_rows = trace.experimental_compare(db, poles, args.beta, ells)
         print("experimental resonance-side comparison (heuristic, no claim):")
         for ell, m, orbit, res, ratio in compare_rows:
             print(f"  ell={ell:6.2f}  orbit {orbit:+.3e}  resonance {res:+.3e}  "

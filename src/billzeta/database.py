@@ -18,8 +18,10 @@ hold one value per cycle, while ``word`` and the per-bounce arrays
 ``angles``, ``flights``, ``cos_incidence`` and ``kappa`` are flat, with
 cycle ``i`` at ``bounds[i]:bounds[i + 1]``.  Rows are sorted by
 (length, word); every consumer reads them in that order, which is what
-makes downstream output byte-reproducible.  ``derived`` memoises arrays
-that consumers build from the columns, and ``row`` finds a cycle's row.
+makes downstream output byte-reproducible.  ``word_table`` gives each
+length's rows, words and word codes, which ``row`` and the consumers
+read; ``horizon`` is a period below which no missing cycle falls, and
+``derived`` memoises arrays that consumers build from the columns.
 
 The cache (``billzeta-orbit-cache/2``) is one JSON header line followed
 by the raw little-endian bytes of every column.  The header holds the
@@ -75,34 +77,44 @@ class OrbitDatabase:
         self.config = config
         self.config_hash = geometry.config_digest(config)
         self.n_max = int(n_max)
+        # every cycle the database lacks is longer: each of its flights spans d0 or more
+        self.horizon = (self.n_max + 1) * config.d0
         for name, dtype in SECTIONS:
             column = np.asarray(columns[name], dtype=dtype)
             column.flags.writeable = False
             setattr(self, name, column)
         self.bounds = np.concatenate(([0], np.cumsum(self.n)))
         self.bounds.flags.writeable = False
-        self._rows = {}  # length -> {word: row}, filled by row()
         # arrays built from the columns, keyed by their builder and arguments
         self.derived = {}
 
     def __len__(self):
         return len(self.n)
 
+    def word_table(self) -> dict:
+        """The row layout: each length with rows maps to its first row,
+        its ``(count, length)`` block of ``word`` and the words' base-r
+        codes of 0-based symbols, increasing as the words do.  Built once
+        and kept in ``derived``."""
+        if "word_table" not in self.derived:
+            r, table = self.config.r, {}
+            for n in np.flatnonzero(np.bincount(self.n)).tolist():
+                start, stop = np.searchsorted(self.n, [n, n + 1]).tolist()
+                block = self.word[self.bounds[start] : self.bounds[stop]].reshape(stop - start, n)
+                table[n] = (start, block, (block - 1) @ r ** np.arange(n - 1, -1, -1))
+            self.derived["word_table"] = table
+        return self.derived["word_table"]
+
     def row(self, word) -> int:
-        """Row of the cycle ``word``.  The word index of a length is built
-        on the first call for that length."""
-        word = tuple(word)
-        length = len(word)
-        if length not in self._rows:
-            # the rows of one length are contiguous, one word of ``length`` symbols each
-            start = int(np.searchsorted(self.n, length, side="left"))
-            stop = int(np.searchsorted(self.n, length, side="right"))
-            block = self.word[self.bounds[start] : self.bounds[stop]].reshape(stop - start, length)
-            self._rows[length] = {tuple(w): start + i for i, w in enumerate(block.tolist())}
-        row = self._rows[length].get(word)
-        if row is None:
-            raise DomainError(f"orbit database has no cycle {word}")
-        return row
+        """Row of the cycle ``word``, found by its code in :meth:`word_table`."""
+        word, r = tuple(word), self.config.r
+        if len(word) in self.word_table() and all(1 <= s <= r for s in word):
+            start, _, codes = self.word_table()[len(word)]
+            code = sum((s - 1) * r**i for i, s in enumerate(reversed(word)))
+            i = int(np.searchsorted(codes, code))
+            if i < codes.size and codes[i] == code:
+                return start + i
+        raise DomainError(f"orbit database has no cycle {word}")
 
 
 def build_database(config, n_max: int) -> OrbitDatabase:
@@ -307,36 +319,35 @@ def _read_sections(path, header: dict, blob: bytes, offset: int) -> dict:
     return columns
 
 
-def _check_order(path, n, word, counts: dict) -> None:
-    """Refuse rows whose (length, word) does not increase strictly from
-    one row to the next: a repeated cycle or two cycles out of order.
-    ``counts`` maps each length of ``n`` to its number of rows."""
-    down = np.flatnonzero(np.diff(n) < 0)
+def _check_rows(path, db: OrbitDatabase) -> None:
+    """Refuse a label outside 1..r, then rows whose (length, word) does
+    not increase strictly from one row to the next: a repeated cycle or
+    two cycles out of order.  Words of one length are compared by their
+    codes in :meth:`OrbitDatabase.word_table`; a label out of range
+    would make two words share a code, so it is refused first."""
+    r = db.config.r
+    outside = np.flatnonzero((db.word < 1) | (db.word > r))
+    if outside.size:
+        row = np.searchsorted(db.bounds, outside[0], side="right") - 1
+        raise MalformedInputError(f"orbit cache {path}: row {row} uses labels outside 1..{r}; "
+                                  "re-run `billzeta orbits` to rebuild it")
+    down = np.flatnonzero(np.diff(db.n) < 0)
     if down.size:
         row = int(down[0])
         raise MalformedInputError(
             f"orbit cache {path}: rows {row} and {row + 1} are out of (length, word) "
             f"order; re-run `billzeta orbits` to rebuild it"
         )
-    row = start = 0
-    for length, count in sorted(counts.items()):
-        block = word[start : start + count * length].reshape(count, length)
-        prev, this = block[:-1], block[1:]
-        differ = prev != this
-        # first symbol where each row differs from the one before it
-        at = differ.argmax(axis=1)
-        idx = np.arange(count - 1)
-        repeated = ~differ.any(axis=1)
-        bad = np.flatnonzero(repeated | (this[idx, at] < prev[idx, at]))
+    for start, _, codes in db.word_table().values():
+        step = np.diff(codes)
+        bad = np.flatnonzero(step <= 0)
         if bad.size:
             i = int(bad[0])
-            what = "repeat one cycle" if repeated[i] else "are out of (length, word) order"
+            what = "repeat one cycle" if step[i] == 0 else "are out of (length, word) order"
             raise MalformedInputError(
-                f"orbit cache {path}: rows {row + i} and {row + i + 1} {what}; "
+                f"orbit cache {path}: rows {start + i} and {start + i + 1} {what}; "
                 f"re-run `billzeta orbits` to rebuild it"
             )
-        row += count
-        start += count * length
 
 
 def load_database(path, config=None) -> OrbitDatabase:
@@ -377,5 +388,6 @@ def load_database(path, config=None) -> OrbitDatabase:
                 f"orbit cache {path} holds {counts.get(length, 0)} cycles of length "
                 f"{length}, expected {want}; re-run `billzeta orbits` to rebuild it"
             )
-    _check_order(path, n, columns["word"], counts)
-    return OrbitDatabase(cached, n_max, columns)
+    db = OrbitDatabase(cached, n_max, columns)
+    _check_rows(path, db)
+    return db

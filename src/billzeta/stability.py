@@ -206,7 +206,7 @@ def stability_records(config, labels, flights, cos_incidence):
     DomainError
         If the batch is empty, the three arrays are not of one
         ``(M, W)`` shape, the zeros of ``labels`` are not padding, or a
-        word uses a label outside 1..r.
+        word uses a label outside 1..r or repeats a label cyclically.
 
     A bad batch or word raises first.  Otherwise the error raised is
     that of the shortest length with a failing row, the first failing
@@ -223,8 +223,7 @@ def stability_records(config, labels, flights, cos_incidence):
     cells = _cells(n, width)
     if not np.array_equal(labels != 0, cells) or n.min() < 2:
         raise DomainError("stability labels must be words of length 2 or more, padded with zeros")
-    if labels.min() < 0 or labels.max() > config.r:
-        _check_words(config, labels, n)  # names the first bad word
+    _check_words(config, labels, n)
     kicks, kb = _kicks(config, labels, cos_incidence)
     kappa, _, settled = _curvature_sweeps(flights, kicks, kb, cells)
     kappa[~cells] = 0.0

@@ -12,10 +12,10 @@ in s of P = 0 at beta = 0, 1/2, 1.
 The potentials are integer-array work.  Words are base-r integers of
 0-based symbols, whose order is lexicographic; integer arithmetic closes
 each (k+1)-word, reduces it to its primitive root and turns that to its
-least rotation, one search per root length in the database's sorted
-words finds the cycle, and f and g are gathered from its per-bounce
-columns: the values of the word-by-word rule that ``tests/test_thermo.py``
-keeps as its oracle.
+least rotation, one search per root length in the word codes of the
+database's ``word_table`` finds the cycle, and f and g are gathered from
+its per-bounce columns: the values of the word-by-word rule that
+``tests/test_thermo.py`` keeps as its oracle.
 
 Both pressures, the transfer one and the periodic-point approximant, are
 convex and decreasing in s with slope -<f> between minus the longest and
@@ -93,14 +93,13 @@ def _center_bounces(db, words, k: int):
     rotations = root % r ** (period - s) * r**s + root // r ** (period - s)
     shift = rotations.argmin(axis=0)
     canon = rotations.min(axis=0)
-    row = np.empty_like(words)
-    for p in np.flatnonzero(np.bincount(period)):
-        start, stop = np.searchsorted(db.n, [p, p + 1])
-        block = db.word[db.bounds[start] : db.bounds[stop]].reshape(-1, p) - 1
-        codes = block @ r ** np.arange(p - 1, -1, -1)
-        sel = period == p
-        i = np.searchsorted(codes, canon[sel])
-        row[sel] = np.where(np.append(codes, -1)[i] == canon[sel], start + i, -1)
+    row = np.full_like(words, -1)
+    for p in np.flatnonzero(np.bincount(period)).tolist():
+        if p in db.word_table():
+            start, _, codes = db.word_table()[p]
+            sel = period == p
+            i = np.searchsorted(codes, canon[sel])
+            row[sel] = np.where(np.append(codes, -1)[i] == canon[sel], start + i, -1)
     missing = np.flatnonzero(row < 0)
     if missing.size:
         j = missing[0]

@@ -16,10 +16,10 @@ computed value is literally a square.
 The bump's integrals use the 256-node Gauss-Legendre rule on [-1, 1].
 It is a constant, so it is stored here as the exact bits numpy's
 ``np.polynomial.legendre.leggauss(256)`` returns rather than recomputed
-(a dense 256 x 256 eigenproblem, about 8 ms) for every bump.  The rule
-is exactly antisymmetric in its nodes and symmetric in its weights, so
-only the 128 positive nodes and their weights are kept, as one hex
-string of little-endian doubles.  To regenerate it::
+(a dense 256 x 256 eigenproblem, about 8 ms) when the window is built at
+import.  The rule is exactly antisymmetric in its nodes and symmetric in
+its weights, so only the 128 positive nodes and their weights are kept,
+as one hex string of little-endian doubles.  To regenerate it::
 
     x, w = np.polynomial.legendre.leggauss(256)
     np.concatenate((x[128:], w[128:])).astype("<f8").tobytes().hex()
@@ -190,6 +190,12 @@ class BumpFunction:
         return out if out.shape != (1,) else complex(out[0])
 
 
+# the test window rho: it takes no parameters, so every pairing shares one
+RHO = BumpFunction()
+# the short cycle whose repetitions place the windows of :func:`ikawa_scan`
+GAMMA0 = (1, 2)
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finite weighted sum of Dirac masses on orbit lengths."""
@@ -203,17 +209,15 @@ class AtomicMeasure:
 MEASURE_KINDS = ("half", "dirichlet", "full")
 
 
-def build_measure(db, kind: str = "dirichlet", T_max=None) -> AtomicMeasure:
-    """Atomic measure over all orbit atoms up to the cutoff.
+def build_measure(db, kind: str = "dirichlet") -> AtomicMeasure:
+    """Atomic measure over all orbit atoms up to the cutoff ``db.horizon``.
 
     Kinds: "half" (tau_sharp |det|^{-1/2}), "dirichlet" (half weight
     carrying (-1)^m), "full" (tau_sharp |det|^{-1}).
     """
     if kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
-    if T_max is None:
-        T_max = (db.n_max + 1) * db.config.d0
-    atoms = orbit_atoms(db, T_max=T_max)
+    atoms = orbit_atoms(db, T_max=db.horizon)
     base = atoms["w_half"]
     if kind == "half":
         w = base
@@ -224,12 +228,12 @@ def build_measure(db, kind: str = "dirichlet", T_max=None) -> AtomicMeasure:
     return AtomicMeasure(
         tau=atoms["tau"].copy(),
         weight=np.asarray(w, dtype=float),
-        cutoff=float(T_max),
+        cutoff=float(db.horizon),
         min_flight=float(db.config.d0),
     )
 
 
-def pair(measure: AtomicMeasure, bump: BumpFunction, ell: float, m: float) -> float:
+def pair(measure: AtomicMeasure, ell: float, m: float) -> float:
     """<measure, rho_j> with rho_j(t) = rho(m (t - ell)).
 
     Only atoms with |tau - ell| < 1/m contribute.  The cutoff must reach
@@ -248,7 +252,7 @@ def pair(measure: AtomicMeasure, bump: BumpFunction, ell: float, m: float) -> fl
     sel = np.abs(measure.tau - ell) < 1.0 / m
     if not np.any(sel):
         return 0.0
-    vals = bump.value(m * (measure.tau[sel] - ell))
+    vals = RHO.value(m * (measure.tau[sel] - ell))
     return float(np.sum(measure.weight[sel] * np.atleast_1d(vals)))
 
 
@@ -264,37 +268,27 @@ class IkawaScan:
     gamma0_T: float
 
 
-def ikawa_scan(
-    db,
-    beta: float,
-    alpha0: float,
-    j_max: int,
-    gamma0=(1, 2),
-    bump: BumpFunction | None = None,
-) -> IkawaScan:
+def ikawa_scan(db, beta: float, alpha0: float, j_max: int) -> IkawaScan:
     """Window scan of the signed pairing against e^{-alpha0 ell}.
 
-    Rows cover the special sequence ell_j = j T(gamma0), j = 1..j_max,
-    which isolates the repetitions of a chosen short cycle, with
+    Rows cover the special sequence ell_j = j T(``GAMMA0``), j = 1..j_max,
+    which isolates the repetitions of a short cycle, with
     m_j = e^{beta ell_j}; each row is (ell, m, |pairing|, threshold,
     pass, atom count).  A linear regression of log |pairing| against ell
     fits the empirical lower-bound constants (c, c0) with
     |pairing| ~ c e^{-c0 ell}.
     """
-    if bump is None:
-        bump = BumpFunction()
-    t0 = float(db.T[db.row(gamma0)])
+    t0 = float(db.T[db.row(GAMMA0)])
     measure = build_measure(db, "dirichlet")
-    horizon = measure.cutoff
     rows = []
     for j in range(1, j_max + 1):
         ell = j * t0
         m = float(np.exp(beta * ell))
-        if ell + 1.0 / m > horizon:
+        if ell + 1.0 / m > db.horizon:
             raise IncompleteDataError(
-                f"window at ell={ell:.3f} reaches beyond the cutoff {horizon:.3f}"
+                f"window at ell={ell:.3f} reaches beyond the cutoff {db.horizon:.3f}"
             )
-        val = abs(pair(measure, bump, ell, m))
+        val = abs(pair(measure, ell, m))
         thr = float(np.exp(-alpha0 * ell))
         rows.append((ell, m, val, thr, val >= thr, window_count(measure, ell, m)))
     ells = np.array([r[0] for r in rows])
@@ -322,13 +316,7 @@ class GaussianWeight:
         return self.direct >= self.lower_bound - 1e-12 * max(1.0, abs(self.direct))
 
 
-def gaussian_weight(
-    db,
-    t: float,
-    sigma: float,
-    xi_max: float = 40.0,
-    bump: BumpFunction | None = None,
-) -> GaussianWeight:
+def gaussian_weight(db, t: float, sigma: float, xi_max: float = 40.0) -> GaussianWeight:
     """Gaussian-weighted two-point sum around t and its dual form.
 
     Direct: sqrt(2 pi) sum over atom pairs of w w' exp(-(tau-tau')^2 /
@@ -345,8 +333,6 @@ def gaussian_weight(
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError("sigma must lie in (0, 1)")
-    if bump is None:
-        bump = BumpFunction()
     measure = build_measure(db, "half")
     if measure.cutoff < t + 1.0:
         raise IncompleteDataError(
@@ -354,7 +340,7 @@ def gaussian_weight(
         )
     sel = np.abs(measure.tau - t) < 1.0
     tau = measure.tau[sel]
-    wr = measure.weight[sel] * np.atleast_1d(bump.value(tau - t))
+    wr = measure.weight[sel] * np.atleast_1d(RHO.value(tau - t))
 
     # direct double sum, reduced row by row
     if len(tau):
@@ -394,9 +380,9 @@ def gaussian_weight(
         + 256.0 * np.finfo(float).eps * max(1.0, abs(g_h2))
     )
 
-    full = build_measure(db, "full", T_max=measure.cutoff)
+    full = build_measure(db, "full")
     diag_sum = float(np.sum(full.weight[np.abs(full.tau - t) <= 0.5]))
-    c_min = float(np.sqrt(2.0 * np.pi) * bump.value(0.5) ** 2)
+    c_min = float(np.sqrt(2.0 * np.pi) * RHO.value(0.5) ** 2)
     return GaussianWeight(
         direct=direct,
         quadrature=g_h2,
@@ -460,7 +446,7 @@ def lemma41_search(db, b1: float, eps: float, t_max: float, u: float | None = No
     )
 
 
-def resonance_side(poles, bump: BumpFunction, ell: float, m: float) -> float:
+def resonance_side(poles, ell: float, m: float) -> float:
     """Heuristic resonance-side value for a pairing window (experimental).
 
     Sums multiplicity * e^{Re s * ell} amplitudes through the window's
@@ -471,21 +457,19 @@ def resonance_side(poles, bump: BumpFunction, ell: float, m: float) -> float:
     total = 0.0
     for p in poles:
         s = p.s
-        amp = p.multiplicity * np.exp(s * ell) * bump.fourier_complex(-1j * s / m) / m
+        amp = p.multiplicity * np.exp(s * ell) * RHO.fourier_complex(-1j * s / m) / m
         total += float(amp.real) * (2.0 if abs(s.imag) > 1e-12 else 1.0)
     return total
 
 
-def experimental_compare(db, poles, beta: float, ells, bump: BumpFunction | None = None):
+def experimental_compare(db, poles, beta: float, ells):
     """Orbit-side pairing vs heuristic resonance-side sum (experimental)."""
-    if bump is None:
-        bump = BumpFunction()
     measure = build_measure(db, "dirichlet")
     rows = []
     for ell in ells:
         m = float(np.exp(beta * ell))
-        orbit = pair(measure, bump, float(ell), m)
-        res = resonance_side(poles, bump, float(ell), m)
+        orbit = pair(measure, float(ell), m)
+        res = resonance_side(poles, float(ell), m)
         ratio = orbit / res if res != 0.0 else np.nan
         rows.append((float(ell), m, orbit, res, ratio))
     return rows

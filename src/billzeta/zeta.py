@@ -81,7 +81,9 @@ from functools import cached_property
 import numpy as np
 
 from . import symbolic
-from .errors import DomainError, IncompleteDataError, ShortSeriesError, TrustRegionError
+from .errors import (
+    DomainError, IncompleteDataError, MalformedInputError, ShortSeriesError, TrustRegionError,
+)
 from .stability import det_one_minus_poincare
 
 # ---------------------------------------------------------------------------
@@ -92,19 +94,16 @@ def orbit_atoms(db, T_max=None, m_max=None):
     """Arrays over (primitive, repetition) atoms in canonical order.
 
     Exactly one of ``T_max`` (geometric-length cutoff) or ``m_max``
-    (symbol-count cutoff) must be given.  With ``T_max`` the database
-    must be deep enough that no orbit beyond its length cutoff could
-    fall below ``T_max``: omitted orbits have period > (n_max+1) * d0.
+    (symbol-count cutoff) must be given.  ``T_max`` may not pass
+    ``db.horizon``, below which no cycle the database lacks can fall.
     """
     if (T_max is None) == (m_max is None):
         raise ValueError("give exactly one of T_max, m_max")
-    if T_max is not None:
-        horizon = (db.n_max + 1) * db.config.d0
-        if T_max > horizon:
-            raise IncompleteDataError(
-                f"cutoff T_max={T_max} exceeds the database horizon {horizon:.6g} "
-                f"(n_max={db.n_max}, d0={db.config.d0:.6g})"
-            )
+    if T_max is not None and T_max > db.horizon:
+        raise IncompleteDataError(
+            f"cutoff T_max={T_max} exceeds the database horizon {db.horizon:.6g} "
+            f"(n_max={db.n_max}, d0={db.config.d0:.6g})"
+        )
     key = ("orbit_atoms", T_max, m_max)
     if key not in db.derived:
         db.derived[key] = _atoms(db, T_max, m_max)
@@ -257,6 +256,8 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
 # truncated determinant
 
 
+K_MAX = 5  # default repetition cutoff: transverse factors k = 0..K_MAX per cycle
+GRID = (8, 8)  # default cells of a pole search, along Re s and Im s
 TRUST_THRESHOLD = 3e-5  # last-shell level that bounds the trusted region
 PROBE_IM = np.linspace(0.0, 1.2, 7)  # imaginary parts of the trust-floor probe
 WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
@@ -570,20 +571,23 @@ def class_periods(db, N: int):
 
 
 def _class_periods(db, N):
-    # rows are sorted by length: the cycles with n <= N are the first
-    # ``count``, and length n holds rows ends[n - 2]..ends[n - 1]
+    # rows are sorted by length: the cycles with n <= N are the first ``count``
     count = int(np.searchsorted(db.n, N, side="right"))
-    ends = np.searchsorted(db.n, np.arange(2, N + 2)).tolist()
-    blocks = list(zip(range(2, N + 1), ends, ends[1:]))
+    blocks = [(n, start, words) for n, (start, words, _) in db.word_table().items() if n <= N]
     T = db.T[:count]
 
     def representatives(symmetries, blocks):
         # a row outside ``blocks`` is its own representative
         rep = np.arange(count)
-        for n, start, stop in blocks:
-            words = db.word[db.bounds[start] : db.bounds[stop]].reshape(stop - start, n)
-            rows = symbolic.class_representatives(words, db.config.r, symmetries)
-            rep[start:stop] = start + rows
+        for n, start, words in blocks:
+            try:
+                rows = symbolic.class_representatives(words, db.config.r, symmetries)
+            except ValueError as exc:
+                raise MalformedInputError(
+                    f"the orbit database's words of length {n} are not its canonical cycles "
+                    f"({exc}); re-run `billzeta orbits` to rebuild it"
+                ) from exc
+            rep[start : start + len(words)] = start + rows
         return rep
 
     def close(rep):
@@ -595,14 +599,15 @@ def _class_periods(db, N):
     # time reversal is a symmetry of every configuration, a label
     # permutation only to ``VALIDATE_TOL``: a cycle too far from its
     # class representative may still share its reversal's period
-    apart = [(n, start, stop) for n, start, stop in blocks if not same[start:stop].all()]
+    apart = [(n, start, words) for n, start, words in blocks
+             if not same[start : start + len(words)].all()]
     reversal = representatives((tuple(range(db.config.r)),), apart)
     periods = np.where(~same & close(reversal), T[reversal], periods)
     periods.flags.writeable = False
     return periods, int(np.count_nonzero(np.bincount(rep)))
 
 
-def build_determinant(db, N: int, k_max: int = 5) -> DeterminantExpansion:
+def build_determinant(db, N: int, k_max: int = K_MAX) -> DeterminantExpansion:
     """Assemble the truncated determinant from the orbit database.
 
     ``N`` caps the total symbol length, ``k_max`` the number of
@@ -927,7 +932,7 @@ def _grid_zeros(exp: DeterminantExpansion, xs, ys):
     return poles
 
 
-def find_poles(exp: DeterminantExpansion, rect, grid=(8, 8)):
+def find_poles(exp: DeterminantExpansion, rect, grid=GRID):
     """Zeros of the truncated determinant inside a rectangle.
 
     The rectangle must be finite and non-empty (else ``DomainError``)

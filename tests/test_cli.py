@@ -43,6 +43,10 @@ def test_usage_errors_exit_one(cli_env, tmp_path):
     assert run_cli("no-such-subcommand").returncode == 1
     out = tmp_path / "out"
     assert run_cli("validate", "--out", out).returncode == 1
+    # validate reads the configuration alone: --cache and --nmax are unknown to it
+    for flags in (("--nmax", 5), ("--cache", tmp_path / "c.bin")):
+        res = run_cli("validate", "--config", cli_env["config"], *flags, "--out", out)
+        assert res.returncode == 1 and flags[0] in res.stderr, flags
     assert run_cli("orbits", "--out", out).returncode == 1
     assert run_cli("abscissas", "--out", out).returncode == 1
     assert not out.exists()
@@ -227,6 +231,32 @@ def test_damaged_cache_is_malformed_input(cli_env, db10, tmp_path):
             assert out.returncode == 1, (sub, out.stderr)
             assert message in out.stderr
             assert "Traceback" not in out.stderr
+
+
+def test_cache_with_foreign_words_exits_one(tmp_path, db8, capsys):
+    from billzeta.database import SECTIONS, OrbitDatabase
+
+    def rewritten(length, words):
+        # digests are written afresh: only the words of ``length`` change
+        word = db8.word.copy()
+        start, stop = np.searchsorted(db8.n, [length, length + 1])
+        word[db8.bounds[start] : db8.bounds[stop]] = np.ravel(words)
+        columns = {name: getattr(db8, name) for name, _ in SECTIONS}
+        return OrbitDatabase(db8.config, db8.n_max, dict(columns, word=word))
+
+    cache = tmp_path / "c.bin"
+    for length, words, message in (
+        # labels outside 1..3 are refused at load, before their codes alias
+        (2, [(1, 2), (1, 3), (2, 4)], "row 2 uses labels outside 1..3"),
+        (2, [(0, 2), (1, 3), (2, 3)], "row 0 uses labels outside 1..3"),
+        # in range and in order, but (1, 3, 3) is no cycle; only the
+        # symmetry classes of the determinant see it
+        (3, [(1, 2, 3), (1, 3, 3)], "words of length 3 are not its canonical cycles"),
+    ):
+        save_database(rewritten(length, words), cache)
+        assert cli.main(["poles", "--cache", str(cache)]) == 1, words
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, words
 
 
 def test_format_1_cache_is_stale(cli_env, db10, tmp_path):
@@ -449,7 +479,7 @@ def test_trace_experimental_flag(cli_env, tmp_path):
 
 def test_trace_compare_counts_each_zero_pair_once(tmp_path, db12):
     from billzeta import cli
-    from billzeta.trace import BumpFunction, resonance_side
+    from billzeta.trace import resonance_side
     from billzeta.zeta import build_determinant
 
     cache, out = tmp_path / "c.bin", tmp_path / "out"
@@ -461,11 +491,10 @@ def test_trace_compare_counts_each_zero_pair_once(tmp_path, db12):
     assert len(upper) < len(closed)  # the search finds a complex pair
     lines = (out / "trace_compare.csv").read_text("utf-8").splitlines()
     assert lines[0] == "ell,m,orbit_side,resonance_side,ratio"
-    bump = BumpFunction()
     for line in lines[1:]:
         ell, m, _, res, _ = map(float, line.split(","))
-        assert res == resonance_side(upper, bump, ell, m)
-        assert res != resonance_side(closed, bump, ell, m)
+        assert res == resonance_side(upper, ell, m)
+        assert res != resonance_side(closed, ell, m)
 
 
 def test_csv_lf_line_endings(cli_env, tmp_path):
@@ -494,7 +523,8 @@ def test_unwritable_output_paths_are_malformed_input(cli_env, tmp_path):
     assert out.stdout == ""
     new_cache = tmp_path / "new.bin"
     for sub in ("validate", "orbits", "abscissas", "zeta", "poles", "counting", "trace"):
-        out = run_cli(sub, "--config", cfg, "--cache", new_cache, "--nmax", 4, "--out", taken)
+        orbit_flags = ("--cache", new_cache, "--nmax", 4) if sub != "validate" else ()
+        out = run_cli(sub, "--config", cfg, *orbit_flags, "--out", taken)
         assert out.returncode == 1, (sub, out.stderr)
         assert f"cannot create output directory {taken}" in out.stderr, sub
         assert out.stdout == "" and "Traceback" not in out.stderr, sub

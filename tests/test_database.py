@@ -53,8 +53,9 @@ def test_records_sorted_and_indexed(db12):
     assert keys == sorted(keys)
     rec = record_for(db12, (1, 2))
     assert rec.word == (1, 2)
-    # a repeated block, a non-canonical rotation, lengths past n_max and below 2
-    for word in ((1, 2, 1, 2), (2, 1), (1, 2) * 6 + (3,), (1,), ()):
+    # a repeated block, a non-canonical rotation, lengths past n_max and
+    # below 2, and labels outside 1..3: (2, -1) has the base-3 code of (1, 2)
+    for word in ((1, 2, 1, 2), (2, 1), (1, 2) * 6 + (3,), (1,), (), (1, 4), (2, -1)):
         with pytest.raises(DomainError, match="has no cycle"):
             record_for(db12, word)
 

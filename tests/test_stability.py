@@ -169,6 +169,15 @@ def test_stability_labels_outside_the_disks_are_domain_error(config):
             stability_records(config, [word], [two.flights], [two.cos_incidence])
 
 
+def test_stability_words_that_repeat_a_label_are_domain_error(config):
+    # with the columns of a real orbit, each returned a finite lam
+    for word, orbit in (((1, 2, 2), (1, 2, 3)), ((1, 1), (1, 2))):
+        solved = solve_orbit(config, orbit)
+        message = re.escape(f"itinerary {word} repeats a label consecutively")
+        with pytest.raises(DomainError, match=message):
+            stability_records(config, [word], [solved.flights], [solved.cos_incidence])
+
+
 def test_unsettled_curvature_transport_names_the_shortest_cycle(config, tmp_path, monkeypatch,
                                                                 capsys):
     # the transport of (1, 2) from the boundary curvatures takes more

@@ -94,23 +94,23 @@ def test_pair_short_window_exact_value(db12, bump):
     rec = record_for(db12, (1, 2))
     det = det_one_minus_poincare(rec.lam)
     expected = 3.0 * bump.value(0.0) * rec.T / np.sqrt(det)
-    got = pair(measure, bump, 8.0, 50.0)
+    got = pair(measure, 8.0, 50.0)
     assert abs(got - expected) < 1e-12 * expected
     assert window_count(measure, 8.0, 50.0) == 3
 
 
-def test_pair_domain_checks(db12, bump):
+def test_pair_domain_checks(db12):
     measure = build_measure(db12, "dirichlet")
     with pytest.raises(DomainError):
-        pair(measure, bump, 2.0, 10.0)
+        pair(measure, 2.0, 10.0)
     with pytest.raises(DomainError):
-        pair(measure, bump, 10.0, 0.5)
+        pair(measure, 10.0, 0.5)
     with pytest.raises(IncompleteDataError):
-        pair(measure, bump, 51.5, 1.2)
+        pair(measure, 51.5, 1.2)
 
 
-def test_ikawa_scan_special_sequence(db12, bump):
-    scan = ikawa_scan(db12, beta=1.0, alpha0=0.25, j_max=4, bump=bump)
+def test_ikawa_scan_special_sequence(db12):
+    scan = ikawa_scan(db12, beta=1.0, alpha0=0.25, j_max=4)
     assert scan.gamma0_T == pytest.approx(8.0, abs=1e-12)
     assert len(scan.rows) == 4
     assert all(row[4] for row in scan.rows)
@@ -120,35 +120,35 @@ def test_ikawa_scan_special_sequence(db12, bump):
     assert scan.fit_c > 0.0
 
 
-def test_ikawa_scan_respects_horizon(db10, bump):
+def test_ikawa_scan_respects_horizon(db10):
     with pytest.raises(IncompleteDataError):
-        ikawa_scan(db10, beta=1.0, alpha0=0.25, j_max=6, bump=bump)
+        ikawa_scan(db10, beta=1.0, alpha0=0.25, j_max=6)
 
 
-def test_gaussian_weight_dual_agreement(db12, bump):
-    g = gaussian_weight(db12, 12.8, 0.1, bump=bump)
+def test_gaussian_weight_dual_agreement(db12):
+    g = gaussian_weight(db12, 12.8, 0.1)
     assert abs(g.direct - g.quadrature) <= max(g.quad_error, 1e-8)
     assert g.direct > 0.0
     assert g.bound_holds
     assert g.lower_bound <= g.direct
 
 
-def test_gaussian_weight_grid_lower_bound(db12, bump):
+def test_gaussian_weight_grid_lower_bound(db12):
     for t in np.linspace(9.0, 14.0, 5):
         for sigma in (0.1, 0.3):
-            g = gaussian_weight(db12, float(t), sigma, bump=bump)
+            g = gaussian_weight(db12, float(t), sigma)
             assert g.bound_holds
 
 
-def test_gaussian_weight_domain_checks(db12, bump):
+def test_gaussian_weight_domain_checks(db12):
     with pytest.raises(DomainError):
-        gaussian_weight(db12, 12.8, 1.5, bump=bump)
+        gaussian_weight(db12, 12.8, 1.5)
     with pytest.raises(DomainError):
-        gaussian_weight(db12, 12.8, 0.0, bump=bump)
+        gaussian_weight(db12, 12.8, 0.0)
     with pytest.raises(IncompleteDataError):
-        gaussian_weight(db12, 51.5, 0.1, bump=bump)
+        gaussian_weight(db12, 51.5, 0.1)
     with pytest.raises(NumericalError):
-        gaussian_weight(db12, 12.8, 0.1, xi_max=4.0, bump=bump)
+        gaussian_weight(db12, 12.8, 0.1, xi_max=4.0)
 
 
 def test_shell_search_finds_mass(db12, abscissas):
@@ -183,17 +183,17 @@ def test_shell_search_horizon(db10, abscissas):
         lemma41_search(db10, abscissas[1.0], eps=0.1, t_max=44.0)
 
 
-def test_experimental_compare_is_finite(db10, bump):
+def test_experimental_compare_is_finite(db10):
     poles = [
         Pole(complex(-0.12, 0.0), 1, 0.0, 0.1),
         Pole(complex(-0.26, 0.81), 2, 0.0, 0.1),
     ]
-    rows = experimental_compare(db10, poles, 1.0, [8.0, 16.0], bump=bump)
+    rows = experimental_compare(db10, poles, 1.0, [8.0, 16.0])
     assert len(rows) == 2
     for ell, m, orbit, res, ratio in rows:
         assert np.isfinite(orbit)
         assert np.isfinite(res)
-    assert resonance_side(poles, bump, 8.0, np.exp(8.0)) == pytest.approx(
+    assert resonance_side(poles, 8.0, np.exp(8.0)) == pytest.approx(
         rows[0][3], rel=1e-12
     )
 
