@@ -59,14 +59,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+def _float_between(low: float = -np.inf, high: float = np.inf):
+    """A parser of finite floats strictly between ``low`` and ``high``."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}), got {text}")
+        return value
+
+    return parse
 
 
 class _Rect(argparse.Action):
@@ -102,7 +108,7 @@ def _poles_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--rect",
-        type=_finite_float,
+        type=_float_between(),
         nargs=4,
         action=_Rect,
         metavar=("RE0", "RE1", "IM0", "IM1"),
@@ -118,10 +124,12 @@ def _counting_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _trace_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=_finite_float, default=1.0, help="window sharpening rate")
-    p.add_argument("--alpha0", type=_finite_float, default=0.25, help="decay threshold exponent")
-    p.add_argument("--sigma", type=_finite_float, default=0.1, help="Gaussian width parameter")
-    p.add_argument("--eps", type=_finite_float, default=0.1, help="shell-search rate slack")
+    p.add_argument("--beta", type=_float_between(), default=1.0, help="window sharpening rate")
+    p.add_argument("--alpha0", type=_float_between(), default=0.25, help="decay threshold exponent")
+    p.add_argument(
+        "--sigma", type=_float_between(0.0, 1.0), default=0.1, help="Gaussian width parameter"
+    )
+    p.add_argument("--eps", type=_float_between(0.0), default=0.1, help="shell-search rate slack")
     p.add_argument(
         "--experimental-trace-compare",
         action="store_true",
@@ -458,8 +466,7 @@ def cmd_poles(args) -> None:
     print(f"determinant truncation N={det_n}, repetitions k<={args.det_kmax}, "
           f"trust floor Re s > {exp.trust_floor:.3f}")
     _, classes = zeta.class_periods(db, det_n)
-    print(f"{len(exp.cycles[0])} cycles in {classes} period classes (label symmetry "
-          f"order {len(db.config.label_symmetries)}, with time reversal): "
+    print(f"{len(exp.cycles[0])} cycles in {classes} period classes: "
           f"{len(exp.poly_coeff)} atoms")
     grid = None
     if args.rect is not None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, PowerIterationError
+from .errors import DomainError, MalformedInputError, NumericalError, PowerIterationError
 
 PRESSURE_TOL = 1e-10
 ROOT_MAX_STEPS = 50
@@ -104,7 +104,10 @@ def _center_bounces(db, words, k: int):
     if missing.size:
         j = missing[0]
         word = canon[j] // r ** np.arange(period[j] - 1, -1, -1) % r + 1
-        raise DomainError(f"orbit database has no cycle {tuple(word.tolist())}")
+        # the load checks the counts per length, so a cache that lacks a
+        # canonical cycle holds a word in its place
+        raise MalformedInputError(f"orbit database has no cycle {tuple(word.tolist())}; "
+                                  "re-run `billzeta orbits` to rebuild it")
     return db.bounds[row] + ((k // 2) % period - shift) % period
 
 

@@ -18,20 +18,23 @@ variant).  The determinant D(s) is handled in two equivalent layers:
   group.  This finite exponential sum is what actually vanishes at
   the series' poles, so pole location runs on it.
 
-Both layers take each cycle's period from its symmetry class.  A cycle
+Both layers take each cycle's period from its period class.  A cycle
 and its images under a label symmetry of the disks or under time
 reversal have the same period exactly, but they are solved one by one
 and their periods come out a few ulp apart; equal sums of periods merge
-into one atom only when they are bitwise equal.  So each cycle takes the
-period of its class representative, when the two are within
-``PERIOD_ULPS`` ulp, and the expansion has one factor group per class.
-On the fixture at N = 13 that is 395 atoms for 165 classes among 1,377
+into one atom only when they are bitwise equal.  Two cycles of one
+length whose periods agree to ``PERIOD_ULPS`` ulp have one period at
+the solver's precision, whatever made them agree, so the classes are
+read off the periods alone: sorted by (length, period), the cycles
+split into classes wherever two neighbours are more than
+``PERIOD_ULPS`` ulp apart, and each cycle takes the period of its
+class's least row when the two are within ``PERIOD_ULPS`` ulp, else
+keeps its own.  The expansion has one factor group per class.  On the
+fixture at N = 13 that is 395 atoms for 165 classes among 1,377
 cycles, whatever its rigid motion; with each cycle's own period the
 count depends on which periods happen to round alike (941 unmoved,
-1,098 under the benchmark's seed-1 motion).  The ulp test, not the
-symmetry detection, certifies every shared period; a cycle that fails
-it takes its time reversal's period if that passes, else keeps its own.
-The series, counting and trace atoms keep every cycle's own period.
+1,098 under the benchmark's seed-1 motion).  The series, counting and
+trace atoms keep every cycle's own period.
 
 Every sum over atoms goes through one kernel, built on the factorisation
 exp(-s tau) = exp(-x tau) exp(-i y tau) for s = x + iy.  Contour samples
@@ -80,10 +83,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import symbolic
-from .errors import (
-    DomainError, IncompleteDataError, MalformedInputError, ShortSeriesError, TrustRegionError,
-)
+from .errors import DomainError, IncompleteDataError, ShortSeriesError, TrustRegionError
 from .stability import det_one_minus_poincare
 
 # ---------------------------------------------------------------------------
@@ -264,10 +264,11 @@ WINDING_TOL = 0.05  # allowed distance of a cell winding from an integer
 # distinct Im s per cos and sin table: at N = 13 a block's table takes
 # 51 kB, beside the call's real-part table of 3.2 kB per distinct Re s
 ATOM_BLOCK = 8
-# a cycle takes its class representative's period only within this many
-# ulp of its own; images of one cycle are solved apart and land up to 5
-# ulp apart (the fixture at nmax 14 under 29 rigid motions; 2 ulp for
-# time reversal on unequal_four_disks() at nmax 8)
+# periods further apart than this many ulp start a new period class, and
+# a cycle takes its class's least row's period only within this many ulp
+# of its own; images of one cycle are solved apart and land up to 5 ulp
+# apart (the fixture at nmax 14 under 29 rigid motions; 2 ulp for time
+# reversal on unequal_four_disks() at nmax 8)
 PERIOD_ULPS = 8
 SPREAD_TOL = 0.04  # allowed |sum (z - centroid)^2| of a cell's zeros / diagonal^2
 
@@ -552,17 +553,14 @@ def _build_log_atoms(n, T, lam, N, k_max):
 
 def class_periods(db, N: int):
     """The periods of the cycles with n <= N as the expansion takes them,
-    and the number of symmetry classes among those cycles.
+    and the number of period classes among those cycles.
 
-    A cycle takes the period of its class representative
-    (:func:`symbolic.class_representatives` under the configuration's
-    label symmetries and time reversal) when the two are within
-    ``PERIOD_ULPS`` ulp.  Failing that, it takes the period of its
-    time-reversal representative (the least canonical rotation of the
-    word and its reversal) when that is within ``PERIOD_ULPS`` ulp, else
-    it keeps its own: the ulp test, not the symmetry detection,
-    certifies every shared period.  Built once per database and N, and
-    kept in ``db.derived``.
+    The cycles are sorted by (length, period), and a class ends wherever
+    the length changes or two consecutive periods are more than
+    ``PERIOD_ULPS`` ulp apart.  A cycle takes the period of its class's
+    least row when the two are within ``PERIOD_ULPS`` ulp, else it keeps
+    its own: that test certifies every shared period.  Built once per
+    database and N, and kept in ``db.derived``.
     """
     key = ("class_periods", N)
     if key not in db.derived:
@@ -571,40 +569,24 @@ def class_periods(db, N: int):
 
 
 def _class_periods(db, N):
-    # rows are sorted by length: the cycles with n <= N are the first ``count``
+    # rows are sorted by length: the cycles with n <= N are the first
+    # ``count``, and sorting them by (n, T) moves rows only within a length
     count = int(np.searchsorted(db.n, N, side="right"))
-    blocks = [(n, start, words) for n, (start, words, _) in db.word_table().items() if n <= N]
-    T = db.T[:count]
-
-    def representatives(symmetries, blocks):
-        # a row outside ``blocks`` is its own representative
-        rep = np.arange(count)
-        for n, start, words in blocks:
-            try:
-                rows = symbolic.class_representatives(words, db.config.r, symmetries)
-            except ValueError as exc:
-                raise MalformedInputError(
-                    f"the orbit database's words of length {n} are not its canonical cycles "
-                    f"({exc}); re-run `billzeta orbits` to rebuild it"
-                ) from exc
-            rep[start : start + len(words)] = start + rows
-        return rep
-
-    def close(rep):
-        return np.abs(T - T[rep]) <= PERIOD_ULPS * np.spacing(np.maximum(T, T[rep]))
-
-    rep = representatives(db.config.label_symmetries, blocks)
-    same = close(rep)
-    periods = np.where(same, T[rep], T)
-    # time reversal is a symmetry of every configuration, a label
-    # permutation only to ``VALIDATE_TOL``: a cycle too far from its
-    # class representative may still share its reversal's period
-    apart = [(n, start, words) for n, start, words in blocks
-             if not same[start : start + len(words)].all()]
-    reversal = representatives((tuple(range(db.config.r)),), apart)
-    periods = np.where(~same & close(reversal), T[reversal], periods)
+    n, T = db.n[:count], db.T[:count]
+    order = np.lexsort((T, n))
+    sorted_T = T[order]
+    new = np.ones(count, dtype=bool)
+    new[1:] = (n[1:] != n[:-1]) | (
+        sorted_T[1:] - sorted_T[:-1] > PERIOD_ULPS * np.spacing(sorted_T[1:])
+    )
+    starts = np.flatnonzero(new)
+    # the least row of each class, for every row of the class
+    rep = np.empty(count, dtype=np.int64)
+    rep[order] = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=count))
+    close = np.abs(T - T[rep]) <= PERIOD_ULPS * np.spacing(np.maximum(T, T[rep]))
+    periods = np.where(close, T[rep], T)
     periods.flags.writeable = False
-    return periods, int(np.count_nonzero(np.bincount(rep)))
+    return periods, starts.size
 
 
 def build_determinant(db, N: int, k_max: int = K_MAX) -> DeterminantExpansion:
@@ -614,13 +596,13 @@ def build_determinant(db, N: int, k_max: int = K_MAX) -> DeterminantExpansion:
     transverse factors.  The expansion is the exact product truncated at
     shell N; no term is pruned.  It runs over class periods
     (:func:`class_periods`): every cycle within ``PERIOD_ULPS`` ulp of
-    its class representative takes the representative's period, so the
-    factors of one class form one group and their sums of periods merge
-    into one atom.  The trust floor is the leftmost Re s at
-    which the length-N shell of the expansion (the signed last-shell
-    sum, whose internal cancellation tracks how shadowing actually
-    limits the truncation error) stays below ``TRUST_THRESHOLD`` on the
-    ``PROBE_IM`` strip near the real axis.  The threshold is calibrated
+    its class's least row takes that row's period, so the factors of one
+    class form one group and their sums of periods merge into one atom.
+    The trust floor is the leftmost Re s at which the length-N shell of
+    the expansion (the signed last-shell sum, whose internal
+    cancellation tracks how shadowing actually limits the truncation
+    error) stays below ``TRUST_THRESHOLD`` on the ``PROBE_IM`` strip
+    near the real axis.  The threshold is calibrated
     so that zeros inside the trusted region shift by less than about
     1e-4 when N changes; left of the floor they drift by an order of
     magnitude more and the search refuses to report them.

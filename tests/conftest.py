@@ -117,12 +117,13 @@ def brute_force_class(word, symmetries) -> tuple:
 
 
 def brute_force_class_periods(db: OrbitDatabase, N: int, symmetries=None) -> dict:
-    """word -> the period the determinant should take for each cycle with
-    n <= N: its class representative's (:func:`brute_force_class` under
-    ``symmetries``, by default :func:`brute_force_symmetries`) when within
-    ``PERIOD_ULPS`` ulp of its own, else its time-reversal
-    representative's (the class under the identity alone) when within
-    ``PERIOD_ULPS`` ulp, else its own."""
+    """word -> the period each cycle with n <= N takes when periods are
+    shared along the label symmetries and time reversal: its class
+    representative's (:func:`brute_force_class` under ``symmetries``, by
+    default :func:`brute_force_symmetries`) when within ``PERIOD_ULPS``
+    ulp of its own, else its time-reversal representative's (the class
+    under the identity alone) when within ``PERIOD_ULPS`` ulp, else its
+    own."""
     own = {rec.word: rec.T for rec in records(db) if rec.n <= N}
     if symmetries is None:
         symmetries = brute_force_symmetries(db.config)

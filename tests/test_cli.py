@@ -171,6 +171,10 @@ def test_out_of_range_integer_flags_are_usage_errors(cli_env, tmp_path):
         (("trace", "--cache", cache, "--beta", "nan"), "--beta"),
         (("trace", "--cache", cache, "--sigma", "inf"), "--sigma"),
         (("trace", "--cache", cache, "--eps", "-inf"), "--eps"),
+        # the Gaussian width lies in (0, 1) and the shell-search slack is positive
+        (("trace", "--cache", cache, "--sigma", 2), "--sigma"),
+        (("trace", "--cache", cache, "--sigma", 0), "--sigma"),
+        (("trace", "--cache", cache, "--eps", 0), "--eps"),
     ]
     for argv, flag in cases:
         res = run_cli(*argv, "--out", out)
@@ -244,19 +248,27 @@ def test_cache_with_foreign_words_exits_one(tmp_path, db8, capsys):
         columns = {name: getattr(db8, name) for name, _ in SECTIONS}
         return OrbitDatabase(db8.config, db8.n_max, dict(columns, word=word))
 
-    cache = tmp_path / "c.bin"
-    for length, words, message in (
+    cache, out = tmp_path / "c.bin", tmp_path / "out"
+    every = ("orbits", "abscissas", "counting", "trace", "poles")
+    for length, words, subcommands, message in (
         # labels outside 1..3 are refused at load, before their codes alias
-        (2, [(1, 2), (1, 3), (2, 4)], "row 2 uses labels outside 1..3"),
-        (2, [(0, 2), (1, 3), (2, 3)], "row 0 uses labels outside 1..3"),
-        # in range and in order, but (1, 3, 3) is no cycle; only the
-        # symmetry classes of the determinant see it
-        (3, [(1, 2, 3), (1, 3, 3)], "words of length 3 are not its canonical cycles"),
+        (2, [(1, 2), (1, 3), (2, 4)], every, "row 2 uses labels outside 1..3"),
+        (2, [(0, 2), (1, 3), (2, 3)], every, "row 0 uses labels outside 1..3"),
+        # in range and in order, but no orbit bounces twice off disk 3
+        (3, [(1, 2, 3), (1, 3, 3)], every, "row 4 repeats a label at consecutive bounces"),
+        # nor off disk 1 from its last bounce to its first
+        (3, [(1, 2, 3), (1, 3, 1)], every, "row 4 repeats a label at consecutive bounces"),
+        # admissible and in order, but (2, 1, 3) is a rotation of (1, 3, 2):
+        # the cylinder potentials find no cycle (1, 3, 2)
+        (3, [(1, 2, 3), (2, 1, 3)], ("abscissas", "counting", "trace"),
+         "orbit database has no cycle (1, 3, 2); re-run `billzeta orbits`"),
     ):
         save_database(rewritten(length, words), cache)
-        assert cli.main(["poles", "--cache", str(cache)]) == 1, words
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err, words
+        for sub in subcommands:
+            assert cli.main([sub, "--cache", str(cache), "--out", str(out)]) == 1, (sub, words)
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, (sub, words)
+            assert not list(out.glob("*")), (sub, words)
 
 
 def test_format_1_cache_is_stale(cli_env, db10, tmp_path):
@@ -716,11 +728,9 @@ def test_poles_reports_its_period_classes(tmp_path, db13, db_four7, capsys):
     from billzeta import cli
 
     for db, N, line in (
-        (db13, 13, "1377 cycles in 165 period classes (label symmetry order 6, "
-                   "with time reversal): 395 atoms"),
+        (db13, 13, "1377 cycles in 165 period classes: 395 atoms"),
         # no label symmetry: only a cycle and its time reversal share a period
-        (db_four7, 7, "508 cycles in 287 period classes (label symmetry order 1, "
-                      "with time reversal): 777 atoms"),
+        (db_four7, 7, "508 cycles in 287 period classes: 777 atoms"),
     ):
         cache = tmp_path / f"orbits{N}.bin"
         save_database(db, cache)

@@ -1,12 +1,10 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from billzeta.symbolic import (
     canonical_rotation,
-    class_representatives,
     count_periodic_points,
     enumerate_cycles,
     enumerate_words,
@@ -16,16 +14,7 @@ from billzeta.symbolic import (
     rotate,
     transition_matrix,
 )
-from tests.conftest import (
-    brute_force_class,
-    cycles,
-    equilateral_config,
-    isosceles_three_disks,
-    moved_equilateral,
-    nearly_equilateral,
-    square_four_disks,
-    unequal_four_disks,
-)
+from tests.conftest import cycles
 
 
 def test_transition_matrix_shape():
@@ -143,48 +132,3 @@ def test_admissibility_checks_wraparound():
     assert not is_cyclically_admissible((1, 2, 2))
     assert not is_cyclically_admissible((1, 2, 3, 1))
     assert is_cyclically_admissible((1, 2, 3))
-
-
-@pytest.mark.parametrize(
-    "make, n_max, classes",
-    [
-        # 226 cycles up to length 10 on three disks, 508 up to 7 on four
-        (equilateral_config, 10, 38),
-        (lambda: moved_equilateral(1), 10, 38),
-        (lambda: moved_equilateral(2), 10, 38),
-        (lambda: moved_equilateral(3), 10, 38),
-        (nearly_equilateral, 10, 38),
-        (isosceles_three_disks, 10, 88),
-        (square_four_disks, 7, 50),
-        (unequal_four_disks, 7, 287),
-    ],
-)
-def test_class_representatives_equal_the_brute_force_map(make, n_max, classes):
-    config = make()
-    symmetries = config.label_symmetries
-    total = 0
-    for n in range(2, n_max + 1):
-        words = cycles(config.r, n, n_min=n)
-        rows = class_representatives(np.array(words), config.r, symmetries)
-        want = [brute_force_class(word, symmetries) for word in words]
-        assert [words[i] for i in rows.tolist()] == want, n
-        total += len(set(want))
-    assert total == classes
-
-
-def test_class_map_holds_a_few_rows_per_image():
-    # every length of the fixture at nmax 14; the 12 rotated images of the
-    # last block as one (12, M, n, n) array would take 21.8 MB
-    symmetries = equilateral_config().label_symmetries
-    blocks = [enumerate_cycles(3, n, n_min=n) for n in range(2, 15)]
-    M, n = blocks[-1].shape
-    class_representatives(blocks[-1], 3, symmetries)
-    tracemalloc.start()
-    try:
-        for words in blocks:
-            class_representatives(words, 3, symmetries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # five float rows of (2n, M), fewer than the six images stacked
-    assert peak <= 5 * 2 * n * M * 8

@@ -7,7 +7,7 @@ import pytest
 
 from billzeta import cli, symbolic, thermo
 from billzeta.database import OrbitDatabase, build_database, save_database
-from billzeta.errors import DomainError, PowerIterationError
+from billzeta.errors import DomainError, MalformedInputError, PowerIterationError
 from billzeta.geometry import Configuration, Disk
 from billzeta.symbolic import canonical_rotation, enumerate_words, primitive_root
 from billzeta.thermo import (
@@ -234,9 +234,11 @@ def test_potentials_name_a_missing_cycle(db8, dropped, k):
     db = take_rows(db8, [row for row in range(len(db8)) if row not in gone])
     with pytest.raises(DomainError) as want:
         reference_potentials(db, k)
-    with pytest.raises(DomainError) as got:
+    # a cache that lacks a cycle is malformed: the load checks its counts,
+    # so another word stands in the cycle's place
+    with pytest.raises(MalformedInputError) as got:
         build_potentials(db, k)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{want.value}; re-run `billzeta orbits` to rebuild it"
     assert str(got.value).startswith("orbit database has no cycle ")
 
 

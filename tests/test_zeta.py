@@ -4,11 +4,12 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from billzeta import symbolic, zeta
+from billzeta import zeta
 from billzeta.cli import _default_pole_search, _pole_search
 from billzeta.errors import DomainError, IncompleteDataError, TrustRegionError
 from billzeta.zeta import (
     ATOM_BLOCK,
+    PERIOD_ULPS,
     PROBE_IM,
     TRUST_THRESHOLD,
     _cell_moments,
@@ -34,8 +35,11 @@ from billzeta.symbolic import canonical_rotation
 from tests.conftest import (
     brute_force_class_periods,
     equilateral_config,
+    isosceles_three_disks,
     moved_equilateral,
+    nearly_equilateral,
     records,
+    square_four_disks,
     unequal_four_disks,
 )
 
@@ -677,48 +681,88 @@ def test_zeros_move_by_rounding_only(db13, db_four7, monkeypatch):
 
 
 def test_class_periods_are_built_once_per_database_and_order(db13, monkeypatch):
-    blocks = []
-    real = symbolic.class_representatives
+    orders = []
+    real = zeta._class_periods
 
-    def counted(words, *args):
-        blocks.append(words.shape[1])
-        return real(words, *args)
+    def counted(db, N):
+        orders.append(N)
+        return real(db, N)
 
-    monkeypatch.setattr(symbolic, "class_representatives", counted)
+    monkeypatch.setattr(zeta, "_class_periods", counted)
     db = restrict_database(db13, 12)
     exp = build_determinant(db, 12)
-    # every cycle of the fixture passes against its class representative,
-    # so the reversal-only map is never built
-    assert blocks == list(range(2, 13))
+    assert orders == [12]
     assert len(exp.poly_coeff) == 238
     build_determinant(db, 12)
-    assert len(blocks) == 11
+    assert orders == [12]
     # the log atoms describe the product the expansion atoms expand
     assert exp.cycles[1] is zeta.class_periods(db, 12)[0]
     build_determinant(db, 11)
-    assert blocks[11:] == list(range(2, 12))
-    del blocks[:]
-    # 395 atoms, as test_class_periods_move_the_determinant_by_rounding_only checks
-    zeta._class_periods(db13, 13)
-    assert blocks == list(range(2, 14))
+    assert orders == [12, 11]
 
 
-def test_periods_of_a_nearly_symmetric_configuration_stay_their_own(db_nearly8, monkeypatch):
-    # symmetric to about 1e-11: the classes are detected, but a label
-    # image's period is over 1,000 ulp away and only time reversal shares
-    blocks = []
-    real = symbolic.class_representatives
+def assert_oracle_periods(db, N):
+    """``class_periods(db, N)`` equals the permutation-search oracle to the
+    bit; returns the class count."""
+    periods, classes = zeta.class_periods(db, N)
+    want = brute_force_class_periods(db, N)
+    words = [rec.word for rec in records(db) if rec.n <= N]
+    assert periods.tobytes() == np.array([want[word] for word in words]).tobytes(), N
+    return classes
 
-    def counted(words, r, symmetries):
-        blocks.append(len(symmetries))
-        return real(words, r, symmetries)
 
-    monkeypatch.setattr(symbolic, "class_representatives", counted)
+def test_class_periods_of_the_fixture_equal_the_permutation_search(db13):
+    # one class per label orbit of cycles: 165 at N = 13, as `poles` prints
+    classes = [assert_oracle_periods(db13, N) for N in range(2, 14)]
+    assert classes[-1] == 165
+
+
+@pytest.mark.parametrize(
+    "make, n_max, classes",
+    [
+        # as many classes as the label symmetries and time reversal make,
+        # but on the nearly symmetric disks, whose images lie far apart
+        (lambda: moved_equilateral(1), 13, 165),
+        (lambda: moved_equilateral(2), 13, 165),
+        (lambda: moved_equilateral(3), 13, 165),
+        (isosceles_three_disks, 13, 420),
+        (square_four_disks, 7, 50),
+        (unequal_four_disks, 8, 764),
+        (nearly_equilateral, 8, 52),
+    ],
+)
+def test_class_periods_equal_the_permutation_search(make, n_max, classes):
+    db = build_database(make(), n_max)
+    assert assert_oracle_periods(db, n_max) == classes
+
+
+def test_class_periods_share_only_periods_within_the_ulp_bound():
+    # the oracle shares a period only along a label symmetry or time
+    # reversal; on the nearly symmetric disks at N = 10 two pairs of
+    # cycles of one length lie 3 and 8 ulp apart without either, and the
+    # value rule gives each pair its least row's period
+    db = build_database(nearly_equilateral(), 10)
+    periods, _ = zeta.class_periods(db, 10)
+    want = brute_force_class_periods(db, 10)
+    recs = records(db)
+    apart = []
+    for row, (rec, T) in enumerate(zip(recs, periods.tolist())):
+        if T != want[rec.word]:
+            # the oracle keeps the cycle's own period
+            assert want[rec.word] == rec.T, rec.word
+            pair = [i for i, t in enumerate(periods.tolist()) if t == T]
+            assert len(pair) == 2 and pair[1] == row, rec.word
+            least = recs[pair[0]]
+            assert least.n == rec.n and least.T == T == want[least.word]
+            apart.append(round(abs(rec.T - T) / np.spacing(max(rec.T, T))))
+    assert sorted(apart) == [3, 8]
+    assert max(apart) <= PERIOD_ULPS
+
+
+def test_periods_of_a_nearly_symmetric_configuration_stay_their_own(db_nearly8):
+    # symmetric to about 1e-11: a label image's period is over 1,000 ulp
+    # away, so only time reversal shares
     periods, classes = zeta._class_periods(db_nearly8, 8)
-    assert (len(db_nearly8.config.label_symmetries), classes) == (6, 15)
-    # the reversal-only map is taken for the lengths where a cycle fails
-    # against its class representative
-    assert blocks[:7] == [6] * 7 and set(blocks[7:]) == {1}
     reversal = brute_force_class_periods(db_nearly8, 8, symmetries=((0, 1, 2),))
     shared = 0
     for rec, T in zip(records(db_nearly8), periods.tolist()):
@@ -726,10 +770,10 @@ def test_periods_of_a_nearly_symmetric_configuration_stay_their_own(db_nearly8, 
         if T != rec.T:
             shared += 1
             assert canonical_rotation(rec.word[::-1])[0] < rec.word
-    # one cycle passes against its class representative, which is its
-    # reversal; four more pass only against their reversal
-    assert (len(periods), shared) == (71, 5)
-    # the 2-cycles 12, 13 and 23 are one class
+    # five cycles take their reversal's period; a cycle whose reversal has
+    # its period to the bit shares without a change
+    assert (len(periods), shared, classes) == (71, 5, 52)
+    # the 2-cycles 12, 13 and 23 are three classes
     assert len(set(periods[:3].tolist())) == 3
 
 
@@ -946,6 +990,86 @@ def test_merged_cluster_is_refused(exp12, monkeypatch):
     for grid in grids:
         assert found[grid] == find_poles(exp12, TALL, grid=grid), grid
         assert sum(p.multiplicity for p in found[grid]) == 5, grid
+
+
+class KnownZeros:
+    """A stand-in for :class:`zeta.DeterminantExpansion` in the contour
+    search: D(s) = prod (s - z)^m over chosen zeros z of multiplicity m,
+    with a last shell of zero and a trust floor left of every search.
+    The search calls only these methods and reads ``trust_floor`` (and
+    ``N`` in one refusal's message)."""
+
+    N = 0
+    trust_floor = -1.0
+
+    def __init__(self, zeros):
+        self.zeros = zeros
+
+    def value_and_derivative(self, s):
+        s = np.asarray(s, dtype=complex)
+        f, df = np.ones_like(s), np.zeros_like(s)
+        for z, m in self.zeros:
+            f, df = f * (s - z) ** m, df * (s - z) ** m + f * m * (s - z) ** (m - 1)
+        return f, df
+
+    def value(self, s):
+        return self.value_and_derivative(s)[0]
+
+    def last_shell_value(self, s):
+        return np.zeros(np.shape(s))
+
+    def value_and_last_shell(self, s, derivative=False):
+        f, df = self.value_and_derivative(s)
+        return (f, np.zeros(f.shape), df) if derivative else (f, np.zeros(f.shape))
+
+
+# the cells of the default search at N = 17 on the fixture: lines at
+# Re -0.348, -0.266, -0.184, -0.102, -0.02 and Im 0.2, 0.4, ..., 1.4
+STRIP, STRIP_GRID = (-0.348, -0.02, 0.20, 1.40), (4, 6)
+
+
+def test_find_poles_places_known_zeros():
+    simple = [-0.30 + 0.50j, -0.05 + 0.30j, -0.15 + 1.25j]
+    double = -0.22 + 0.90j
+    poles = find_poles(KnownZeros([(z, 1) for z in simple] + [(double, 2)]), STRIP, STRIP_GRID)
+    assert [p.multiplicity for p in poles] == [1, 1, 2, 1]
+    # Newton lands on each simple zero exactly; the Simpson centroid of the
+    # double zero is 6.9e-8 off
+    for p, z in zip(poles, [simple[1], simple[0], double, simple[2]]):
+        assert abs(p.s - z) <= (1e-12 if p.multiplicity == 1 else 1e-6), (p, z)
+
+
+@pytest.mark.parametrize(
+    "side, rect, grid",
+    [
+        pytest.param(1.0, STRIP, STRIP_GRID, id="strip-right"),
+        pytest.param(-1.0, STRIP, STRIP_GRID, id="strip-left"),
+        # the left cell alone: no cell beside it refuses the zero
+        pytest.param(
+            -1.0, (-0.348, -0.266, 0.80, 1.00), (1, 1), id="one-cell-left",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 15: nothing bounds D between two samples, so the "
+                "cell reads winding 1 and reports the double zero as a simple one",
+            ),
+        ),
+    ],
+)
+def test_find_poles_places_or_refuses_a_double_zero_beside_a_grid_line(side, rect, grid):
+    # ROADMAP item 5's alias: at 12 samples per side the two cells beside
+    # Re -0.266 each read winding 1 for the double zero 0.0017 away; on
+    # the strip's grid the cell the zero lies outside refuses it, as
+    # `poles --det-n 17` does
+    double = complex(-0.266 + side * 0.0017, 0.81395)
+    try:
+        poles = find_poles(KnownZeros([(double, 2)]), rect, grid)
+    except TrustRegionError as exc:
+        assert "outside the cell" in str(exc)
+    else:
+        # placed, the centroid must be the zero's: the same zero at Im 0.9,
+        # where the cells read 0 and 2, places 2.3e-5 off
+        assert [p.multiplicity for p in poles] == [2]
+        assert abs(poles[0].s - double) <= 1e-4
 
 
 def moved_fixture(seed):
