@@ -504,6 +504,10 @@ def cmd_counting(args) -> None:
                    {"counting.csv": (["x", "count", "model", "ratio"], rows)})
 
 
+# trace's Gaussian centers: ten nodes of step 7/9, and 12.8 between two
+GAUSS_T_GRID = tuple(sorted([*np.linspace(8.0, 15.0, 10).tolist(), 12.8]))
+
+
 def cmd_trace(args) -> None:
     db = _load_db(args)
     t0 = float(db.T[db.row(trace.GAMMA0)])
@@ -514,12 +518,8 @@ def cmd_trace(args) -> None:
           f"{scan.gamma0_T:g}: {n_pass}/{len(scan.rows)} windows above "
           f"e^(-{args.alpha0} ell); fit c={scan.fit_c:.4f}, c0={scan.fit_c0:.4f}")
 
-    t_grid = [float(t) for t in np.linspace(8.0, 15.0, 10)]
-    if 12.8 not in t_grid:
-        t_grid.append(12.8)
-    t_grid.sort()
     gauss_rows = []
-    for t in t_grid:
+    for t in GAUSS_T_GRID:
         g = trace.gaussian_weight(db, t, args.sigma)
         gauss_rows.append(
             (t, args.sigma, g.direct, g.quadrature, g.quad_error, g.lower_bound,

@@ -192,6 +192,8 @@ class BumpFunction:
 
 # the test window rho: it takes no parameters, so every pairing shares one
 RHO = BumpFunction()
+# sqrt(2 pi) min_{|u|<=1/2} rho(u)^2, the constant of the diagonal lower bound
+DIAG_CONST = float(np.sqrt(2.0 * np.pi) * RHO.value(0.5) ** 2)
 # the short cycle whose repetitions place the windows of :func:`ikawa_scan`
 GAMMA0 = (1, 2)
 
@@ -250,10 +252,7 @@ def pair(measure: AtomicMeasure, ell: float, m: float) -> float:
             f"[{ell - 1.0 / m:.3f}, {ell + 1.0 / m:.3f}]"
         )
     sel = np.abs(measure.tau - ell) < 1.0 / m
-    if not np.any(sel):
-        return 0.0
-    vals = RHO.value(m * (measure.tau[sel] - ell))
-    return float(np.sum(measure.weight[sel] * np.atleast_1d(vals)))
+    return float(np.sum(measure.weight[sel] * RHO.value(m * (measure.tau[sel] - ell))))
 
 
 def window_count(measure: AtomicMeasure, ell: float, m: float) -> int:
@@ -276,20 +275,23 @@ def ikawa_scan(db, beta: float, alpha0: float, j_max: int) -> IkawaScan:
     m_j = e^{beta ell_j}; each row is (ell, m, |pairing|, threshold,
     pass, atom count).  A linear regression of log |pairing| against ell
     fits the empirical lower-bound constants (c, c0) with
-    |pairing| ~ c e^{-c0 ell}.
+    |pairing| ~ c e^{-c0 ell}.  A ``beta`` or ``alpha0`` whose m_j or
+    threshold e^{-alpha0 ell_j} overflows raises ``DomainError`` at that
+    ell_j; :func:`pair` checks each window against the cutoff.
     """
     t0 = float(db.T[db.row(GAMMA0)])
     measure = build_measure(db, "dirichlet")
     rows = []
     for j in range(1, j_max + 1):
         ell = j * t0
-        m = float(np.exp(beta * ell))
-        if ell + 1.0 / m > db.horizon:
-            raise IncompleteDataError(
-                f"window at ell={ell:.3f} reaches beyond the cutoff {db.horizon:.3f}"
-            )
+        with np.errstate(over="ignore"):
+            m = float(np.exp(beta * ell))
+            thr = float(np.exp(-alpha0 * ell))
+        if math.isinf(m) or math.isinf(thr):
+            what = (f"beta={beta} overflows the window scale e^(beta ell)" if math.isinf(m)
+                    else f"alpha0={alpha0} overflows the threshold e^(-alpha0 ell)")
+            raise DomainError(f"{what} at ell={ell:.3f}")
         val = abs(pair(measure, ell, m))
-        thr = float(np.exp(-alpha0 * ell))
         rows.append((ell, m, val, thr, val >= thr, window_count(measure, ell, m)))
     ells = np.array([r[0] for r in rows])
     vals = np.array([r[2] for r in rows])
@@ -323,10 +325,11 @@ def gaussian_weight(db, t: float, sigma: float, xi_max: float = 40.0) -> Gaussia
     (2 sigma)) rho(tau-t) rho(tau'-t) with w = tau_sharp |det|^{-1/2}.
     Dual: sigma^{1/2} integral of |S(t, xi)|^2 exp(-sigma xi^2 / 2)
     with S(t, xi) = sum w e^{i xi tau} rho(tau - t), by trapezoid of
-    step ``XI_STEP`` on [-xi_max, xi_max]; a cutoff whose Gaussian tail
-    exceeds ``TAIL_TOL`` raises ``NumericalError``.  The reported
-    quadrature error combines a step-halving estimate with the analytic
-    truncation tail.
+    step ``XI_STEP / 2`` on [-xi_max, xi_max], where the integrand is
+    evaluated once; a cutoff whose Gaussian tail exceeds ``TAIL_TOL``
+    raises ``NumericalError``.  The reported quadrature error combines a
+    step-halving estimate (step ``XI_STEP`` on every other node) with the
+    analytic truncation tail.
 
     Also evaluates the diagonal lower bound
     sqrt(2 pi) min_{|u|<=1/2} rho(u)^2 * sum_{|tau-t|<=1/2} tau_sharp/|det|.
@@ -340,19 +343,15 @@ def gaussian_weight(db, t: float, sigma: float, xi_max: float = 40.0) -> Gaussia
         )
     sel = np.abs(measure.tau - t) < 1.0
     tau = measure.tau[sel]
-    wr = measure.weight[sel] * np.atleast_1d(RHO.value(tau - t))
+    wr = measure.weight[sel] * RHO.value(tau - t)
 
-    # direct double sum, reduced row by row
-    if len(tau):
-        K = np.exp(-((tau[:, None] - tau[None, :]) ** 2) / (2.0 * sigma))
-        rows = wr * (K @ wr)
-        direct = float(np.sqrt(2.0 * np.pi) * np.sum(rows))
-    else:
-        direct = 0.0
+    # direct double sum, reduced row by row; an empty window sums to 0.0
+    K = np.exp(-((tau[:, None] - tau[None, :]) ** 2) / (2.0 * sigma))
+    rows = wr * (K @ wr)
+    direct = float(np.sqrt(2.0 * np.pi) * np.sum(rows))
 
     # frequency side
     n_half = int(round(xi_max / XI_STEP))
-    xi = np.linspace(-xi_max, xi_max, 2 * n_half + 1)
     s_max = float(np.sum(np.abs(wr)))
     # |S|^2 <= s_max^2, so the discarded tail of the xi integral is
     # bounded by the Gaussian tail below
@@ -362,17 +361,18 @@ def gaussian_weight(db, t: float, sigma: float, xi_max: float = 40.0) -> Gaussia
             f"frequency cutoff xi_max={xi_max} leaves a tail bound {tail:.2e}"
         )
 
-    def quad(xi_grid):
-        if len(tau) == 0:
-            return 0.0
-        S = np.exp(1j * np.outer(xi_grid, tau)) @ wr
-        y = (S.real**2 + S.imag**2) * np.exp(-sigma * xi_grid**2 / 2.0)
-        h = xi_grid[1] - xi_grid[0]
-        return float(np.sqrt(sigma) * h * (0.5 * y[0] + np.sum(y[1:-1]) + 0.5 * y[-1]))
+    # the integrand on the fine grid; its even nodes are, to the bit,
+    # np.linspace(-xi_max, xi_max, 2 * n_half + 1), the coarse grid
+    xi = np.linspace(-xi_max, xi_max, 4 * n_half + 1)
+    S = np.exp(1j * np.outer(xi, tau)) @ wr
+    y = (S.real**2 + S.imag**2) * np.exp(-sigma * xi**2 / 2.0)
 
-    g_h = quad(xi)
-    xi_fine = np.linspace(-xi_max, xi_max, 4 * n_half + 1)
-    g_h2 = quad(xi_fine)
+    def trapezoid(step):
+        ys, h = y[::step], xi[step] - xi[0]
+        return float(np.sqrt(sigma) * h * (0.5 * ys[0] + np.sum(ys[1:-1]) + 0.5 * ys[-1]))
+
+    g_h = trapezoid(2)
+    g_h2 = trapezoid(1)
     # step halving + analytic tail + float accumulation at scale |G|
     quad_error = (
         abs(g_h - g_h2)
@@ -382,12 +382,11 @@ def gaussian_weight(db, t: float, sigma: float, xi_max: float = 40.0) -> Gaussia
 
     full = build_measure(db, "full")
     diag_sum = float(np.sum(full.weight[np.abs(full.tau - t) <= 0.5]))
-    c_min = float(np.sqrt(2.0 * np.pi) * RHO.value(0.5) ** 2)
     return GaussianWeight(
         direct=direct,
         quadrature=g_h2,
         quad_error=quad_error,
-        lower_bound=c_min * diag_sum,
+        lower_bound=DIAG_CONST * diag_sum,
     )
 
 

@@ -222,20 +222,15 @@ def abscissa_estimate(db, weight: str = "half", parity=None, window: int = 4):
         "none": atoms["tsharp"],
     }[weight]
     m = atoms["m"]
-    keep = np.ones(len(m), dtype=bool)
-    if parity == "even":
-        keep = m % 2 == 0
+    # every bounce count (every even one for parity="even") has cycles
+    step = 2 if parity == "even" else 1
     shells = []
-    for m_val in range(2, db.n_max + 1):
-        sel = keep & (m == m_val)
-        if not np.any(sel):
-            continue
+    for m_val in range(2, db.n_max + 1, step):
+        sel = m == m_val
         total = float(np.sum(w[sel]))
         mean_tau = float(np.sum(w[sel] * atoms["tau"][sel]) / total)
         shells.append((m_val, total, mean_tau))
     if len(shells) < window + 1:
-        # every bounce count (every even one for parity="even") has cycles
-        step = 2 if parity == "even" else 1
         last = shells[-1][0] if shells else 2 - step
         label = weight if parity is None else f"{weight}/{parity}"
         raise ShortSeriesError(
@@ -925,7 +920,10 @@ def find_poles(exp: DeterminantExpansion, rect, grid=GRID):
     territory can fake integer windings).  The rectangle is cut into
     grid cells, searched by :func:`_grid_zeros` with every contour sample
     keeping |D| above the local noise.  The zeros are sorted by
-    (Im s, Re s).
+    (Im s, Re s).  Of ``exp`` the search reads only ``value``,
+    ``last_shell_value``, ``value_and_last_shell(z, derivative)``,
+    ``value_and_derivative``, ``trust_floor`` and ``N``, so any object with
+    them stands in (``tests/test_zeta.py::KnownZeros`` is one).
     """
     re0, re1, im0, im1 = map(float, rect)
     if not (np.isfinite([re0, re1, im0, im1]).all() and re0 < re1 and im0 < im1):

@@ -474,6 +474,21 @@ def test_trace_outputs(cli_env, tmp_path):
     ]
 
 
+def test_trace_refuses_window_scales_and_thresholds_that_overflow(cli_env, tmp_path):
+    # the fixture's nmax 10 windows sit at ell = 8, 16, ..., 40: e^(20 ell)
+    # first overflows at ell = 40, e^(100 ell) already at ell = 8
+    for flags, message in (
+        (("--beta", 20), "beta=20.0 overflows the window scale e^(beta ell) at ell=40.000"),
+        (("--alpha0", -100), "alpha0=-100.0 overflows the threshold e^(-alpha0 ell) at ell=8.000"),
+    ):
+        out_dir = tmp_path / flags[0].lstrip("-")
+        out = run_cli("trace", "--cache", cli_env["cache"], "--out", out_dir, *flags)
+        assert out.returncode == 2, (flags, out.stderr)
+        assert message in out.stderr
+        assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+        assert list(out_dir.iterdir()) == []
+
+
 def test_trace_experimental_flag(cli_env, tmp_path):
     out_dir = tmp_path / "out"
     out = run_cli(

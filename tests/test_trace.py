@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from billzeta import cli
 from billzeta.database import save_database
 from billzeta.errors import DomainError, IncompleteDataError, NumericalError
 from billzeta.stability import det_one_minus_poincare
+from billzeta.thermo import solve_abscissa
 from billzeta.trace import (
+    GAMMA0,
+    RHO,
+    XI_STEP,
     BumpFunction,
     build_measure,
     experimental_compare,
@@ -133,11 +138,79 @@ def test_gaussian_weight_dual_agreement(db12):
     assert g.lower_bound <= g.direct
 
 
-def test_gaussian_weight_grid_lower_bound(db12):
-    for t in np.linspace(9.0, 14.0, 5):
-        for sigma in (0.1, 0.3):
-            g = gaussian_weight(db12, float(t), sigma)
-            assert g.bound_holds
+def test_gaussian_weight_grid_lower_bound(db12, db_four7):
+    for db in (db12, db_four7):
+        for t in np.linspace(9.0, 14.0, 5):
+            for sigma in (0.1, 0.3):
+                g = gaussian_weight(db, float(t), sigma)
+                assert g.bound_holds, (db.n_max, t, sigma)
+
+
+def two_grid_quadrature(db, t, sigma, xi_max=40.0):
+    """(quadrature, quad_error) of :func:`gaussian_weight` by the rule it
+    replaced: the integrand evaluated afresh on the trapezoid grid of
+    step XI_STEP and again on that of step XI_STEP / 2."""
+    measure = build_measure(db, "half")
+    sel = np.abs(measure.tau - t) < 1.0
+    tau = measure.tau[sel]
+    wr = measure.weight[sel] * np.atleast_1d(RHO.value(tau - t))
+    n_half = int(round(xi_max / XI_STEP))
+    s_max = float(np.sum(np.abs(wr)))
+    tail = s_max**2 * np.sqrt(2.0 * np.pi) * math.erfc(xi_max * np.sqrt(sigma / 2.0))
+
+    def quad(xi_grid):
+        if len(tau) == 0:
+            return 0.0
+        S = np.exp(1j * np.outer(xi_grid, tau)) @ wr
+        y = (S.real**2 + S.imag**2) * np.exp(-sigma * xi_grid**2 / 2.0)
+        h = xi_grid[1] - xi_grid[0]
+        return float(np.sqrt(sigma) * h * (0.5 * y[0] + np.sum(y[1:-1]) + 0.5 * y[-1]))
+
+    g_h = quad(np.linspace(-xi_max, xi_max, 2 * n_half + 1))
+    g_h2 = quad(np.linspace(-xi_max, xi_max, 4 * n_half + 1))
+    error = abs(g_h - g_h2) + tail + 256.0 * np.finfo(float).eps * max(1.0, abs(g_h2))
+    return g_h2, error
+
+
+def test_one_grid_quadrature_equals_the_two_grid_rule(db12, db_four7):
+    # t = 10.4 lies between the fixture's lengths 8.0 and 12.80: an empty window
+    assert window_count(build_measure(db12, "half"), 10.4, 1.0) == 0
+    for db, extra in ((db12, (10.4,)), (db_four7, ())):
+        for t in (*cli.GAUSS_T_GRID, *extra):
+            for sigma in (0.05, 0.1, 0.5):
+                g = gaussian_weight(db, t, sigma)
+                got = (float(g.quadrature).hex(), float(g.quad_error).hex())
+                want = tuple(float(v).hex() for v in two_grid_quadrature(db, t, sigma))
+                assert got == want, (db.n_max, t, sigma)
+    empty = gaussian_weight(db12, 10.4, 0.1)
+    assert float(empty.direct).hex() == float(empty.quadrature).hex() == "0x0.0p+0"
+
+
+def test_spectrum_stage_on_unequal_four_disks(db_four7):
+    # the three windows, the Gaussian grid and the shells of `trace` on a
+    # cache that is not the fixture's (horizon 35.35)
+    gauss = [gaussian_weight(db_four7, t, 0.1) for t in cli.GAUSS_T_GRID]
+    assert len(gauss) == 11
+    assert max(abs(g.direct - g.quadrature) for g in gauss) <= 1e-8
+    assert all(g.bound_holds for g in gauss)
+
+    scan = ikawa_scan(db_four7, beta=1.0, alpha0=0.25, j_max=3)
+    gamma0 = record_for(db_four7, GAMMA0)
+    assert scan.gamma0_T == gamma0.T
+    assert [row[0] for row in scan.rows] == [j * gamma0.T for j in (1, 2, 3)]
+    # each window isolates one repetition of GAMMA0, and every one passes
+    assert all(row[4] and row[5] == 1 for row in scan.rows)
+    assert abs(scan.fit_c0 - np.log(gamma0.lam_abs) / (2.0 * gamma0.T)) < 0.02
+
+    b1 = solve_abscissa(db_four7, 1.0, "transfer", k=cli._memory(db_four7))
+    t_max = float(int(db_four7.horizon) - 1)
+    report = lemma41_search(db_four7, b1, 0.1, t_max)
+    full = build_measure(db_four7, "full")
+    assert report.counts.sum() == np.sum((full.tau >= 0.5) & (full.tau <= t_max + 0.5))
+    q = report.qualifying
+    assert np.all(report.sums[q] >= report.thresholds[q])
+    assert np.all(report.sums[~q] < report.thresholds[~q])
+    assert np.sum(q) >= 10
 
 
 def test_gaussian_weight_domain_checks(db12):

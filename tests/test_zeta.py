@@ -188,6 +188,14 @@ def test_even_restriction_estimate_runs(db12, abscissas):
     assert abs(est - abscissas[0.5]) < 0.05
 
 
+def test_even_shells_are_the_even_shells_of_every_count(db12, db_four7):
+    # window 2 fits the three even shells of nmax 7
+    for db, window in ((db12, 4), (db_four7, 2)):
+        _, _, every = abscissa_estimate(db, weight="half", window=window)
+        _, _, even = abscissa_estimate(db, weight="half", parity="even", window=window)
+        assert even == [shell for shell in every if shell[0] % 2 == 0], db.n_max
+
+
 def test_estimate_needs_enough_shells(db12):
     shallow = restrict_database(db12, 5)
     with pytest.raises(IncompleteDataError):
