@@ -21,15 +21,16 @@ columns 0..n-1, and the LDL^T takes its border at column n-1.  The
 padding columns n..W-1 are frozen at flight 0, gradient 0 and Hessian
 diagonal 1 with no coupling, so a row takes bit for bit the steps it
 takes in a batch of its own length, until the sup norm of its gradient
-is at most ``SOLVER_TOL``.  Cyclic neighbours are read through flat
-gather indices built once per batch and passed, with the padding cells,
-to every Newton helper.  The certification checks every bounce, with
-the padding masked out: the residual, the incidence angles, the
-reflection law and the clearance of each flight from the r - 2 disks it
-does not touch.  The padded arrays are returned as they are, with no
-object per cycle, and a row's result does not depend on which words
-share its batch.  :func:`solve_orbit` is the one-row batch, returned as
-a :class:`PeriodicOrbit`.
+is at most ``SOLVER_TOL``.  The rows step together, each Newton trial
+over the whole batch, and a converged or stalled row is held by a mask.
+Cyclic neighbours are read through flat gather indices built once per
+batch and passed, with the padding cells, to every Newton helper.  The
+certification checks every bounce, with the padding masked out: the
+residual, the incidence angles, the reflection law and the clearance of
+each flight from the r - 2 disks it does not touch.  The padded arrays
+are returned as they are, with no object per cycle, and a row's result
+does not depend on which words share its batch.  :func:`solve_orbit` is
+the one-row batch, returned as a :class:`PeriodicOrbit`.
 """
 
 from dataclasses import dataclass
@@ -160,16 +161,6 @@ def _neighbours(n, width):
     nxt = np.where(col < last, own + 1, np.where(col == last, own - last, own))
     prv = np.where(col == 0, own + last, np.where(col <= last, own - 1, own))
     return nxt, prv
-
-
-def _take(links, rows):
-    """The links of ``rows`` (an index array or ``slice(None)``) of a
-    batch, as a batch of their own."""
-    if isinstance(rows, slice):
-        return links
-    gather, pad = links
-    shift = ((rows - np.arange(len(rows))) * gather[0].shape[1])[:, None]
-    return tuple(a[rows] - shift for a in gather), None if pad is None else pad[rows]
 
 
 def _disks(config, words):
@@ -337,9 +328,10 @@ def _cyclic_solve(d, e, r, last=None):
     return x.T, pivots.T, definite
 
 
-def _damped_step(cx, cy, rad, theta, local, gnorm, links):
-    """One damped Newton step per row: returns the new angles, the
-    length, gradient and Hessian bands there, and which rows moved.
+def _damped_step(cx, cy, rad, theta, local, gnorm, links, live):
+    """One damped Newton step for the ``live`` rows: returns the new
+    angles, the length, gradient and Hessian bands there, and which rows
+    moved, a subset of ``live``.
 
     ``local`` holds the length, gradient ``g`` and Hessian bands at
     ``theta`` (:func:`_derivatives`, with the same ``links``).  The
@@ -348,10 +340,10 @@ def _damped_step(cx, cy, rad, theta, local, gnorm, links):
     and gives the Newton step; a row that fails the test takes the step
     -g.  Near convergence a Newton step is taken in full; otherwise it
     is halved until the length decreases, and a Newton row that finds no
-    decrease retries along -g.  A row that finds no decrease either way
-    does not move and keeps ``local``.  Every trial is one
-    :func:`_derivatives` frame, whose length is the decrease test, so
+    decrease retries along -g.  Every trial is one :func:`_derivatives`
+    frame over the whole batch, whose length is the decrease test, so
     the accepted trial's derivatives are returned without another frame.
+    A row that does not move, live or not, keeps ``theta`` and ``local``.
     """
     L0, g, d, e = local
     # each row's last bounce is the one before its first
@@ -359,31 +351,25 @@ def _damped_step(cx, cy, rad, theta, local, gnorm, links):
     delta = np.where(newton[:, None], delta, -g)
     full = newton & (gnorm < FULL_STEP_RESIDUAL)
 
-    new, moved, pending = None, np.zeros_like(full), np.ones_like(full)
-    for newton_pass in (True, False):
-        direction = delta if newton_pass else -g
+    new, moved = None, np.zeros_like(live)
+    for direction, candidates in ((delta, live), (-g, live & newton)):
         lam = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            rows = np.flatnonzero(pending)
-            if rows.size == 0:
+            pending = candidates & ~moved
+            if not pending.any():
                 break
-            at = rows if rows.size < len(theta) else slice(None)
-            trial = theta[at] + lam * direction[at]
-            values = _derivatives(cx[at], cy[at], rad[at], trial, _take(links, at))
-            ok = full[at] | (values[0] < L0[at])
+            trial = theta + lam * direction
+            values = _derivatives(cx, cy, rad, trial, links)
+            ok = pending & (full | (values[0] < L0))
             if new is None:
-                # the first trial, over every row
                 if ok.all():
                     return trial, values, ok
                 new, local = theta.copy(), [a.copy() for a in local]
-            rows = rows[ok]
-            new[rows] = trial[ok]
+            new[ok] = trial[ok]
             for a, b in zip(local, values):
-                a[rows] = b[ok]
-            moved[rows] = True
-            pending[rows] = False
+                a[ok] = b[ok]
+            moved |= ok
             lam *= 0.5
-        pending &= newton
     return new, local, moved
 
 
@@ -392,27 +378,19 @@ def _newton(cx, cy, rad, theta, links, max_iter):
 
     Rows iterate until the sup norm of their gradient is at most
     ``SOLVER_TOL``, they stall, or ``max_iter`` steps pass; ``links`` as
-    for :func:`_derivatives`.  Returns the angles and the residual
-    (gradient sup norm) per row.
+    for :func:`_derivatives`.  Every step runs on the whole batch and
+    moves only live rows.  Returns the angles and the residual (gradient
+    sup norm) per row.
     """
-    theta = np.array(theta, dtype=float)
     local = _derivatives(cx, cy, rad, theta, links)
     gnorm = np.max(np.abs(local[1]), axis=1)
     live = gnorm > SOLVER_TOL
     for _ in range(max_iter):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
+        if not live.any():
             break
-        if rows.size == len(theta):
-            rows = slice(None)
-        theta[rows], values, moved = _damped_step(
-            cx[rows], cy[rows], rad[rows], theta[rows], [a[rows] for a in local], gnorm[rows],
-            _take(links, rows),
-        )
-        for a, b in zip(local, values):
-            a[rows] = b
-        gnorm[rows] = np.max(np.abs(values[1]), axis=1)
-        live[rows] = moved & (gnorm[rows] > SOLVER_TOL)
+        theta, local, moved = _damped_step(cx, cy, rad, theta, local, gnorm, links, live)
+        gnorm = np.max(np.abs(local[1]), axis=1)
+        live = moved & (gnorm > SOLVER_TOL)
     return theta, gnorm
 
 

@@ -18,7 +18,8 @@ transpose once and read each column as a contiguous row.  A padding
 column has flight 0 and kick 0, so it passes the curvature and the
 monodromy on unchanged from a row's last bounce to its first, and the
 product of the expansion factors is taken over each length's own
-``(M_n, n)`` block.  :func:`stability_record` (a
+``(M_n, n)`` block.  The curvature sweeps run on the whole batch, and
+a settled row is held by a mask.  :func:`stability_record` (a
 :class:`StabilityRecord`), :func:`unstable_curvatures` and
 :func:`monodromy` are its one-row calls.  Nothing mixes rows, so a row's
 result does not depend on its batch.
@@ -57,44 +58,42 @@ def _one_row(config, orbit: PeriodicOrbit):
     return (labels, orbit.flights[None], *_kicks(config, labels, orbit.cos_incidence[None]))
 
 
-def _curvature_sweeps(flights, kicks, kappa0, cells=None):
+def _curvature_sweeps(flights, kicks, kappa0):
     """Periodic point of the curvature transport map, one row per cycle.
 
     ``kappa[:, i]`` is the outgoing (post-reflection) wavefront curvature
     at bounce ``i``; a flight of length ``f`` maps ``k`` to ``k/(1+f k)``
     and the reflection at bounce ``j`` adds ``kicks[:, j]``.  Each sweep
-    goes around the cycle bounce by bounce, and a row stops after the
-    first sweep that moves it less than ``CURVATURE_TOL`` in sup norm
-    over ``cells``, the cells that hold a bounce (all when None), or
-    after ``MAX_SWEEPS`` sweeps; a padding cell, with flight and kick 0,
-    passes its curvature on unchanged.  Returns (kappa, sweeps per row,
-    settled per row).
+    goes around the cycle bounce by bounce over the whole batch, and a
+    row takes sweeps until one moves it less than ``CURVATURE_TOL`` in
+    sup norm, or ``MAX_SWEEPS`` of them; then a mask holds it.  Returns
+    (kappa, sweeps per row, settled per row).
+
+    A padding cell (flight and kick 0) holds k/(1+f k) of its row's last
+    bounce and never decides when the row settles: from the second sweep
+    on it moves by the last bounce's move over (1+f k)(1+f k') > 1, up to
+    rounding, and in the first sweep from the boundary curvatures k_B each
+    bounce moves by more than its kick 2 k_B/cos(phi) less k_B, so > k_B.
     """
     kappa = np.array(kappa0, dtype=float).T.copy()
     flights, kicks = flights.T.copy(), kicks.T.copy()
     n, m = kappa.shape
-    # columns that are padding in some row, with the rows that have a bounce there
-    holes = {} if cells is None else {j: c for j, c in enumerate(cells.T) if not c.all()}
     sweeps = np.zeros(m, dtype=np.int64)
     live = np.ones(m, dtype=bool)
     for _ in range(MAX_SWEEPS):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
+        if not live.any():
             break
-        k, f, kick = (np.take(a, rows, axis=1) for a in (kappa, flights, kicks))
-        real = {j: c[rows] for j, c in holes.items()}
-        diff = np.zeros(rows.size)
+        k = kappa.copy()
+        diff = np.zeros(m)
         for i in range(n):
             j = (i + 1) % n
-            new = k[i] / (1.0 + f[i] * k[i]) + kick[j]
+            new = k[i] / (1.0 + flights[i] * k[i]) + kicks[j]
             d = np.abs(new - k[j])
-            if j in real:
-                d *= real[j]
             diff = np.where(d > diff, d, diff)
             k[j] = new
-        kappa[:, rows] = k
-        sweeps[rows] += 1
-        live[rows] = ~(diff < CURVATURE_TOL)
+        kappa = np.where(live, k, kappa)
+        sweeps += live
+        live &= ~(diff < CURVATURE_TOL)
     return kappa.T.copy(), sweeps, ~live
 
 
@@ -225,7 +224,7 @@ def stability_records(config, labels, flights, cos_incidence):
         raise DomainError("stability labels must be words of length 2 or more, padded with zeros")
     _check_words(config, labels, n)
     kicks, kb = _kicks(config, labels, cos_incidence)
-    kappa, _, settled = _curvature_sweeps(flights, kicks, kb, cells)
+    kappa, _, settled = _curvature_sweeps(flights, kicks, kb)
     kappa[~cells] = 0.0
     lam_abs = np.empty(m)
     for rows, block in _length_blocks(n, width):

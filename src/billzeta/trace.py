@@ -109,6 +109,7 @@ _HALF_RULE = np.frombuffer(
 BUMP_MARGIN = 1.05  # least value of the bump rho on [-1/2, 1/2]
 XI_STEP = 0.05  # trapezoid step of the Gaussian weight's frequency integral
 TAIL_TOL = 1e-10  # largest Gaussian tail the frequency cutoff may leave
+SIGMA_MIN = 1e-4  # least Gaussian width; its frequency grid has about 1e5 nodes
 
 
 def gauss_legendre_256():
@@ -318,24 +319,25 @@ class GaussianWeight:
         return self.direct >= self.lower_bound - 1e-12 * max(1.0, abs(self.direct))
 
 
-def gaussian_weight(db, t: float, sigma: float, xi_max: float = 40.0) -> GaussianWeight:
+def gaussian_weight(db, t: float, sigma: float) -> GaussianWeight:
     """Gaussian-weighted two-point sum around t and its dual form.
 
     Direct: sqrt(2 pi) sum over atom pairs of w w' exp(-(tau-tau')^2 /
     (2 sigma)) rho(tau-t) rho(tau'-t) with w = tau_sharp |det|^{-1/2}.
     Dual: sigma^{1/2} integral of |S(t, xi)|^2 exp(-sigma xi^2 / 2)
     with S(t, xi) = sum w e^{i xi tau} rho(tau - t), by trapezoid of
-    step ``XI_STEP / 2`` on [-xi_max, xi_max], where the integrand is
-    evaluated once; a cutoff whose Gaussian tail exceeds ``TAIL_TOL``
-    raises ``NumericalError``.  The reported quadrature error combines a
-    step-halving estimate (step ``XI_STEP`` on every other node) with the
-    analytic truncation tail.
+    step about ``XI_STEP / 2`` on [-xi_max, xi_max], where the integrand
+    is evaluated once; xi_max = 40 sqrt(0.1 / min(sigma, 0.1)) keeps the
+    erfc argument of the tail bound at 8.94 or more, and the cost grows
+    as 1/sqrt(sigma).  A tail bound above ``TAIL_TOL`` raises
+    ``NumericalError``.  The reported quadrature error combines a
+    step-halving estimate (every other node) with the analytic tail.
 
     Also evaluates the diagonal lower bound
     sqrt(2 pi) min_{|u|<=1/2} rho(u)^2 * sum_{|tau-t|<=1/2} tau_sharp/|det|.
     """
-    if not 0.0 < sigma < 1.0:
-        raise DomainError("sigma must lie in (0, 1)")
+    if not SIGMA_MIN <= sigma < 1.0:
+        raise DomainError(f"sigma must lie in [{SIGMA_MIN:g}, 1)")
     measure = build_measure(db, "half")
     if measure.cutoff < t + 1.0:
         raise IncompleteDataError(
@@ -351,6 +353,7 @@ def gaussian_weight(db, t: float, sigma: float, xi_max: float = 40.0) -> Gaussia
     direct = float(np.sqrt(2.0 * np.pi) * np.sum(rows))
 
     # frequency side
+    xi_max = 40.0 * math.sqrt(0.1 / min(sigma, 0.1))
     n_half = int(round(xi_max / XI_STEP))
     s_max = float(np.sum(np.abs(wr)))
     # |S|^2 <= s_max^2, so the discarded tail of the xi integral is

@@ -784,7 +784,7 @@ def _grid_contours(exp, xs, ys, samples, max_step, moments):
         contribs = _simpson_sum(exp, pa, pb, pfa, pfb)
     else:
         log_step = np.log(np.abs(pfb[0] / pfa[0])) + 1j * step
-        contribs = (step, 0.5 * (pa + pb) * log_step)
+        contribs = (step, (0.5 * pa + 0.5 * pb) * log_step)
     n_h = nx * samples * (ny + 1)
     sums = []
     for contrib in contribs:

@@ -420,6 +420,14 @@ def test_poles_explicit_rect_past_floor_is_numerical_error(cli_env):
     assert "trust floor" in out.stderr
 
 
+def test_poles_rect_that_reaches_the_largest_doubles_prints_no_warning(cli_env):
+    # the contour midpoints of a rectangle out to 1e308 are formed without
+    # the sum of two endpoints, which overflows
+    out = run_cli("poles", "--cache", cli_env["cache"], "--rect", 0.5, 1e308, 0, 0.1)
+    assert out.returncode == 0, out.stderr
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+
+
 def test_poles_contour_through_a_zero_is_numerical_error(tmp_path, db12, exp12):
     cache = tmp_path / "orbits12.jsonl"
     save_database(db12, cache)
@@ -487,6 +495,24 @@ def test_trace_refuses_window_scales_and_thresholds_that_overflow(cli_env, tmp_p
         assert message in out.stderr
         assert "Warning" not in out.stderr and "Traceback" not in out.stderr
         assert list(out_dir.iterdir()) == []
+
+
+def test_trace_takes_small_sigmas(cli_env, tmp_path):
+    # the frequency cutoff grows as 1/sqrt(sigma), so its Gaussian tail
+    # stays below TAIL_TOL; below SIGMA_MIN the width is refused
+    for sigma in (0.02, 0.01):
+        out_dir = tmp_path / str(sigma)
+        out = run_cli("trace", "--cache", cli_env["cache"], "--out", out_dir, "--sigma", sigma)
+        assert out.returncode == 0, (sigma, out.stderr)
+        lines = (out_dir / "trace_gaussian.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 12
+        for line in lines[1:]:
+            _, width, direct, quadrature = map(float, line.split(",")[:4])
+            assert width == sigma and abs(direct - quadrature) <= 1e-8, (sigma, line)
+    out_dir = tmp_path / "narrow"
+    out = run_cli("trace", "--cache", cli_env["cache"], "--out", out_dir, "--sigma", 5e-5)
+    assert out.returncode == 2 and "sigma must lie in [0.0001, 1)" in out.stderr
+    assert "Traceback" not in out.stderr and list(out_dir.iterdir()) == []
 
 
 def test_trace_experimental_flag(cli_env, tmp_path):

@@ -158,12 +158,34 @@ def test_newton_rows_do_not_depend_on_their_batch(config):
     theta0 = np.concatenate((theta0, default_angles(two, (1, 2, 1, 2, 1, 2))[None] + np.pi))
     links = full_links(theta0)
     local = _derivatives(*disks, theta0, links)
-    theta, values, moved = _damped_step(*disks, theta0, local,
-                                        np.abs(local[1]).max(axis=1), links)
+    theta, values, moved = _damped_step(*disks, theta0, local, np.abs(local[1]).max(axis=1),
+                                        links, np.ones(len(theta0), dtype=bool))
     assert moved[:-1].all() and not moved[-1]
     assert np.array_equal(theta[-1], theta0[-1])
     for a, b in zip(values, _derivatives(*disks, theta, links)):
         assert np.array_equal(a, b)
+
+    # one padded batch of the rows above, which converge after different
+    # numbers of steps, the fixture's (1, 2) from its default start, which
+    # is converged already, and that maximum turned by about 1e-10, whose
+    # residual is above SOLVER_TOL but along which no trial decreases the
+    # length: each row is its lone solve, and the last two keep their start
+    turned = theta0[-1] + 1e-10 * np.array([1.0, -2.0, 3.0, 1.0, -1.0, 2.0])
+    pair = np.pad(default_angles(config, (1, 2)), (0, 4))
+    mixed0 = np.concatenate((theta0[:-1], pair[None], turned[None]))
+    n = np.array([6] * (len(mixed0) - 2) + [2, 6])
+    pad = ~(np.arange(6) < n[:, None])
+    mx, my, mrad = (np.concatenate(a) for a in zip(
+        (bx, by, brad), _disks(config, [(1, 2, 0, 0, 0, 0)]), (sx, sy, srad)
+    ))
+    theta, res = _newton(mx, my, mrad, mixed0, (_neighbours(n, 6), pad), MAX_ITER)
+    for i, k in enumerate(n):
+        one = mixed0[i : i + 1, :k]
+        alone, alone_res = _newton(mx[i : i + 1, :k], my[i : i + 1, :k], mrad[i : i + 1, :k],
+                                   one, full_links(one), MAX_ITER)
+        assert np.array_equal(theta[i, :k], alone[0]) and res[i] == alone_res[0]
+    assert np.array_equal(theta[-2:], mixed0[-2:])
+    assert res[-2] <= SOLVER_TOL < res[-1]
 
 
 def test_batch_raises_for_the_first_row_left_above_tolerance(config):

@@ -21,6 +21,7 @@ from billzeta.stability import (
     unstable_curvatures,
     wavefront_green,
 )
+from billzeta.symbolic import enumerate_cycles
 from tests.conftest import cycles, records, unequal_four_disks
 
 
@@ -127,6 +128,29 @@ def test_curvature_rows_do_not_depend_on_their_batch(config):
         batch = _monodromies(flights, kicks)
         for i in range(len(flights)):
             assert np.array_equal(batch[i], _monodromies(flights[i : i + 1], kicks[i : i + 1])[0])
+
+
+def test_padded_stability_batch_equals_its_lengths(config):
+    # in one padded batch of lengths 2..8 the rows settle after different
+    # numbers of sweeps; each length's rows must read as in a batch of
+    # their own: the curvatures, the eigenvalues and the sweep counts
+    for cfg in (config, unequal_four_disks()):
+        solved = solve_orbits(cfg, enumerate_cycles(cfg.r, 8))
+        labels, flights, cos_inc, n = (
+            solved[key] for key in ("labels", "flights", "cos_incidence", "n")
+        )
+        kappa, lam = stability_records(cfg, labels, flights, cos_inc)
+        _, sweeps, _ = _curvature_sweeps(flights, *_kicks(cfg, labels, cos_inc))
+        assert len(set(sweeps.tolist())) > 1
+        for length in range(2, 9):
+            rows = n == length
+            block = (labels[rows, :length], flights[rows, :length], cos_inc[rows, :length])
+            alone_kappa, alone_lam = stability_records(cfg, *block)
+            assert np.array_equal(kappa[rows, :length], alone_kappa)
+            assert not kappa[rows, length:].any()
+            assert np.array_equal(lam[rows], alone_lam)
+            _, alone_sweeps, _ = _curvature_sweeps(block[1], *_kicks(cfg, block[0], block[2]))
+            assert np.array_equal(sweeps[rows], alone_sweeps)
 
 
 def test_stability_batch_of_mixed_lengths_or_no_orbits_is_domain_error(config):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from billzeta import cli
+from billzeta import cli, trace
 from billzeta.database import save_database
 from billzeta.errors import DomainError, IncompleteDataError, NumericalError
 from billzeta.stability import det_one_minus_poincare
@@ -146,10 +146,12 @@ def test_gaussian_weight_grid_lower_bound(db12, db_four7):
                 assert g.bound_holds, (db.n_max, t, sigma)
 
 
-def two_grid_quadrature(db, t, sigma, xi_max=40.0):
+def two_grid_quadrature(db, t, sigma):
     """(quadrature, quad_error) of :func:`gaussian_weight` by the rule it
     replaced: the integrand evaluated afresh on the trapezoid grid of
-    step XI_STEP and again on that of step XI_STEP / 2."""
+    step about XI_STEP and again on that of step about XI_STEP / 2, both
+    out to the cutoff 40 sqrt(0.1 / sigma), and 40 from sigma = 0.1 up."""
+    xi_max = 40.0 * np.sqrt(0.1 / min(sigma, 0.1))
     measure = build_measure(db, "half")
     sel = np.abs(measure.tau - t) < 1.0
     tau = measure.tau[sel]
@@ -213,15 +215,16 @@ def test_spectrum_stage_on_unequal_four_disks(db_four7):
     assert np.sum(q) >= 10
 
 
-def test_gaussian_weight_domain_checks(db12):
-    with pytest.raises(DomainError):
-        gaussian_weight(db12, 12.8, 1.5)
-    with pytest.raises(DomainError):
-        gaussian_weight(db12, 12.8, 0.0)
+def test_gaussian_weight_domain_checks(db12, monkeypatch):
+    for sigma in (1.5, 0.0, 0.5 * trace.SIGMA_MIN):
+        with pytest.raises(DomainError):
+            gaussian_weight(db12, 12.8, sigma)
     with pytest.raises(IncompleteDataError):
         gaussian_weight(db12, 51.5, 0.1)
-    with pytest.raises(NumericalError):
-        gaussian_weight(db12, 12.8, 0.1, xi_max=4.0)
+    # at sigma = 0.1 the tail bound is sqrt(2 pi) s_max^2 erfc(8.94), erfc(8.94) ~ 1e-36
+    monkeypatch.setattr(trace, "TAIL_TOL", 0.0)
+    with pytest.raises(NumericalError, match="leaves a tail bound"):
+        gaussian_weight(db12, 12.8, 0.1)
 
 
 def test_shell_search_finds_mass(db12, abscissas):
