@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -40,6 +41,12 @@ from .geometry import config_digest, load_config, validate
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts with "-" is a number, not an option, also
+        # with an exponent (-1e-1), which argparse's own pattern lacks
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors; the contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -203,12 +210,34 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _texts(column: np.ndarray, fmt) -> list:
-    """``fmt`` of every value of an 8-byte ``column``, called once per
+def _texts(column: np.ndarray) -> list:
+    """``repr`` of every value of a float64 ``column``, called once per
     distinct bit pattern, so that -0.0 and 0.0 keep their own text."""
     keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array([fmt(v) for v in keys.view(column.dtype).tolist()], dtype=object)
+    texts = np.array([repr(v) for v in keys.view(column.dtype).tolist()], dtype=object)
     return texts[inverse].tolist()
+
+
+def _word_columns(db: OrbitDatabase):
+    """The word and length texts of every row, from the blocks of
+    :meth:`OrbitDatabase.word_table`.  Each label becomes a field as wide
+    as the widest label, NUL-filled and followed by "-" (by a NUL after
+    the last label), so a length's ``(count, n)`` block of labels becomes
+    one UCS-4 matrix, read as one fixed-width string per row; dropping
+    each row's NULs leaves its labels joined by "-"."""
+    r = db.config.r
+    width = len(str(r))
+    digits = np.array([str(k) for k in range(r + 1)], dtype=f"U{width}")
+    fields = digits.view(np.uint32).reshape(r + 1, width)
+    words, lengths = [], []
+    for n, (_, block, _) in db.word_table().items():
+        chars = np.full((len(block), n, width + 1), ord("-"), dtype=np.uint32)
+        chars[:, :, :width] = fields[block]
+        chars[:, -1, width] = 0
+        rows = chars.reshape(len(block), -1).view(f"U{n * (width + 1)}")[:, 0]
+        words += [word.replace("\0", "") for word in rows.tolist()]
+        lengths += [str(n)] * len(block)
+    return words, lengths
 
 
 def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
@@ -216,17 +245,10 @@ def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
     :func:`_write_csv`, whose ``_fmt`` is ``str`` of an int and ``repr``
     of a float.  Symmetry images and time reversals share their doubles,
     so each column's text is made once per distinct value and the rows
-    are joined column-wise.  Every symbol of every word is joined by "-"
-    in one string, which is cut at the character offsets of the row
-    bounds."""
-    labels = np.array([str(k) for k in range(int(db.word.max(initial=0)) + 1)])
-    joined = "-".join(labels[db.word].tolist())
-    # symbol i starts at the sum of (width + 1) over the symbols before it
-    widths = np.char.str_len(labels)[db.word] + 1
-    starts = np.concatenate(([0], np.cumsum(widths)))[db.bounds].tolist()
-    words = [joined[a : b - 1] for a, b in zip(starts, starts[1:])]
-    floats = (_texts(column, repr) for column in (db.T, db.lam, db.residual, db.shadow_margin))
-    lines = map(",".join, zip(words, _texts(db.n, str), *floats))
+    are joined column-wise; the word and length texts come from the row
+    layout (:func:`_word_columns`)."""
+    floats = (_texts(column) for column in (db.T, db.lam, db.residual, db.shadow_margin))
+    lines = map(",".join, zip(*_word_columns(db), *floats))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(["word,length,period,lam,residual,shadow_margin", *lines]) + "\n")
 
@@ -357,8 +379,7 @@ def cmd_orbits(args) -> None:
         save_database(db, args.cache)
         print(f"wrote {args.cache}")
 
-    lengths, counts = np.unique(db.n, return_counts=True)
-    per_length = ", ".join(f"{n}:{c}" for n, c in zip(lengths.tolist(), counts.tolist()))
+    per_length = ", ".join(f"{n}:{len(block)}" for n, (_, block, _) in db.word_table().items())
     print(f"orbits: {len(db)} primitive cycles (length:count {per_length})")
     print(f"residuals: min {db.residual.min():.3e}, max {db.residual.max():.3e}")
     _write_outputs(args, db.config_hash, {"nmax": db.n_max, "cache": args.cache},

@@ -32,9 +32,10 @@ silently reused, and so is a cache that lacks a cycle, repeats one or
 holds them out of order, holds a label outside 1..r or a word that
 repeats a label at consecutive bounces, holds a damaged byte, or runs
 short or long.
-A load reads the file once, checks every section's digest over its
-bytes in place and then uses those bytes as the column, so nothing is
-copied.
+A save hashes each column in place and writes the header line, then
+each column's own buffer.  A load reads the file once, checks every
+section's digest over its bytes in place and then uses those bytes as
+the column.  Neither copies the columns.
 Stored values are the solver's doubles to the bit, as JSON ``repr``
 kept them in format ``/1``.
 """
@@ -71,8 +72,9 @@ class OrbitDatabase:
     """Solved cycles as read-only columns, one per cache section.
 
     ``columns`` maps each section name to its values, rows sorted by
-    (length, word); arrays of the section's dtype are kept without a
-    copy and made read-only.
+    (length, word); contiguous arrays of the section's dtype are kept
+    without a copy and made read-only, so each column is the buffer a
+    save hashes and writes.
     """
 
     def __init__(self, config, n_max: int, columns: dict):
@@ -82,7 +84,7 @@ class OrbitDatabase:
         # every cycle the database lacks is longer: each of its flights spans d0 or more
         self.horizon = (self.n_max + 1) * config.d0
         for name, dtype in SECTIONS:
-            column = np.asarray(columns[name], dtype=dtype)
+            column = np.ascontiguousarray(columns[name], dtype=dtype)
             column.flags.writeable = False
             setattr(self, name, column)
         self.bounds = np.concatenate(([0], np.cumsum(self.n)))
@@ -210,20 +212,18 @@ def restrict_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     return OrbitDatabase(db.config, n_max, columns)
 
 
-def _encode(db: OrbitDatabase) -> bytes:
-    """The cache file of ``db``: header line, then every section's bytes."""
-    entries, payload = [], []
-    for name, dtype in SECTIONS:
-        data = getattr(db, name).tobytes()
-        entries.append(
-            {
-                "name": name,
-                "dtype": dtype,
-                "count": len(data) // np.dtype(dtype).itemsize,
-                "sha256": hashlib.sha256(data).hexdigest(),
-            }
-        )
-        payload.append(data)
+def _header(db: OrbitDatabase) -> bytes:
+    """The header line of the cache file of ``db``; each section's digest
+    is taken over its column in place."""
+    entries = [
+        {
+            "name": name,
+            "dtype": dtype,
+            "count": getattr(db, name).size,
+            "sha256": hashlib.sha256(getattr(db, name)).hexdigest(),
+        }
+        for name, dtype in SECTIONS
+    ]
     header = {
         "format": CACHE_FORMAT,
         "config": db.config.to_dict(),
@@ -232,16 +232,20 @@ def _encode(db: OrbitDatabase) -> bytes:
         "solver_version": SOLVER_VERSION,
         "sections": entries,
     }
-    return b"".join([json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", *payload])
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
 
 
 def save_database(db: OrbitDatabase, path) -> None:
-    """Write the cache to a temporary file next to ``path``, then move it
-    into place, so an interrupted write never leaves a partial cache."""
+    """Write the header line, then each column's own buffer, so the file
+    is never held in memory.  The write goes to a temporary file next to
+    ``path``, which is then moved into place, so an interrupted write
+    never leaves a partial cache."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_encode(db))
+            fh.write(_header(db))
+            for name, _ in SECTIONS:
+                fh.write(getattr(db, name))
         os.replace(tmp, path)
     except OSError as exc:
         raise MalformedInputError(f"cannot write orbit cache {path}: {exc}") from exc

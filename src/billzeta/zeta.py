@@ -700,7 +700,7 @@ def _guarded_values(exp: DeterminantExpansion, z, derivative=False):
     if bad.size:
         k = bad[0]
         raise TrustRegionError(
-            f"|D| = {abs(f[k]):.2e} at s = {complex(z[k]):.4f} is below {NOISE_SAFETY} x "
+            f"|D| = {abs(f[k]):.2e} at s = {complex(z[k]):.6g} is below {NOISE_SAFETY} x "
             f"the truncation noise {noise[k]:.2e}; shift the grid or reduce the depth"
         )
     return np.array([f, *df])
@@ -852,15 +852,15 @@ def _cell_zero(exp: DeterminantExpansion, re0, re1, im0, im1, w: int, seed):
         s = first / w
     if not (re0 <= s.real <= re1 and im0 <= s.imag <= im1):
         raise TrustRegionError(
-            f"the {w} zero(s) of cell [{re0:.4f},{re1:.4f}]x[{im0:.4f},{im1:.4f}] "
-            f"place at {s:.4f}, outside the cell; the winding or the moment is "
+            f"the {w} zero(s) of cell [{re0:.6g},{re1:.6g}]x[{im0:.6g},{im1:.6g}] "
+            f"place at {complex(s):.6g}, outside the cell; the winding or the moment is "
             "wrong, use a finer grid"
         )
     if w > 1:
         spread = abs(second - w * s * s) / ((re1 - re0) ** 2 + (im1 - im0) ** 2)
         if not spread <= SPREAD_TOL:
             raise TrustRegionError(
-                f"the {w} zeros of cell [{re0:.4f},{re1:.4f}]x[{im0:.4f},{im1:.4f}] "
+                f"the {w} zeros of cell [{re0:.6g},{re1:.6g}]x[{im0:.6g},{im1:.6g}] "
                 f"spread over {spread:.2e} of its squared diagonal (limit "
                 f"{SPREAD_TOL}); they are not one multiple zero, use a finer grid"
             )
@@ -892,7 +892,7 @@ def _grid_zeros(exp: DeterminantExpansion, xs, ys):
             if abs(w - w_int) > WINDING_TOL:
                 raise TrustRegionError(
                     f"non-integer winding {w:.3f} in cell "
-                    f"[{xs[i]:.4f},{xs[i+1]:.4f}]x[{ys[j]:.4f},{ys[j+1]:.4f}]; "
+                    f"[{xs[i]:.6g},{xs[i+1]:.6g}]x[{ys[j]:.6g},{ys[j+1]:.6g}]; "
                     "rectangle too deep for this truncation order"
                 )
             if w_int < 1:
@@ -962,7 +962,7 @@ def track_zero(exp: DeterminantExpansion, s0, multiplicity: int, radius: float =
     )
     if not box:
         raise TrustRegionError(
-            f"tracking box at {s0:.4f} holds no zero, expected about {multiplicity}"
+            f"tracking box at {complex(s0):.6g} holds no zero, expected about {multiplicity}"
         )
     return box[0].multiplicity, box[0].s
 

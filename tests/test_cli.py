@@ -412,6 +412,18 @@ def test_conjugate_closing_snaps_and_mirrors_by_one_rule():
     ]
 
 
+def test_negative_flag_values_may_use_exponent_form(tmp_path, db8, capsys):
+    cache = tmp_path / "orbits8"
+    save_database(db8, cache)
+    for argv, flag, want in (
+        (["poles", "--rect", "-1e-1", "-0.05", "0.5", "1"], "rect", [-0.1, -0.05, 0.5, 1.0]),
+        (["trace", "--alpha0", "-1e-1"], "alpha0", -0.1),
+        (["trace", "--alpha0", "-.5E+0"], "alpha0", -0.5),
+    ):
+        assert getattr(cli.build_parser().parse_args(argv), flag) == want, argv
+        assert cli.main([*argv, "--cache", str(cache)]) == 0, capsys.readouterr().err
+
+
 def test_poles_explicit_rect_past_floor_is_numerical_error(cli_env):
     out = run_cli(
         "poles", "--cache", cli_env["cache"], "--rect", -2.0, -0.02, 0.2, 1.4

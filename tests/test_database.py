@@ -244,7 +244,7 @@ def test_failed_save_keeps_the_previous_cache(tmp_path, db8, monkeypatch):
     def broken(db):
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(database, "_encode", broken)
+    monkeypatch.setattr(database, "_header", broken)
     with pytest.raises(RuntimeError):
         save_database(db8, path)
     assert path.read_bytes() == before
@@ -357,11 +357,13 @@ CACHE_DIGESTS = (
 )
 
 
-def test_cache_bytes_are_pinned():
+def test_cache_bytes_are_pinned(tmp_path):
+    path = tmp_path / "cache"
     for make_config, n_max, cycles, digest in CACHE_DIGESTS:
         db = build_database(make_config(), n_max)
         assert len(db) == cycles
-        assert hashlib.sha256(database._encode(db)).hexdigest() == digest, make_config.__name__
+        save_database(db, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, make_config.__name__
 
 
 def test_cache_load_copies_nothing(tmp_path, db14):
@@ -378,6 +380,21 @@ def test_cache_load_copies_nothing(tmp_path, db14):
         tracemalloc.stop()
     assert peak < 1.25 * path.stat().st_size
     assert_same_columns(db14, db)
+
+
+def test_cache_save_copies_nothing(tmp_path, db14):
+    # a save that joined the sections, or copied one with tobytes, would
+    # peak at about twice the file size
+    path = tmp_path / "cache"
+    save_database(db14, path)
+    tracemalloc.start()
+    try:
+        save_database(db14, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * path.stat().st_size
+    assert_same_columns(db14, load_database(path))
 
 
 @pytest.mark.parametrize("config, n_max", [

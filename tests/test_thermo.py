@@ -8,7 +8,7 @@ import pytest
 from billzeta import cli, symbolic, thermo
 from billzeta.database import OrbitDatabase, build_database, save_database
 from billzeta.errors import DomainError, MalformedInputError, PowerIterationError
-from billzeta.geometry import Configuration, Disk
+from billzeta.geometry import Configuration, Disk, save_config
 from billzeta.symbolic import canonical_rotation, enumerate_words, primitive_root
 from billzeta.thermo import (
     POWER_MAX_ITER,
@@ -73,9 +73,9 @@ def test_root_takes_few_pressure_calls(monkeypatch, db12, pot6, beta, method):
 
 
 # The second and sixth configurations of the benchmark's random_disk_configs(7).
-# The power iteration stalls at s = -0.75 (configuration 1, beta = 1) and
-# s = +0.75 (configuration 5, beta = 0), about 0.5 past these roots, so a
-# root search must not step that far from them.
+# Power iteration without the shift fails at s = -0.75 (configuration 1,
+# beta = 1) and s = +0.75 (configuration 5, beta = 0), about 0.5 past
+# these roots, and at s = +0.5 (configuration 5, beta = 1).
 SEED7_DISKS = {
     1: (
         ((-0.5407035947953744, 6.674684371085636), 1.1292262544910106),
@@ -246,7 +246,8 @@ def reference_leading_eigenvalue(B):
     """The power iteration with a new array for every step."""
     n = B.shape[0]
     x = np.full(n, 1.0 / n)
-    for _ in range(POWER_MAX_ITER):
+    width = np.inf
+    for step in range(POWER_MAX_ITER):
         y = B @ x
         norm = float(np.sum(y))
         if norm <= 0.0 or not np.isfinite(norm):
@@ -254,9 +255,15 @@ def reference_leading_eigenvalue(B):
         ratios = y / x
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         lam = 0.5 * (lo + hi)
+        if step >= thermo.POWER_SHIFT_AFTER:
+            y = y + lo * x
+            norm = float(np.sum(y))
         x = y / norm
         if hi - lo <= POWER_TOL * abs(lam):
             return lam
+        if width <= hi - lo <= thermo.POWER_STALL_TOL * abs(lam):
+            return lam
+        width = hi - lo
     raise PowerIterationError("stalled")
 
 
@@ -294,6 +301,59 @@ def test_thermo_tables_are_pinned(tmp_path, db10, db12):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main([sub, "--cache", str(cache), "--out", str(out)]) == 0
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (db.n_max, name)
+
+
+# Configuration 5 of the benchmark's random_disk_configs(2): a far disk and
+# a close pair.  At nmax 8 and memory 6 the transfer matrix of b1's first
+# pressure call, s = 0, has lambda_2 / lambda = -0.9964, and its secant
+# step to s = -0.94 one of -0.99997.
+DISKS5 = (
+    ((-4.139996641481185, -5.548890922669019), 0.8906069372129758),
+    ((1.1012503630258887, 7.368460174728876), 1.2105055856164184),
+    ((3.8150808107140666, 7.563472860969979), 0.7677431627585899),
+)
+
+
+@pytest.fixture(scope="module")
+def disks5():
+    db = build_database(Configuration(tuple(Disk(c, a) for c, a in DISKS5)), 8)
+    return db, build_potentials(db, 6)
+
+
+def perron_root(B):
+    return float(np.max(np.abs(np.linalg.eigvals(B))))
+
+
+def test_abscissas_of_a_far_disk_and_a_close_pair(tmp_path, disks5, capsys):
+    db, pot = disks5
+    config = tmp_path / "disks5.json"
+    save_config(db.config, config)
+    assert cli.main(["abscissas", "--config", str(config), "--nmax", "8"]) == 0
+    assert "b1: transfer(k=6) -0.2306593042" in capsys.readouterr().out
+    for s in (0.0, -0.9416795561307383):
+        B = pot.matrix(s, 1.0)
+        assert abs(leading_eigenvalue(B) - perron_root(B)) <= 1e-12 * perron_root(B)
+
+
+@pytest.mark.parametrize("which, s, beta", [(1, -0.75, 1.0), (5, 0.75, 0.0), (5, 0.5, 1.0)])
+def test_shifted_steps_close_a_slow_bracket(which, s, beta):
+    config = Configuration(tuple(Disk(c, a) for c, a in SEED7_DISKS[which]))
+    B = build_potentials(build_database(config, 8), 6).matrix(s, beta)
+    assert abs(leading_eigenvalue(B) - perron_root(B)) <= 1e-12 * perron_root(B)
+
+
+def test_a_bracket_that_stops_shrinking_is_accepted_within_its_bound(disks5, monkeypatch):
+    # without the shift the bracket of s = 0 stops shrinking at a width
+    # of 1.05e-13 times the eigenvalue, above POWER_TOL
+    B = disks5[1].matrix(0.0, 1.0)
+    monkeypatch.setattr(thermo, "POWER_SHIFT_AFTER", POWER_MAX_ITER)
+    assert abs(leading_eigenvalue(B) - perron_root(B)) <= 1e-12 * perron_root(B)
+    assert leading_eigenvalue(B) == reference_leading_eigenvalue(B)
+    # a stall above the bound iterates on and fails
+    monkeypatch.setattr(thermo, "POWER_STALL_TOL", 1e-14)
+    monkeypatch.setattr(thermo, "POWER_MAX_ITER", 20000)
+    with pytest.raises(PowerIterationError, match="power iteration stalled"):
+        leading_eigenvalue(B)
 
 
 def test_leading_eigenvalue_known_matrix():

@@ -1197,6 +1197,35 @@ def test_track_zero_refuses_a_box_without_a_zero(exp12):
         track_zero(exp12, 0.3 + 0.5j, 1, radius=0.05)
 
 
+def test_refusals_print_short_numbers_at_any_magnitude(exp10, monkeypatch):
+    def refusal(phrase, call):
+        with pytest.raises(TrustRegionError, match=phrase) as exc:
+            call()
+        return str(exc.value)
+
+    far = 1e300 + 1e300j
+    zero_far, no_zero = KnownZeros([(far, 1)]), KnownZeros([])
+    messages = [
+        # a contour up to the largest doubles meets the noise guard
+        refusal("truncation noise", lambda: find_poles(exp10, (-0.2, 0.0, 0.0, 1e308))),
+        refusal("outside the cell",
+                lambda: zeta._cell_zero(zero_far, 0.0, 1.0, 0.0, 1.0, 1, far)),
+        refusal("holds no zero", lambda: track_zero(no_zero, far, 1)),
+    ]
+    monkeypatch.setattr(zeta, "_cell_moments", lambda *args: (2e149j, 1e300 + 0j))
+    monkeypatch.setattr(
+        zeta, "_winding_pass", lambda exp, xs, ys: (np.full((1, 1), 0.5), np.zeros((1, 1)))
+    )
+    messages += [
+        refusal("not one multiple zero",
+                lambda: zeta._cell_zero(no_zero, -1e150, 1e150, 0.0, 1e150, 2, None)),
+        refusal("non-integer winding",
+                lambda: zeta._grid_zeros(no_zero, (-1e300, 1e300), (0.0, 1e308))),
+    ]
+    for message in messages:
+        assert len(message) < 200, message
+
+
 def test_window_doubling_does_not_lose_poles(exp12):
     # imaginary window [0.2, 1.3] doubled in height to [0.2, 2.4]
     short = find_poles(exp12, (-0.31, -0.02, 0.20, 1.30), grid=(5, 6))
