@@ -44,8 +44,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a value that starts with "-" is a number, not an option, also
-        # with an exponent (-1e-1), which argparse's own pattern lacks
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # with an exponent (-1e-1) or as float() spells inf and nan, which
+        # argparse's own pattern lacks
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
     # argparse exits 2 on usage errors; the contract wants 1
     def error(self, message):

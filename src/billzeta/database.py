@@ -30,8 +30,9 @@ section's name, dtype, count and sha256 digest.  A stale cache (another
 configuration, solver version or format) is refused rather than
 silently reused, and so is a cache that lacks a cycle, repeats one or
 holds them out of order, holds a label outside 1..r or a word that
-repeats a label at consecutive bounces, holds a damaged byte, or runs
-short or long.
+repeats a label at consecutive bounces, holds a period that is not
+finite and positive or a multiplier that is not finite with |Lambda| >
+1, holds a damaged byte, or runs short or long.
 A save hashes each column in place and writes the header line, then
 each column's own buffer.  A load reads the file once, checks every
 section's digest over its bytes in place and then uses those bytes as
@@ -327,24 +328,29 @@ def _read_sections(path, header: dict, blob: bytes, offset: int) -> dict:
 
 def _check_rows(path, db: OrbitDatabase) -> None:
     """Refuse a label outside 1..r, then a word that repeats a label at
-    consecutive bounces (its last and first included), then rows whose
-    (length, word) does not increase strictly from one row to the next:
-    a repeated cycle or two cycles out of order.  Words of one length
-    are compared by their codes in :meth:`OrbitDatabase.word_table`; a
-    label out of range would make two words share a code, so it is
-    refused first."""
+    consecutive bounces (its last and first included), then a period T
+    that is not finite and positive or a multiplier Lambda that is not
+    finite with |Lambda| > 1, then rows whose (length, word) does not
+    increase strictly from one row to the next: a repeated cycle or two
+    cycles out of order.  Words of one length are compared by their
+    codes in :meth:`OrbitDatabase.word_table`; a label out of range
+    would make two words share a code, so it is refused first."""
     r = db.config.r
     # each label against the next one of its cyclic word: a row's last
     # label against the row's first
     repeats = np.append(db.word[1:] == db.word[:-1], False)
     repeats[db.bounds[1:] - 1] = db.word[db.bounds[:-1]] == db.word[db.bounds[1:] - 1]
-    for bad, what in (
-        ((db.word < 1) | (db.word > r), f"uses labels outside 1..{r}"),
-        (repeats, "repeats a label at consecutive bounces"),
+    for bad, per_bounce, what in (
+        ((db.word < 1) | (db.word > r), True, f"uses labels outside 1..{r}"),
+        (repeats, True, "repeats a label at consecutive bounces"),
+        (~(np.isfinite(db.T) & (db.T > 0)), False,
+         "has a period T that is not finite and positive"),
+        (~(np.isfinite(db.lam) & (np.abs(db.lam) > 1)), False,
+         "has a multiplier Lambda that is not finite with |Lambda| > 1"),
     ):
         at = np.flatnonzero(bad)
         if at.size:
-            row = np.searchsorted(db.bounds, at[0], side="right") - 1
+            row = np.searchsorted(db.bounds, at[0], side="right") - 1 if per_bounce else at[0]
             raise MalformedInputError(f"orbit cache {path}: row {row} {what}; "
                                       "re-run `billzeta orbits` to rebuild it")
     down = np.flatnonzero(np.diff(db.n) < 0)

@@ -221,6 +221,15 @@ def take_rows(db: OrbitDatabase, rows) -> OrbitDatabase:
     return OrbitDatabase(db.config, db.n_max, columns)
 
 
+def with_value(db, name, row, value):
+    """``db`` with one value of the per-cycle column ``name`` changed; a
+    save writes the digests afresh, so only that value is wrong."""
+    column = getattr(db, name).copy()
+    column[row] = value
+    columns = {section: getattr(db, section) for section, _ in database.SECTIONS}
+    return OrbitDatabase(db.config, db.n_max, dict(columns, **{name: column}))
+
+
 @pytest.fixture(scope="session")
 def config():
     return equilateral_config()

@@ -14,7 +14,7 @@ from billzeta.errors import MalformedInputError
 from billzeta.geometry import config_digest, save_config
 from billzeta.symbolic import primitive_class_count
 from billzeta.zeta import Pole, real_zero
-from tests.conftest import equilateral_config, records, subprocess_env, take_rows
+from tests.conftest import equilateral_config, records, subprocess_env, take_rows, with_value
 
 
 def run_cli(*args):
@@ -271,6 +271,17 @@ def test_cache_with_foreign_words_exits_one(tmp_path, db8, capsys):
             assert not list(out.glob("*")), (sub, words)
 
 
+def test_cache_with_a_zero_multiplier_exits_one(tmp_path, db8, capsys):
+    # Lambda = 0 divided by zero in `zeta` and `trace` once the cache loaded
+    cache, out = tmp_path / "c.bin", tmp_path / "out"
+    save_database(with_value(db8, "lam", 3, 0.0), cache)
+    for sub in ("zeta", "trace"):
+        assert cli.main([sub, "--cache", str(cache), "--out", str(out)]) == 1, sub
+        err = capsys.readouterr().err
+        assert "row 3 has a multiplier Lambda" in err and "Traceback" not in err, sub
+        assert not list(out.glob("*")), sub
+
+
 def test_format_1_cache_is_stale(cli_env, db10, tmp_path):
     old = tmp_path / "old.jsonl"
     header = {
@@ -422,6 +433,15 @@ def test_negative_flag_values_may_use_exponent_form(tmp_path, db8, capsys):
     ):
         assert getattr(cli.build_parser().parse_args(argv), flag) == want, argv
         assert cli.main([*argv, "--cache", str(cache)]) == 0, capsys.readouterr().err
+    # what float() reads as inf or nan, in any case, is a value too
+    for argv, value in (
+        (["poles", "--rect", "-inf", "0", "0", "1"], "-inf"),
+        (["poles", "--rect", "-0.2", "-NaN", "0", "1"], "-NaN"),
+        (["trace", "--eps", "-nan"], "-nan"),
+        (["trace", "--alpha0", "-Infinity"], "-Infinity"),
+    ):
+        assert cli.main([*argv, "--cache", str(cache)]) == 1, argv
+        assert f"must be finite, got {value}" in capsys.readouterr().err, argv
 
 
 def test_poles_explicit_rect_past_floor_is_numerical_error(cli_env):

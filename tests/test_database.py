@@ -34,6 +34,7 @@ from tests.conftest import (
     records,
     take_rows,
     unequal_four_disks,
+    with_value,
 )
 
 
@@ -343,6 +344,21 @@ def test_cache_out_of_order_or_repeating_a_cycle_is_refused(tmp_path, db8):
             load_database(path)
     save_database(take_rows(db8, rows), path)
     assert_same_columns(db8, load_database(path))
+
+
+@pytest.mark.parametrize("name, value, what", [
+    ("T", np.nan, "period T"),
+    ("T", np.inf, "period T"),
+    ("T", -1.0, "period T"),
+    ("lam", 0.0, "multiplier Lambda"),
+    ("lam", 0.5, "multiplier Lambda"),
+    ("lam", np.nan, "multiplier Lambda"),
+])
+def test_cache_with_a_bad_period_or_multiplier_is_refused(tmp_path, db8, name, value, what):
+    path = tmp_path / "cache"
+    save_database(with_value(db8, name, 3, value), path)
+    with pytest.raises(MalformedInputError, match=f"row 3 has a {what} that is not finite"):
+        load_database(path)
 
 
 # sha256 of the cache bytes of fresh builds, recorded with numpy 2.4.6 at
