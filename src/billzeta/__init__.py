@@ -1,132 +1,5 @@
 """Open planar billiards on convex disks: periodic orbits, stability,
 pressure abscissas, orbit Dirichlet series, determinant resonances, and
-length-spectrum test functions."""
+length-spectrum test functions.  Each name is imported from its module."""
 
 __version__ = "0.1.0"
-
-from .contour import Pole, find_poles, real_zero, track_zero
-from .database import OrbitDatabase, build_database, load_database, save_database
-from .errors import (
-    BilliardError,
-    DomainError,
-    EclipseError,
-    HyperbolicityError,
-    IncompleteDataError,
-    MalformedInputError,
-    NumericalError,
-    PowerIterationError,
-    ShortSeriesError,
-    SolverError,
-    StaleCacheError,
-    TrustRegionError,
-)
-from .geometry import (
-    Configuration,
-    Disk,
-    ValidationReport,
-    config_digest,
-    config_from_dict,
-    load_config,
-    save_config,
-    validate,
-)
-from .orbits import PeriodicOrbit, solve_orbit
-from .stability import StabilityRecord, monodromy, stability_record, unstable_curvatures
-from .symbolic import (
-    canonical_rotation,
-    count_periodic_points,
-    enumerate_cycles,
-    primitive_class_count,
-    transition_matrix,
-)
-from .thermo import (
-    CylinderPotential,
-    build_potentials,
-    pressure,
-    pressure_periodic,
-    sign_check_b1,
-    solve_abscissa,
-    twisted_spectral_test,
-    twisted_unit_gap,
-)
-from .trace import (
-    AtomicMeasure,
-    BumpFunction,
-    build_measure,
-    gaussian_weight,
-    ikawa_scan,
-    lemma41_search,
-    pair,
-)
-from .zeta import (
-    DeterminantExpansion,
-    abscissa_estimate,
-    build_determinant,
-    counting_check,
-    eta_direct,
-    eta_via_roots_of_unity,
-)
-
-__all__ = [
-    "__version__",
-    "BilliardError",
-    "MalformedInputError",
-    "DomainError",
-    "EclipseError",
-    "StaleCacheError",
-    "IncompleteDataError",
-    "ShortSeriesError",
-    "NumericalError",
-    "SolverError",
-    "HyperbolicityError",
-    "PowerIterationError",
-    "TrustRegionError",
-    "Disk",
-    "Configuration",
-    "ValidationReport",
-    "validate",
-    "load_config",
-    "save_config",
-    "config_from_dict",
-    "config_digest",
-    "transition_matrix",
-    "count_periodic_points",
-    "primitive_class_count",
-    "canonical_rotation",
-    "enumerate_cycles",
-    "PeriodicOrbit",
-    "solve_orbit",
-    "StabilityRecord",
-    "stability_record",
-    "unstable_curvatures",
-    "monodromy",
-    "OrbitDatabase",
-    "build_database",
-    "save_database",
-    "load_database",
-    "CylinderPotential",
-    "build_potentials",
-    "pressure",
-    "pressure_periodic",
-    "solve_abscissa",
-    "sign_check_b1",
-    "twisted_spectral_test",
-    "twisted_unit_gap",
-    "eta_direct",
-    "eta_via_roots_of_unity",
-    "abscissa_estimate",
-    "DeterminantExpansion",
-    "build_determinant",
-    "Pole",
-    "find_poles",
-    "track_zero",
-    "real_zero",
-    "counting_check",
-    "BumpFunction",
-    "AtomicMeasure",
-    "build_measure",
-    "pair",
-    "ikawa_scan",
-    "gaussian_weight",
-    "lemma41_search",
-]

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, thermo, trace, zeta
+from . import __version__, contour, thermo, trace, zeta
 from .database import (
     OrbitDatabase,
     build_database,
@@ -494,7 +494,7 @@ def cmd_poles(args) -> None:
           f"{len(exp.poly_coeff)} atoms")
     grid = None
     if args.rect is not None:
-        grid = tuple(args.grid) if args.grid else zeta.GRID
+        grid = tuple(args.grid) if args.grid else contour.GRID
         poles = _pole_search(exp, [(tuple(args.rect), grid)])
     else:
         poles = _default_pole_search(exp)

@@ -29,10 +29,12 @@ configuration, its content hash, ``n_max``, the solver version, and each
 section's name, dtype, count and sha256 digest.  A stale cache (another
 configuration, solver version or format) is refused rather than
 silently reused, and so is a cache that lacks a cycle, repeats one or
-holds them out of order, holds a label outside 1..r or a word that
-repeats a label at consecutive bounces, holds a period that is not
-finite and positive or a multiplier that is not finite with |Lambda| >
-1, holds a damaged byte, or runs short or long.
+holds them out of order, holds a label outside 1..r, a word that
+repeats a label at consecutive bounces or is not its cycle's least
+rotation, a period that is not finite and positive or not the sum of
+its flights, a multiplier that is not finite with |Lambda| > 1 or a
+residual above ``SOLVER_TOL``, holds a damaged byte, or runs short or
+long.
 A save hashes each column in place and writes the header line, then
 each column's own buffer.  A load reads the file once, checks every
 section's digest over its bytes in place and then uses those bytes as
@@ -329,13 +331,21 @@ def _read_sections(path, header: dict, blob: bytes, offset: int) -> dict:
 def _check_rows(path, db: OrbitDatabase) -> None:
     """Refuse a label outside 1..r, then a word that repeats a label at
     consecutive bounces (its last and first included), then a period T
-    that is not finite and positive or a multiplier Lambda that is not
-    finite with |Lambda| > 1, then rows whose (length, word) does not
-    increase strictly from one row to the next: a repeated cycle or two
-    cycles out of order.  Words of one length are compared by their
-    codes in :meth:`OrbitDatabase.word_table`; a label out of range
-    would make two words share a code, so it is refused first."""
+    that is not finite and positive, a multiplier Lambda that is not
+    finite with |Lambda| > 1 or a residual above ``SOLVER_TOL``, then
+    rows out of length order, a word that is not the least rotation of
+    its cycle, rows whose words do not increase strictly (a repeated
+    cycle or two cycles out of order), and a T that is not the sum of
+    its flights as the build sums them, per length block.  Words are
+    compared by their codes in :meth:`OrbitDatabase.word_table`; a label
+    out of range would make two words share a code, so it is refused
+    first."""
     r = db.config.r
+
+    def refuse(rows, what):
+        raise MalformedInputError(f"orbit cache {path}: {rows} {what}; "
+                                  "re-run `billzeta orbits` to rebuild it")
+
     # each label against the next one of its cyclic word: a row's last
     # label against the row's first
     repeats = np.append(db.word[1:] == db.word[:-1], False)
@@ -347,29 +357,40 @@ def _check_rows(path, db: OrbitDatabase) -> None:
          "has a period T that is not finite and positive"),
         (~(np.isfinite(db.lam) & (np.abs(db.lam) > 1)), False,
          "has a multiplier Lambda that is not finite with |Lambda| > 1"),
+        (~(db.residual <= orbits.SOLVER_TOL), False,
+         f"has a residual that is not at most SOLVER_TOL = {orbits.SOLVER_TOL:g}"),
     ):
         at = np.flatnonzero(bad)
         if at.size:
             row = np.searchsorted(db.bounds, at[0], side="right") - 1 if per_bounce else at[0]
-            raise MalformedInputError(f"orbit cache {path}: row {row} {what}; "
-                                      "re-run `billzeta orbits` to rebuild it")
+            refuse(f"row {row}", what)
     down = np.flatnonzero(np.diff(db.n) < 0)
     if down.size:
-        row = int(down[0])
-        raise MalformedInputError(
-            f"orbit cache {path}: rows {row} and {row + 1} are out of (length, word) "
-            f"order; re-run `billzeta orbits` to rebuild it"
-        )
-    for start, _, codes in db.word_table().values():
+        refuse(f"rows {down[0]} and {down[0] + 1}", "are out of (length, word) order")
+    # each code below its rotations, as enumerate_cycles keeps them: a pass per k
+    # over the rows longer than k (a suffix) rotates each word by one more label,
+    # which multiplies its code by r modulo r**n - 1
+    codes = np.concatenate([np.empty(0, np.int64), *(c for _, _, c in db.word_table().values())])
+    least, rot, mod = np.ones(len(db), dtype=bool), codes.copy(), r**db.n - 1
+    for k in range(1, db.n_max):
+        at = np.searchsorted(db.n, k, side="right")
+        rot[at:] = rot[at:] * r % mod[at:]
+        least[at:] &= codes[at:] < rot[at:]
+    bad = np.flatnonzero(~least)
+    if bad.size:
+        refuse(f"row {bad[0]}", "has a word that is not the least rotation of its cycle")
+    for start, block, codes in db.word_table().values():
         step = np.diff(codes)
         bad = np.flatnonzero(step <= 0)
         if bad.size:
             i = int(bad[0])
             what = "repeat one cycle" if step[i] == 0 else "are out of (length, word) order"
-            raise MalformedInputError(
-                f"orbit cache {path}: rows {start + i} and {start + i + 1} {what}; "
-                f"re-run `billzeta orbits` to rebuild it"
-            )
+            refuse(f"rows {start + i} and {start + i + 1}", what)
+        lo = db.bounds[start]
+        sums = db.flights[lo : lo + block.size].reshape(block.shape).sum(axis=1)
+        bad = np.flatnonzero(db.T[start : start + len(block)] != sums)
+        if bad.size:
+            refuse(f"row {start + bad[0]}", "has a period T that is not the sum of its flights")
 
 
 def load_database(path, config=None) -> OrbitDatabase:

@@ -173,16 +173,11 @@ def _disks(config, words):
 
 
 def _default_angles(cx, cy, nxt, prv):
+    """Start angles of padded rows: each point faces the midpoint of the
+    previous and next disk centers."""
     mx = 0.5 * (cx.take(prv) + cx.take(nxt))
     my = 0.5 * (cy.take(prv) + cy.take(nxt))
     return np.arctan2(my - cy, mx - cx)
-
-
-def default_angles(config, word) -> np.ndarray:
-    """Initial boundary angles: each point faces the midpoint of the
-    previous and next disk centers."""
-    cx, cy, _ = _disks(config, [tuple(word)])
-    return _default_angles(cx, cy, *_neighbours(np.array([len(word)]), len(word)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def _newton(cx, cy, rad, theta, links, max_iter):
 
 def _solve(disks, cells, links, theta0, max_iter):
     """The Newton iteration on padded rows from ``theta0``, its padding
-    ignored, or from :func:`default_angles` when it is None.  Returns the
+    ignored, or from :func:`_default_angles` when it is None.  Returns the
     angles in [0, 2 pi), 0 in the padding, and the residual per row."""
     start = _default_angles(disks[0], disks[1], *links) if theta0 is None else theta0
     pad = None if cells.all() else ~cells
@@ -464,7 +459,8 @@ def solve_orbits(config, words, theta0=None, max_iter: int = MAX_ITER) -> dict:
         with a zero before a label is a word of length W.
     theta0 : array, optional
         Starting boundary angles, shape ``(M, W)``, each row's first n
-        entries used; defaults to :func:`default_angles` of each word.
+        entries used; by default each point faces the midpoint of the
+        previous and next disk centers.
     max_iter : int
         Newton steps a row may take to bring the sup norm of its length
         gradient to ``SOLVER_TOL``.

@@ -11,13 +11,6 @@ one int array, a word per row padded with zeros after its last label.
 import numpy as np
 
 
-def transition_matrix(r: int) -> np.ndarray:
-    """0/1 transition matrix: ones off the diagonal."""
-    A = np.ones((r, r), dtype=np.int64)
-    np.fill_diagonal(A, 0)
-    return A
-
-
 def count_periodic_points(r: int, n: int) -> int:
     """Number of period-``n`` points, i.e. trace of the n-th matrix power.
 
@@ -54,35 +47,6 @@ def primitive_class_count(r: int, n: int) -> int:
             total += _mobius(n // d) * count_periodic_points(r, d)
     assert total % n == 0
     return total // n
-
-
-def rotate(word, s):
-    n = len(word)
-    return tuple(word[(i + s) % n] for i in range(n))
-
-
-def canonical_rotation(word):
-    """Return (canonical word, shift) with canonical = rotate(word, shift)."""
-    word = tuple(word)
-    return min((word[s:] + word[:s], s) for s in range(len(word)))
-
-
-def primitive_root(word):
-    """Smallest block whose repetition gives ``word``; returns (root, reps)."""
-    word = tuple(word)
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d], n // d
-    raise AssertionError("unreachable")
-
-
-def is_cyclically_admissible(word) -> bool:
-    word = tuple(word)
-    n = len(word)
-    if n < 2:
-        return False
-    return all(word[i] != word[(i + 1) % n] for i in range(n))
 
 
 def _admissible_codes(r: int, n: int, first: int):
@@ -139,12 +103,3 @@ def enumerate_cycles(r: int, n_max: int, n_min: int = 2) -> np.ndarray:
         row += len(digits)
     return words
 
-
-def enumerate_words(r: int, length: int):
-    """Admissible non-cyclic words of the given length (1-based symbols)."""
-    if length < 1:
-        return []
-    words = [(s,) for s in range(1, r + 1)]
-    for _ in range(length - 1):
-        words = [w + (s,) for w in words for s in range(1, r + 1) if s != w[-1]]
-    return words

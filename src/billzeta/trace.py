@@ -8,10 +8,10 @@ the corresponding two-point object with its dual frequency-side
 evaluation; the shell search collects full-weight mass in unit windows
 and compares it against an exponential threshold.
 
-The bump is built as an autocorrelation, so its Fourier transform is a
-(scaled) square of the base bump's transform: nonnegativity holds by
-construction, including for the quadrature approximation, because the
-computed value is literally a square.
+The bump is built as an autocorrelation, so its Fourier transform,
+:meth:`BumpFunction.fourier_complex`, is a (scaled) square of the base
+bump's transform: on the real axis, where the even base bump's transform
+is real, it is nonnegative up to the quadrature's rounding.
 
 The bump's integrals use the 256-node Gauss-Legendre rule on [-1, 1].
 It is a constant, so it is stored here as the exact bits numpy's
@@ -175,15 +175,6 @@ class BumpFunction:
         ker = np.exp(-1j * np.outer(lam, self._x))
         out = ker @ (self._w * self._phi_x)
         return out
-
-    def fourier(self, lam):
-        """rho-hat(lam) = c * phi-hat(lam)^2; real and >= 0 on the real
-        axis by construction (it is computed as a square)."""
-        scalar = np.ndim(lam) == 0
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        ph = self.phi_hat(lam)
-        out = self.scale * (ph.real**2 + ph.imag**2)
-        return float(out[0]) if scalar else out
 
     def fourier_complex(self, lam):
         ph = self.phi_hat(lam)

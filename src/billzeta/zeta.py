@@ -63,7 +63,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .contour import GRID, TRUST_THRESHOLD, Pole, _cell_winding, find_poles, real_zero, track_zero
+# re-exported: find_poles for the CLI and the benchmark, the winding and zero helpers for the gate
+from .contour import TRUST_THRESHOLD, _cell_winding, find_poles, real_zero, track_zero
 from .errors import IncompleteDataError, ShortSeriesError, TrustRegionError
 from .stability import det_one_minus_poincare
 
@@ -392,21 +393,12 @@ class DeterminantExpansion:
     def log_coeff(self):
         return self._log_atoms[2]
 
-    def log_derivative_series(self, s):
-        """(log D)'(s) from the log atoms; term-for-term it is the
-        half-weight series truncated at (N, k_max)."""
-        return _atom_sums(self.log_tau, s, (self.log_coeff * self.log_tau, 0))[0]
-
     def value(self, s):
         """D(s) from the expanded atoms (finite exponential sum)."""
         return _atom_sums(self.poly_tau, s, (self.poly_coeff, 0))[0]
 
     def derivative(self, s):
         return _atom_sums(self.poly_tau, s, (-self.poly_coeff * self.poly_tau, 0))[0]
-
-    def log_value(self, s):
-        """log D(s) = -(sum of log atoms); valid right of the series abscissa."""
-        return _atom_sums(self.log_tau, s, (-self.log_coeff, 0))[0]
 
     def last_shell_value(self, s):
         return _atom_sums(self.poly_tau, s, (self.poly_coeff, self._last_shell))[0]
@@ -626,24 +618,6 @@ def _trust_floor(exp: DeterminantExpansion):
             f"last-shell contribution already exceeds {TRUST_THRESHOLD} at Re s = 0.5"
         )
     return float(xs[stop - 1])
-
-
-def eta_tail_bound(db, exp: DeterminantExpansion, s_re: float) -> float:
-    """Bound on the k > k_max remainder when comparing (log D)' with the
-    half-weight series on the same (p, r) atoms."""
-    total = 0.0
-    # rows are sorted by length, so the cycles of length <= N are a prefix
-    keep = int(np.searchsorted(db.n, exp.N, side="right"))
-    for n, T, lam_abs in zip(
-        db.n[:keep].tolist(), db.T[:keep].tolist(), np.abs(db.lam[:keep]).tolist()
-    ):
-        r = 1
-        while r * n <= exp.N:
-            lam_r = lam_abs ** (-float(r))
-            tail = lam_r ** (exp.k_max + 1) / (1.0 - lam_r)
-            total += T * np.exp(-s_re * r * T) * lam_abs ** (-r / 2.0) * tail
-            r += 1
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

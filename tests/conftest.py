@@ -10,9 +10,10 @@ from billzeta import database
 from billzeta.database import OrbitDatabase, build_database, restrict_database
 from billzeta.geometry import VALIDATE_TOL, Configuration, Disk
 from billzeta.stability import det_one_minus_poincare
-from billzeta.symbolic import canonical_rotation, enumerate_cycles
+from billzeta.symbolic import enumerate_cycles
 from billzeta.thermo import build_potentials, solve_abscissa
 from billzeta.zeta import PERIOD_ULPS, build_determinant
+from tests.oracles import canonical_rotation
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -221,11 +222,12 @@ def take_rows(db: OrbitDatabase, rows) -> OrbitDatabase:
     return OrbitDatabase(db.config, db.n_max, columns)
 
 
-def with_value(db, name, row, value):
-    """``db`` with one value of the per-cycle column ``name`` changed; a
-    save writes the digests afresh, so only that value is wrong."""
+def with_value(db, name, at, value):
+    """``db`` with ``value`` written at ``at`` (an index or a slice) of
+    the column ``name``; a save writes the digests afresh, so only that
+    value is wrong."""
     column = getattr(db, name).copy()
-    column[row] = value
+    column[at] = value
     columns = {section: getattr(db, section) for section, _ in database.SECTIONS}
     return OrbitDatabase(db.config, db.n_max, dict(columns, **{name: column}))
 

@@ -9,11 +9,11 @@ import pytest
 
 from billzeta import __version__, cli
 from billzeta.cli import _conjugate_closed
+from billzeta.contour import Pole, real_zero
 from billzeta.database import save_database
 from billzeta.errors import MalformedInputError
 from billzeta.geometry import config_digest, save_config
 from billzeta.symbolic import primitive_class_count
-from billzeta.zeta import Pole, real_zero
 from tests.conftest import equilateral_config, records, subprocess_env, take_rows, with_value
 
 
@@ -258,10 +258,6 @@ def test_cache_with_foreign_words_exits_one(tmp_path, db8, capsys):
         (3, [(1, 2, 3), (1, 3, 3)], every, "row 4 repeats a label at consecutive bounces"),
         # nor off disk 1 from its last bounce to its first
         (3, [(1, 2, 3), (1, 3, 1)], every, "row 4 repeats a label at consecutive bounces"),
-        # admissible and in order, but (2, 1, 3) is a rotation of (1, 3, 2):
-        # the cylinder potentials find no cycle (1, 3, 2)
-        (3, [(1, 2, 3), (2, 1, 3)], ("abscissas", "counting", "trace"),
-         "orbit database has no cycle (1, 3, 2); re-run `billzeta orbits`"),
     ):
         save_database(rewritten(length, words), cache)
         for sub in subcommands:
@@ -280,6 +276,24 @@ def test_cache_with_a_zero_multiplier_exits_one(tmp_path, db8, capsys):
         err = capsys.readouterr().err
         assert "row 3 has a multiplier Lambda" in err and "Traceback" not in err, sub
         assert not list(out.glob("*")), sub
+
+
+def test_cache_that_no_solve_wrote_exits_one(tmp_path, db8, capsys):
+    # a period far past its flights' sum, and a word that is admissible and
+    # in order but not its cycle's least rotation: (2, 1, 3) of (1, 3, 2)
+    cache, out = tmp_path / "c.bin", tmp_path / "out"
+    for crafted, message in (
+        (with_value(db8, "T", 3, 1e308),
+         "row 3 has a period T that is not the sum of its flights"),
+        (with_value(db8, "word", slice(9, 12), (2, 1, 3)),
+         "row 4 has a word that is not the least rotation of its cycle"),
+    ):
+        save_database(crafted, cache)
+        for sub in ("orbits", "poles", "abscissas", "zeta", "counting", "trace"):
+            assert cli.main([sub, "--cache", str(cache), "--out", str(out)]) == 1, (sub, message)
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, (sub, message)
+            assert not list(out.glob("*")), (sub, message)
 
 
 def test_format_1_cache_is_stale(cli_env, db10, tmp_path):

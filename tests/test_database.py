@@ -361,6 +361,20 @@ def test_cache_with_a_bad_period_or_multiplier_is_refused(tmp_path, db8, name, v
         load_database(path)
 
 
+# row 3 of db8 is the cycle (1, 2, 3), its bounces at 6..8 of the flat columns
+@pytest.mark.parametrize("name, at, value, what", [
+    ("T", 3, 1e308, "has a period T that is not the sum of its flights"),
+    ("flights", 7, 5.0, "has a period T that is not the sum of its flights"),
+    ("residual", 3, 1e-6, "has a residual that is not at most SOLVER_TOL = 1e-12"),
+    ("word", slice(6, 9), (3, 1, 2), "has a word that is not the least rotation of its cycle"),
+])
+def test_cache_row_that_no_solve_wrote_is_refused(tmp_path, db8, name, at, value, what):
+    path = tmp_path / "cache"
+    save_database(with_value(db8, name, at, value), path)
+    with pytest.raises(MalformedInputError, match=re.escape(f"row 3 {what}")):
+        load_database(path)
+
+
 # sha256 of the cache bytes of fresh builds, recorded with numpy 2.4.6 at
 # the commit that set SOLVER_VERSION 4 (Newton steps from the bordered
 # LDL^T of the Hessian bands).  A solver change that moves them bumps

@@ -17,12 +17,11 @@ from billzeta.orbits import (
     _disks,
     _neighbours,
     _newton,
-    default_angles,
     solve_orbit,
     solve_orbits,
 )
-from billzeta.symbolic import is_cyclically_admissible
 from tests.conftest import cycles, equilateral_config, records, unequal_four_disks
+from tests.oracles import default_angles, is_cyclically_admissible
 
 
 def dense(d, e):

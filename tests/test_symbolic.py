@@ -3,18 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from billzeta.symbolic import (
+from billzeta.symbolic import count_periodic_points, enumerate_cycles, primitive_class_count
+from tests.conftest import cycles
+from tests.oracles import (
     canonical_rotation,
-    count_periodic_points,
-    enumerate_cycles,
     enumerate_words,
     is_cyclically_admissible,
-    primitive_class_count,
     primitive_root,
     rotate,
     transition_matrix,
 )
-from tests.conftest import cycles
 
 
 def test_transition_matrix_shape():

@@ -5,11 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from billzeta import cli, symbolic, thermo
+from billzeta import cli, thermo
 from billzeta.database import OrbitDatabase, build_database, save_database
 from billzeta.errors import DomainError, MalformedInputError, PowerIterationError
 from billzeta.geometry import Configuration, Disk, save_config
-from billzeta.symbolic import canonical_rotation, enumerate_words, primitive_root
 from billzeta.thermo import (
     POWER_MAX_ITER,
     POWER_TOL,
@@ -30,6 +29,7 @@ from tests.conftest import (
     take_rows,
     unequal_four_disks,
 )
+from tests.oracles import canonical_rotation, enumerate_words, primitive_root
 
 
 def test_memory_one_potential_is_uniform(db8):
@@ -211,8 +211,6 @@ def test_potentials_need_no_per_word_lookup(monkeypatch, db12, pot6):
         raise AssertionError("per-word lookup")
 
     monkeypatch.setattr(OrbitDatabase, "row", refuse)
-    monkeypatch.setattr(symbolic, "canonical_rotation", refuse)
-    monkeypatch.setattr(symbolic, "primitive_root", refuse)
     pot = build_potentials(db12, 6)
     for name in ("edge_row", "edge_col", "edge_f", "edge_g"):
         assert getattr(pot, name).tobytes() == getattr(pot6, name).tobytes()

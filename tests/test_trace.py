@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from billzeta import cli, trace
+from billzeta.contour import Pole
 from billzeta.database import save_database
 from billzeta.errors import DomainError, IncompleteDataError, NumericalError
 from billzeta.stability import det_one_minus_poincare
@@ -24,8 +25,8 @@ from billzeta.trace import (
     resonance_side,
     window_count,
 )
-from billzeta.zeta import Pole
 from tests.conftest import record_for
+from tests.oracles import fourier
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +61,9 @@ def test_bump_support_and_symmetry(bump):
 
 def test_bump_transform_is_nonnegative(bump):
     lams = np.linspace(-200.0, 200.0, 401)
-    vals = bump.fourier(lams)
+    vals = fourier(bump, lams)
     assert np.all(vals >= 0.0)
-    assert bump.fourier(0.0) > 0.0
+    assert fourier(bump, 0.0) > 0.0
 
 
 def test_bump_transform_consistency(bump):
@@ -70,8 +71,8 @@ def test_bump_transform_consistency(bump):
         z = bump.phi_hat(lam) if hasattr(bump, "phi_hat") else None
         if z is None:
             break
-        assert abs(bump.fourier(lam) - bump.scale * abs(z) ** 2) < 1e-12 * max(
-            1.0, bump.fourier(lam)
+        assert abs(fourier(bump, lam) - bump.scale * abs(z) ** 2) < 1e-12 * max(
+            1.0, fourier(bump, lam)
         )
 
 
