@@ -4,12 +4,12 @@ and equipped with stability data, plus the binary cache format.
 The new lengths of a build or an extension are solved in two batches:
 the lengths below the top one share a batch of words padded with zeros,
 and the top length, which holds about as many cells as all shorter ones
-together, has its own.  In each, :func:`orbits.solve_orbits` solves and
-certifies the cycles, :func:`stability.stability_records` cross-checks
-their stability, and nothing is solved twice.  Both return padded
-columns, one row per cycle, whose bounces are concatenated into the
-database's columns; no object is built per cycle on the way from the
-enumeration's int array through the Newton batch to the cache.
+together, has its own.  Each is one :func:`orbits.solve_orbits` call,
+which solves the cycles, certifies them and their stability and raises
+for the shortest failing length.  Its padded columns, one row per
+cycle, have their bounces concatenated into the database's columns; no
+object is built per cycle on the way from the enumeration's int array
+through the Newton batch to the cache.
 
 The columns are the database.  An :class:`OrbitDatabase` holds one
 read-only array per cache section, in the order of :data:`SECTIONS`:
@@ -32,9 +32,10 @@ silently reused, and so is a cache that lacks a cycle, repeats one or
 holds them out of order, holds a label outside 1..r, a word that
 repeats a label at consecutive bounces or is not its cycle's least
 rotation, a period that is not finite and positive or not the sum of
-its flights, a multiplier that is not finite with |Lambda| > 1 or a
-residual above ``SOLVER_TOL``, holds a damaged byte, or runs short or
-long.
+its flights, a multiplier that is not finite with |Lambda| > 1 or not
+the product its flights and curvatures give, a curvature that is not
+finite and positive or a residual above ``SOLVER_TOL``, holds a damaged
+byte, or runs short or long.
 A save hashes each column in place and writes the header line, then
 each column's own buffer.  A load reads the file once, checks every
 section's digest over its bytes in place and then uses those bytes as
@@ -49,10 +50,9 @@ import os
 
 import numpy as np
 
-from . import geometry, orbits, stability, symbolic
+from . import geometry, orbits, symbolic
 from .errors import (
-    BilliardError, DomainError, EclipseError, IncompleteDataError, MalformedInputError,
-    StaleCacheError,
+    DomainError, EclipseError, IncompleteDataError, MalformedInputError, StaleCacheError,
 )
 
 SOLVER_VERSION = 4
@@ -129,10 +129,9 @@ def build_database(config, n_max: int) -> OrbitDatabase:
 
     The configuration is validated first: a disk blocking a line of
     sight raises :class:`EclipseError`, any other failure a domain
-    error.  The cycles are solved and certified in two
-    :func:`orbits.solve_orbits` batches, lengths 2..n_max-1 and n_max,
-    and cross-checked in one :func:`stability.stability_records` batch
-    each; a row's result does not depend on its batch, so every row
+    error.  The cycles are solved and certified, stability included, in
+    two :func:`orbits.solve_orbits` batches, lengths 2..n_max-1 and
+    n_max; a row's result does not depend on its batch, so every row
     equals the lone solve of its word.  A failure raises the error of
     the shortest failing length, as a batch per length would.
     """
@@ -163,40 +162,16 @@ def extend_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
     low = db.n_max + 1
     for lo, hi in ((low, n_max - 1), (max(low, n_max), n_max)):
         if lo <= hi:
-            batch = _solve_lengths(config, lo, hi)
+            words = symbolic.enumerate_cycles(config.r, hi, n_min=lo)
+            batch, cells = dict(orbits.solve_orbits(config, words), word=words), words != 0
             for name, dtype in SECTIONS:
-                parts[name].append(np.asarray(batch[name], dtype=dtype))
+                # per bounce: the bounces of each padded row, rows in order
+                column = batch[name] if name in PER_CYCLE else batch[name][cells]
+                parts[name].append(np.asarray(column, dtype=dtype))
+            # the padded rows, before the next batch is solved
+            del batch
     columns = {name: np.concatenate(parts[name]) for name in parts}
     return OrbitDatabase(config, n_max, columns)
-
-
-def _solve_lengths(config, lo: int, hi: int) -> dict:
-    """The columns of every primitive cycle of length lo..hi, in word
-    order: one padded :func:`orbits.solve_orbits` batch and one
-    :func:`stability.stability_records` batch.
-
-    Both raise for the shortest length that fails, so the error is the
-    one a batch per length would raise, except that a stability failure
-    of a shorter length must come before a solve failure: when the solve
-    raises, lengths lo..hi-1 are solved again first.
-    """
-    words = symbolic.enumerate_cycles(config.r, hi, n_min=lo)
-    try:
-        solved = orbits.solve_orbits(config, words)
-    except BilliardError:
-        if lo < hi:
-            _solve_lengths(config, lo, hi - 1)
-        raise
-    labels = solved["labels"]
-    kappa, lam = stability.stability_records(
-        config, labels, solved["flights"], solved["cos_incidence"]
-    )
-    batch = dict(solved, word=labels, kappa=kappa, lam=lam)
-    # the bounces of each row, rows in order, from the padded rows
-    cells = labels != 0
-    for name in ("word", *PER_BOUNCE):
-        batch[name] = batch[name][cells]
-    return batch
 
 
 def restrict_database(db: OrbitDatabase, n_max: int) -> OrbitDatabase:
@@ -332,11 +307,13 @@ def _check_rows(path, db: OrbitDatabase) -> None:
     """Refuse a label outside 1..r, then a word that repeats a label at
     consecutive bounces (its last and first included), then a period T
     that is not finite and positive, a multiplier Lambda that is not
-    finite with |Lambda| > 1 or a residual above ``SOLVER_TOL``, then
-    rows out of length order, a word that is not the least rotation of
-    its cycle, rows whose words do not increase strictly (a repeated
-    cycle or two cycles out of order), and a T that is not the sum of
-    its flights as the build sums them, per length block.  Words are
+    finite with |Lambda| > 1, a residual above ``SOLVER_TOL`` or a
+    curvature kappa that is not finite and positive, then rows out of
+    length order, a word that is not the least rotation of its cycle,
+    rows whose words do not increase strictly (a repeated cycle or two
+    cycles out of order), and, per length block, a T that is not the sum
+    of its flights and a Lambda that is not the signed product of its
+    factors 1 + f kappa, each as the build computes it.  Words are
     compared by their codes in :meth:`OrbitDatabase.word_table`; a label
     out of range would make two words share a code, so it is refused
     first."""
@@ -359,6 +336,8 @@ def _check_rows(path, db: OrbitDatabase) -> None:
          "has a multiplier Lambda that is not finite with |Lambda| > 1"),
         (~(db.residual <= orbits.SOLVER_TOL), False,
          f"has a residual that is not at most SOLVER_TOL = {orbits.SOLVER_TOL:g}"),
+        (~(np.isfinite(db.kappa) & (db.kappa > 0)), True,
+         "has a curvature kappa that is not finite and positive"),
     ):
         at = np.flatnonzero(bad)
         if at.size:
@@ -386,11 +365,24 @@ def _check_rows(path, db: OrbitDatabase) -> None:
             i = int(bad[0])
             what = "repeat one cycle" if step[i] == 0 else "are out of (length, word) order"
             refuse(f"rows {start + i} and {start + i + 1}", what)
-        lo = db.bounds[start]
-        sums = db.flights[lo : lo + block.size].reshape(block.shape).sum(axis=1)
-        bad = np.flatnonzero(db.T[start : start + len(block)] != sums)
-        if bad.size:
-            refuse(f"row {start + bad[0]}", "has a period T that is not the sum of its flights")
+        rows, lo = slice(start, start + len(block)), db.bounds[start]
+        flights, kappa = (a[lo : lo + block.size].reshape(block.shape)
+                          for a in (db.flights, db.kappa))
+        # in place and dropped before the next length's, for the load's
+        # peak; a product that overflows is refused below with no warning
+        with np.errstate(over="ignore"):
+            factors = flights * kappa
+            factors += 1.0
+            lam = np.prod(factors, axis=1)
+        del factors
+        for bad, what in (
+            (db.T[rows] != flights.sum(axis=1), "a period T that is not the sum of its flights"),
+            (db.lam[rows] != (-lam if block.shape[1] % 2 else lam),
+             "a multiplier Lambda that its flights and kappa do not give"),
+        ):
+            bad = np.flatnonzero(bad)
+            if bad.size:
+                refuse(f"row {start + bad[0]}", f"has {what}")
 
 
 def load_database(path, config=None) -> OrbitDatabase:
@@ -424,7 +416,8 @@ def load_database(path, config=None) -> OrbitDatabase:
     n_max, n = header["n_max"], columns["n"]
     lengths, counts = np.unique(n, return_counts=True)
     counts = dict(zip(lengths.tolist(), counts.tolist()))
-    for length in sorted(set(counts) | set(range(2, n_max + 1))):
+    # past the longest length held, one more is enough to find a short count
+    for length in sorted(set(counts) | set(range(2, min(n_max, n.max(initial=1) + 1) + 1))):
         want = symbolic.primitive_class_count(cached.r, length) if 2 <= length <= n_max else 0
         if counts.get(length, 0) != want:
             raise MalformedInputError(

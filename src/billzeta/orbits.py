@@ -25,19 +25,23 @@ is at most ``SOLVER_TOL``.  The rows step together, each Newton trial
 over the whole batch, and a converged or stalled row is held by a mask.
 Cyclic neighbours are read through flat gather indices built once per
 batch and passed, with the padding cells, to every Newton helper.  The
-certification checks every bounce, with the padding masked out: the
-residual, the incidence angles, the reflection law and the clearance of
-each flight from the r - 2 disks it does not touch.  The padded arrays
+certification checks every bounce, the padding masked out: the residual,
+the incidence angles, the reflection law and the clearance of each
+flight from the r - 2 disks it does not touch; both stability routes of
+:mod:`billzeta.stability` then run on the rows, and one error, of the
+shortest failing length, is raised for either stage.  The padded arrays
 are returned as they are, with no object per cycle, and a row's result
-does not depend on which words share its batch.  :func:`solve_orbit` is
-the one-row batch, returned as a :class:`PeriodicOrbit`.
+does not depend on its batch.  :func:`solve_orbit` is the one-row
+batch, returned as a :class:`PeriodicOrbit`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import stability
 from .errors import DomainError, SolverError
+from .symbolic import _length_blocks, _raise_first, _word
 
 SOLVER_TOL = 1e-12
 REFLECTION_TOL = 1e-10
@@ -71,41 +75,6 @@ def _cells(n, width):
     """Which cells of padded words hold a bounce: the first ``n`` of a
     row of length ``n``."""
     return np.arange(width) < n[:, None]
-
-
-def _length_blocks(n, width):
-    """(rows, block) for every length in ``n``: the rows of that length
-    and the index of their own ``(rows, length)`` block of padded
-    ``(M, width)`` arrays.  A sum or product along a block takes each
-    row's terms in the order a batch of its own length does."""
-    if n.min() == width:
-        return [(slice(None), (slice(None), slice(None)))]
-    blocks = []
-    for length in np.flatnonzero(np.bincount(n)):
-        rows = np.flatnonzero(n == length)
-        blocks.append((rows, (rows, slice(None, length))))
-    return blocks
-
-
-def _word(labels, i, n):
-    """Row ``i`` of padded ``labels``, of length ``n``, as a word, for
-    messages."""
-    return tuple(labels[i, :n].tolist())
-
-
-def _first_failure(n, checks):
-    """The failure to raise: the shortest length with a failing row, the
-    first of ``checks`` that fails at that length and its first failing
-    row, as if every length were a batch of its own.  ``checks`` holds
-    the failing rows of each check in ascending order.  Returns (row,
-    check), or None when nothing fails."""
-    first = None
-    for check, rows in enumerate(checks):
-        if rows.size:
-            i = rows[np.argmin(n[rows])]
-            if first is None or n[i] < n[first[0]]:
-                first = (i, check)
-    return first
 
 
 def _batch(words):
@@ -466,19 +435,21 @@ def solve_orbits(config, words, theta0=None, max_iter: int = MAX_ITER) -> dict:
         gradient to ``SOLVER_TOL``.
 
     Every row goes through the same Newton steps and checks as it would
-    in a batch of its own length, so the orbits do not depend on which
-    words share the batch.
+    in a batch of its own length, and then through both stability
+    routes of :mod:`billzeta.stability`, so the orbits do not depend on
+    which words share the batch.
 
     Returns
     -------
     dict
-        ``labels`` (the words), ``angles``, ``flights`` and
-        ``cos_incidence`` as ``(M, W)`` arrays, each row's first n
-        entries its bounces and 0 after them (``(M, n)`` when every
-        word has length n); ``n`` (the lengths), ``T``, ``residual``
-        (sup norm of the length gradient) and ``shadow_margin`` (least
-        clearance of a flight from a disk it does not touch) as
-        ``(M,)`` arrays.  Row ``i`` is ``words[i]``.
+        ``labels`` (the words), ``angles``, ``flights``,
+        ``cos_incidence`` and ``kappa`` (the periodic wavefront
+        curvatures) as ``(M, W)`` arrays, each row's first n entries its
+        bounces and 0 after them (``(M, n)`` when every word has length
+        n); ``n`` (the lengths), ``T``, ``residual`` (sup norm of the
+        length gradient), ``shadow_margin`` (least clearance of a flight
+        from a disk it does not touch) and ``lam`` (the signed expanding
+        eigenvalue) as ``(M,)`` arrays.  Row ``i`` is ``words[i]``.
 
     Raises
     ------
@@ -488,12 +459,18 @@ def solve_orbits(config, words, theta0=None, max_iter: int = MAX_ITER) -> dict:
     DomainError
         If the batch is empty, an itinerary is inadmissible, or a
         segment crosses an obstacle.
+    NumericalError
+        For a row whose curvature transport does not settle.
+    HyperbolicityError
+        For a row whose monodromy is not hyperbolic or disagrees with the
+        curvature route (``stability.CROSS_CHECK_RTOL``).
 
     The first inadmissible word raises.  Otherwise the error raised is
     that of the shortest length with a failing row, the first failing
     check there in the order above (a missed ``SOLVER_TOL``, tangency, the
-    reflection law, a crossing) and its first failing row: the error a
-    batch per length, shortest first, would raise.
+    reflection law, a crossing, then the three stability checks) and its
+    first failing row: the error a batch per length, shortest first,
+    would raise.
     """
     labels, n = _batch(words)
     _check_words(config, labels, n)
@@ -510,26 +487,31 @@ def solve_orbits(config, words, theta0=None, max_iter: int = MAX_ITER) -> dict:
         config, labels, disks, theta, cells, nxt, prv
     )
     crossing = (margin <= 0.0) & cells[..., None]
-    failure = _first_failure(n, [np.flatnonzero(a) for a in (
-        ~(gnorm <= SOLVER_TOL), ((cos_inc <= 0.0) & cells).any(axis=1), skewed.any(axis=1),
-        crossing.any(axis=(1, 2)),
-    )])
-    if failure is not None:
-        i, check = failure
-        name, residual = _word(labels, i, n[i]), float(gnorm[i])
-        if check == 0:
-            raise SolverError(
-                f"orbit solve for {name} stalled at residual {residual:.3e}", residual=residual
-            )
-        if check == 1:
-            raise SolverError(
-                f"orbit for {name} is tangential or enters its own disk", residual=residual
-            )
-        if check == 2:
-            j = np.flatnonzero(skewed[i])[0]
-            raise SolverError(f"reflection law violated at bounce {j} of {name}", residual=residual)
+    # the routes run on every row, and a row that fails the solve can
+    # divide by 0 there; its own length raises the solve's error first
+    with np.errstate(all="ignore"):
+        kappa, lam, unstable = stability._routes(config, labels, n, flights, cos_inc)
+
+    def solver_error(message):
+        # a row's error: its word, residual and first skewed bounce in ``message``
+        return lambda i: SolverError(message.format(
+            word=_word(labels, i, n[i]), residual=gnorm[i], bounce=np.argmax(skewed[i])
+        ), residual=float(gnorm[i]))
+
+    def crosses(i):
         j, k = np.argwhere(crossing[i])[0]
-        raise DomainError(f"segment {j} of orbit {name} crosses disk {other[i, j, k] + 1}")
+        return DomainError(f"segment {j} of orbit {_word(labels, i, n[i])} crosses disk "
+                           f"{other[i, j, k] + 1}")
+
+    _raise_first(n, (
+        (~(gnorm <= SOLVER_TOL),
+         solver_error("orbit solve for {word} stalled at residual {residual:.3e}")),
+        (((cos_inc <= 0.0) & cells).any(axis=1),
+         solver_error("orbit for {word} is tangential or enters its own disk")),
+        (skewed.any(axis=1), solver_error("reflection law violated at bounce {bounce} of {word}")),
+        (crossing.any(axis=(1, 2)), crosses),
+        *unstable,
+    ))
 
     T = np.empty(m)
     for rows, block in _length_blocks(n, width):
@@ -543,6 +525,8 @@ def solve_orbits(config, words, theta0=None, max_iter: int = MAX_ITER) -> dict:
         "T": T,
         "residual": gnorm,
         "shadow_margin": np.where(cells, margin.min(axis=2, initial=np.inf), np.inf).min(axis=1),
+        "kappa": kappa,
+        "lam": lam,
     }
 
 

@@ -9,28 +9,27 @@ carries a factor (-1) per bounce.
 
 Both routes run over ``(M, W)`` arrays, one row per orbit, each row's
 first n entries its bounces and zeros after them, in a batch of one
-length as in a batch of several:
-:func:`stability_records` certifies a batch of any lengths from the
-columns :func:`orbits.solve_orbits` returns and gives back the
-curvatures and signed eigenvalues as columns, with no object per cycle.
-Their loops over the bounces read columns, so both take the ``(W, M)``
-transpose once and read each column as a contiguous row.  A padding
-column has flight 0 and kick 0, so it passes the curvature and the
-monodromy on unchanged from a row's last bounce to its first, and the
-product of the expansion factors is taken over each length's own
-``(M_n, n)`` block.  The curvature sweeps run on the whole batch, and
-a settled row is held by a mask.  :func:`stability_record` (a
-:class:`StabilityRecord`), :func:`unstable_curvatures` and
-:func:`monodromy` are its one-row calls.  Nothing mixes rows, so a row's
-result does not depend on its batch.
+length as in a batch of several.  :func:`orbits.solve_orbits` runs them
+on the rows it solves and raises their failures with its own; the
+one-row calls for a :class:`orbits.PeriodicOrbit` are
+:func:`stability_record` (a :class:`StabilityRecord`),
+:func:`unstable_curvatures`, :func:`expansion_factor` and
+:func:`monodromy`.  The loops over the bounces read columns, so both
+routes take the ``(W, M)`` transpose once and read each column as a
+contiguous row.  A padding column has flight 0 and kick 0, so it passes
+the curvature and the monodromy on unchanged from a row's last bounce
+to its first, and the product of the expansion factors is taken over
+each length's own ``(M_n, n)`` block.  The curvature sweeps run on the
+whole batch, and a settled row is held by a mask.  Nothing mixes rows,
+so a row's result does not depend on its batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HyperbolicityError, NumericalError
-from .orbits import PeriodicOrbit, _cells, _check_words, _first_failure, _length_blocks, _word
+from .errors import HyperbolicityError, NumericalError
+from .symbolic import _length_blocks, _raise_first, _word
 
 CURVATURE_TOL = 1e-13
 MAX_SWEEPS = 500
@@ -51,7 +50,7 @@ def _kicks(config, labels, cos_incidence):
     return kicks, kb
 
 
-def _one_row(config, orbit: PeriodicOrbit):
+def _one_row(config, orbit):
     """Labels, flights, kicks and boundary curvatures of one orbit, as
     one-row arrays."""
     labels = np.array([orbit.word], dtype=np.int64)
@@ -120,7 +119,7 @@ def _monodromies(flights, kicks, n=None):
     return np.ascontiguousarray(np.moveaxis(mono, -1, 0))
 
 
-def unstable_curvatures(config, orbit: PeriodicOrbit) -> np.ndarray:
+def unstable_curvatures(config, orbit) -> np.ndarray:
     """Post-reflection curvature of the expanding wavefront at each bounce.
 
     Starts from the boundary curvatures and sweeps the cycle map until
@@ -133,13 +132,13 @@ def unstable_curvatures(config, orbit: PeriodicOrbit) -> np.ndarray:
     return kappa[0]
 
 
-def expansion_factor(orbit: PeriodicOrbit, kappa: np.ndarray):
+def expansion_factor(orbit, kappa: np.ndarray):
     """Per-bounce expansion factors ``1 + f_i kappa_i`` and their product."""
     factors = 1.0 + orbit.flights * kappa
     return factors, float(np.prod(factors))
 
 
-def monodromy(config, orbit: PeriodicOrbit) -> np.ndarray:
+def monodromy(config, orbit) -> np.ndarray:
     """Signed 2x2 monodromy: flight blocks [[1, f], [0, 1]], reflection
     blocks [[1, 0], [2 k_B / cos phi, 1]], and a factor -1 per bounce."""
     _, flights, kicks, _ = _one_row(config, orbit)
@@ -185,75 +184,39 @@ class StabilityRecord:
         return self.sign * self.lam_abs
 
 
-def stability_records(config, labels, flights, cos_incidence):
-    """Stability of orbits of any lengths in one batch, both routes per
-    row.
-
-    ``labels``, ``flights`` and ``cos_incidence`` are the ``(M, W)``
-    columns of :func:`orbits.solve_orbits`, words padded with zeros.
-    Returns the periodic curvatures ``kappa``, ``(M, W)`` with 0 in the
-    padding, and the signed expanding eigenvalues ``lam``, ``(M,)``.
-
-    Raises
-    ------
-    NumericalError
-        If a row's curvature transport does not settle.
-    HyperbolicityError
-        If a row's monodromy is not hyperbolic, or its expanding
-        eigenvalue disagrees with the curvature route beyond a relative
-        1e-8.
-    DomainError
-        If the batch is empty, the three arrays are not of one
-        ``(M, W)`` shape, the zeros of ``labels`` are not padding, or a
-        word uses a label outside 1..r or repeats a label cyclically.
-
-    A bad batch or word raises first.  Otherwise the error raised is
-    that of the shortest length with a failing row, the first failing
-    check there in the order above and its first failing row: the error
-    a batch per length, shortest first, would raise.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    flights, cos_incidence = np.asarray(flights, float), np.asarray(cos_incidence, float)
-    shapes = {labels.shape, flights.shape, cos_incidence.shape}
-    if labels.ndim != 2 or not labels.size or len(shapes) != 1:
-        raise DomainError("a stability batch needs at least one orbit and one (M, W) shape")
-    m, width = labels.shape
-    n = np.count_nonzero(labels, axis=1)
-    cells = _cells(n, width)
-    if not np.array_equal(labels != 0, cells) or n.min() < 2:
-        raise DomainError("stability labels must be words of length 2 or more, padded with zeros")
-    _check_words(config, labels, n)
+def _routes(config, labels, n, flights, cos_incidence):
+    """Both routes on padded ``(M, W)`` rows of lengths ``n``: the
+    curvatures ``kappa``, 0 in the padding, the signed eigenvalues
+    ``lam`` and the (failing rows, error) pairs of
+    :func:`symbolic._raise_first` for an unsettled transport, a
+    monodromy that is not hyperbolic and routes that disagree."""
     kicks, kb = _kicks(config, labels, cos_incidence)
     kappa, _, settled = _curvature_sweeps(flights, kicks, kb)
-    kappa[~cells] = 0.0
-    lam_abs = np.empty(m)
-    for rows, block in _length_blocks(n, width):
-        lam_abs[rows] = np.prod(1.0 + flights[block] * kappa[block], axis=1)
+    kappa[labels == 0] = 0.0
+    lam = np.empty(len(n))
+    for rows, block in _length_blocks(n, labels.shape[1]):
+        lam[rows] = np.prod(1.0 + flights[block] * kappa[block], axis=1)
+    lam[n % 2 == 1] *= -1.0
     tr = np.trace(_monodromies(flights, kicks, n), axis1=-2, axis2=-1)
     lam_mono, hyperbolic = _eigenvalue(tr)
-    lam = np.where(n % 2 == 1, -lam_abs, lam_abs)
     agree = np.isclose(lam_mono, lam, rtol=CROSS_CHECK_RTOL, atol=0.0)
-    failure = _first_failure(n, (
-        np.flatnonzero(~settled), np.flatnonzero(~hyperbolic), np.flatnonzero(~agree)
-    ))
-    if failure is not None:
-        i, check = failure
-        if check == 0:
-            raise _unsettled(labels, i, n[i])
-        if check == 1:
-            raise _not_hyperbolic(tr[i])
-        raise HyperbolicityError(
+    return kappa, lam, (
+        (~settled, lambda i: _unsettled(labels, i, n[i])),
+        (~hyperbolic, lambda i: _not_hyperbolic(tr[i])),
+        (~agree, lambda i: HyperbolicityError(
             f"stability mismatch for {_word(labels, i, n[i])}: curvature route "
             f"{lam[i]}, monodromy route {lam_mono[i]}"
-        )
-    return kappa, lam
+        )),
+    )
 
 
-def stability_record(config, orbit: PeriodicOrbit) -> StabilityRecord:
-    """The one-row batch of :func:`stability_records`, with the expansion
-    factors and the monodromy trace."""
+def stability_record(config, orbit) -> StabilityRecord:
+    """Both routes on one orbit, with the expansion factors and the
+    monodromy trace; a failure raises as in :func:`orbits.solve_orbits`."""
     labels, flights, kicks, _ = _one_row(config, orbit)
-    kappa, lam = stability_records(config, labels, flights, orbit.cos_incidence[None])
+    n = np.array([orbit.n])
+    kappa, lam, failures = _routes(config, labels, n, flights, orbit.cos_incidence[None])
+    _raise_first(n, failures)
     return StabilityRecord(
         word=orbit.word,
         T=orbit.T,

@@ -5,7 +5,9 @@ the diagonal and ones elsewhere: symbol ``i`` may be followed by any
 ``j != i``.  Periodic itineraries are handled as cyclic words; each
 class is represented by its lexicographically smallest rotation.
 Symbols are 1-based everywhere in the public API; the cycles come as
-one int array, a word per row padded with zeros after its last label.
+one int array, a word per row padded with zeros after its last label,
+the layout the orbit and stability batches read with the helpers at
+the end.
 """
 
 import numpy as np
@@ -103,3 +105,39 @@ def enumerate_cycles(r: int, n_max: int, n_min: int = 2) -> np.ndarray:
         row += len(digits)
     return words
 
+
+def _word(labels, i, n):
+    """Row ``i`` of padded ``labels``, of length ``n``, as a word, for
+    messages."""
+    return tuple(labels[i, :n].tolist())
+
+
+def _length_blocks(n, width):
+    """(rows, block) for every length in ``n``: the rows of that length
+    and the index of their own ``(rows, length)`` block of padded
+    ``(M, width)`` arrays.  A sum or product along a block takes each
+    row's terms in the order a batch of its own length does."""
+    if n.min() == width:
+        return [(slice(None), (slice(None), slice(None)))]
+    blocks = []
+    for length in np.flatnonzero(np.bincount(n)):
+        rows = np.flatnonzero(n == length)
+        blocks.append((rows, (rows, slice(None, length))))
+    return blocks
+
+
+def _raise_first(n, failures):
+    """Raise the failure of the shortest length with a failing row: the
+    first of ``failures`` that fails at that length, for its first
+    failing row, as if every length were a batch of its own.
+    ``failures`` holds (failing, error) pairs: which rows fail a check,
+    and the exception of a row that does."""
+    first = None
+    for failing, error in failures:
+        rows = np.flatnonzero(failing)
+        if rows.size:
+            i = rows[np.argmin(n[rows])]
+            if first is None or n[i] < n[first[0]]:
+                first = (i, error)
+    if first is not None:
+        raise first[1](first[0])

@@ -279,12 +279,15 @@ def test_cache_with_a_zero_multiplier_exits_one(tmp_path, db8, capsys):
 
 
 def test_cache_that_no_solve_wrote_exits_one(tmp_path, db8, capsys):
-    # a period far past its flights' sum, and a word that is admissible and
-    # in order but not its cycle's least rotation: (2, 1, 3) of (1, 3, 2)
+    # a period far past its flights' sum, a word that is admissible and
+    # in order but not its cycle's least rotation: (2, 1, 3) of (1, 3, 2),
+    # and a multiplier half again the one its factors 1 + f kappa give
     cache, out = tmp_path / "c.bin", tmp_path / "out"
     for crafted, message in (
         (with_value(db8, "T", 3, 1e308),
          "row 3 has a period T that is not the sum of its flights"),
+        (with_value(db8, "lam", 4, 1.5 * db8.lam[4]),
+         "row 4 has a multiplier Lambda that its flights and kappa do not give"),
         (with_value(db8, "word", slice(9, 12), (2, 1, 3)),
          "row 4 has a word that is not the least rotation of its cycle"),
     ):

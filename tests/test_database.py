@@ -24,7 +24,7 @@ from billzeta.errors import (
 )
 from billzeta.geometry import Configuration, Disk, validate
 from billzeta.orbits import solve_orbit, solve_orbits
-from billzeta.stability import det_one_minus_poincare, stability_record, stability_records
+from billzeta.stability import det_one_minus_poincare, stability_record
 from billzeta.symbolic import enumerate_cycles, primitive_class_count
 from tests.conftest import (
     OrbitRecord,
@@ -228,6 +228,27 @@ def test_truncated_cache_line_is_malformed(tmp_path, db8):
         load_database(path)
 
 
+def test_cache_header_n_max_past_its_sections_is_refused_in_little_memory(tmp_path, db8):
+    # the header carries no digest; a load that walked every length up to
+    # n_max = 10**6 peaked at 99 MB here before it refused, the cache's
+    # load at about 36 kB
+    path = tmp_path / "cache"
+    save_database(db8, path)
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["n_max"] = 10**6
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedInputError,
+                           match=re.escape("holds 0 cycles of length 9, expected 56")):
+            load_database(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_cache_missing_a_record_is_refused(tmp_path, db8):
     path = tmp_path / "cache.jsonl"
     kept = [row for row in range(len(db8)) if row != db8.row((1, 2, 3))]
@@ -287,13 +308,11 @@ def test_extend_below_or_restrict_above_n_max_is_refused(db8):
 
 
 def solved_records(db):
-    """Records made row by row from every length's solve and stability
-    columns."""
+    """Records made row by row from every length's solve columns."""
     config, made = db.config, []
     for n in range(2, db.n_max + 1):
         solved = solve_orbits(config, enumerate_cycles(config.r, n, n_min=n))
-        labels = solved["labels"]
-        kappa, lam = stability_records(config, labels, solved["flights"], solved["cos_incidence"])
+        labels, kappa, lam = solved["labels"], solved["kappa"], solved["lam"]
         made += [
             OrbitRecord(
                 word=tuple(labels[i].tolist()),
@@ -362,14 +381,26 @@ def test_cache_with_a_bad_period_or_multiplier_is_refused(tmp_path, db8, name, v
 
 
 # row 3 of db8 is the cycle (1, 2, 3), its bounces at 6..8 of the flat columns
+NOT_ITS_PRODUCT = "has a multiplier Lambda that its flights and kappa do not give"
+
+
 @pytest.mark.parametrize("name, at, value, what", [
     ("T", 3, 1e308, "has a period T that is not the sum of its flights"),
     ("flights", 7, 5.0, "has a period T that is not the sum of its flights"),
     ("residual", 3, 1e-6, "has a residual that is not at most SOLVER_TOL = 1e-12"),
     ("word", slice(6, 9), (3, 1, 2), "has a word that is not the least rotation of its cycle"),
+    # a multiplier the row's factors 1 + f kappa do not give, from a wrong
+    # Lambda or a wrong kappa; on all three bounces the product overflows
+    ("lam", 3, lambda lam: 1.5 * lam, NOT_ITS_PRODUCT),
+    ("kappa", 7, 1e300, NOT_ITS_PRODUCT),
+    ("kappa", slice(6, 9), 1e300, NOT_ITS_PRODUCT),
+    ("kappa", 7, np.nan, "has a curvature kappa that is not finite and positive"),
+    ("kappa", 8, -0.5, "has a curvature kappa that is not finite and positive"),
 ])
 def test_cache_row_that_no_solve_wrote_is_refused(tmp_path, db8, name, at, value, what):
     path = tmp_path / "cache"
+    if callable(value):
+        value = value(getattr(db8, name)[at])
     save_database(with_value(db8, name, at, value), path)
     with pytest.raises(MalformedInputError, match=re.escape(f"row 3 {what}")):
         load_database(path)
@@ -474,6 +505,27 @@ def test_build_raises_the_error_of_the_shortest_failing_length(config, monkeypat
     with pytest.raises(SolverError,
                        match=re.escape("reflection law violated at bounce 0 of (1, 2)")):
         build_database(config, 7)
+
+
+def test_failing_build_solves_each_batch_once(config, monkeypatch):
+    from billzeta import orbits
+    from billzeta.errors import SolverError
+
+    # the first batch, lengths 2..6, raises for (1, 2) and the build stops
+    # there, with no batch of shorter lengths solved again
+    calls = []
+    solve_orbits = orbits.solve_orbits
+
+    def spy(config, words, *args, **kwargs):
+        calls.append(words)
+        return solve_orbits(config, words, *args, **kwargs)
+
+    monkeypatch.setattr(orbits, "solve_orbits", spy)
+    monkeypatch.setattr(orbits, "REFLECTION_TOL", -1.0)
+    with pytest.raises(SolverError,
+                       match=re.escape("reflection law violated at bounce 0 of (1, 2)")):
+        build_database(config, 7)
+    assert len(calls) == 1
 
 
 def test_grouped_build_peaks_below_the_per_length_build(config):

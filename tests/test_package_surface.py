@@ -1,4 +1,5 @@
-"""The package ships only code that the program uses.
+"""The package ships only code that the program uses, and its modules
+import one another in one direction.
 
 Every module-level function and class of ``src/billzeta``, and every
 method that is neither a dunder nor an override of a base-class method,
@@ -79,3 +80,54 @@ def test_every_package_name_is_used_outside_the_unit_tests():
     assert not unused, (
         f"only unit tests use {', '.join(unused)}: move them to tests/oracles.py or delete them"
     )
+
+
+def package_imports() -> dict:
+    """module -> the package modules it imports, anywhere in its source,
+    as ``from .m import ...`` or ``from . import m``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= ({node.module.partition(".")[0]} if node.module
+                          else {alias.name for alias in node.names})
+        graph[path.stem] = found & modules
+    return graph
+
+
+def import_cycle(graph: dict):
+    """A cycle of ``graph`` as the list of its modules, first one repeated
+    at the end, or None: a depth-first walk, each module left once done."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return None
+        path.append(module)
+        for other in sorted(graph[module]):
+            cycle = visit(other)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_package_modules_import_one_another_without_a_cycle():
+    # a cycle imports cleanly from some entry modules and fails from others
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+    graph = package_imports()
+    assert "stability" in graph["orbits"] and "symbolic" in graph["stability"]
+    cycle = import_cycle(graph)
+    assert cycle is None, f"billzeta modules import in a cycle: {' -> '.join(cycle)}"

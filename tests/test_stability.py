@@ -12,12 +12,12 @@ from billzeta.stability import (
     _curvature_sweeps,
     _kicks,
     _monodromies,
+    _routes,
     det_one_minus_poincare,
     expanding_eigenvalue,
     expansion_factor,
     monodromy,
     stability_record,
-    stability_records,
     unstable_curvatures,
     wavefront_green,
 )
@@ -112,7 +112,7 @@ def test_curvature_rows_do_not_depend_on_their_batch(config):
     spread = np.ptp(kappa.reshape(len(words), len(starts), -1), axis=1)
     assert spread.max() < 1e-12
 
-    batch_kappa, batch_lam = stability_records(config, labels, flights, cos_incidence)
+    batch_kappa, batch_lam = solved["kappa"], solved["lam"]
     for i, word in enumerate(words):
         alone = stability_record(config, solve_orbit(config, word))
         assert np.array_equal(batch_kappa[i], alone.kappa)
@@ -136,16 +136,15 @@ def test_padded_stability_batch_equals_its_lengths(config):
     # their own: the curvatures, the eigenvalues and the sweep counts
     for cfg in (config, unequal_four_disks()):
         solved = solve_orbits(cfg, enumerate_cycles(cfg.r, 8))
-        labels, flights, cos_inc, n = (
-            solved[key] for key in ("labels", "flights", "cos_incidence", "n")
+        labels, flights, cos_inc, n, kappa, lam = (
+            solved[key] for key in ("labels", "flights", "cos_incidence", "n", "kappa", "lam")
         )
-        kappa, lam = stability_records(cfg, labels, flights, cos_inc)
         _, sweeps, _ = _curvature_sweeps(flights, *_kicks(cfg, labels, cos_inc))
         assert len(set(sweeps.tolist())) > 1
         for length in range(2, 9):
             rows = n == length
             block = (labels[rows, :length], flights[rows, :length], cos_inc[rows, :length])
-            alone_kappa, alone_lam = stability_records(cfg, *block)
+            alone_kappa, alone_lam, _ = _routes(cfg, block[0], n[rows], *block[1:])
             assert np.array_equal(kappa[rows, :length], alone_kappa)
             assert not kappa[rows, length:].any()
             assert np.array_equal(lam[rows], alone_lam)
@@ -153,66 +152,35 @@ def test_padded_stability_batch_equals_its_lengths(config):
             assert np.array_equal(sweeps[rows], alone_sweeps)
 
 
-def test_stability_batch_of_mixed_lengths_or_no_orbits_is_domain_error(config):
-    two, three = solve_orbit(config, (1, 2)), solve_orbit(config, (1, 2, 3))
-    empty = np.empty((0, 2))
-    for labels, flights, cos_incidence in (
-        ([two.word], [three.flights], [two.cos_incidence]),
-        ([two.word], [two.flights], [three.cos_incidence]),
-        ([three.word], [two.flights], [two.cos_incidence]),
-        (two.word, two.flights, two.cos_incidence),
-        (empty.astype(int), empty, empty),
-    ):
-        with pytest.raises(DomainError):
-            stability_records(config, labels, flights, cos_incidence)
-
-
-def test_stability_padding_must_trail_the_word(config):
-    two, three = solve_orbit(config, (1, 2)), solve_orbit(config, (1, 2, 3))
-    flights = np.array([np.append(two.flights, 0.0), three.flights])
-    cos_incidence = np.array([np.append(two.cos_incidence, 0.0), three.cos_incidence])
-    kappa, lam = stability_records(config, [[1, 2, 0], [1, 2, 3]], flights, cos_incidence)
-    for i, orbit in enumerate((two, three)):
-        alone = stability_record(config, orbit)
-        assert np.array_equal(kappa[i, : orbit.n], alone.kappa) and lam[i] == alone.lam
-    assert kappa[0, 2] == 0.0
-    # a batch of one length takes the same layout, with no padding
-    full = stability_records(config, [three.word], [three.flights], [three.cos_incidence])
-    assert np.array_equal(full[0][0], kappa[1]) and full[1][0] == lam[1]
-    for labels in ([[1, 0, 2], [1, 2, 3]], [[0, 1, 2], [1, 2, 3]], [[1, 0, 0], [1, 2, 3]]):
-        with pytest.raises(DomainError, match="padded with zeros"):
-            stability_records(config, labels, flights, cos_incidence)
-
-
 def test_stability_labels_outside_the_disks_are_domain_error(config):
-    two = solve_orbit(config, (1, 2))
-    # label 5 has no disk; label -1 would read the last disk's radius
+    # the routes read each label's radius: label 5 has no disk, and label
+    # -1 would read the last disk's; the solve refuses both first
     for word in ((1, 5), (1, -1)):
         message = re.escape(f"itinerary {word} uses labels outside 1..3")
         with pytest.raises(DomainError, match=message):
-            stability_records(config, [word], [two.flights], [two.cos_incidence])
+            solve_orbits(config, [word])
 
 
 def test_stability_words_that_repeat_a_label_are_domain_error(config):
-    # with the columns of a real orbit, each returned a finite lam
-    for word, orbit in (((1, 2, 2), (1, 2, 3)), ((1, 1), (1, 2))):
-        solved = solve_orbit(config, orbit)
+    # the routes gave each a finite lam from a real orbit's columns; the solve refuses both
+    for word in ((1, 2, 2), (1, 1)):
         message = re.escape(f"itinerary {word} repeats a label consecutively")
         with pytest.raises(DomainError, match=message):
-            stability_records(config, [word], [solved.flights], [solved.cos_incidence])
+            solve_orbits(config, [word])
 
 
 def test_unsettled_curvature_transport_names_the_shortest_cycle(config, tmp_path, monkeypatch,
                                                                 capsys):
     # the transport of (1, 2) from the boundary curvatures takes more
     # than one sweep, and so does that of every longer cycle
+    two = solve_orbit(config, (1, 2))
     monkeypatch.setattr(stability, "MAX_SWEEPS", 1)
     message = re.escape("curvature transport for (1, 2) did not settle in 1 sweeps")
-    solved = solve_orbits(config, [(1, 2, 3), (1, 2)])
-    with pytest.raises(NumericalError, match=message):
-        stability_records(config, solved["labels"], solved["flights"], solved["cos_incidence"])
-    with pytest.raises(NumericalError, match=message):
-        unstable_curvatures(config, solve_orbit(config, (1, 2)))
+    for call in (lambda: solve_orbits(config, [(1, 2, 3), (1, 2)]),
+                 lambda: solve_orbit(config, (1, 2)), lambda: stability_record(config, two),
+                 lambda: unstable_curvatures(config, two)):
+        with pytest.raises(NumericalError, match=message):
+            call()
     path = tmp_path / "config.json"
     save_config(config, path)
     assert cli.main(["orbits", "--config", str(path), "--nmax", "4"]) == 3
