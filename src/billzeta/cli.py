@@ -196,29 +196,33 @@ def build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _texts(column) -> list:
+    """The CSV text of every value of ``column``: ``repr`` of a float64,
+    once per distinct bit pattern (symmetric cycles share doubles), so -0.0
+    and 0.0 keep their own text; ``true`` or ``false`` of a bool; ``str`` of
+    anything else.  A column whose first value is a str is its own texts."""
+    if len(column) and isinstance(column[0], str):
+        return column
+    values = np.asarray(column)
+    if values.dtype == np.float64:
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        return texts[inverse].tolist()
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    return [str(v) for v in values.tolist()]
+
+
+def _write_columns(path: Path, header, columns) -> None:
+    """A CSV table from its ``columns``, each turned into text by :func:`_texts`."""
+    lines = map(",".join, zip(*map(_texts, columns)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _texts(column: np.ndarray) -> list:
-    """``repr`` of every value of a float64 ``column``, called once per
-    distinct bit pattern, so that -0.0 and 0.0 keep their own text."""
-    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in keys.view(column.dtype).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    """A CSV table from its rows, the tuple tables of :func:`_write_outputs`."""
+    _write_columns(path, header, zip(*rows))
 
 
 def _word_columns(db: OrbitDatabase):
@@ -241,19 +245,6 @@ def _word_columns(db: OrbitDatabase):
         words += [word.replace("\0", "") for word in rows.tolist()]
         lengths += [str(n)] * len(block)
     return words, lengths
-
-
-def _write_orbits_csv(path: Path, db: OrbitDatabase) -> None:
-    """``orbits.csv`` from the columns; the bytes are those of
-    :func:`_write_csv`, whose ``_fmt`` is ``str`` of an int and ``repr``
-    of a float.  Symmetry images and time reversals share their doubles,
-    so each column's text is made once per distinct value and the rows
-    are joined column-wise; the word and length texts come from the row
-    layout (:func:`_word_columns`)."""
-    floats = (_texts(column) for column in (db.T, db.lam, db.residual, db.shadow_margin))
-    lines = map(",".join, zip(*_word_columns(db), *floats))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(["word,length,period,lam,residual,shadow_margin", *lines]) + "\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -385,8 +376,11 @@ def cmd_orbits(args) -> None:
     per_length = ", ".join(f"{n}:{len(block)}" for n, (_, block, _) in db.word_table().items())
     print(f"orbits: {len(db)} primitive cycles (length:count {per_length})")
     print(f"residuals: min {db.residual.min():.3e}, max {db.residual.max():.3e}")
-    _write_outputs(args, db.config_hash, {"nmax": db.n_max, "cache": args.cache},
-                   {"orbits.csv": lambda path: _write_orbits_csv(path, db)})
+    _write_outputs(args, db.config_hash, {"nmax": db.n_max, "cache": args.cache}, {
+        "orbits.csv": lambda path: _write_columns(
+            path, ["word", "length", "period", "lam", "residual", "shadow_margin"],
+            [*_word_columns(db), db.T, db.lam, db.residual, db.shadow_margin]),
+    })
 
 
 def cmd_abscissas(args) -> None:

@@ -33,9 +33,13 @@ holds them out of order, holds a label outside 1..r, a word that
 repeats a label at consecutive bounces or is not its cycle's least
 rotation, a period that is not finite and positive or not the sum of
 its flights, a multiplier that is not finite with |Lambda| > 1 or not
-the product its flights and curvatures give, a curvature that is not
-finite and positive or a residual above ``SOLVER_TOL``, holds a damaged
-byte, or runs short or long.
+the product its flights and curvatures give, a curvature or a shadow
+margin that is not finite and positive or a residual outside
+[+0.0, ``SOLVER_TOL``], holds a damaged byte, or runs short or long.
+What a load cannot see without solving again: a wrong margin that is
+finite and positive, a wrong residual inside that range, angles and
+incidence cosines, which no consumer reads, and a flight or curvature
+moved so little that T's sum and Lambda's product round as before.
 A save hashes each column in place and writes the header line, then
 each column's own buffer.  A load reads the file once, checks every
 section's digest over its bytes in place and then uses those bytes as
@@ -307,7 +311,8 @@ def _check_rows(path, db: OrbitDatabase) -> None:
     """Refuse a label outside 1..r, then a word that repeats a label at
     consecutive bounces (its last and first included), then a period T
     that is not finite and positive, a multiplier Lambda that is not
-    finite with |Lambda| > 1, a residual above ``SOLVER_TOL`` or a
+    finite with |Lambda| > 1, a residual that is negative, -0.0 or above
+    ``SOLVER_TOL``, a shadow margin that is not finite and positive or a
     curvature kappa that is not finite and positive, then rows out of
     length order, a word that is not the least rotation of its cycle,
     rows whose words do not increase strictly (a repeated cycle or two
@@ -334,8 +339,11 @@ def _check_rows(path, db: OrbitDatabase) -> None:
          "has a period T that is not finite and positive"),
         (~(np.isfinite(db.lam) & (np.abs(db.lam) > 1)), False,
          "has a multiplier Lambda that is not finite with |Lambda| > 1"),
-        (~(db.residual <= orbits.SOLVER_TOL), False,
-         f"has a residual that is not at most SOLVER_TOL = {orbits.SOLVER_TOL:g}"),
+        # a sup norm of absolute values: never -0.0
+        (np.signbit(db.residual) | ~(db.residual <= orbits.SOLVER_TOL), False,
+         f"has a residual that is not in [+0.0, SOLVER_TOL = {orbits.SOLVER_TOL:g}]"),
+        (~(np.isfinite(db.shadow_margin) & (db.shadow_margin > 0)), False,
+         "has a shadow margin that is not finite and positive"),
         (~(np.isfinite(db.kappa) & (db.kappa > 0)), True,
          "has a curvature kappa that is not finite and positive"),
     ):

@@ -45,20 +45,14 @@ class CylinderPotential:
 
     Each admissible (k+1)-word is one transition between length-k words;
     edge ``i`` holds the row index, column index, and the (f, g) values
-    of the ``i``-th such word.
+    of the ``i``-th such word; ``n_states`` counts the k-words.
     """
 
-    r: int
-    k: int
-    states: tuple
+    n_states: int
     edge_row: np.ndarray
     edge_col: np.ndarray
     edge_f: np.ndarray
     edge_g: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
 
     def matrix(self, s: float, beta: float) -> np.ndarray:
         """Transfer matrix with entry exp(-s f_w + beta g_w) on each
@@ -130,11 +124,8 @@ def build_potentials(db, k: int) -> CylinderPotential:
     words = _successors(states, r)
     at = _center_bounces(db, words, k)
     f = db.flights[at]
-    digits = states[:, None] // r ** np.arange(k - 1, -1, -1) % r + 1
     return CylinderPotential(
-        r=r,
-        k=k,
-        states=tuple(map(tuple, digits.tolist())),
+        n_states=states.size,
         edge_row=np.repeat(np.arange(states.size), r - 1),
         edge_col=np.searchsorted(states, words % r**k),
         edge_f=f,
@@ -285,9 +276,9 @@ def sign_check_b1(pot: CylinderPotential):
     return (1 if value > 0 else -1), value
 
 
-def twisted_spectral_test(pot: CylinderPotential, s: float, beta: float = 1.0):
+def twisted_spectral_test(pot: CylinderPotential, s: float):
     """Leading eigenvalue of the transfer matrix and spectral radius of
-    its half-period parity twist at (s, beta).
+    its half-period parity twist at (s, beta = 1).
 
     One reflection advances the boundary phase by half a period, so the
     twist multiplies every transition weight by exp(i pi) = -1 and the
@@ -296,18 +287,18 @@ def twisted_spectral_test(pot: CylinderPotential, s: float, beta: float = 1.0):
     strict-contraction certificate has to come from
     :func:`twisted_unit_gap` instead.
     """
-    B = pot.matrix(s, beta)
+    B = pot.matrix(s, 1.0)
     lam = leading_eigenvalue(B)
     return lam, float(np.max(np.abs(np.linalg.eigvals(-B))))
 
 
-def twisted_unit_gap(pot: CylinderPotential, s: float, beta: float = 1.0) -> float:
+def twisted_unit_gap(pot: CylinderPotential, s: float) -> float:
     """Distance of the twisted spectrum from the point 1.
 
-    min |1 - mu| over eigenvalues mu of -B(s, beta).  A positive gap at
+    min |1 - mu| over eigenvalues mu of -B(s, 1).  A positive gap at
     s = b1 certifies that the twisted determinant is nonzero there even
     though the twisted spectral radius equals the untwisted one.
     """
-    B = pot.matrix(s, beta)
+    B = pot.matrix(s, 1.0)
     mu = np.linalg.eigvals(-B)
     return float(np.min(np.abs(1.0 - mu)))

@@ -11,7 +11,9 @@ function, so every value it returns keeps its bits:
 * the start angles of :func:`billzeta.orbits.solve_orbits` for one word;
 * the log layer of a :class:`billzeta.zeta.DeterminantExpansion`,
   log D and (log D)', and the bound on its k > k_max remainder;
-* the real transform of the test window :data:`billzeta.trace.RHO`.
+* the real transform of the test window :data:`billzeta.trace.RHO`;
+* the CSV writer of one row at a time, one type test per value, that
+  the command line's column writer replaced.
 """
 
 import numpy as np
@@ -125,3 +127,24 @@ def fourier(bump, lam):
     ph = bump.phi_hat(lam)
     out = bump.scale * (ph.real**2 + ph.imag**2)
     return float(out[0]) if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# CSV, one row at a time
+
+
+def fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv_rows(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")

@@ -1,20 +1,25 @@
 import contextlib
+import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from billzeta import __version__, cli
+from billzeta import __version__, cli, database
 from billzeta.cli import _conjugate_closed
 from billzeta.contour import Pole, real_zero
 from billzeta.database import save_database
 from billzeta.errors import MalformedInputError
 from billzeta.geometry import config_digest, save_config
+from billzeta.orbits import SOLVER_TOL
 from billzeta.symbolic import primitive_class_count
 from tests.conftest import equilateral_config, records, subprocess_env, take_rows, with_value
+from tests.oracles import write_csv_rows
 
 
 def run_cli(*args):
@@ -281,7 +286,8 @@ def test_cache_with_a_zero_multiplier_exits_one(tmp_path, db8, capsys):
 def test_cache_that_no_solve_wrote_exits_one(tmp_path, db8, capsys):
     # a period far past its flights' sum, a word that is admissible and
     # in order but not its cycle's least rotation: (2, 1, 3) of (1, 3, 2),
-    # and a multiplier half again the one its factors 1 + f kappa give
+    # a multiplier half again the one its factors 1 + f kappa give, and a
+    # flight that passes through a disk it does not touch
     cache, out = tmp_path / "c.bin", tmp_path / "out"
     for crafted, message in (
         (with_value(db8, "T", 3, 1e308),
@@ -290,6 +296,8 @@ def test_cache_that_no_solve_wrote_exits_one(tmp_path, db8, capsys):
          "row 4 has a multiplier Lambda that its flights and kappa do not give"),
         (with_value(db8, "word", slice(9, 12), (2, 1, 3)),
          "row 4 has a word that is not the least rotation of its cycle"),
+        (with_value(db8, "shadow_margin", 5, -3.66),
+         "row 5 has a shadow margin that is not finite and positive"),
     ):
         save_database(crafted, cache)
         for sub in ("orbits", "poles", "abscissas", "zeta", "counting", "trace"):
@@ -297,6 +305,111 @@ def test_cache_that_no_solve_wrote_exits_one(tmp_path, db8, capsys):
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err, (sub, message)
             assert not list(out.glob("*")), (sub, message)
+
+
+# every consumer of a cache; zeta's default window needs a longer series than nmax 8
+CONSUMERS = ("orbits", "abscissas", "zeta --window 2", "poles", "counting", "trace")
+
+# the fuzz test's child: every consumer on every cache of argv[1] (a JSON
+# list), each output beside its cache; the exit codes, or the traceback
+# of what escaped ``main``, go to the JSON file argv[2]
+FUZZ_CHILD = """
+import contextlib, io, json, sys, traceback
+from billzeta import cli
+
+report = {}
+for cache in json.loads(sys.argv[1]):
+    for command in %r:
+        sub, *flags = command.split()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                report[cache + "." + sub] = cli.main([sub, *flags, "--cache", cache,
+                                                      "--out", cache + "." + sub])
+        except BaseException:
+            report[cache + "." + sub] = traceback.format_exc()
+with open(sys.argv[2], "w") as fh:
+    json.dump(report, fh)
+""" % (CONSUMERS,)
+
+
+def fuzzed_caches(clean, count, seed):
+    """``count`` copies of the cache ``clean``, each with one element of
+    one section changed and that section's digest rewritten: the sections
+    in turn, the element and the new value drawn from ``seed``.  Yields
+    (path, section, index) of each."""
+    blob = clean.read_bytes()
+    end = blob.index(b"\n") + 1
+    header = json.loads(blob[:end])
+    sizes = [entry["count"] * 8 for entry in header["sections"]]
+    starts = np.cumsum([end, *sizes])
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        k = case % len(sizes)
+        name, dtype = database.SECTIONS[k]
+        column = np.frombuffer(blob, dtype, header["sections"][k]["count"], starts[k]).copy()
+        i = int(rng.integers(column.size))
+        v = column[i]
+        # values no solve writes.  A flight or kappa moved by an ulp or so
+        # can leave the sum T and the product Lambda as they were; the load
+        # checks those two columns only through them, so it cannot refuse
+        # such a move, which moves the abscissas' last digits: none is drawn
+        if dtype == "<i8":
+            column[i] = rng.choice([0, -1, v - 1, v + 1, v + 2, 1 << 40])
+        else:
+            column[i] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, -v, 1.5 * v, v / 1.5,
+                                    v + 1.0, 1e308, 5e-324, -3.66])
+        sections = [dict(entry) for entry in header["sections"]]
+        sections[k]["sha256"] = hashlib.sha256(column.tobytes()).hexdigest()
+        path = clean.with_name(f"{case}.bin")
+        path.write_bytes(b"".join([
+            json.dumps(dict(header, sections=sections)).encode() + b"\n",
+            blob[end:starts[k]], column.tobytes(), blob[starts[k + 1]:],
+        ]))
+        yield path, name, i
+
+
+def test_fuzzed_cache_fails_cleanly_or_writes_the_clean_bytes(tmp_path, db8):
+    clean = tmp_path / "clean.bin"
+    save_database(db8, clean)
+    cases = list(fuzzed_caches(clean, 40, 4))
+    report = tmp_path / "report.json"
+    caches = json.dumps([str(clean), *(str(path) for path, _, _ in cases)])
+    # a run that allocates without bound meets MemoryError at 2 GiB
+    limit = 1 << 31
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", FUZZ_CHILD, caches, str(report)],
+        capture_output=True, text=True, env=subprocess_env(), preexec_fn=limited,
+    )
+    # nothing reaches the child's own stdout or stderr: not a LAPACK message
+    assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+    codes = json.loads(report.read_text())
+    subs = [command.split()[0] for command in CONSUMERS]
+    for sub in subs:
+        assert codes[f"{clean}.{sub}"] == 0, sub
+    for path, name, i in cases:
+        for sub in subs:
+            code, out = codes[f"{path}.{sub}"], Path(f"{path}.{sub}")
+            assert code in (0, 1, 2, 3), (name, i, sub, code)
+            if code:
+                continue
+            want = Path(f"{clean}.{sub}")
+            assert sorted(f.name for f in out.iterdir()) == sorted(f.name for f in want.iterdir())
+            for f in want.glob("*.csv"):
+                got = [line.split(",") for line in (out / f.name).read_text().splitlines()]
+                rows = [line.split(",") for line in f.read_text().splitlines()]
+                if f.name == "orbits.csv" and name in ("residual", "shadow_margin"):
+                    # no load tells the solve's residual or margin from another
+                    # in range, so row i may print another one
+                    at = rows[0].index(name)
+                    value, got[i + 1][at] = float(got[i + 1][at]), rows[i + 1][at]
+                    assert (not np.signbit(value) and value <= SOLVER_TOL if name == "residual"
+                            else np.isfinite(value) and value > 0), (name, i, value)
+                assert got == rows, (name, i, sub, f.name)
 
 
 def test_format_1_cache_is_stale(cli_env, db10, tmp_path):
@@ -686,10 +799,27 @@ def test_orbits_csv_equals_the_row_writer(tmp_path, db12, db_four7):
              rec.shadow_margin)
             for rec in records(db)
         ]
-        cli._write_csv(want, header, rows)
-        cli._write_orbits_csv(got, db)
+        write_csv_rows(want, header, rows)
+        cli._write_columns(got, header, [*cli._word_columns(db), db.T, db.lam, db.residual,
+                                         db.shadow_margin])
         assert got.read_bytes() == want.read_bytes()
     assert b"\n3-11-4-10," in got.read_bytes()
+    # the tuple tables: each column mixes the Python and numpy scalars of its kind
+    header = ["name", "count", "holds", "value"]
+    rows = [
+        ("a", 3, True, -0.0),
+        ("b-c", np.int64(-7), np.bool_(False), nan),
+        ("", 2**40, False, np.float64(inf)),
+        ("d", np.int64(0), np.bool_(True), -inf),
+        ("e", 1, True, 5e-324),
+        ("f", 12, False, np.float64(0.0)),
+        ("g", 5, True, np.float64(1e16)),
+    ]
+    for table in (rows, rows[:1], []):
+        write_csv_rows(want, header, table)
+        cli._write_csv(got, header, table)
+        assert got.read_bytes() == want.read_bytes(), table
+    assert got.read_bytes() == b"name,count,holds,value\n"
 
 
 def test_solve_and_consumers_build_no_per_cycle_objects(cli_env, config, tmp_path, monkeypatch):

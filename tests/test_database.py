@@ -382,12 +382,14 @@ def test_cache_with_a_bad_period_or_multiplier_is_refused(tmp_path, db8, name, v
 
 # row 3 of db8 is the cycle (1, 2, 3), its bounces at 6..8 of the flat columns
 NOT_ITS_PRODUCT = "has a multiplier Lambda that its flights and kappa do not give"
+NOT_A_RESIDUAL = "has a residual that is not in [+0.0, SOLVER_TOL = 1e-12]"
+NOT_A_MARGIN = "has a shadow margin that is not finite and positive"
 
 
 @pytest.mark.parametrize("name, at, value, what", [
     ("T", 3, 1e308, "has a period T that is not the sum of its flights"),
     ("flights", 7, 5.0, "has a period T that is not the sum of its flights"),
-    ("residual", 3, 1e-6, "has a residual that is not at most SOLVER_TOL = 1e-12"),
+    ("residual", 3, 1e-6, NOT_A_RESIDUAL),
     ("word", slice(6, 9), (3, 1, 2), "has a word that is not the least rotation of its cycle"),
     # a multiplier the row's factors 1 + f kappa do not give, from a wrong
     # Lambda or a wrong kappa; on all three bounces the product overflows
@@ -396,6 +398,15 @@ NOT_ITS_PRODUCT = "has a multiplier Lambda that its flights and kappa do not giv
     ("kappa", slice(6, 9), 1e300, NOT_ITS_PRODUCT),
     ("kappa", 7, np.nan, "has a curvature kappa that is not finite and positive"),
     ("kappa", 8, -0.5, "has a curvature kappa that is not finite and positive"),
+    ("residual", 3, -1.67e-16, NOT_A_RESIDUAL),
+    ("residual", 3, -0.0, NOT_A_RESIDUAL),
+    ("residual", 3, -np.inf, NOT_A_RESIDUAL),
+    ("residual", 3, np.nan, NOT_A_RESIDUAL),
+    ("shadow_margin", 3, np.nan, NOT_A_MARGIN),
+    ("shadow_margin", 3, np.inf, NOT_A_MARGIN),
+    ("shadow_margin", 3, -np.inf, NOT_A_MARGIN),
+    ("shadow_margin", 3, 0.0, NOT_A_MARGIN),
+    ("shadow_margin", 3, -3.66, NOT_A_MARGIN),
 ])
 def test_cache_row_that_no_solve_wrote_is_refused(tmp_path, db8, name, at, value, what):
     path = tmp_path / "cache"
